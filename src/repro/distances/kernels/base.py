@@ -35,7 +35,8 @@ class DistanceKernel(ABC):
     #: kernels); surfaced in bench output and run stats.
     backend: str = "numpy"
 
-    #: Number of pair distances this kernel has produced.
+    #: Number of pair distances this kernel has computed (a distance
+    #: served from a kernel-side memo is not counted again).
     evaluations: int = 0
 
     #: Smallest candidate-list size worth routing through ``pairs``;

@@ -1,33 +1,37 @@
-"""Batch edit-distance kernel: Myers bit-parallel + Ukkonen band.
+"""Batch edit-distance kernel: bit-parallel Myers at any string length.
 
-Both algorithms compute the *exact* Levenshtein distance, so the
-kernel is bit-identical to the scalar two-row DP in
-:mod:`repro.distances.edit` by construction (the normalized distance
-is an integer divided by an integer).  What changes is the constant:
+:func:`myers_levenshtein` is Hyyrö's formulation of Myers' bit-vector
+algorithm.  It computes the *exact* Levenshtein distance, so the kernel
+is bit-identical to the scalar two-row DP in
+:mod:`repro.distances.edit` by construction (the normalized distance is
+an integer divided by an integer).  What changes is the constant.
 
-* :func:`myers_levenshtein` — Hyyrö's formulation of Myers' bit-vector
-  algorithm.  The pattern's match positions are packed into per-char
-  bitmasks; each text character then costs O(1) word operations, so a
-  pattern of ≤64 chars runs ~10-20x faster than the DP in pure python.
-* :func:`banded_levenshtein` — Ukkonen's cutoff band: with an upper
-  bound ``max_distance`` only the ``2k+1`` diagonal band can matter,
-  turning O(len(a)·len(b)) into O(k·len(b)) for long strings.
+The pattern's match positions are packed into one python int per
+distinct character; the DP column then lives in two bit vectors, and
+each text character costs a fixed handful of int operations instead of
+a DP row.  Python ints are arbitrary-precision, so no pattern is too
+long: an ``m``-char pattern spans ``⌈m/30⌉`` CPython digits and every
+operation runs over them in C.  One code path serves every length.
 
-The kernel itself holds the normalized texts of every record in the
-relation so batch callers never re-normalize per pair.
+:class:`EditKernel` holds the normalized text of every record in the
+relation, so batch callers never re-normalize per pair, and keeps a
+small memo of its most recently computed rows.  Levenshtein and its
+``raw / max(len)`` normalization are exactly symmetric, so a new row
+copies ``d(j, i)`` from a memoized row ``j`` instead of recomputing it:
+inside a block of at most :attr:`EditKernel.memo_rows` queries every
+unordered pair is computed once.
 """
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Sequence
 
 from .base import DistanceKernel
 
-_WORD = 64
-
 
 def _build_peq(pattern: str) -> dict[str, int]:
-    """Per-character match masks for a pattern of length <= 64."""
+    """Per-character match masks: bit ``i`` set where ``pattern[i] == ch``."""
     peq: dict[str, int] = {}
     for i, ch in enumerate(pattern):
         peq[ch] = peq.get(ch, 0) | (1 << i)
@@ -35,7 +39,7 @@ def _build_peq(pattern: str) -> dict[str, int]:
 
 
 def myers_levenshtein(pattern: str, text: str, peq: dict[str, int] | None = None) -> int:
-    """Exact Levenshtein distance, ``len(pattern)`` <= 64 required.
+    """Exact Levenshtein distance between ``pattern`` and ``text``.
 
     ``peq`` may be passed in when the same pattern is scored against
     many texts (the batch case): building the masks once amortizes the
@@ -44,93 +48,54 @@ def myers_levenshtein(pattern: str, text: str, peq: dict[str, int] | None = None
     m = len(pattern)
     if m == 0:
         return len(text)
-    if m > _WORD:
-        raise ValueError("myers_levenshtein requires len(pattern) <= 64")
     if peq is None:
         peq = _build_peq(pattern)
+    get = peq.get
     mask = (1 << m) - 1
-    high = 1 << (m - 1)
+    # vp / vn: the +1 / -1 vertical deltas of the current DP column.
     vp = mask
     vn = 0
-    score = m
     for ch in text:
-        eq = peq.get(ch, 0)
-        xv = eq | vn
-        d0 = (((eq & vp) + vp) ^ vp) | xv
-        hp = vn | (~(d0 | vp) & mask)
-        hn = d0 & vp
-        if hp & high:
-            score += 1
-        if hn & high:
-            score -= 1
-        hp = ((hp << 1) | 1) & mask
-        hn = (hn << 1) & mask
-        vp = hn | (~(d0 | hp) & mask)
-        vn = d0 & hp
-    return score
+        eq = get(ch, 0)
+        d0 = (((eq & vp) + vp) ^ vp) | eq | vn
+        # Horizontal deltas, shifted into the next column; the |1 is
+        # row 0's D[0][j] = j.  Bits at or above m may hold carries, but
+        # carries, shifts and bitwise ops only move information upward,
+        # so masking vp and vn once per character keeps bits < m exact.
+        hp = (vn | ((d0 | vp) ^ mask)) << 1 | 1
+        vp = ((d0 & vp) << 1 | ((d0 | hp) ^ mask)) & mask
+        vn = d0 & hp & mask
+    # D[m][n] = D[0][n] plus the last column's vertical deltas.
+    return len(text) + vp.bit_count() - vn.bit_count()
 
 
-def banded_levenshtein(a: str, b: str, max_distance: int) -> int:
-    """Levenshtein distance with an Ukkonen cutoff band.
-
-    Returns the exact distance when it is <= ``max_distance`` and any
-    value > ``max_distance`` otherwise — the same contract as the
-    scalar ``levenshtein(..., max_distance=...)``, reached by scanning
-    only the ``2*max_distance + 1`` diagonals that can stay under the
-    bound.
-    """
-    if max_distance < 0:
-        return max_distance + 1
-    # Keep the shorter string vertical so the band covers fewer cells.
-    if len(a) > len(b):
-        a, b = b, a
-    la, lb = len(a), len(b)
-    if lb - la > max_distance:
-        return max_distance + 1
-    if la == 0:
-        return lb
-    inf = max_distance + 1
-    # prev[i] = D[i][j-1]; band rows for column j are
-    # [j - max_distance, j + max_distance] clamped to [0, la].
-    prev = [min(i, inf) for i in range(la + 1)]
-    for j in range(1, lb + 1):
-        lo = max(1, j - max_distance)
-        hi = min(la, j + max_distance)
-        cur = [inf] * (la + 1)
-        cur[0] = j if j <= max_distance else inf
-        best = cur[0]
-        bj = b[j - 1]
-        for i in range(lo, hi + 1):
-            cost = 0 if a[i - 1] == bj else 1
-            value = prev[i - 1] + cost
-            up = cur[i - 1] + 1
-            if up < value:
-                value = up
-            left = prev[i] + 1
-            if left < value:
-                value = left
-            if value > inf:
-                value = inf
-            cur[i] = value
-            if value < best:
-                best = value
-        prev = cur
-        if best >= inf:
-            return inf
-    return prev[la]
+def _normalized(query: str, peq: dict[str, int], text: str) -> float:
+    """``levenshtein / max(len)``; 0.0 for two empty strings."""
+    longest = max(len(query), len(text))
+    if longest == 0:
+        return 0.0
+    return myers_levenshtein(query, text, peq) / longest
 
 
 class EditKernel(DistanceKernel):
     """Batch normalized edit distance over a relation's texts.
 
     Despite living in the kernel layer this path is pure python — the
-    speedup comes from Myers bit-parallelism and from normalizing every
-    text exactly once, not from numpy.  ``block()`` still returns numpy
-    rows so :class:`~repro.index.bruteforce.BruteForceIndex` consumes
-    every kernel through one uniform array interface.
+    speedup comes from Myers bit-parallelism, from normalizing every
+    text exactly once, and from computing each unordered pair of a
+    block once, not from numpy.  ``block()`` still returns numpy rows so
+    :class:`~repro.index.bruteforce.BruteForceIndex` consumes every
+    kernel through one uniform array interface.
+
+    ``evaluations`` counts the pairs actually computed: a distance
+    copied from a memoized row costs nothing and is not counted.
     """
 
     backend = "numpy"
+
+    #: Rows kept for mirroring, the query block ``BruteForceIndex``
+    #: scans in; the memo holds at most ``memo_rows * n`` floats.
+    memo_rows = 64
 
     def __init__(self, rids: Sequence[int], texts: Sequence[str]) -> None:
         from .compat import require_numpy
@@ -140,6 +105,10 @@ class EditKernel(DistanceKernel):
         self._rids = list(rids)
         self._row_of = {rid: i for i, rid in enumerate(self._rids)}
         self._texts = list(texts)
+        #: Row index -> float64 distance row, oldest first.
+        self._memo: dict[int, object] = {}
+        #: Guards the memo's evict-and-insert and ``evaluations``.
+        self._lock = threading.Lock()
 
     def __contains__(self, rid: int) -> bool:
         return rid in self._row_of
@@ -148,69 +117,56 @@ class EditKernel(DistanceKernel):
     def rids(self) -> list[int]:
         return self._rids
 
-    def _distance_from_row(self, qi: int) -> list[float]:
-        query = self._texts[qi]
-        lq = len(query)
+    def _remember(self, qi: int, row, computed: int) -> None:
+        # Thread-pool workers share one index, hence one kernel: evict
+        # and insert under a lock so the bound holds under any
+        # interleaving.  Readers need no lock, since a row enters the
+        # memo only once it is complete.
+        with self._lock:
+            self.evaluations += computed
+            memo = self._memo
+            while len(memo) >= self.memo_rows:
+                del memo[next(iter(memo))]
+            memo[qi] = row
+
+    def _row(self, qi: int):
+        """Distances from text ``qi`` to every text (0.0 at ``qi``)."""
+        memo = self._memo
+        row = memo.get(qi)
+        if row is not None:
+            return row
         texts = self._texts
+        query = texts[qi]
+        peq = _build_peq(query)
         out = [0.0] * len(texts)
-        if lq == 0:
-            for i, text in enumerate(texts):
-                out[i] = 0.0 if not text else 1.0
-            return out
-        use_myers = lq <= _WORD
-        peq = _build_peq(query) if use_myers else None
+        computed = 0
         for i, text in enumerate(texts):
             if i == qi:
                 continue
-            lt = len(text)
-            if lt == 0:
-                out[i] = 1.0
+            mirror = memo.get(i)
+            if mirror is not None:
+                out[i] = mirror[qi]
                 continue
-            if use_myers:
-                raw = myers_levenshtein(query, text, peq)
-            elif lt <= _WORD:
-                raw = myers_levenshtein(text, query)
-            else:
-                from ..edit import levenshtein
-
-                raw = levenshtein(query, text)
-            out[i] = raw / max(lq, lt)
-        return out
+            out[i] = _normalized(query, peq, text)
+            computed += 1
+        row = self._np.array(out, dtype=self._np.float64)
+        self._remember(qi, row, computed)
+        return row
 
     def block(self, query_rids: Sequence[int]):
         np = self._np
-        n = len(self._rids)
-        out = np.empty((len(query_rids), n), dtype=np.float64)
+        out = np.empty((len(query_rids), len(self._rids)), dtype=np.float64)
         for r, rid in enumerate(query_rids):
-            qi = self._row_of[rid]
-            out[r, :] = self._distance_from_row(qi)
-        self.evaluations += len(query_rids) * max(0, n - 1)
+            out[r, :] = self._row(self._row_of[rid])
         return out
 
     def pairs(self, query_rid: int, rids: Sequence[int]) -> list[float]:
-        qi = self._row_of[query_rid]
-        query = self._texts[qi]
-        lq = len(query)
-        use_myers = 0 < lq <= _WORD
-        peq = _build_peq(query) if use_myers else None
-        out = []
-        for rid in rids:
-            text = self._texts[self._row_of[rid]]
-            lt = len(text)
-            if lq == 0 and lt == 0:
-                out.append(0.0)
-                continue
-            if lq == 0 or lt == 0:
-                out.append(1.0)
-                continue
-            if use_myers:
-                raw = myers_levenshtein(query, text, peq)
-            elif lt <= _WORD:
-                raw = myers_levenshtein(text, query)
-            else:
-                from ..edit import levenshtein
-
-                raw = levenshtein(query, text)
-            out.append(raw / max(lq, lt))
-        self.evaluations += len(rids)
+        query = self._texts[self._row_of[query_rid]]
+        peq = _build_peq(query)
+        texts = self._texts
+        row_of = self._row_of
+        out = [_normalized(query, peq, texts[row_of[rid]]) for rid in rids]
+        with self._lock:
+            self.evaluations += len(rids)
         return out
+

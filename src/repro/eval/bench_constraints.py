@@ -186,6 +186,7 @@ def run_constraint_bench(
         "window_days": window_days,
         "duplicate_fraction": duplicate_fraction,
         "seed": seed,
+        "host": platform.node(),
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "entities": entities,

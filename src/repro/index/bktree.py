@@ -41,6 +41,7 @@ from __future__ import annotations
 from repro.data.schema import Record
 from repro.distances.base import CachedDistance
 from repro.distances.edit import EditDistance, levenshtein
+from repro.distances.kernels.edit import myers_levenshtein
 from repro.distances.tokens import normalize
 from repro.index.base import Neighbor, NNIndex
 
@@ -118,16 +119,11 @@ class BKTreeIndex(NNIndex):
         """Exact raw Levenshtein for tree traversal.
 
         With kernels enabled the bit-parallel Myers scan replaces the
-        two-row DP whenever either string fits one machine word; both
-        algorithms are exact, so traversal decisions are unchanged.
+        two-row DP; both algorithms are exact, so traversal decisions
+        are unchanged.
         """
         if self._kernel is not None:
-            from repro.distances.kernels.edit import myers_levenshtein
-
-            if 0 < len(a) <= 64:
-                return myers_levenshtein(a, b)
-            if 0 < len(b) <= 64:
-                return myers_levenshtein(b, a)
+            return myers_levenshtein(a, b)
         return levenshtein(a, b)
 
     def _insert(self, text: str, rid: int) -> None:

@@ -74,6 +74,9 @@ class BruteForceIndex(NNIndex):
         #: lookups: Phase 1 probes each record twice in a row (NN list,
         #: then NG count) and this spares the second row computation.
         self._kernel_row_cache = None
+        #: How much of the current kernel's ``evaluations`` counter has
+        #: been credited to ``kernel_evaluations`` (see _credit_kernel).
+        self._kernel_credited = 0
 
     def _build(self) -> None:
         self._pair_cache.clear()
@@ -168,7 +171,7 @@ class BruteForceIndex(NNIndex):
         rids_arr = np.asarray(kernel.rids, dtype=np.int64)
         d = kernel.block([record.rid])[0]
         d[int(np.searchsorted(rids_arr, record.rid))] = float("inf")
-        self.kernel_evaluations += max(0, len(rids_arr) - 1)
+        self._credit_kernel(kernel)
         self._kernel_row_cache = (record.rid, rids_arr, d)
         return np, rids_arr, d
 
@@ -250,6 +253,25 @@ class BruteForceIndex(NNIndex):
 
     _KERNEL_BLOCK = 64
 
+    def _resolve_kernel(self) -> None:
+        super()._resolve_kernel()
+        self._kernel_credited = 0
+
+    def _credit_kernel(self, kernel) -> None:
+        """Ledger the pairs the kernel computed since the last credit.
+
+        The kernel's own ``evaluations`` counter is the authority: a
+        kernel may serve a pair without computing it (the edit kernel
+        mirrors symmetric pairs from recent rows).  Crediting the
+        counter's advance since the previous credit, under the index
+        lock, stays exact when thread-pool workers share this index and
+        their kernel calls overlap.
+        """
+        with self._batch_lock:
+            done = kernel.evaluations
+            self.kernel_evaluations += done - self._kernel_credited
+            self._kernel_credited = done
+
     def _usable_kernel(self, records: Sequence[Record]):
         kernel = self._kernel
         if kernel is None:
@@ -275,11 +297,10 @@ class BruteForceIndex(NNIndex):
         def rows():
             inf = float("inf")
             block = self._KERNEL_BLOCK
-            n = len(rids_arr)
             for start in range(0, len(records), block):
                 chunk = [record.rid for record in records[start : start + block]]
                 dense = kernel.block(chunk)
-                self.kernel_evaluations += len(chunk) * max(0, n - 1)
+                self._credit_kernel(kernel)
                 for r, rid in enumerate(chunk):
                     d = dense[r]
                     d[int(np.searchsorted(rids_arr, rid))] = inf

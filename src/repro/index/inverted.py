@@ -30,7 +30,7 @@ from collections import Counter
 from repro.data.schema import Record
 from repro.distances.base import CachedDistance
 from repro.distances.edit import EditDistance, levenshtein
-from repro.distances.kernels.edit import banded_levenshtein, myers_levenshtein
+from repro.distances.kernels.edit import myers_levenshtein
 from repro.distances.tokens import normalize, qgrams
 from repro.index.base import Neighbor, NNIndex
 from repro.index.cache import PagedPostingStore
@@ -220,7 +220,8 @@ class QgramInvertedIndex(NNIndex):
           so ``ed >= (max(|G_a|, |G_b|) - shared) / q``; if that lower
           bound already exceeds the cutoff, skip with no DP at all;
         - *banded DP*: otherwise run Levenshtein with an early exit at
-          ``cutoff * max(len_a, len_b)``.
+          ``cutoff * max(len_a, len_b)`` (with kernels enabled, the
+          exact Myers scan instead; see :meth:`_bounded_raw`).
         """
         relation, _ = self._checked()
         if not self._edit_fast_path or cutoff is None or cutoff >= 1.0:
@@ -258,17 +259,12 @@ class QgramInvertedIndex(NNIndex):
         """Raw Levenshtein, exact when <= ``bound`` (any value beyond).
 
         With kernels enabled the bit-parallel Myers scan replaces the
-        two-row DP for strings that fit one machine word, and the
-        Ukkonen band covers the long tail; both return the exact raw
-        distance whenever it is within ``bound``, so verified values
-        are identical to the scalar baseline's.
+        banded two-row DP.  Myers is exact at every length, so it meets
+        the contract whatever the bound and verified values are
+        identical to the scalar baseline's.
         """
         if self._kernel is not None:
-            if 0 < len(query) <= 64:
-                return myers_levenshtein(query, other)
-            if 0 < len(other) <= 64:
-                return myers_levenshtein(other, query)
-            return banded_levenshtein(query, other, bound)
+            return myers_levenshtein(query, other)
         return levenshtein(query, other, max_distance=bound)
 
     def knn(self, record: Record, k: int) -> list[Neighbor]:

@@ -5,15 +5,16 @@ query answered through a kernel must be *bit-identical* — same neighbor
 ids, same float distances, same NG counts, same partitions — to the
 scalar per-pair baseline.  These tests drive random relations through
 both backends across the three batch entry points and the per-query
-path, check the bit-parallel Myers and banded DP against the reference
-Levenshtein, and pin down the accounting split (``kernel_evaluations``
-vs. ``evaluations``) and the no-numpy fallback contract.
+path, check the bit-parallel Myers scan against the reference
+Levenshtein at any string length, and pin down the accounting split
+(``kernel_evaluations`` vs. ``evaluations``) and the no-numpy fallback
+contract.
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.formulation import DEParams
@@ -26,7 +27,7 @@ from repro.distances.edit import EditDistance, levenshtein
 from repro.distances.fms import FuzzyMatchDistance
 from repro.distances.jaccard import TokenJaccardDistance
 from repro.distances.kernels import KernelUnavailable, have_numpy
-from repro.distances.kernels.edit import banded_levenshtein, myers_levenshtein
+from repro.distances.kernels.edit import myers_levenshtein
 from repro.index.bruteforce import BruteForceIndex
 from repro.run.config import ConfigError, RunConfig
 from repro.verify.parity import nn_signature
@@ -178,6 +179,35 @@ class TestWorkerParity:
         )
 
 
+#: Unicode with astral-plane characters, plus a small alphabet so that
+#: long strings still share characters and align non-trivially; the
+#: length is drawn first so lengths up to 300 are covered evenly.
+edit_text = st.integers(0, 300).flatmap(
+    lambda n: st.text(
+        alphabet=st.one_of(
+            st.sampled_from("abcd \u00e9\U0001f600"), st.characters()
+        ),
+        min_size=n,
+        max_size=n,
+    )
+)
+
+
+def long_texts(n, seed=0):
+    """Claims-like texts, all longer than one 64-bit machine word."""
+    import random
+
+    rng = random.Random(seed)
+    base = "p44335 summit medical group 2024 01 22 x ray series 637 50 "
+    out = []
+    for i in range(n):
+        chars = list(base * 2)
+        for _ in range(rng.randint(0, 12)):
+            chars[rng.randrange(len(chars))] = rng.choice("abcxyz0189 ")
+        out.append("".join(chars[: rng.randint(65, 120)]) + str(i))
+    return out
+
+
 class TestEditKernels:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -187,40 +217,100 @@ class TestEditKernels:
     def test_myers_matches_reference(self, pattern, text):
         assert myers_levenshtein(pattern, text) == levenshtein(pattern, text)
 
-    def test_myers_rejects_long_pattern(self):
-        with pytest.raises(ValueError):
-            myers_levenshtein("a" * 65, "b")
+    @settings(max_examples=40, deadline=None)
+    @given(edit_text, edit_text)
+    @example("a" * 65, "b")
+    @example("ab" * 150, "ba" * 150)
+    @example("x" * 64, "x" * 65)
+    @example("", "a" * 300)
+    @example("a" * 300, "")
+    @example("\U0001f600ab", "ab")
+    @example("caf\u00e9", "cafe")
+    def test_myers_matches_reference_at_any_length(self, pattern, text):
+        assert myers_levenshtein(pattern, text) == levenshtein(pattern, text)
 
     def test_myers_empty_text(self):
         assert myers_levenshtein("abc", "") == 3
 
-    @settings(max_examples=150, deadline=None)
-    @given(
-        st.text(alphabet="abc", max_size=20),
-        st.text(alphabet="abcd", max_size=20),
-        st.integers(0, 12),
-    )
-    def test_banded_exact_within_bound(self, a, b, bound):
-        raw = levenshtein(a, b)
-        got = banded_levenshtein(a, b, bound)
-        if raw <= bound:
-            assert got == raw
-        else:
-            assert got > bound
 
-    def test_banded_boundaries(self):
-        # Empty strings on both sides.
-        assert banded_levenshtein("", "", 0) == 0
-        assert banded_levenshtein("", "abc", 3) == 3
-        assert banded_levenshtein("abc", "", 2) > 2
-        # Distance exactly at the cutoff must come back exact.
-        assert banded_levenshtein("kitten", "sitting", 3) == 3
-        assert banded_levenshtein("kitten", "sitting", 2) > 2
-        # Negative bound: any value > bound.
-        assert banded_levenshtein("a", "a", -1) > -1
-        # Unicode (astral plane and combining forms are just code points).
-        assert banded_levenshtein("café", "cafe", 1) == 1
-        assert myers_levenshtein("\U0001f600ab", "ab") == 1
+@needs_numpy
+class TestEditKernelRows:
+    """``EditKernel`` rows: exact at any length, each pair computed once."""
+
+    @staticmethod
+    def make(words):
+        relation = Relation.from_strings("r", words)
+        distance = EditDistance()
+        distance.prepare(relation)
+        return relation, distance, distance.make_kernel(relation)
+
+    def test_block_and_pairs_match_scalar_beyond_64_chars(self):
+        relation, distance, kernel = self.make(long_texts(12) + ["", "a"])
+        rids = relation.ids()
+        want = [
+            [distance.distance(relation.get(q), relation.get(r)) for r in rids]
+            for q in rids
+        ]
+        assert kernel.block(rids).tolist() == want
+        for q in rids:
+            others = [r for r in rids if r != q]
+            assert kernel.pairs(q, others) == [want[q][r] for r in others]
+
+    def test_mirrored_entries_equal_fresh_computation(self):
+        words = long_texts(10, seed=1)
+        _, _, kernel = self.make(words)
+        rids = list(range(len(words)))
+        mirrored = kernel.block(rids)
+        # Each unordered pair was computed once; the rest were copied.
+        assert kernel.evaluations == len(rids) * (len(rids) - 1) // 2
+        for q in rids:
+            _, _, fresh = self.make(words)  # empty memo: every pair computed
+            assert fresh.block([q])[0].tolist() == mirrored[q].tolist()
+            assert fresh.evaluations == len(rids) - 1
+
+    def test_memo_never_exceeds_its_bound(self):
+        words = [f"w{i} {'ab' * (i % 40)}" for i in range(100)]
+        _, _, kernel = self.make(words)
+        rids = list(range(len(words)))
+        for start in range(0, len(rids), 7):
+            kernel.block(rids[start : start + 7])
+            assert len(kernel._memo) <= kernel.memo_rows
+        assert len(kernel._memo) == kernel.memo_rows
+        kernel.memo_rows = 3
+        kernel.block(rids[:5])
+        assert len(kernel._memo) == 3
+
+    def test_thread_pool_shared_index_matches_sequential(self):
+        import sys
+
+        relation = load_dataset(
+            "claims", n_entities=40, duplicate_fraction=0.4, seed=3
+        ).relation
+        params = DEParams.combined(5, 0.45, c=4.0)
+        signatures = []
+        switch = sys.getswitchinterval()
+        # More workers than cores and frequent thread switches, so the
+        # workers interleave inside the shared kernel's rows and memo.
+        sys.setswitchinterval(1e-5)
+        try:
+            for n_workers, chunk_size in ((1, None), (4, 5)):
+                index = BruteForceIndex()
+                index.enable_kernel("numpy")
+                index.build(relation, EditDistance())
+                kernel = index._kernel
+                nn = prepare_nn_lists(
+                    relation, index, params, order="sequential",
+                    n_workers=n_workers, pool="thread",
+                    chunk_size=chunk_size,
+                )
+                signatures.append(nn_signature(nn))
+                # The index credits exactly what the shared kernel
+                # computed; a lost update on either counter breaks this.
+                assert index.kernel_evaluations == kernel.evaluations
+                assert len(kernel._memo) <= kernel.memo_rows
+        finally:
+            sys.setswitchinterval(switch)
+        assert signatures[0] == signatures[1]
 
 
 @needs_numpy
