@@ -3,9 +3,12 @@
 ``prepare_nn_lists`` materializes the NN relation
 ``NN_Reln[ID, NN-List, NG]``: for every tuple, its nearest neighbors
 (the best K for ``DE_S(K)``; all within θ for ``DE_D(θ)``) and its
-neighborhood growth ``ng``.  Lookups are issued in breadth-first order
-by default to maximize index buffer locality (Figure 5 / section 4.1.1);
-the Figure 8 benchmark compares this against random order.
+neighborhood growth ``ng``.  On the scalar path lookups are issued in
+breadth-first order by default to maximize index buffer locality
+(Figure 5 / section 4.1.1); the Figure 8 benchmark compares this
+against random order.  The answers do not depend on lookup order, so
+an index with an active batch kernel answers the whole relation through
+its batch API instead (see :func:`prepare_nn_lists`).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from repro.core.bforder import breadth_first_order, random_order, sequential_ord
 from repro.core.formulation import CombinedCut, DEParams, SizeCut
 from repro.core.neighborhood import NNEntry, NNRelation
 from repro.data.schema import Relation
-from repro.index.base import Neighbor, NNIndex
+from repro.index.base import BatchCounts, Neighbor, NNIndex
 
 __all__ = ["Phase1Stats", "prepare_nn_lists"]
 
@@ -93,6 +96,16 @@ class Phase1Stats:
         row["candidates_generated"] += candidates_generated
         row["evaluations_pruned"] += evaluations_pruned
         row["kernel_evaluations"] += kernel_evaluations
+
+    def add_counts(self, counts: BatchCounts) -> None:
+        """Accumulate one batch call's own work into this object."""
+        self.evaluations += counts.evaluations
+        self.cache_hits += counts.cache_hits
+        self.cache_misses += counts.cache_misses
+        self.candidates_generated += counts.candidates_generated
+        self.evaluations_pruned += counts.evaluations_pruned
+        self.kernel_evaluations += counts.kernel_evaluations
+        self.add_substages(counts.substage_seconds)
 
     def add_substages(self, delta: "dict[str, float] | None") -> None:
         """Accumulate a sub-stage wall-time delta into this object."""
@@ -229,7 +242,12 @@ def prepare_nn_lists(
         :class:`~repro.parallel.engine.ParallelNNEngine`: the lookup
         order is split into contiguous chunks answered through the
         index's batch API over a worker pool, producing a result
-        identical to this sequential path for any worker count.
+        identical to this sequential path for any worker count.  An
+        index with an active batch kernel is delegated at one worker
+        too: the engine answers the relation inline, as one chunk,
+        through the index's blocked ``phase1_batch``.  The per-record
+        breadth-first traversal stays the scalar reference (kernel
+        ``"python"``, or an index built without ``enable_kernel``).
     pool:
         Worker pool kind for the parallel path: ``"thread"`` or
         ``"process"``.
@@ -255,7 +273,7 @@ def prepare_nn_lists(
             chunk_size=chunk_size,
         )
 
-    if n_workers > 1:
+    if n_workers > 1 or index.kernel_backend != "python":
         # Imported lazily: repro.parallel depends on repro.core modules.
         from repro.parallel.engine import ParallelNNEngine
 
@@ -363,6 +381,11 @@ def _subset_nn_lists(
     to the sequential whole-relation path's entry for the same rid.
     Chunking bounds the batch pair cache while still amortizing the
     index's blocked evaluation across neighbors within a chunk.
+
+    Shard runners call this concurrently on one shared index, so the
+    costs are summed from each batch call's own
+    :class:`~repro.index.base.BatchCounts`, never read off the index's
+    shared counters.
     """
     if isinstance(params.cut, SizeCut):
         k, theta = params.cut.k, None
@@ -373,60 +396,37 @@ def _subset_nn_lists(
 
     nn_relation = NNRelation()
     started = time.perf_counter()
-    evaluations_before = index.evaluations
-    hits_before = getattr(index, "cache_hits", 0)
-    misses_before = getattr(index, "cache_misses", 0)
-    candidates_before = getattr(index, "candidates_generated", 0)
-    pruned_before = getattr(index, "evaluations_pruned", 0)
-    kernel_before = getattr(index, "kernel_evaluations", 0)
-    substages_before = _substage_snapshot(index)
-    lookups_before = stats.lookups if stats is not None else 0
-
+    counts = BatchCounts()
     size = chunk_size if chunk_size and chunk_size > 0 else 256
     for start in range(0, len(rids), size):
         chunk = rids[start : start + size]
         fetch_started = time.perf_counter()
         records = [relation.get(rid) for rid in chunk]
-        index._credit_substage(
-            "candidates", time.perf_counter() - fetch_started
-        )
+        counts.add_seconds("candidates", time.perf_counter() - fetch_started)
         batch = index.phase1_batch(
-            records, k=k, theta=theta, p=params.p, radius_fn=radius_fn
+            records, k=k, theta=theta, p=params.p, radius_fn=radius_fn,
+            counts=counts,
         )
         for rid, (neighbors, ng) in zip(chunk, batch):
             nn_relation.add(
                 NNEntry(rid=rid, neighbors=tuple(neighbors), ng=ng)
             )
-            if stats is not None:
-                stats.lookups += 1
 
     if stats is not None:
-        evaluations = index.evaluations - evaluations_before
-        candidates = getattr(index, "candidates_generated", 0) - candidates_before
-        pruned = getattr(index, "evaluations_pruned", 0) - pruned_before
-        kernel = getattr(index, "kernel_evaluations", 0) - kernel_before
         loop_seconds = time.perf_counter() - started
+        stats.lookups += len(rids)
         stats.seconds += loop_seconds
-        stats.evaluations += evaluations
-        stats.cache_hits += getattr(index, "cache_hits", 0) - hits_before
-        stats.cache_misses += getattr(index, "cache_misses", 0) - misses_before
-        stats.candidates_generated += candidates
-        stats.evaluations_pruned += pruned
-        stats.kernel_evaluations += kernel
-        substages = _substage_delta(index, substages_before)
-        # See prepare_nn_lists: the chunk loop's own bookkeeping,
-        # attributed explicitly (skipped when concurrent accrual on a
-        # shared index makes the remainder non-positive).
-        drive = loop_seconds - sum(substages.values())
+        stats.add_counts(counts)
+        # The chunk loop's own bookkeeping, attributed explicitly.
+        drive = loop_seconds - sum(counts.substage_seconds.values())
         if drive > 0.0:
-            substages["drive"] = drive
-        stats.add_substages(substages)
+            stats.add_substages({"drive": drive})
         stats.credit_index(
             index.name,
-            lookups=stats.lookups - lookups_before,
-            evaluations=evaluations,
-            candidates_generated=candidates,
-            evaluations_pruned=pruned,
-            kernel_evaluations=kernel,
+            lookups=len(rids),
+            evaluations=counts.evaluations,
+            candidates_generated=counts.candidates_generated,
+            evaluations_pruned=counts.evaluations_pruned,
+            kernel_evaluations=counts.kernel_evaluations,
         )
     return nn_relation

@@ -170,6 +170,51 @@ class ColumnarVectors:
             self._pindptr = pindptr
         return self._pindptr, self._prows, self._pvals
 
+    def _segments(self, rows):
+        """Pair index and flat CSR position of every token of ``rows``.
+
+        Row ``rows[p]``'s tokens come out as one run tagged ``p``, in
+        ascending vocabulary order, runs in ``rows`` order.
+        """
+        np = self._np
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        owner = np.repeat(np.arange(len(rows), dtype=np.int64), lengths)
+        offsets = np.cumsum(lengths) - lengths
+        flat = (
+            np.arange(len(owner), dtype=np.int64)
+            - offsets[owner]
+            + starts[owner]
+        )
+        return owner, flat
+
+    def shared_tokens(self, rows_a, rows_b):
+        """Tokens shared by each aligned row pair ``(rows_a[p], rows_b[p])``.
+
+        Returns ``(pair, flat_a, flat_b)``: per shared token, the pair
+        index and the token's flat positions in ``indices`` / ``values``
+        of both rows.  Hits come out by pair, and within a pair in
+        ascending token order — the order the scalar merge-join and the
+        row kernels accumulate in.  One ``searchsorted`` over
+        ``(pair, token)`` keys answers every pair at once: the keys of
+        ``rows_a`` are strictly ascending by construction.
+        """
+        np = self._np
+        owner_a, flat_a = self._segments(rows_a)
+        owner_b, flat_b = self._segments(rows_b)
+        width = max(self.n_vocab, 1)
+        key_a = owner_a * width + self.indices[flat_a]
+        key_b = owner_b * width + self.indices[flat_b]
+        if not len(key_a) or not len(key_b):
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty, empty
+        pos = np.searchsorted(key_a, key_b)
+        # A key past the end clamps to 0; it is larger than every key_a,
+        # so the equality test below rejects it.
+        pos[pos == len(key_a)] = 0
+        hit = key_a[pos] == key_b
+        return owner_b[hit], flat_a[pos[hit]], flat_b[hit]
+
     def dot_row(self, i: int):
         """Weighted dot products of row ``i`` against every row.
 

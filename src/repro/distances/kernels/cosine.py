@@ -107,6 +107,34 @@ class CosineKernel(DistanceKernel):
         )
         return np.where(dot == 0.0, 1.0, np.clip(1.0 - sim, 0.0, 1.0))
 
+    def pair_distances(self, rows_a, rows_b):
+        """Distances of aligned row pairs ``(rows_a[p], rows_b[p])``.
+
+        Bit-identical to ``_subset_distances(rows_a[p], [rows_b[p]])``
+        and to its mirror ``_subset_distances(rows_b[p], [rows_a[p]])``:
+        each pair's shared-token products accumulate in ascending token
+        order through a sequential ``bincount`` (the misses the subset
+        path adds as ``+ 0.0`` change no bits), and IEEE products and
+        the norm product commute.  One call answers any mix of queries,
+        so a blocked caller computes each unordered pair once.
+        """
+        np = self._np
+        v = self._v
+        pair, flat_a, flat_b = v.shared_tokens(rows_a, rows_b)
+        dot = np.zeros(len(rows_a), dtype=np.float64)
+        if len(pair):
+            dot = np.bincount(
+                pair,
+                weights=v.values[flat_b] * v.values[flat_a],
+                minlength=len(rows_a),
+            )
+        denom = self._norms[rows_b] * self._norms[rows_a]
+        sim = np.divide(
+            dot, denom, out=np.zeros_like(dot), where=denom > 0.0
+        )
+        self.evaluations += len(rows_a)
+        return np.where(dot == 0.0, 1.0, np.clip(1.0 - sim, 0.0, 1.0))
+
     def resolve_rows(self, query_rid: int, rids: Sequence[int]):
         """``(query_row, candidate rows array)`` or ``None`` on a miss.
 

@@ -30,13 +30,23 @@ import abc
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 from repro.data.schema import Record, Relation
 from repro.distances.base import DistanceFunction
 
-__all__ = ["Neighbor", "NNIndex"]
+__all__ = ["BatchCounts", "Neighbor", "NNIndex"]
+
+#: The work counters every index keeps, in ``BatchCounts`` field order.
+_COUNTERS = (
+    "evaluations",
+    "cache_hits",
+    "cache_misses",
+    "candidates_generated",
+    "evaluations_pruned",
+    "kernel_evaluations",
+)
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -45,6 +55,40 @@ class Neighbor:
 
     distance: float
     rid: int
+
+
+@dataclass
+class BatchCounts:
+    """The work one :meth:`NNIndex.phase1_batch` call did itself.
+
+    Drivers that share one index across threads (the shard runner)
+    cannot read a call's work off the index's counters, which move with
+    every concurrent call.  A blocked pass that tallies its own work
+    (``MinHashIndex``) fills this exactly; the per-record fallback fills
+    it with the index-counter delta over the call, exact whenever no
+    other call on the same index overlaps it.
+    """
+
+    evaluations: int = 0
+    cache_hits: int = 0
+    cache_misses: int = 0
+    candidates_generated: int = 0
+    evaluations_pruned: int = 0
+    kernel_evaluations: int = 0
+    #: Sub-stage wall times (``candidates`` / ``verify``) of the call.
+    substage_seconds: dict[str, float] = field(default_factory=dict)
+
+    def add_seconds(self, name: str, seconds: float) -> None:
+        self.substage_seconds[name] = (
+            self.substage_seconds.get(name, 0.0) + seconds
+        )
+
+    def add(self, other: "BatchCounts") -> None:
+        """Accumulate ``other``'s work into this object."""
+        for name in _COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        for name, seconds in other.substage_seconds.items():
+            self.add_seconds(name, seconds)
 
 
 class NNIndex(abc.ABC):
@@ -88,6 +132,8 @@ class NNIndex(abc.ABC):
         #: ``Phase1Stats.substage_seconds`` by the Phase-1 drivers.
         self.substage_seconds: dict[str, float] = {}
         self._kernel = None
+        #: The mode the current build's kernel was resolved under.
+        self._resolved_mode: str | None = None
         #: Canonical-direction pair cache keyed by ``(min_rid, max_rid)``.
         #: Batch scopes fill it; per-query calls only consult it, so the
         #: plain sequential path stays the honest O(1)-memory baseline.
@@ -124,6 +170,7 @@ class NNIndex(abc.ABC):
         self._credit_substage("tokenize", time.perf_counter() - started)
         self.relation = relation
         self.distance = distance
+        self._resolved_mode = None
         # Cached pairs are keyed by rid and scoped to one relation;
         # stale entries across rebuilds would silently answer with
         # another relation's distances.
@@ -141,19 +188,29 @@ class NNIndex(abc.ABC):
         :class:`~repro.distances.kernels.KernelUnavailable` when numpy
         is missing; a distance function without a kernel implementation
         keeps the scalar path under every mode.
+
+        Re-selecting the mode the built index already resolved is a
+        no-op: shard pipelines wrap the one shared index in their own
+        run contexts while other shards are querying it, and a rebuild
+        would both repeat the kernel construction and briefly leave the
+        index without its kernel.
         """
         if mode not in ("python", "auto", "numpy"):
             raise ValueError(f"unknown kernel mode: {mode!r}")
         self.kernel_mode = mode
+        if mode == self._resolved_mode:
+            return
         if self.relation is not None and self.distance is not None:
             self._resolve_kernel()
 
     def _resolve_kernel(self) -> None:
         """(Re)build the batch kernel according to ``kernel_mode``."""
         self._kernel = None
-        if self.kernel_mode == "python":
-            return
+        self._resolved_mode = None
         if self.relation is None or self.distance is None:
+            return
+        self._resolved_mode = self.kernel_mode
+        if self.kernel_mode == "python":
             return
         from repro.distances.kernels import KernelUnavailable, have_numpy
 
@@ -222,6 +279,7 @@ class NNIndex(abc.ABC):
         theta: float | None = None,
         p: float = 2.0,
         radius_fn: "Callable[[float], float] | None" = None,
+        counts: BatchCounts | None = None,
     ) -> list[tuple[list[Neighbor], int]]:
         """Batched Phase-1 kernel: each record's cut neighbor list and NG.
 
@@ -232,12 +290,13 @@ class NNIndex(abc.ABC):
         aligned with ``records`` and identical to the per-record
         ``knn``/``within`` + :meth:`neighborhood_growth` sequence.  The
         default implementation is exactly that sequence; indexes with a
-        blocked evaluation override it.
+        blocked evaluation override it.  ``counts``, when given,
+        receives the call's own work (see :class:`BatchCounts`).
         """
         if k is None and theta is None:
             raise ValueError("phase1_batch needs k, theta, or both")
         results: list[tuple[list[Neighbor], int]] = []
-        with self._batch_scope():
+        with self._counting(counts), self._batch_scope():
             for record in records:
                 if theta is not None:
                     neighbors = self.within(record, theta)
@@ -332,6 +391,39 @@ class NNIndex(abc.ABC):
                 self._batch_depth -= 1
                 if self._batch_depth == 0:
                     self._on_batch_exit()
+
+    @contextmanager
+    def _counting(self, counts: BatchCounts | None) -> Iterator[None]:
+        """Add the index-counter delta over the block into ``counts``."""
+        if counts is None:
+            yield
+            return
+        before = [getattr(self, name) for name in _COUNTERS]
+        seconds_before = dict(self.substage_seconds)
+        try:
+            yield
+        finally:
+            for name, value in zip(_COUNTERS, before):
+                setattr(
+                    counts, name,
+                    getattr(counts, name) + getattr(self, name) - value,
+                )
+            for name, seconds in self.substage_seconds.items():
+                delta = seconds - seconds_before.get(name, 0.0)
+                if delta > 0.0:
+                    counts.add_seconds(name, delta)
+
+    def _record_counts(
+        self, own: BatchCounts, counts: BatchCounts | None
+    ) -> None:
+        """Credit a self-tallied batch to the index and to ``counts``."""
+        with self._batch_lock:
+            for name in _COUNTERS:
+                setattr(self, name, getattr(self, name) + getattr(own, name))
+            for name, seconds in own.substage_seconds.items():
+                self._credit_substage(name, seconds)
+        if counts is not None:
+            counts.add(own)
 
     def _on_batch_exit(self) -> None:
         """Hook: drop per-batch scratch state (see ``BKTreeIndex``)."""

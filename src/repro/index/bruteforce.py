@@ -35,7 +35,7 @@ import heapq
 from typing import Sequence
 
 from repro.data.schema import Record
-from repro.index.base import Neighbor, NNIndex
+from repro.index.base import BatchCounts, Neighbor, NNIndex
 
 __all__ = ["BruteForceIndex"]
 
@@ -70,10 +70,6 @@ class BruteForceIndex(NNIndex):
         self.cache_hits = 0
         self.cache_misses = 0
         self.cache_evictions = 0
-        #: One-slot (rid, np, rids, row) memo for per-query kernel
-        #: lookups: Phase 1 probes each record twice in a row (NN list,
-        #: then NG count) and this spares the second row computation.
-        self._kernel_row_cache = None
         #: How much of the current kernel's ``evaluations`` counter has
         #: been credited to ``kernel_evaluations`` (see _credit_kernel).
         self._kernel_credited = 0
@@ -83,7 +79,6 @@ class BruteForceIndex(NNIndex):
         self.cache_hits = 0
         self.cache_misses = 0
         self.cache_evictions = 0
-        self._kernel_row_cache = None
 
     # ------------------------------------------------------------------
     # Pair cache
@@ -165,14 +160,10 @@ class BruteForceIndex(NNIndex):
         from repro.distances.kernels.compat import require_numpy
 
         np = require_numpy()
-        cached = self._kernel_row_cache
-        if cached is not None and cached[0] == record.rid:
-            return np, cached[1], cached[2]
         rids_arr = np.asarray(kernel.rids, dtype=np.int64)
         d = kernel.block([record.rid])[0]
         d[int(np.searchsorted(rids_arr, record.rid))] = float("inf")
         self._credit_kernel(kernel)
-        self._kernel_row_cache = (record.rid, rids_arr, d)
         return np, rids_arr, d
 
     def knn(self, record: Record, k: int) -> list[Neighbor]:
@@ -452,6 +443,7 @@ class BruteForceIndex(NNIndex):
         theta: float | None = None,
         p: float = 2.0,
         radius_fn=None,
+        counts: BatchCounts | None = None,
     ) -> list[tuple[list[Neighbor], int]]:
         """Fused Phase-1 kernel: one blocked pass answers lists *and* NG.
 
@@ -469,10 +461,17 @@ class BruteForceIndex(NNIndex):
         back to the generic per-record path.  The kernel route needs
         neither restriction: every query already holds its full distance
         row, so the NG count (including a custom ``radius_fn``) is read
-        straight off the row.
+        straight off the row.  ``counts`` receives the index-counter
+        delta over the call (see :class:`~repro.index.base.BatchCounts`).
         """
         if k is None and theta is None:
             raise ValueError("phase1_batch needs k, theta, or both")
+        with self._counting(counts):
+            return self._fused_phase1(records, k, theta, p, radius_fn)
+
+    def _fused_phase1(
+        self, records, k, theta, p, radius_fn
+    ) -> list[tuple[list[Neighbor], int]]:
         kernel = self._usable_kernel(records)
         if kernel is not None:
             np, rids_arr, rows = self._kernel_scan(kernel, records)

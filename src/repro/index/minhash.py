@@ -14,13 +14,34 @@ regime fuzzy duplicates live in.
 Cost model
 ----------
 Signatures *and* per-record band keys are computed exactly once, in
-``_build``; a lookup for an in-relation record is ``n_bands`` dict
-probes plus one verification per surfaced candidate.  Batch queries
-(``knn_batch`` / ``within_batch`` / ``phase1_batch``) additionally run
-inside the base-class batch scope, so every unordered candidate pair is
-evaluated at most once per batch and the NG range counts that follow in
-Phase 1 are served from the shared pair cache.  See
-``docs/performance.md`` ("Choosing an index") for the knobs.
+``_build``; a lookup for an in-relation record gathers its ``n_bands``
+bucket member lists (no hashing) plus one verification per surfaced
+candidate.
+
+With a batch kernel that scores explicit row pairs (cosine, Jaccard),
+:meth:`MinHashIndex.phase1_batch` is a *blocked* pass that answers a
+whole batch at once:
+
+1. gather every query's candidate pairs from the flat band layout in
+   one vectorized step and drop duplicates — across bands, and between
+   the two endpoints of a pair when both are queries;
+2. score each remaining unordered pair once with the kernel's
+   ``pair_distances``;
+3. sort the pairs by (query, distance, rid) and read each query's cut
+   list, ``nn(v)`` and ``ng(v)`` off its segment.
+
+Every answer equals the per-record ``knn``/``within`` +
+``neighborhood_growth`` sequence: ``ng(v)`` counts over the same LSH
+candidate set, so a record without candidates has ``ng = 1``, and a
+size-cut record with fewer than ``k`` candidates still extends its list
+with the exhaustive fallback.  Queries are sliced so that one slice
+gathers at most ``_PAIR_BUDGET`` pairs before de-duplication; scratch
+memory is bounded by that budget, not by the batch size, and a pair
+whose endpoints land in different slices is scored once per slice.
+The per-record path (the scalar reference, and batches the blocked
+pass cannot serve) verifies a candidate set once per probe: the cut
+list, then the NG range count.  See ``docs/performance.md`` ("Choosing
+an index") for the knobs.
 """
 
 from __future__ import annotations
@@ -31,7 +52,7 @@ import time
 from repro.data.schema import Record
 from repro.distances.kernels.compat import numpy_or_none
 from repro.distances.tokens import qgrams, tokenize
-from repro.index.base import Neighbor, NNIndex
+from repro.index.base import BatchCounts, Neighbor, NNIndex
 from repro.index.signatures import (
     RelationSignatures,
     SignatureFactory,
@@ -41,6 +62,10 @@ from repro.index.signatures import (
 __all__ = ["MinHashIndex", "minhash_signature", "band_keys"]
 
 _PRIME = (1 << 61) - 1
+
+#: Most candidate pairs (counted before de-duplication) one slice of the
+#: blocked Phase-1 pass gathers; bounds that pass's scratch arrays.
+_PAIR_BUDGET = 1 << 18
 
 
 def _stable_hash(token: str, salt: int) -> int:
@@ -126,13 +151,18 @@ class MinHashIndex(NNIndex):
         #: path for in-relation lookups.
         self._row_of: dict[int, int] = {}
         self._row_buckets: list[list[list[int]]] = []
-        #: numpy twin of ``_row_buckets`` (int64 member views) when the
-        #: grouping ran on the numpy backend: probes union bands with
-        #: ``np.unique`` instead of per-member python set inserts.
-        self._row_bucket_arrays = None
+        #: The grouping's flat bucket layout (numpy backend only, see
+        #: ``BandGrouping``): per-band bucket ids of every row, member
+        #: rows bucket after bucket, and bucket bounds.
+        self._row_bucket_ids = None
+        self._bucket_rows = None
+        self._bucket_bounds = None
         #: Relation rids in relation order (numpy int64 when available),
         #: backing the vectorized exhaustive-fallback extension.
         self._rid_array = None
+        #: Relation row -> batch-kernel row, set when the kernel scores
+        #: explicit row pairs: the blocked ``phase1_batch`` runs then.
+        self._kernel_rows = None
         self._relation_signatures: RelationSignatures | None = None
 
     def __getstate__(self) -> dict:
@@ -191,7 +221,9 @@ class MinHashIndex(NNIndex):
         self._buckets = grouping.buckets
         self._row_of = {rid: i for i, rid in enumerate(rids)}
         self._row_buckets = grouping.row_buckets
-        self._row_bucket_arrays = grouping.row_bucket_arrays
+        self._row_bucket_ids = grouping.row_bucket_ids
+        self._bucket_rows = grouping.bucket_rows
+        self._bucket_bounds = grouping.bucket_bounds
         np = numpy_or_none()
         self._rid_array = (
             np.asarray(rids, dtype=np.int64) if np is not None else None
@@ -202,6 +234,22 @@ class MinHashIndex(NNIndex):
         self._credit_substage(
             "bucket", grouping.seconds + (time.perf_counter() - started)
         )
+
+    def _resolve_kernel(self) -> None:
+        super()._resolve_kernel()
+        self._kernel_rows = None
+        kernel = self._kernel
+        rids = self._rid_array
+        if (
+            hasattr(kernel, "pair_distances")
+            and self._row_bucket_ids is not None
+            and rids is not None
+            and len(rids)
+        ):
+            # Any indexed rid serves as the query of the bulk mapping.
+            resolved = kernel.resolve_rows(int(rids[0]), rids)
+            if resolved is not None:
+                self._kernel_rows = resolved[1]
 
     def relation_signatures(self) -> RelationSignatures | None:
         """The build's signature batch, shareable with shard planning.
@@ -221,14 +269,20 @@ class MinHashIndex(NNIndex):
         row = self._row_of.get(record.rid)
         seen: set[int] = set()
         if row is not None:
-            arrays = self._row_bucket_arrays
-            if arrays is not None:
+            if self._row_bucket_ids is not None:
                 # In-relation numpy probe: union the bands' member
-                # views with one C-level sort instead of per-member
+                # slices with one C-level sort instead of per-member
                 # python set inserts.
                 np = numpy_or_none()
+                bounds = self._bucket_bounds
+                members = self._bucket_rows
                 merged = np.unique(
-                    np.concatenate([band_rows[row] for band_rows in arrays])
+                    self._rid_array[
+                        np.concatenate([
+                            members[bounds[g] : bounds[g + 1]]
+                            for g in self._row_bucket_ids[:, row].tolist()
+                        ])
+                    ]
                 )
                 return merged[merged != record.rid]
             # In-relation probe: no hashing, no key lookups — each
@@ -243,6 +297,17 @@ class MinHashIndex(NNIndex):
                 seen.update(self._buckets.get(key, ()))
             seen.discard(record.rid)
         return sorted(seen)
+
+    def _has_candidates(self, record: Record) -> bool:
+        """Whether any band bucket of ``record`` holds another record."""
+        row = self._row_of.get(record.rid)
+        if row is None:
+            return len(self._candidates(record)) > 0
+        if self._row_bucket_ids is not None:
+            ids = self._row_bucket_ids[:, row]
+            bounds = self._bucket_bounds
+            return bool((bounds[ids + 1] - bounds[ids] > 1).any())
+        return any(len(band_rows[row]) > 1 for band_rows in self._row_buckets)
 
     def _fallback_rest(self, record: Record, candidates: list[int]) -> list[int]:
         """Relation rids not already surfaced, in relation order."""
@@ -330,3 +395,234 @@ class MinHashIndex(NNIndex):
         ]
         hits.sort()
         return hits
+
+    def neighborhood_growth(
+        self,
+        record: Record,
+        p: float = 2.0,
+        nn_distance: float | None = None,
+        radius_fn=None,
+    ) -> int:
+        """``ng(v)``, counted over the LSH candidate set like every query.
+
+        A record with no candidate is its own whole neighborhood
+        whatever ``nn(v)`` is, so it answers 1 without the 1-NN probe,
+        whose exhaustive fallback would scan the whole relation.
+        """
+        if not self._has_candidates(record):
+            return 1
+        return super().neighborhood_growth(
+            record, p=p, nn_distance=nn_distance, radius_fn=radius_fn
+        )
+
+    # ------------------------------------------------------------------
+    # Blocked Phase 1
+    # ------------------------------------------------------------------
+
+    def phase1_batch(
+        self,
+        records,
+        k: int | None = None,
+        theta: float | None = None,
+        p: float = 2.0,
+        radius_fn=None,
+        counts: BatchCounts | None = None,
+    ) -> list[tuple[list[Neighbor], int]]:
+        """Phase-1 answers for ``records`` in one blocked pass.
+
+        See the module docstring's cost model.  Falls back to the
+        per-record sequence when the kernel cannot score row pairs, the
+        grouping ran on the python backend, or a record is not in the
+        relation.  ``counts`` receives exactly this call's work.
+        """
+        if k is None and theta is None:
+            raise ValueError("phase1_batch needs k, theta, or both")
+        rows = self._blocked_rows(records, k)
+        if rows is None:
+            return super().phase1_batch(
+                records, k=k, theta=theta, p=p, radius_fn=radius_fn,
+                counts=counts,
+            )
+        np = numpy_or_none()
+        own = BatchCounts()
+        started = time.perf_counter()
+        ids = self._row_bucket_ids[:, rows]
+        bounds = self._bucket_bounds
+        widths = bounds[ids + 1] - bounds[ids]
+        # Pairs each query gathers (itself included once per band):
+        # slice boundaries keep every slice within the pair budget.
+        gathered = np.cumsum(widths.sum(axis=0))
+        own.add_seconds("candidates", time.perf_counter() - started)
+        results: list[tuple[list[Neighbor], int]] = []
+        start = 0
+        while start < len(rows):
+            done = int(gathered[start - 1]) if start else 0
+            end = max(
+                start + 1,
+                int(np.searchsorted(gathered, done + _PAIR_BUDGET, "right")),
+            )
+            results.extend(
+                self._blocked_slice(
+                    np, rows[start:end], ids[:, start:end],
+                    widths[:, start:end], k, theta, p, radius_fn, own,
+                )
+            )
+            start = end
+        self._record_counts(own, counts)
+        return results
+
+    def _blocked_rows(self, records, k: int | None):
+        """Relation rows of ``records`` if the blocked pass can answer
+        them (else ``None``)."""
+        if self._kernel_rows is None or not records:
+            return None
+        if k is not None and k < 1:
+            return None
+        row_of = self._row_of
+        rows = [row_of.get(record.rid) for record in records]
+        if None in rows:
+            return None
+        np = numpy_or_none()
+        return np.asarray(rows, dtype=np.int64)
+
+    def _blocked_slice(
+        self, np, rows, ids, widths, k, theta, p, radius_fn, own
+    ) -> list[tuple[list[Neighbor], int]]:
+        """One slice of the blocked pass (see the module docstring)."""
+        started = time.perf_counter()
+        n = len(self._rid_array)
+        n_queries = len(rows)
+        # 1. Candidate pairs, gathered band by band as (query slot,
+        #    member row), deduplicated to each query's candidate set.
+        lengths = widths.ravel()
+        segment = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+        offsets = np.cumsum(lengths) - lengths
+        flat = (
+            np.arange(len(segment), dtype=np.int64)
+            - offsets[segment]
+            + self._bucket_bounds[ids].ravel()[segment]
+        )
+        slot = segment % n_queries
+        other = self._bucket_rows[flat]
+        mine = other != rows[slot]
+        keys = np.unique(slot[mine] * n + other[mine])
+        slot = keys // n
+        other = keys - slot * n
+        n_candidates = np.bincount(slot, minlength=n_queries)
+        # Each unordered pair once, even when both endpoints are queries.
+        query = rows[slot]
+        low = np.minimum(query, other)
+        pairs, inverse = np.unique(
+            low * n + np.maximum(query, other), return_inverse=True
+        )
+        verify_started = time.perf_counter()
+        own.add_seconds("candidates", verify_started - started)
+
+        # 2. Score every pair once.
+        pair_low = pairs // n
+        kernel_rows = self._kernel_rows
+        distance = self._kernel.pair_distances(
+            kernel_rows[pair_low], kernel_rows[pairs - pair_low * n]
+        )[inverse]
+
+        # 3. Segments sorted by (query, distance, rid): the per-record
+        #    ``Neighbor`` order.  A query's within-θ hits and its k
+        #    nearest are prefixes of its segment.
+        other_rid = self._rid_array[other]
+        order = np.lexsort((other_rid, distance, slot))
+        slot = slot[order]
+        distance = distance[order]
+        other_rid = other_rid[order]
+        first = np.cumsum(n_candidates) - n_candidates
+        has = n_candidates > 0
+        nn = np.zeros(n_queries)
+        nn[has] = distance[first[has]]
+        if theta is not None:
+            kept = np.bincount(
+                slot, weights=distance < theta, minlength=n_queries
+            ).astype(np.int64)
+        else:
+            kept = n_candidates
+        if k is not None:
+            kept = np.minimum(kept, k)
+        keep = np.arange(len(slot)) - first[slot] < kept[slot]
+        kept_distances = distance[keep].tolist()
+        kept_rids = other_rid[keep].tolist()
+        neighbors: list[list[Neighbor]] = []
+        at = 0
+        for count in kept.tolist():
+            neighbors.append(
+                list(map(
+                    Neighbor,
+                    kept_distances[at : at + count],
+                    kept_rids[at : at + count],
+                ))
+            )
+            at += count
+
+        fallback_pairs = 0
+        if theta is None and self.exhaustive_fallback:
+            # Size-cut queries short of k candidates extend their list
+            # over the rest of the relation, exactly like ``knn``; their
+            # NG radius comes from that list's nearest neighbor.
+            for i in np.flatnonzero(n_candidates < k).tolist():
+                neighbors[i], scored = self._extend_short(
+                    np, int(rows[i]), neighbors[i], k
+                )
+                fallback_pairs += scored
+                if neighbors[i]:
+                    nn[i] = neighbors[i][0].distance
+
+        # nn(v) = 0 (exact duplicates): the zero-distance records are
+        # the neighborhood, as in ``NNIndex.neighborhood_growth``, which
+        # never asks ``radius_fn`` then.
+        if radius_fn is None:
+            radius = p * nn
+        else:
+            radius = np.array([
+                radius_fn(value) if present and value else 0.0
+                for value, present in zip(nn.tolist(), has.tolist())
+            ])
+        inside = np.where(
+            (nn == 0.0)[slot], distance <= 0.0, distance < radius[slot]
+        )
+        ng = np.bincount(slot, weights=inside, minlength=n_queries)
+
+        generated = len(keys) + fallback_pairs
+        own.candidates_generated += generated
+        own.evaluations_pruned += n_queries * (n - 1) - generated
+        own.kernel_evaluations += len(pairs) + fallback_pairs
+        own.add_seconds("verify", time.perf_counter() - verify_started)
+        return [
+            (hits, 1 + int(count))
+            for hits, count in zip(neighbors, ng.tolist())
+        ]
+
+    def _extend_short(self, np, row: int, hits: list[Neighbor], k: int):
+        """A size-cut list short of ``k``, extended like ``knn`` does.
+
+        Scores the rest of the relation through the kernel's own row
+        path, re-ranks it together with the candidates, and returns the
+        extended list with the number of pairs scored.
+        """
+        rest = np.ones(len(self._rid_array), dtype=bool)
+        rest[row] = False
+        rest[[self._row_of[hit.rid] for hit in hits]] = False
+        rest = np.flatnonzero(rest)
+        if not len(rest):
+            return hits, 0
+        kernel_rows = self._kernel_rows
+        rest_rids = self._rid_array[rest]
+        distances = np.concatenate((
+            [hit.distance for hit in hits],
+            self._kernel.pairs_array(
+                int(self._rid_array[row]), rest_rids,
+                rows=kernel_rows[rest], query_row=int(kernel_rows[row]),
+            ),
+        ))
+        rids = np.concatenate((
+            np.asarray([hit.rid for hit in hits], dtype=np.int64), rest_rids
+        ))
+        top = np.lexsort((rids, distances))[:k]
+        extended = list(map(Neighbor, distances[top].tolist(), rids[top].tolist()))
+        return extended, len(rest)

@@ -118,17 +118,28 @@ class BandGrouping:
     - ``row_buckets``: per band, row -> member list, the hash-free probe
       path for in-relation candidate lookups.
 
-    ``row_bucket_arrays`` (numpy backend only, else ``None``) mirrors
-    ``row_buckets`` with int64 member *views* into one per-band sorted
-    rid array — zero extra copies, and in-relation probes can union
-    bands with ``np.unique`` instead of python set inserts.
+    On the numpy backend the same buckets are also kept as three flat
+    int64 arrays (``None`` otherwise), numbering the buckets of all
+    bands consecutively (band 0's first):
+
+    - ``row_bucket_ids``: ``(n_bands, n)``, the bucket of each row in
+      each band;
+    - ``bucket_rows``: ``(n_bands * n,)``, every bucket's member *rows*
+      (relation-order positions) in relation order, bucket after bucket;
+    - ``bucket_bounds``: ``(n_buckets + 1,)``, bucket ``g``'s members
+      are ``bucket_rows[bucket_bounds[g]:bucket_bounds[g + 1]]``.
+
+    Probes then gather a row's bands as array slices, and a blocked
+    pass gathers a whole batch's candidate pairs in one step.
     """
 
     buckets: dict[tuple[int, tuple[int, ...]], list[int]]
     row_keys: list[tuple[tuple[int, tuple[int, ...]], ...]]
     row_buckets: list[list[list[int]]]
     seconds: float = 0.0
-    row_bucket_arrays: list[list] | None = None
+    row_bucket_ids: object | None = None
+    bucket_rows: object | None = None
+    bucket_bounds: object | None = None
 
 
 class SignatureFactory:
@@ -305,12 +316,15 @@ def group_band_buckets(
     buckets: dict[tuple[int, tuple[int, ...]], list[int]] = {}
     per_band_keys: list[list] = []
     row_buckets: list[list[list[int]]] = []
-    row_bucket_arrays: list[list] | None = None
+    row_bucket_ids = bucket_rows = bucket_bounds = None
 
     if signatures.matrix is not None and np is not None and n:
         matrix = signatures.matrix
         rid_array = np.asarray(rids, dtype=np.int64)
-        row_bucket_arrays = []
+        band_ids: list = []
+        band_rows: list = []
+        band_bounds: list = []
+        n_buckets = 0
         for band in range(n_bands):
             sub = matrix[:, band * rows_per_band : (band + 1) * rows_per_band]
             # Stable sort: within an equal-key run, relation order is
@@ -327,8 +341,7 @@ def group_band_buckets(
             # row -> bucket ordinal, inverted from the sort positions.
             inverse = np.empty(n, dtype=np.int64)
             inverse[order] = np.repeat(np.arange(len(heads)), counts)
-            ordered_rid_array = rid_array[order]
-            ordered_rids = ordered_rid_array.tolist()
+            ordered_rids = rid_array[order].tolist()
             bounds = starts.tolist()
             # One python tuple per *bucket*, not per (record, band), and
             # one C-speed slice per bucket for its member list.
@@ -340,19 +353,21 @@ def group_band_buckets(
                 ordered_rids[bounds[g] : bounds[g + 1]]
                 for g in range(len(keys))
             ]
-            # Zero-copy int64 twins of the member lists: views into the
-            # band's sorted rid array, for np.unique-based probe unions.
-            bucket_views = [
-                ordered_rid_array[bounds[g] : bounds[g + 1]]
-                for g in range(len(keys))
-            ]
             buckets.update(zip(keys, bucket_lists))
             inverse_list = inverse.tolist()
             per_band_keys.append([keys[g] for g in inverse_list])
             row_buckets.append([bucket_lists[g] for g in inverse_list])
-            row_bucket_arrays.append(
-                [bucket_views[g] for g in inverse_list]
-            )
+            # The flat layout: this band's buckets follow the previous
+            # bands' in the global numbering and in ``bucket_rows``.
+            band_ids.append(inverse + n_buckets)
+            band_rows.append(order)
+            band_bounds.append(heads + band * n)
+            n_buckets += len(heads)
+        row_bucket_ids = np.stack(band_ids)
+        bucket_rows = np.concatenate(band_rows).astype(np.int64, copy=False)
+        bucket_bounds = np.concatenate(band_bounds + [[n_bands * n]]).astype(
+            np.int64, copy=False
+        )
     else:
         per_band_keys = [[None] * n for _ in range(n_bands)]
         row_buckets = [[None] * n for _ in range(n_bands)]  # type: ignore[list-item]
@@ -373,5 +388,7 @@ def group_band_buckets(
         row_keys=row_keys,
         row_buckets=row_buckets,
         seconds=time.perf_counter() - started,
-        row_bucket_arrays=row_bucket_arrays,
+        row_bucket_ids=row_bucket_ids,
+        bucket_rows=bucket_rows,
+        bucket_bounds=bucket_bounds,
     )

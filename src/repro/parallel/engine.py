@@ -44,7 +44,7 @@ from repro.core.formulation import CombinedCut, DEParams, SizeCut
 from repro.core.neighborhood import NNEntry, NNRelation
 from repro.core.nn_phase import _substage_delta, _substage_snapshot
 from repro.data.schema import Relation
-from repro.index.base import NNIndex
+from repro.index.base import BatchCounts, NNIndex
 from repro.parallel.chunking import Chunk, plan_chunks
 
 __all__ = ["ChunkResult", "ParallelNNEngine"]
@@ -71,10 +71,11 @@ class ChunkResult:
     candidates_generated: int = 0
     evaluations_pruned: int = 0
     kernel_evaluations: int = 0
-    #: Sub-stage wall-time deltas accrued on the worker's index during
-    #: this chunk (``candidates`` / ``verify``); exact for process
-    #: pools, indicative only under thread interleaving (the engine
-    #: then uses the global delta instead).
+    #: Sub-stage wall times of this chunk (``candidates`` / ``verify``)
+    #: as the index's batch call reported them (``BatchCounts``): exact
+    #: for a self-tallying blocked pass and on process pools, indicative
+    #: only for other indexes under thread interleaving (the engine then
+    #: uses the global delta instead).
     substage_seconds: dict[str, float] = field(default_factory=dict)
 
 
@@ -106,30 +107,29 @@ def _run_chunk(
     relation = index.relation
     assert relation is not None
     started = time.perf_counter()
-    ev0, hit0, miss0, cand0, pruned0, kern0 = _counters(index)
-    substages0 = _substage_snapshot(index)
+    counts = BatchCounts()
     records = [relation.get(rid) for rid in chunk.rids]
     k, theta = _cut_shape(params)
     answers = index.phase1_batch(
-        records, k=k, theta=theta, p=params.p, radius_fn=radius_fn
+        records, k=k, theta=theta, p=params.p, radius_fn=radius_fn,
+        counts=counts,
     )
     entries = [
         NNEntry(rid=record.rid, neighbors=tuple(neighbors), ng=ng)
         for record, (neighbors, ng) in zip(records, answers)
     ]
-    ev1, hit1, miss1, cand1, pruned1, kern1 = _counters(index)
     return ChunkResult(
         chunk_index=chunk.index,
         entries=entries,
         lookups=len(records),
         seconds=time.perf_counter() - started,
-        evaluations=ev1 - ev0,
-        cache_hits=hit1 - hit0,
-        cache_misses=miss1 - miss0,
-        candidates_generated=cand1 - cand0,
-        evaluations_pruned=pruned1 - pruned0,
-        kernel_evaluations=kern1 - kern0,
-        substage_seconds=_substage_delta(index, substages0),
+        evaluations=counts.evaluations,
+        cache_hits=counts.cache_hits,
+        cache_misses=counts.cache_misses,
+        candidates_generated=counts.candidates_generated,
+        evaluations_pruned=counts.evaluations_pruned,
+        kernel_evaluations=counts.kernel_evaluations,
+        substage_seconds=counts.substage_seconds,
     )
 
 
@@ -241,7 +241,8 @@ class ParallelNNEngine:
                 return
             lookups = sum(r.lookups for r in results)
             stats.lookups += lookups
-            stats.seconds += time.perf_counter() - started
+            seconds = time.perf_counter() - started
+            stats.seconds += seconds
             stats.n_chunks += len(results)
             stats.chunk_seconds.extend(r.seconds for r in results)
             if self.pool == "process" and self.n_workers > 1 and len(chunks) > 1:
@@ -268,6 +269,12 @@ class ParallelNNEngine:
                 pruned = pruned1 - pruned0
                 kernel = kern1 - kern0
                 substages = _substage_delta(index, substages0)
+            # Chunk planning and entry assembly, attributed explicitly
+            # (skipped when concurrent workers' sub-stage time exceeds
+            # the wall clock).
+            drive = seconds - sum(substages.values())
+            if drive > 0.0:
+                substages = {**substages, "drive": drive}
             stats.evaluations += evaluations
             stats.cache_hits += cache_hits
             stats.cache_misses += cache_misses

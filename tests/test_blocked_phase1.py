@@ -1,0 +1,378 @@
+"""The blocked MinHash Phase-1 pass and its exact work accounting.
+
+``MinHashIndex.phase1_batch`` answers a batch in one vectorized pass:
+candidate pairs gathered from the flat band layout, each unordered pair
+scored once through the kernel's ``pair_distances``, and every cut
+list, ``nn(v)`` and ``ng(v)`` read off sorted pair segments.  Its
+contract is equality with the per-record ``within``/``knn`` +
+``neighborhood_growth`` sequence, which these tests check against the
+scalar (``kernel="python"``) index across cuts, distances, radius
+functions, exact duplicates, records without LSH candidates, size-cut
+records short of ``k`` candidates, subset batches, batches larger than
+the pair budget, and the thread and process pools.
+"""
+
+from __future__ import annotations
+
+import functools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.index.minhash as minhash_module
+from repro.core.formulation import DEParams
+from repro.core.nn_phase import Phase1Stats, prepare_nn_lists
+from repro.core.radius import AffineRadius
+from repro.data.loaders import load_dataset
+from repro.data.schema import Relation
+from repro.distances.cosine import CosineDistance
+from repro.distances.jaccard import TokenJaccardDistance
+from repro.distances.kernels.compat import have_numpy
+from repro.index.base import BatchCounts, NNIndex
+from repro.index.minhash import MinHashIndex
+from repro.run.config import RunConfig
+from repro.run.context import RunContext
+from repro.run.pipeline import StagedPipeline
+from repro.verify.parity import nn_signature
+
+needs_numpy = pytest.mark.skipif(not have_numpy(), reason="numpy not installed")
+
+DISTANCES = {"cosine": CosineDistance, "jaccard": TokenJaccardDistance}
+
+#: (k, theta): size, diameter and combined cuts.
+CUTS = [(3, None), (None, 0.5), (3, 0.5)]
+
+VOCAB = [
+    "acme", "corp", "inc", "global", "tech", "data",
+    "systems", "north", "labs", "group", "first", "bank",
+]
+
+
+@st.composite
+def relations(draw):
+    """Token-soup records with exact duplicates and isolated records."""
+    texts = [
+        " ".join(tokens)
+        for tokens in draw(
+            st.lists(
+                st.lists(st.sampled_from(VOCAB), min_size=1, max_size=4),
+                min_size=2,
+                max_size=16,
+            )
+        )
+    ]
+    texts += [
+        texts[i]
+        for i in draw(
+            st.lists(st.integers(0, len(texts) - 1), max_size=3)
+        )
+    ]
+    # Tokens no other record holds: almost surely no LSH candidate.
+    texts += [
+        f"solo{i} only{i}" for i in range(draw(st.integers(0, 2)))
+    ]
+    return Relation.from_strings("r", texts)
+
+
+def _built(relation, distance, kernel):
+    index = MinHashIndex()
+    index.enable_kernel(kernel)
+    index.build(relation, DISTANCES[distance]())
+    return index
+
+
+def _per_record(index, records, k, theta, p=2.0, radius_fn=None, growth=None):
+    """The reference: per-record cut query, then neighborhood_growth."""
+    growth = growth or index.neighborhood_growth
+    answers = []
+    for record in records:
+        if theta is not None:
+            neighbors = index.within(record, theta)
+            if k is not None:
+                neighbors = neighbors[:k]
+        else:
+            neighbors = index.knn(record, k)
+        nn = neighbors[0].distance if neighbors else None
+        answers.append(
+            (
+                neighbors,
+                growth(record, p=p, nn_distance=nn, radius_fn=radius_fn),
+            )
+        )
+    return answers
+
+
+@needs_numpy
+class TestPairDistances:
+    @pytest.mark.parametrize("distance", sorted(DISTANCES))
+    @settings(max_examples=30, deadline=None)
+    @given(relation=relations(), data=st.data())
+    def test_bit_identical_to_subset_distances(self, distance, relation, data):
+        import numpy as np
+
+        index = _built(relation, distance, "numpy")
+        kernel = index._kernel
+        n = len(relation)
+        rows_a = np.asarray(
+            data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=20)),
+            dtype=np.int64,
+        )
+        rows_b = np.asarray(
+            data.draw(
+                st.lists(
+                    st.integers(0, n - 1),
+                    min_size=len(rows_a),
+                    max_size=len(rows_a),
+                )
+            ),
+            dtype=np.int64,
+        )
+        got = kernel.pair_distances(rows_a, rows_b)
+        for a, b, d in zip(rows_a, rows_b, got.tolist()):
+            forward = kernel._subset_distances(int(a), np.asarray([b]))[0]
+            mirror = kernel._subset_distances(int(b), np.asarray([a]))[0]
+            assert d == forward == mirror
+
+
+@needs_numpy
+class TestBlockedParity:
+    @pytest.mark.parametrize("distance", sorted(DISTANCES))
+    @pytest.mark.parametrize("k,theta", CUTS)
+    @settings(max_examples=25, deadline=None)
+    @given(relation=relations())
+    def test_equals_per_record_reference(self, distance, k, theta, relation):
+        blocked = _built(relation, distance, "numpy")
+        assert blocked._kernel_rows is not None  # the blocked pass runs
+        reference = _built(relation, distance, "python")
+        records = list(relation)
+        assert blocked.phase1_batch(records, k=k, theta=theta) == _per_record(
+            reference, records, k, theta
+        )
+
+    @pytest.mark.parametrize("k,theta", CUTS)
+    @settings(max_examples=20, deadline=None)
+    @given(relation=relations(), p=st.sampled_from([1.5, 2.0, 3.0]))
+    def test_custom_radius_fn(self, k, theta, relation, p):
+        radius_fn = AffineRadius(p=p, delta=0.05)
+        blocked = _built(relation, "cosine", "numpy")
+        reference = _built(relation, "cosine", "python")
+        records = list(relation)
+        assert blocked.phase1_batch(
+            records, k=k, theta=theta, radius_fn=radius_fn
+        ) == _per_record(reference, records, k, theta, radius_fn=radius_fn)
+
+    @pytest.mark.parametrize("k,theta", CUTS)
+    @settings(max_examples=20, deadline=None)
+    @given(relation=relations(), data=st.data())
+    def test_subset_batches(self, k, theta, relation, data):
+        records = list(relation)
+        subset = data.draw(
+            st.lists(st.sampled_from(records), min_size=1, unique_by=lambda r: r.rid)
+        )
+        blocked = _built(relation, "jaccard", "numpy")
+        reference = _built(relation, "jaccard", "python")
+        assert blocked.phase1_batch(subset, k=k, theta=theta) == _per_record(
+            reference, subset, k, theta
+        )
+
+    @pytest.mark.parametrize("k,theta", CUTS)
+    def test_batch_larger_than_pair_budget(self, monkeypatch, k, theta):
+        relation = load_dataset(
+            "org", n_entities=60, duplicate_fraction=0.4, seed=5
+        ).relation
+        records = list(relation)
+        blocked = _built(relation, "cosine", "numpy")
+        whole = blocked.phase1_batch(records, k=k, theta=theta)
+        # A budget of a few pairs forces one slice per query or so.
+        monkeypatch.setattr(minhash_module, "_PAIR_BUDGET", 40)
+        sliced = blocked.phase1_batch(records, k=k, theta=theta)
+        reference = _built(relation, "cosine", "python")
+        assert sliced == whole == _per_record(reference, records, k, theta)
+
+    def test_exact_duplicates_and_isolated_records(self):
+        relation = Relation.from_strings(
+            "r",
+            [
+                "acme corp", "acme corp", "acme corp inc", "acme inc",
+                "north labs", "north labs group",
+                "solo0 only0", "solo1 only1",
+            ],
+        )
+        blocked = _built(relation, "cosine", "numpy")
+        reference = _built(relation, "cosine", "python")
+        records = list(relation)
+        isolated = [r for r in records if not blocked._has_candidates(r)]
+        assert len(isolated) == 2
+        for k, theta in CUTS + [(5, None)]:
+            answers = blocked.phase1_batch(records, k=k, theta=theta)
+            assert answers == _per_record(reference, records, k, theta)
+            by_rid = dict(zip((r.rid for r in records), answers))
+            # nn = 0 between the exact duplicates: both counted.
+            assert by_rid[records[0].rid][1] == 2
+            for record in isolated:
+                assert by_rid[record.rid][1] == 1
+
+    def test_size_cut_short_of_k_takes_the_exhaustive_fallback(self):
+        relation = Relation.from_strings(
+            "r",
+            ["acme corp", "acme corp inc", "north labs", "data bank",
+             "first data bank", "solo0 only0"],
+        )
+        blocked = _built(relation, "cosine", "numpy")
+        reference = _built(relation, "cosine", "python")
+        records = list(relation)
+        counts = BatchCounts()
+        answers = blocked.phase1_batch(records, k=4, counts=counts)
+        assert answers == _per_record(reference, records, 4, None)
+        # Every list is filled to k from the whole relation ...
+        assert all(len(neighbors) == 4 for neighbors, _ in answers)
+        # ... so nothing was pruned, while NG stays on the LSH set.
+        assert counts.evaluations_pruned == 0
+        assert answers[-1][1] == 1
+
+    def test_fallback_disabled_keeps_short_lists(self):
+        relation = Relation.from_strings(
+            "r", ["acme corp", "acme corp inc", "north labs", "solo0 only0"]
+        )
+        blocked = MinHashIndex(exhaustive_fallback=False)
+        blocked.enable_kernel("numpy")
+        blocked.build(relation, CosineDistance())
+        reference = MinHashIndex(exhaustive_fallback=False)
+        reference.build(relation, CosineDistance())
+        records = list(relation)
+        assert blocked.phase1_batch(records, k=3) == _per_record(
+            reference, records, 3, None
+        )
+
+    def test_each_unordered_pair_scored_once(self):
+        relation = load_dataset(
+            "org", n_entities=60, duplicate_fraction=0.4, seed=5
+        ).relation
+        records = list(relation)
+        blocked = _built(relation, "cosine", "numpy")
+        counts = BatchCounts()
+        blocked.phase1_batch(records, k=2, theta=0.9, counts=counts)
+        uses = sum(len(blocked._candidates(record)) for record in records)
+        # Candidacy is symmetric: every unordered pair is used by both
+        # endpoints and scored once.
+        assert counts.candidates_generated == uses == 2 * counts.kernel_evaluations
+        assert blocked.kernel_evaluations == counts.kernel_evaluations
+        assert counts.evaluations_pruned == len(records) * (len(records) - 1) - uses
+
+
+@needs_numpy
+class TestPools:
+    @pytest.mark.parametrize("pool", ["thread", "process"])
+    @pytest.mark.parametrize("distance", sorted(DISTANCES))
+    def test_pools_match_scalar_reference(self, pool, distance):
+        relation = load_dataset(
+            "org", n_entities=40, duplicate_fraction=0.4, seed=2
+        ).relation
+        params = DEParams.combined(4, 0.45, c=4.0)
+        want = nn_signature(
+            prepare_nn_lists(
+                relation, _built(relation, distance, "python"), params
+            )
+        )
+        for n_workers in (1, 2):
+            got = prepare_nn_lists(
+                relation,
+                _built(relation, distance, "numpy"),
+                params,
+                n_workers=n_workers,
+                pool=pool,
+            )
+            assert nn_signature(got) == want
+
+
+class TestScalarNoDeadScan:
+    def test_zero_candidate_ng_costs_nothing(self):
+        relation = Relation.from_strings(
+            "r", ["acme corp", "acme corp inc", "north labs", "solo0 only0"]
+        )
+        index = _built(relation, "cosine", "python")
+        isolated = [r for r in relation if not index._has_candidates(r)]
+        assert isolated
+        for record in isolated:
+            before = (index.evaluations, index.kernel_evaluations)
+            assert index.neighborhood_growth(record) == 1
+            assert (index.evaluations, index.kernel_evaluations) == before
+            # The generic definition agrees, at the price of a full scan.
+            assert NNIndex.neighborhood_growth(index, record) == 1
+            assert index.evaluations > before[0]
+
+    @pytest.mark.parametrize("k,theta", CUTS)
+    def test_scalar_runs_keep_their_checksums(self, k, theta):
+        relation = load_dataset(
+            "org", n_entities=40, duplicate_fraction=0.3, seed=7
+        ).relation
+        params = (
+            DEParams.size(k, c=4.0) if theta is None
+            else DEParams.diameter(theta, c=4.0) if k is None
+            else DEParams.combined(k, theta, c=4.0)
+        )
+        index = _built(relation, "cosine", "python")
+        got = nn_signature(prepare_nn_lists(relation, index, params))
+        # The per-record sequence under the generic NG definition,
+        # exhaustive scans for records without candidates included.
+        reference = _built(relation, "cosine", "python")
+        records = sorted(relation, key=lambda r: r.rid)
+        assert any(not reference._has_candidates(r) for r in records)
+        answers = _per_record(
+            reference, records, k, theta,
+            growth=functools.partial(NNIndex.neighborhood_growth, reference),
+        )
+        want = tuple(
+            (record.rid, tuple(n.rid for n in neighbors),
+             tuple(n.distance for n in neighbors), ng)
+            for record, (neighbors, ng) in zip(records, answers)
+        )
+        assert got == want
+
+
+@needs_numpy
+class TestShardedCounters:
+    def _stats(self, relation, params, **overrides):
+        config = RunConfig(
+            distance="cosine", index="minhash", kernel="auto", **overrides
+        )
+        result = StagedPipeline(RunContext.create(config)).run(relation, params)
+        return result.stats.phase1
+
+    @staticmethod
+    def _counters(stats: Phase1Stats) -> dict:
+        return {
+            name: getattr(stats, name)
+            for name in (
+                "lookups", "evaluations", "cache_hits", "cache_misses",
+                "candidates_generated", "evaluations_pruned",
+                "kernel_evaluations",
+            )
+        }
+
+    def test_in_flight_does_not_change_counters(self):
+        relation = load_dataset(
+            "org", n_entities=120, duplicate_fraction=0.4, seed=3
+        ).relation
+        params = DEParams.combined(4, 0.4, c=4.0)
+        unsharded = self._counters(self._stats(relation, params))
+        one, two = (
+            self._counters(
+                self._stats(
+                    relation, params, shards=4, shards_in_flight=in_flight
+                )
+            )
+            for in_flight in (1, 2)
+        )
+        assert one == two
+        # Every rid is looked up once, against the same candidate set.
+        for name in ("lookups", "candidates_generated", "evaluations_pruned"):
+            assert one[name] == unsharded[name]
+        # Pairs whose endpoints sit in different batches are scored in
+        # each; never more than once per candidate use.
+        assert (
+            unsharded["kernel_evaluations"]
+            <= one["kernel_evaluations"]
+            <= one["candidates_generated"]
+        )

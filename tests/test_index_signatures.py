@@ -127,6 +127,26 @@ class TestBandGroupingParity:
                 key = grouping.row_keys[row][band]
                 assert members is grouping.buckets[key]
 
+    @pytest.mark.skipif("numpy" not in BACKENDS, reason="numpy not installed")
+    def test_flat_layout_lists_the_same_members(self):
+        # The flat arrays the blocked Phase-1 pass and the numpy probe
+        # read must describe exactly the buckets of row_buckets.
+        signed = SignatureFactory(16, backend="numpy").sign_sets(self.SETS)
+        grouping = group_band_buckets(signed, 4)
+        ids = grouping.row_bucket_ids
+        bounds = grouping.bucket_bounds
+        assert ids.shape == (4, len(self.SETS))
+        assert bounds[-1] == len(grouping.bucket_rows) == 4 * len(self.SETS)
+        for band, per_row in enumerate(grouping.row_buckets):
+            for row, members in enumerate(per_row):
+                g = ids[band, row]
+                rows = grouping.bucket_rows[bounds[g] : bounds[g + 1]]
+                assert [signed.rids[r] for r in rows] == members
+        python = group_band_buckets(
+            SignatureFactory(16, backend="python").sign_sets(self.SETS), 4
+        )
+        assert python.row_bucket_ids is None and python.bucket_rows is None
+
 
 class TestSignRecords:
     def test_rids_and_timings(self):
