@@ -39,8 +39,8 @@ def main() -> None:
             print(f"  [{group[0]}] {relation.get(group[0]).text()}")
 
     print()
-    print(f"Phase 1 index lookups : {result.phase1.lookups}")
-    print(f"CSPairs rows          : {result.n_cs_pairs}")
+    print(f"Phase 1 index lookups : {result.stats.phase1.lookups}")
+    print(f"CSPairs rows          : {result.stats.n_cs_pairs}")
     print(f"Neighborhood growths  : {result.nn_relation.ng_values()}")
 
 

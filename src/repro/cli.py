@@ -20,9 +20,9 @@ Ten subcommands cover the adoption path:
   datasets, a generated dataset, or a CSV;
 - ``bench-phase1`` — run the Phase-1 batch/parallel scalability matrix
   and write ``BENCH_phase1.json`` (see ``docs/performance.md``);
-- ``bench-phase2`` — run the Phase-2 partitioned self-join benchmark
-  (sequential vs. partitioned, in-memory/engine/spill sources) and
-  write ``BENCH_phase2.json``;
+- ``bench-phase2`` — run the Phase-2 benchmark (the CSPairs builder
+  per source — in-memory, engine, spill — and the streaming partition
+  scan, checksum-gated) and write ``BENCH_phase2.json``;
 - ``bench-scale`` — run the sharded scale-out benchmark (unsharded
   reference vs. N-shard runs, checksum-gated) and write
   ``BENCH_scale.json``;
@@ -141,16 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     dedup.add_argument(
         "--pool", choices=("thread", "process"), default="thread",
         help="worker pool kind for --workers > 1",
-    )
-    dedup.add_argument(
-        "--phase2-workers", type=int, default=RunConfig.phase2_workers,
-        help="Phase-2 worker count: partitions the CSPairs self-join "
-             "and shards group extraction over mutual-NN components "
-             "(output is identical for any worker count)",
-    )
-    dedup.add_argument(
-        "--phase2-pool", choices=("thread", "process"), default="thread",
-        help="worker pool kind for --phase2-workers > 1",
     )
     dedup.add_argument(
         "--engine", action="store_true",
@@ -421,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench2 = sub.add_parser(
         "bench-phase2",
-        help="run the Phase-2 partitioned self-join benchmark",
+        help="run the Phase-2 CSPairs join and partition-scan benchmark",
     )
     bench2.add_argument("--dataset", choices=dataset_names(), default="org")
     bench2.add_argument(
@@ -437,11 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="entity count before duplicate injection (2400 ≈ 3000 "
              "records)",
     )
-    bench2.add_argument(
-        "--workers", default="1,2,4",
-        help="comma-separated worker counts for the partitioned runs",
-    )
-    bench2.add_argument("--pool", choices=("thread", "process"), default="thread")
     bench2.add_argument("--k", type=int, default=5)
     bench2.add_argument("--seed", type=int, default=0)
     bench2.add_argument(
@@ -466,14 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench2.add_argument(
         "--check", action="store_true",
-        help="fail (nonzero exit) on any checksum disagreement or when "
-             "a partitioned run's throughput drops below "
-             "--min-relative-throughput of the 1-worker partitioned run",
-    )
-    bench2.add_argument(
-        "--min-relative-throughput", type=float, default=0.5,
-        help="the --check throughput floor, relative to the 1-worker "
-             "partitioned run (lower it on noisy smoke-sized runs)",
+        help="fail (nonzero exit) on any checksum disagreement (such a "
+             "failure is fatal with or without this flag)",
     )
 
     benchs = sub.add_parser(
@@ -761,37 +740,18 @@ def _cmd_dedup(args: argparse.Namespace, out) -> int:
             print(f"phase 1 sub-stages: {breakdown}", file=out)
         run_stats = result.stats
         p2 = run_stats.phase2
-        if p2.join_workers:
+        if p2.pairs_filtered:
             print(
-                f"phase 2 join [{p2.join_workers} worker(s), {p2.join_pool}]: "
-                f"{p2.rows_probed} rows probed, {p2.probes} index probes, "
-                f"{p2.pairs_emitted} pairs in {p2.join_seconds:.3f}s "
-                f"(+{p2.merge_seconds:.3f}s merge, "
-                f"{p2.n_join_chunks} sorted runs, "
-                f"peak run {p2.peak_run_rows} rows)",
+                f"phase 2 join: {p2.pairs_filtered} mutual pairs dropped "
+                f"by the constraint filter",
                 file=out,
             )
-            for run in p2.worker_runs:
-                print(
-                    f"  run {run['chunk']}: {run['rows_probed']} rows, "
-                    f"{run['probes']} probes, "
-                    f"{run['pairs_emitted']} pairs, "
-                    f"{run['seconds']:.3f}s",
-                    file=out,
-                )
-            if p2.partition_shards:
-                print(
-                    f"partition: {p2.n_components} mutual-NN components "
-                    f"over {p2.partition_shards} shard(s), "
-                    f"peak anchor group {p2.peak_group_rows} rows",
-                    file=out,
-                )
-            elif p2.partition_streamed:
-                print(
-                    f"partition: streamed from the CSPairs table, "
-                    f"peak anchor group {p2.peak_group_rows} rows",
-                    file=out,
-                )
+        if p2.partition_streamed:
+            print(
+                f"partition: streamed from the CSPairs table, "
+                f"peak anchor group {p2.peak_group_rows} rows",
+                file=out,
+            )
         stages = ", ".join(
             f"{timing.stage} {timing.seconds:.3f}s"
             for timing in run_stats.timings
@@ -1246,15 +1206,12 @@ def _cmd_bench_phase2(args: argparse.Namespace, out) -> int:
         write_phase2_json,
     )
 
-    workers = tuple(int(part) for part in args.workers.split(",") if part)
     payload = run_phase2_bench(
         entities=args.entities,
-        workers=workers,
         dataset=args.dataset,
         distance=args.distance,
         index=args.index,
         k=args.k,
-        pool=args.pool,
         seed=args.seed,
         buffer_pages=args.buffer_pages,
         page_capacity=args.page_capacity,
@@ -1262,24 +1219,17 @@ def _cmd_bench_phase2(args: argparse.Namespace, out) -> int:
         repeats=args.repeats,
     )
     path = write_phase2_json(payload, args.output)
-    _print_parallelism_warning(payload, out)
     print(phase2_table(payload), file=out)
     print(f"\nwrote {path}", file=out)
-    failures = check_phase2_payload(
-        payload, min_relative_throughput=args.min_relative_throughput
-    )
-    for failure in failures["checksum"]:
+    failures = check_phase2_payload(payload)
+    for failure in failures:
         print(f"ERROR: {failure}", file=out)
-    if failures["checksum"]:
-        # Checksum disagreement is a correctness bug, not a perf
-        # regression: fail regardless of --check.
+    if failures:
+        # Checksum disagreement is a correctness bug: fail regardless
+        # of --check.
         return 1
     if args.check:
-        for failure in failures["throughput"]:
-            print(f"ERROR: {failure}", file=out)
-        if failures["throughput"]:
-            return 1
-        print("checksums agree; partitioned throughput within bounds",
+        print("checksums agree across sources and the partition scan",
               file=out)
     return 0
 

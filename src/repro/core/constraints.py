@@ -273,8 +273,7 @@ class RelationPairFilter:
     """A :class:`PairFilter` bound to a relation: evaluates *rid* pairs.
 
     The Phase-2 join speaks record ids, not records; this adapter
-    resolves them.  Instances pickle (relation records are plain data),
-    so the process-pool join initializer can ship one to each worker.
+    resolves them.
     """
 
     def __init__(self, pair_filter: PairFilter, relation: Relation) -> None:

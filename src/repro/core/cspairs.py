@@ -12,7 +12,7 @@ storage layer (self-join via an id hash index, then ``ORDER BY ID1``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.core.formulation import CombinedCut, DEParams, SizeCut
 from repro.core.neighborhood import NNRelation, entry_from_row
@@ -107,39 +107,56 @@ def prefix_equal_flags(
     return tuple(flags)
 
 
-def build_cs_pairs(nn_relation: NNRelation, params: DEParams) -> list[CSPair]:
-    """Direct (in-memory) CSPairs construction, sorted by ``(id1, id2)``."""
+def build_cs_pairs(
+    nn_relation: NNRelation,
+    params: DEParams,
+    pair_filter: Callable[[int, int], bool] | None = None,
+    stats=None,
+) -> list[CSPair]:
+    """Direct (in-memory) CSPairs construction, sorted by ``(id1, id2)``.
+
+    Each entry's neighbour-id tuple is read once up front; probes then
+    cost one dict lookup.  NN lists may name rids outside the relation
+    (a shard's sub-relation): such partners have no row and yield no
+    pair.  ``pair_filter`` (a rid-pair predicate, e.g.
+    :class:`repro.core.constraints.RelationPairFilter`) drops mutual
+    pairs the constraints forbid — the inline constraint mode's
+    join-time discharge; ``stats`` (a :class:`~repro.run.stats
+    .Phase2Stats`, duck-typed) accumulates how many it dropped.
+    """
+    lists = {
+        entry.rid: (entry.neighbor_ids, entry.ng) for entry in nn_relation
+    }
     pairs: list[CSPair] = []
-    for entry in nn_relation:
-        limit = nn_list_limit(params, len(entry.neighbors))
-        for neighbor in entry.neighbors[:limit]:
-            other_id = neighbor.rid
-            if other_id <= entry.rid:
+    filtered = 0
+    for rid, (ids, ng) in lists.items():
+        for other_id in ids[: nn_list_limit(params, len(ids))]:
+            if other_id <= rid:
                 continue
-            if other_id not in nn_relation:
+            other = lists.get(other_id)
+            if other is None:
                 continue
-            other = nn_relation.get(other_id)
-            other_limit = nn_list_limit(params, len(other.neighbors))
-            if entry.rid not in other.neighbor_ids[:other_limit]:
+            other_ids, other_ng = other
+            if rid not in other_ids[: nn_list_limit(params, len(other_ids))]:
                 continue  # not mutual
-            max_m = max_pair_size(len(entry.neighbors), len(other.neighbors), params)
-            flags = prefix_equal_flags(
-                entry.rid,
-                entry.neighbor_ids,
-                other.rid,
-                other.neighbor_ids,
-                max_m,
-            )
+            if pair_filter is not None and not pair_filter(rid, other_id):
+                filtered += 1
+                continue
+            max_m = max_pair_size(len(ids), len(other_ids), params)
             pairs.append(
                 CSPair(
-                    id1=entry.rid,
-                    id2=other.rid,
-                    ng1=entry.ng,
-                    ng2=other.ng,
-                    flags=flags,
+                    id1=rid,
+                    id2=other_id,
+                    ng1=ng,
+                    ng2=other_ng,
+                    flags=prefix_equal_flags(
+                        rid, ids, other_id, other_ids, max_m
+                    ),
                 )
             )
     pairs.sort(key=lambda pair: (pair.id1, pair.id2))
+    if stats is not None:
+        stats.pairs_filtered += filtered
     return pairs
 
 
@@ -175,6 +192,8 @@ def build_cs_pairs_engine(
     params: DEParams,
     nn_table_name: str = "NN_Reln",
     cs_table_name: str = "CSPairs",
+    pair_filter: Callable[[int, int], bool] | None = None,
+    stats=None,
 ) -> HeapTable:
     """CSPairs via the storage engine: index self-join + ORDER BY.
 
@@ -182,9 +201,15 @@ def build_cs_pairs_engine(
     NN_Reln2 WHERE NN_Reln.ID < NN_Reln2.ID AND mutual(NN-lists)``, with
     the case-expression flag columns packed into one ``flags`` tuple,
     followed by the CS-group query ``SELECT * FROM CSPairs ORDER BY ID``.
+    When the unsorted join outgrows the buffer pool, ``order_by`` runs
+    its external merge sort (runs of at most one pool of rows), so an
+    out-of-core run stays bounded; the unsorted intermediate is dropped
+    afterwards.  ``pair_filter`` and ``stats`` behave as in
+    :func:`build_cs_pairs`.
     """
     nn_table = engine.table(nn_table_name)
     id_index = engine.hash_index(nn_table, "id")
+    filtered = 0
 
     def probe_keys(row):
         rid, nn_list, _dists, _ng = row
@@ -192,10 +217,15 @@ def build_cs_pairs_engine(
         return [other for other in nn_list[:limit] if other > rid]
 
     def on(left, right) -> bool:
+        nonlocal filtered
         lid = left[0]
         r_list = right[1]
-        limit = nn_list_limit(params, len(r_list))
-        return lid in r_list[:limit]
+        if lid not in r_list[: nn_list_limit(params, len(r_list))]:
+            return False  # not mutual
+        if pair_filter is not None and not pair_filter(lid, right[0]):
+            filtered += 1
+            return False
+        return True
 
     def project(left, right):
         lid, l_list, _l_dists, l_ng = left
@@ -213,7 +243,13 @@ def build_cs_pairs_engine(
         on=on,
         project=project,
     )
-    return engine.order_by(cs_table_name, unsorted, key=lambda row: (row[0], row[1]))
+    table = engine.order_by(
+        cs_table_name, unsorted, key=lambda row: (row[0], row[1])
+    )
+    engine.catalog.drop_table(unsorted.name)
+    if stats is not None:
+        stats.pairs_filtered += filtered
+    return table
 
 
 def iter_cs_pairs(table: HeapTable) -> Iterator[CSPair]:

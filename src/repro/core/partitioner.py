@@ -19,7 +19,7 @@ the paper's: every compact SN set in the solution is grouped under its
 minimum id, because its members' m-neighbor sets all equal the set
 itself.
 
-Two scalability properties of the scan are exploited here:
+Two properties of the scan are exploited here:
 
 - **Streaming** — the CS-group query emits rows sorted by ``(id1,
   id2)``, so :func:`partition_records` consumes them through a
@@ -29,18 +29,16 @@ Two scalability properties of the scan are exploited here:
   buffer pool.  (:func:`rows_by_anchor` still materializes the full
   ``Q[ID = v]`` dict for the runtime verifier, which genuinely needs
   random access.)
-- **Sharding** — groups never span connected components of the
+- **Components** — groups never span connected components of the
   mutual-NN graph (a compact set's members are pairwise mutual, so its
-  edges all lie inside one component), making component-wise group
-  extraction embarrassingly parallel and bit-identical to the global
-  scan: :func:`partition_records_sharded`.
+  edges all lie inside one component), so extraction over one
+  component equals the global scan's slice of it
+  (:func:`extract_component_groups`).  The incremental layer and the
+  shard merge re-extract only the components they touched.
 """
 
 from __future__ import annotations
 
-import heapq
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from functools import partial
 from itertools import groupby
 from typing import Iterable, Iterator, Sequence
 
@@ -51,7 +49,6 @@ from repro.core.result import Partition
 
 __all__ = [
     "partition_records",
-    "partition_records_sharded",
     "extract_group",
     "extract_component_groups",
     "iter_anchor_groups",
@@ -127,8 +124,8 @@ def _scan_groups(
 
     ``anchored`` must arrive in ascending anchor order (the CS-group
     query order); the ``assigned`` set only ever consults ids reachable
-    from earlier anchors of the *same* stream, which is what makes the
-    per-component sharding below exact.
+    from earlier anchors of the *same* stream, which is what makes
+    per-component extraction exact.
     """
     assigned: set[int] = set()
     groups: list[list[int]] = []
@@ -165,7 +162,7 @@ def partition_records(
 
 
 # ----------------------------------------------------------------------
-# Component-sharded extraction (the parallel path)
+# Component-wise extraction (incremental repair and the shard merge)
 # ----------------------------------------------------------------------
 
 
@@ -211,98 +208,13 @@ def extract_component_groups(
     """Run the anchor scan over one mutual-NN component's sorted rows.
 
     Exactly the slice of the global scan that touches this component —
-    the sharding argument above makes the concatenation over components
-    equal the global result.  The incremental layer leans on this for
-    bounded repair: a component whose rows did not change yields the
-    same groups, so only touched components need re-extraction.
+    the component argument above makes the concatenation over
+    components equal the global result.  The incremental layer leans
+    on this for bounded repair: a component whose rows did not change
+    yields the same groups, so only touched components need
+    re-extraction.
     """
     return _scan_groups(iter_anchor_groups(component), params)
-
-
-def _extract_shard_groups(
-    shard: list[list[CSPair]], params: DEParams
-) -> list[list[int]]:
-    """Extract groups for one shard of components (runs in a worker)."""
-    groups: list[list[int]] = []
-    for component in shard:
-        groups.extend(extract_component_groups(component, params))
-    return groups
-
-
-def partition_records_sharded(
-    ids: Iterable[int],
-    cs_pairs: Iterable[CSPair],
-    params: DEParams,
-    n_workers: int = 2,
-    pool: str = "thread",
-    stats=None,
-) -> Partition:
-    """Partition via parallel per-component group extraction.
-
-    Bit-identical to :func:`partition_records` for any worker count or
-    pool kind: components are independent (see
-    :func:`mutual_components`) and the final
-    :meth:`~repro.core.result.Partition.from_groups` canonicalization
-    is order-insensitive.  Sharding materializes the rows to build the
-    component index, so this path trades the streaming bound for
-    parallelism — spill runs keep ``n_workers == 1`` when memory is the
-    constraint.
-    """
-    if pool not in ("thread", "process"):
-        raise ValueError(f"unknown pool kind {pool!r}")
-    rows = cs_pairs if isinstance(cs_pairs, list) else list(cs_pairs)
-    components = mutual_components(rows)
-    if stats is not None:
-        stats.n_components = len(components)
-        stats.peak_group_rows = max(
-            [stats.peak_group_rows]
-            + [len(list(g)) for c in components for _, g in groupby(c, key=lambda r: r.id1)]
-        )
-
-    # Deterministic balanced sharding: each component (in ascending
-    # minimum-id order) lands on the currently lightest shard.
-    n_shards = max(1, min(n_workers, len(components)))
-    shards = _balance_components(components, n_shards)
-    if stats is not None:
-        stats.partition_shards = len(shards)
-
-    if n_shards <= 1 or n_workers <= 1:
-        shard_results = [_extract_shard_groups(shard, params) for shard in shards]
-    elif pool == "thread":
-        with ThreadPoolExecutor(max_workers=n_workers) as executor:
-            shard_results = list(
-                executor.map(partial(_extract_shard_groups, params=params), shards)
-            )
-    else:
-        with ProcessPoolExecutor(max_workers=n_workers) as executor:
-            shard_results = list(
-                executor.map(partial(_extract_shard_groups, params=params), shards)
-            )
-
-    groups = [group for result in shard_results for group in result]
-    return _with_singletons(groups, ids)
-
-
-def _balance_components(
-    components: Sequence[list[CSPair]], n_shards: int
-) -> list[list[list[CSPair]]]:
-    """Assign each component to the currently lightest shard.
-
-    A min-heap of ``(load, shard_index)`` makes each assignment
-    ``O(log n_shards)`` instead of the former ``loads.index(min(loads))``
-    re-scan — ``O(n_shards)`` per component, which dominated planning
-    time for many small components on wide pools.  Tuple ordering
-    breaks load ties on the lowest shard index, exactly reproducing the
-    ``index(min(...))`` choice, so the assignment (and therefore the
-    partition) is unchanged.
-    """
-    shards: list[list[list[CSPair]]] = [[] for _ in range(n_shards)]
-    heap = [(0, idx) for idx in range(n_shards)]
-    for component in components:
-        load, idx = heapq.heappop(heap)
-        shards[idx].append(component)
-        heapq.heappush(heap, (load + len(component), idx))
-    return shards
 
 
 def _with_singletons(

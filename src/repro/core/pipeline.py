@@ -15,10 +15,7 @@ The facade guarantees:
   onto a ``RunConfig`` field or a context component);
 - ``run`` / ``run_from_nn`` return the same :class:`DEResult` with
   bit-identical partitions to the pre-refactor pipeline on every
-  execution path (in-memory, engine Phase 2, spilled NN relation);
-- the former loose telemetry fields (``phase1``, ``phase2_seconds``,
-  ``n_cs_pairs``) survive as deprecated read-only properties over
-  ``DEResult.stats``.
+  execution path (in-memory, engine Phase 2, spilled NN relation).
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from typing import TYPE_CHECKING
 from repro.core.cspairs import CSPair
 from repro.core.formulation import DEParams
 from repro.core.neighborhood import NNRelation
-from repro.core.nn_phase import LookupOrder, Phase1Stats
+from repro.core.nn_phase import LookupOrder
 from repro.core.predicates import CannotLinkPredicate
 from repro.core.result import Partition
 from repro.data.schema import Relation
@@ -76,26 +73,6 @@ class DEResult:
     def duplicate_groups(self) -> list[tuple[int, ...]]:
         """The non-trivial groups (reported duplicates)."""
         return self.partition.non_trivial_groups()
-
-    # ------------------------------------------------------------------
-    # Deprecated telemetry accessors (pre-RunStats API)
-    # ------------------------------------------------------------------
-
-    @property
-    def phase1(self) -> Phase1Stats:
-        """Deprecated: use ``result.stats.phase1``."""
-        return self.stats.phase1
-
-    @property
-    def phase2_seconds(self) -> float:
-        """Deprecated: use ``result.stats.phase2_seconds`` (or the
-        per-stage ``result.stats.timings``)."""
-        return self.stats.phase2_seconds
-
-    @property
-    def n_cs_pairs(self) -> int:
-        """Deprecated: use ``result.stats.n_cs_pairs``."""
-        return self.stats.n_cs_pairs
 
 
 class DuplicateEliminator:

@@ -102,16 +102,10 @@ def save_result(result: DEResult, path: str | Path) -> None:
         "params": params_to_dict(result.params),
         "partition": partition_to_dict(result.partition),
         "nn_relation": nn_relation_to_dict(result.nn_relation),
-        "stats": {
-            # Flat legacy keys, kept for older readers...
-            "phase1_lookups": result.phase1.lookups,
-            "phase1_seconds": result.phase1.seconds,
-            "phase2_seconds": result.phase2_seconds,
-            "n_cs_pairs": result.n_cs_pairs,
-            # ...plus the unified telemetry (per-stage wall times,
-            # distance-cache traffic, buffer stats on engine runs).
-            "run": result.stats.to_dict(),
-        },
+        # The unified telemetry: per-stage wall times, Phase-1 and
+        # Phase-2 counters, distance-cache traffic, buffer stats on
+        # engine runs.
+        "stats": result.stats.to_dict(),
     }
     Path(path).write_text(json.dumps(payload, indent=2), encoding="utf-8")
 

@@ -1,28 +1,24 @@
-"""Phase-2 scalability benchmark: the partitioned CSPairs self-join.
+"""Phase-2 benchmark: the CSPairs self-join per source and the
+partitioning scan.
 
-Produces the ``BENCH_phase2.json`` artifact the performance roadmap
-regresses against.  Phase 1 runs **once** (batched) over a generated
-dataset; its NN relation is then pushed through every Phase-2 execution
-mode:
+Produces the ``BENCH_phase2.json`` artifact.  Phase 1 runs **once**
+(batched) over a generated dataset; its NN relation is then pushed
+through the production CSPairs builder of each source:
 
-- ``sequential`` — the reference joins: the direct in-memory builder
-  (:func:`repro.core.cspairs.build_cs_pairs`) and the engine's
-  row-at-a-time index nested-loop join + ``ORDER BY`` pass
-  (:func:`repro.core.cspairs.build_cs_pairs_engine`);
-- ``partitioned`` with N workers — the hash-partitioned join
-  (:mod:`repro.parallel.join`): contiguous anchor-range chunks, batched
-  probes of one shared id index, locally sorted runs, k-way merge —
-  over three sources: in-memory rows, an engine-resident ``NN_Reln``,
-  and a small-buffer engine with the out-of-core spill path
-  (``spill_runs``, bounded scratch runs).
+- ``memory`` — the direct in-memory builder
+  (:func:`repro.core.cspairs.build_cs_pairs`);
+- ``engine`` — the engine's index nested-loop self-join + ``ORDER BY``
+  (:func:`repro.core.cspairs.build_cs_pairs_engine`) over a buffer pool
+  that holds the whole join;
+- ``spill`` — the same plan behind a small buffer pool, where the
+  ``ORDER BY`` runs as an external merge sort.
 
-Every CSPairs output is checksummed; the payload records whether all
-modes and sources agreed (they must — the partitioned join is defined
-to be bit-identical).  The partitioning scan is benchmarked the same
-way: the streaming single-scan extractor vs. the component-sharded
-parallel extractor, with partition checksums.  See
-``docs/performance.md`` ("Phase 2 at scale") for how to read the
-output.
+Every repeat's CSPairs output is checksummed; the payload records
+whether each source reproduced itself and whether all sources agreed
+(they must).  The streaming partitioning scan is timed over the
+in-memory rows and checked against a scan streamed from the spilled
+``CSPairs`` table.  See ``docs/performance.md`` ("Phase 2 at scale")
+for how to read the output.
 """
 
 from __future__ import annotations
@@ -33,7 +29,7 @@ import os
 import platform
 import time
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 from repro.core.cspairs import (
     CSPair,
@@ -45,21 +41,12 @@ from repro.core.cspairs import (
 from repro.core.formulation import DEParams
 from repro.core.neighborhood import NNRelation
 from repro.core.nn_phase import Phase1Stats
-from repro.core.partitioner import partition_records, partition_records_sharded
+from repro.core.partitioner import partition_records
 from repro.core.result import Partition
 from repro.data.loaders import load_dataset
-from repro.eval.bench_phase1 import (
-    BENCH_DISTANCES,
-    INDEX_FACTORIES,
-    parallelism_advisory,
-)
+from repro.eval.bench_phase1 import BENCH_DISTANCES, INDEX_FACTORIES
 from repro.eval.report import format_table
 from repro.parallel.engine import ParallelNNEngine
-from repro.parallel.join import (
-    build_cs_pairs_engine_parallel,
-    build_cs_pairs_parallel,
-)
-from repro.run.stats import Phase2Stats
 from repro.storage.engine import Engine
 
 __all__ = [
@@ -71,7 +58,7 @@ __all__ = [
     "write_phase2_json",
 ]
 
-#: Sources the partitioned join is exercised over.
+#: The sources the CSPairs builders are timed over.
 SOURCES = ("memory", "engine", "spill")
 
 
@@ -99,7 +86,7 @@ def partition_checksum(partition: Partition) -> str:
 def _phase1_once(
     relation, distance, params: DEParams, index_name: str
 ) -> tuple[NNRelation, float]:
-    """Run batched Phase 1 once; every Phase-2 mode reuses its output."""
+    """Run batched Phase 1 once; every Phase-2 run reuses its output."""
     index = INDEX_FACTORIES[index_name]()
     index.build(relation, distance)
     stats = Phase1Stats()
@@ -117,63 +104,38 @@ def _engine_with_nn(
     return engine
 
 
-def _best_of(repeats: int, setup, timed) -> tuple[object, float, object]:
-    """Run ``timed`` ``repeats`` times, keeping the fastest run.
+def _timed(
+    repeats: int,
+    setup: Callable[[], object] | None,
+    timed: Callable[[object], object],
+    checksum: Callable[[object], str],
+) -> tuple[object, float, set[str]]:
+    """Run ``timed`` ``repeats`` times; keep the fastest time.
 
-    ``setup`` (may be ``None``) builds fresh per-repeat state — e.g. an
-    engine without a leftover ``CSPairs`` table — outside the timed
-    region.  Returns ``(result, seconds, state)`` of the best repeat, so
-    sub-10ms joins are judged on their floor rather than on scheduler
-    noise (the gate in :func:`check_phase2_payload` depends on this).
+    ``setup`` builds fresh per-repeat state (e.g. an engine without a
+    leftover ``CSPairs`` table) outside the timed region, and every
+    repeat's output is checksummed outside it too.  Returns ``(result
+    of the last repeat, fastest seconds, checksums seen)``.
     """
-    best_seconds: float | None = None
-    best_result: object = None
-    best_state: object = None
+    best: float | None = None
+    result: object = None
+    seen: set[str] = set()
     for _ in range(max(1, repeats)):
         state = setup() if setup is not None else None
         started = time.perf_counter()
         result = timed(state)
         elapsed = time.perf_counter() - started
-        if best_seconds is None or elapsed < best_seconds:
-            best_seconds, best_result, best_state = elapsed, result, state
-    return best_result, best_seconds, best_state
-
-
-def _row(source: str, mode: str, workers: int, seconds: float,
-         pairs: Sequence | int, checksum: str, stats: Phase2Stats | None = None,
-         ) -> dict:
-    n_pairs = pairs if isinstance(pairs, int) else len(pairs)
-    row = {
-        "source": source,
-        "mode": mode,
-        "workers": workers,
-        "seconds": seconds,
-        "pairs": n_pairs,
-        "throughput": (n_pairs / seconds) if seconds > 0 else 0.0,
-        "checksum": checksum,
-    }
-    if stats is not None:
-        row.update(
-            {
-                "join_seconds": stats.join_seconds,
-                "merge_seconds": stats.merge_seconds,
-                "n_join_chunks": stats.n_join_chunks,
-                "rows_probed": stats.rows_probed,
-                "probes": stats.probes,
-                "peak_run_rows": stats.peak_run_rows,
-            }
-        )
-    return row
+        best = elapsed if best is None else min(best, elapsed)
+        seen.add(checksum(result))
+    return result, best, seen
 
 
 def run_phase2_bench(
     entities: int = 2400,
-    workers: Sequence[int] = (1, 2, 4),
     dataset: str = "org",
     distance: str = "cosine",
     index: str = "brute",
     k: int = 5,
-    pool: str = "thread",
     duplicate_fraction: float = 0.3,
     seed: int = 0,
     buffer_pages: int = 256,
@@ -181,16 +143,13 @@ def run_phase2_bench(
     spill_buffer_pages: int = 8,
     repeats: int = 3,
 ) -> dict:
-    """Run the Phase-2 join/partition matrix and return the JSON payload.
+    """Time each source's CSPairs builder and the partition scan.
 
     ``entities`` counts entities before duplicate injection (2400 →
-    n ≈ 3000 records).  Phase 1 runs once; then, per source (in-memory
-    rows, engine-resident table, small-buffer spill engine), the
-    sequential reference join and the partitioned join per worker count
-    are each timed best-of-``repeats`` (fresh engine per repeat, setup
-    untimed), so smoke-sized joins aren't judged on one noisy sample.
-    The partitioning scan gets the same treatment: streaming
-    single-scan vs. component-sharded per worker count.
+    n ≈ 3000 records).  Phase 1 runs once; each source's builder and
+    the streaming partition scan are timed best-of-``repeats`` (fresh
+    engine per repeat, setup untimed), so smoke-sized joins are not
+    judged on one noisy sample.
     """
     distance_cls = BENCH_DISTANCES[distance]
     params = DEParams.size(k, c=4.0)
@@ -204,131 +163,52 @@ def run_phase2_bench(
         relation, distance_cls(), params, index
     )
 
-    runs: list[dict] = []
-    checksums: dict[str, set[str]] = {source: set() for source in SOURCES}
+    def table_checksum(table) -> str:
+        return cs_pairs_checksum(iter_cs_pairs(table))
 
-    # --- source: in-memory rows -------------------------------------
-    reference, seconds, _ = _best_of(
-        repeats, None, lambda _state: build_cs_pairs(nn, params)
+    pool_pages = {"engine": buffer_pages, "spill": spill_buffer_pages}
+    runs: list[tuple[str, float, int]] = []
+    checksums: dict[str, set[str]] = {}
+    reference, seconds, checksums["memory"] = _timed(
+        repeats, None, lambda _state: build_cs_pairs(nn, params),
+        cs_pairs_checksum,
     )
-    reference_checksum = cs_pairs_checksum(reference)
-    checksums["memory"].add(reference_checksum)
-    runs.append(_row("memory", "sequential", 1, seconds, reference,
-                     reference_checksum))
-    for n_workers in workers:
-        pairs, seconds, stats = _best_of(
-            repeats,
-            Phase2Stats,
-            lambda stats, n_workers=n_workers: build_cs_pairs_parallel(
-                nn, params, n_workers=n_workers, pool=pool, stats=stats
-            ),
-        )
-        checksum = cs_pairs_checksum(pairs)
-        checksums["memory"].add(checksum)
-        runs.append(_row("memory", "partitioned", n_workers, seconds,
-                         pairs, checksum, stats))
+    runs.append(("memory", seconds, len(reference)))
 
-    # --- source: engine-resident NN_Reln ----------------------------
-    table, seconds, _ = _best_of(
-        repeats,
-        lambda: _engine_with_nn(nn, buffer_pages, page_capacity),
-        lambda engine: build_cs_pairs_engine(engine, params),
-    )
-    checksum = cs_pairs_checksum(iter_cs_pairs(table))
-    checksums["engine"].add(checksum)
-    runs.append(_row("engine", "sequential", 1, seconds, table.n_rows,
-                     checksum))
-    for n_workers in workers:
-        table, seconds, state = _best_of(
-            repeats,
-            lambda: (
-                _engine_with_nn(nn, buffer_pages, page_capacity),
-                Phase2Stats(),
-            ),
-            lambda state, n_workers=n_workers: build_cs_pairs_engine_parallel(
-                state[0], params, n_workers=n_workers, pool=pool,
-                stats=state[1],
-            ),
-        )
-        checksum = cs_pairs_checksum(iter_cs_pairs(table))
-        checksums["engine"].add(checksum)
-        runs.append(_row("engine", "partitioned", n_workers, seconds,
-                         table.n_rows, checksum, state[1]))
-
-    # --- source: small-buffer engine, spilled runs ------------------
-    table, seconds, _ = _best_of(
-        repeats,
-        lambda: _engine_with_nn(nn, spill_buffer_pages, page_capacity),
-        lambda engine: build_cs_pairs_engine(engine, params),
-    )
-    checksum = cs_pairs_checksum(iter_cs_pairs(table))
-    checksums["spill"].add(checksum)
-    runs.append(_row("spill", "sequential", 1, seconds, table.n_rows,
-                     checksum))
-    for n_workers in workers:
-        table, seconds, state = _best_of(
-            repeats,
-            lambda: (
-                _engine_with_nn(nn, spill_buffer_pages, page_capacity),
-                Phase2Stats(),
-            ),
-            lambda state, n_workers=n_workers: build_cs_pairs_engine_parallel(
-                state[0], params, n_workers=n_workers, pool=pool,
-                stats=state[1], spill_runs=True,
-            ),
-        )
-        checksum = cs_pairs_checksum(iter_cs_pairs(table))
-        checksums["spill"].add(checksum)
-        runs.append(_row("spill", "partitioned", n_workers, seconds,
-                         table.n_rows, checksum, state[1]))
-
-    # --- partitioning scan: streaming vs. component-sharded ---------
+    # --- the streaming partitioning scan ----------------------------
     ids = list(relation.ids())
-    base_partition, partition_baseline_seconds, _ = _best_of(
+    partition, partition_seconds, partition_checksums = _timed(
         repeats, None,
         lambda _state: partition_records(ids, reference, params),
+        partition_checksum,
     )
-    base_partition_checksum = partition_checksum(base_partition)
-    partition_runs: list[dict] = []
-    partition_parity = True
-    for n_workers in workers:
-        sharded, seconds, stats = _best_of(
-            repeats,
-            Phase2Stats,
-            lambda stats, n_workers=n_workers: partition_records_sharded(
-                ids, reference, params,
-                n_workers=n_workers, pool=pool, stats=stats,
-            ),
-        )
-        checksum = partition_checksum(sharded)
-        partition_parity = partition_parity and (
-            checksum == base_partition_checksum
-        )
-        partition_runs.append(
-            {
-                "workers": n_workers,
-                "seconds": seconds,
-                "n_components": stats.n_components,
-                "shards": stats.partition_shards,
-                "checksum": checksum,
-            }
-        )
 
-    # --- derived views ----------------------------------------------
-    speedups: dict[str, dict[str, float]] = {}
-    for source in SOURCES:
-        sequential = next(
-            run for run in runs
-            if run["source"] == source and run["mode"] == "sequential"
+    for source in ("engine", "spill"):
+        table, seconds, checksums[source] = _timed(
+            repeats,
+            lambda pages=pool_pages[source]: _engine_with_nn(
+                nn, pages, page_capacity
+            ),
+            lambda engine: build_cs_pairs_engine(engine, params),
+            table_checksum,
         )
-        speedups[source] = {
-            str(run["workers"]): (
-                run["throughput"] / sequential["throughput"]
-                if sequential["throughput"] > 0 else 0.0
+        runs.append((source, seconds, table.n_rows))
+        if source == "spill":
+            # The out-of-core consumer: the scan streamed from the
+            # spilled table must give the in-memory scan's partition.
+            streamed = partition_checksum(
+                partition_records(ids, iter_cs_pairs(table), params)
             )
-            for run in runs
-            if run["source"] == source and run["mode"] == "partitioned"
+    rows = [
+        {
+            "source": source,
+            "seconds": seconds,
+            "pairs": n_pairs,
+            "throughput": (n_pairs / seconds) if seconds > 0 else 0.0,
+            "checksum": sorted(checksums[source])[0],
         }
+        for source, seconds, n_pairs in runs
+    ]
     parity = {source: len(checksums[source]) == 1 for source in SOURCES}
     parity["cross_source"] = (
         len({checksum for seen in checksums.values() for checksum in seen})
@@ -336,12 +216,11 @@ def run_phase2_bench(
     )
 
     return {
-        "benchmark": "phase2_partitioned_join",
+        "benchmark": "phase2_join",
         "dataset": dataset,
         "distance": distance,
         "index": index,
         "k": k,
-        "pool": pool,
         "duplicate_fraction": duplicate_fraction,
         "seed": seed,
         "python": platform.python_version(),
@@ -354,99 +233,61 @@ def run_phase2_bench(
         "spill_buffer_pages": spill_buffer_pages,
         "page_capacity": page_capacity,
         "repeats": repeats,
-        "workers": list(workers),
-        "effective_parallelism": parallelism_advisory(workers),
-        "runs": runs,
-        "speedup_partitioned_vs_sequential": speedups,
+        "runs": rows,
         "parity": parity,
         "partition": {
-            "baseline_seconds": partition_baseline_seconds,
-            "checksum": base_partition_checksum,
-            "parity": partition_parity,
-            "runs": partition_runs,
+            "seconds": partition_seconds,
+            "checksum": partition_checksum(partition),
+            "parity": partition_checksums == {streamed},
         },
     }
 
 
-def check_phase2_payload(
-    payload: Mapping, min_relative_throughput: float = 0.5
-) -> dict[str, list[str]]:
-    """The bench gates: failures in a payload, keyed by severity.
+def check_phase2_payload(payload: Mapping) -> list[str]:
+    """The bench gate: every checksum disagreement in a payload.
 
-    ``"checksum"`` failures (any disagreement within a source, across
-    sources, or in the partitioning scan) are correctness violations —
-    the CLI always fails on them.  ``"throughput"`` failures flag a
-    pathological parallel regression: a partitioned run below
-    ``min_relative_throughput`` of the same source's 1-worker
-    partitioned run (the default 0.5 means "more than 2× slower than
-    one worker"); the CLI enforces these only under ``--check``, since
-    worker counts beyond the host's cores legitimately pay overhead.
+    A source that did not reproduce itself across repeats, sources
+    that disagree, or a partition scan over the spilled table that
+    differs from the in-memory one are correctness violations — the
+    CLI always fails on them.
     """
-    checksum_failures: list[str] = []
-    throughput_failures: list[str] = []
-    for source, agreed in payload["parity"].items():
-        if not agreed:
-            checksum_failures.append(f"CSPairs checksum mismatch: {source}")
+    failures = [
+        f"CSPairs checksum mismatch: {source}"
+        for source, agreed in payload["parity"].items()
+        if not agreed
+    ]
     if not payload["partition"]["parity"]:
-        checksum_failures.append(
-            "partition checksum mismatch: sharded vs. streaming"
+        failures.append(
+            "partition checksum mismatch: streamed spill table vs. "
+            "in-memory rows"
         )
-    for source in SOURCES:
-        partitioned = [
-            run for run in payload["runs"]
-            if run["source"] == source and run["mode"] == "partitioned"
-        ]
-        base = next(
-            (run for run in partitioned if run["workers"] == 1), None
-        )
-        if base is None or base["throughput"] <= 0:
-            continue
-        for run in partitioned:
-            relative = run["throughput"] / base["throughput"]
-            if relative < min_relative_throughput:
-                throughput_failures.append(
-                    f"{source} @ {run['workers']} workers: throughput "
-                    f"{relative:.2f}x of 1-worker (< "
-                    f"{min_relative_throughput:g}x)"
-                )
-    return {
-        "checksum": checksum_failures,
-        "throughput": throughput_failures,
-    }
+    return failures
 
 
 def phase2_table(payload: Mapping) -> str:
-    """Render a payload's run matrix as the repo's standard text table."""
-    rows = [
-        (
-            run["source"],
-            run["mode"],
-            run["workers"],
-            f"{run['seconds']:.2f}s",
-            f"{run.get('merge_seconds', 0.0):.2f}s",
-            run["pairs"],
-            f"{run['throughput']:.0f}/s",
-        )
-        for run in payload["runs"]
-    ]
+    """Render a payload's runs as the repo's standard text table."""
     table = format_table(
-        ("source", "mode", "workers", "seconds", "merge", "pairs", "pairs/s"),
-        rows,
+        ("source", "seconds", "pairs", "pairs/s"),
+        [
+            (
+                run["source"],
+                f"{run['seconds'] * 1000:.1f}ms",
+                run["pairs"],
+                f"{run['throughput']:.0f}/s",
+            )
+            for run in payload["runs"]
+        ],
     )
     partition = payload["partition"]
-    lines = [
-        f"phase2 join over n={payload['n']} "
-        f"({payload['n_cs_pairs']} CSPairs rows; "
-        f"phase 1 once in {payload['phase1_seconds']:.1f}s)",
-        table,
-        f"partition scan: streaming {partition['baseline_seconds']:.3f}s; "
-        + ", ".join(
-            f"{run['workers']}w {run['seconds']:.3f}s"
-            f" ({run['n_components']} components)"
-            for run in partition["runs"]
-        ),
-    ]
-    return "\n".join(lines)
+    return "\n".join(
+        [
+            f"phase2 join over n={payload['n']} "
+            f"({payload['n_cs_pairs']} CSPairs rows; "
+            f"phase 1 once in {payload['phase1_seconds']:.1f}s)",
+            table,
+            f"partition scan: streaming {partition['seconds'] * 1000:.1f}ms",
+        ]
+    )
 
 
 def write_phase2_json(payload: Mapping, path: str | Path) -> Path:

@@ -1,4 +1,4 @@
-"""Parallel execution: chunked, multi-worker Phase 1 *and* Phase 2.
+"""Parallel execution: chunked, multi-worker Phase 1.
 
 The paper's Phase 1 (NN-list materialization) dominates the total DE
 cost, and its section 4.1 is entirely about lookup throughput.  This
@@ -8,12 +8,9 @@ order of Figure 5), chunks fan out over a ``concurrent.futures`` pool,
 and per-chunk results merge deterministically so output is identical to
 the sequential path for any worker count.
 
-Once Phase 1 is batched and parallel, the bottleneck moves to Phase 2
-— the paper's SQL self-join of ``NN_Reln`` into ``CSPairs``.  The same
-chunking machinery partitions that join by anchor id
-(:class:`repro.parallel.join.ParallelCSJoinEngine`): workers probe one
-shared hash index with batched keys and emit locally sorted runs that
-k-way merge into the final ``ORDER BY (id1, id2)``.
+Phase 2 has no worker pool: its CSPairs self-join and group-extraction
+scan run once per source (see :mod:`repro.core.cspairs` and
+:mod:`repro.core.partitioner`).
 
 Entry points:
 
@@ -22,29 +19,15 @@ Entry points:
   or zero-based);
 - :class:`repro.parallel.engine.ParallelNNEngine` — the chunked
   Phase-1 executor; also the single-worker batched fast path used by
-  the ``BENCH_phase1`` scalability benchmark;
-- :class:`repro.parallel.join.ParallelCSJoinEngine` — the partitioned
-  Phase-2 self-join executor behind ``BENCH_phase2``, with in-memory
-  and engine-backed builders (`build_cs_pairs_parallel`,
-  `build_cs_pairs_engine_parallel`).
+  the ``BENCH_phase1`` scalability benchmark.
 """
 
 from repro.parallel.chunking import Chunk, plan_chunks
 from repro.parallel.engine import ChunkResult, ParallelNNEngine
-from repro.parallel.join import (
-    JoinChunkResult,
-    ParallelCSJoinEngine,
-    build_cs_pairs_engine_parallel,
-    build_cs_pairs_parallel,
-)
 
 __all__ = [
     "Chunk",
     "ChunkResult",
-    "JoinChunkResult",
-    "ParallelCSJoinEngine",
     "ParallelNNEngine",
-    "build_cs_pairs_engine_parallel",
-    "build_cs_pairs_parallel",
     "plan_chunks",
 ]

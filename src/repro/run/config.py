@@ -106,12 +106,6 @@ class RunConfig:
         Phase-1 parallelism: worker count, pool kind, and optional
         fixed chunk length (see
         :class:`~repro.parallel.engine.ParallelNNEngine`).
-    phase2_workers, phase2_pool:
-        Phase-2 parallelism: worker count and pool kind for the
-        partitioned CSPairs self-join and the component-sharded
-        partitioner (see :class:`~repro.parallel.join
-        .ParallelCSJoinEngine`).  Output is bit-identical for any
-        worker count.
     use_engine:
         Run Phase 2 through the storage engine (the paper's SQL path).
     spill:
@@ -158,8 +152,6 @@ class RunConfig:
     n_workers: int = 1
     pool: str = "thread"
     chunk_size: int | None = None
-    phase2_workers: int = 1
-    phase2_pool: str = "thread"
     use_engine: bool = False
     spill: bool = False
     buffer_pages: int = 256
@@ -204,13 +196,6 @@ class RunConfig:
             )
         if self.n_workers < 1:
             raise ConfigError("n_workers must be at least 1")
-        if self.phase2_pool not in _POOLS:
-            raise ConfigError(
-                f"unknown phase2 pool kind {self.phase2_pool!r}; "
-                f"expected one of {_POOLS}"
-            )
-        if self.phase2_workers < 1:
-            raise ConfigError("phase2_workers must be at least 1")
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ConfigError("chunk_size must be at least 1 (or None)")
         if self.buffer_pages < 1:
@@ -309,8 +294,6 @@ class RunConfig:
             n_workers=getattr(args, "workers", cls.n_workers),
             pool=getattr(args, "pool", cls.pool),
             chunk_size=getattr(args, "chunk_size", None),
-            phase2_workers=getattr(args, "phase2_workers", cls.phase2_workers),
-            phase2_pool=getattr(args, "phase2_pool", cls.phase2_pool),
             use_engine=getattr(args, "engine", False) or getattr(args, "spill", False),
             spill=getattr(args, "spill", False),
             buffer_pages=getattr(args, "buffer_pages", cls.buffer_pages),

@@ -29,6 +29,8 @@ from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from repro.core.cspairs import (
     NN_RELN_SCHEMA,
+    build_cs_pairs,
+    build_cs_pairs_engine,
     cs_pairs_from_table,
     iter_cs_pairs,
 )
@@ -40,15 +42,11 @@ from repro.core.nn_phase import (
     _substage_snapshot,
     prepare_nn_lists,
 )
-from repro.core.partitioner import partition_records, partition_records_sharded
+from repro.core.partitioner import partition_records
 from repro.core.predicates import apply_constraining_predicate
 from repro.core.result import Partition
 from repro.data.schema import Relation
 from repro.parallel.engine import ParallelNNEngine
-from repro.parallel.join import (
-    build_cs_pairs_engine_parallel,
-    build_cs_pairs_parallel,
-)
 from repro.run.context import RunContext
 from repro.run.spill import SpilledNNRelation
 from repro.run.stats import RunStats
@@ -214,16 +212,16 @@ class SpillStage:
 
 
 class CSPairsStage:
-    """Build the CSPairs rows via the partitioned self-join.
+    """Build the CSPairs rows: one self-join per source.
 
-    Engine runs go through
-    :func:`~repro.parallel.join.build_cs_pairs_engine_parallel` (in
-    spill mode with bounded scratch runs) and keep the result as a heap
-    table on ``state.cs_table``; the in-memory row list is materialized
-    only when the config asks to keep it (``keep_cs_pairs`` or any
-    verify mode), so an out-of-core run never holds the full relation.
-    Output is bit-identical to the sequential builders for any worker
-    count.
+    Engine and spill runs go through
+    :func:`~repro.core.cspairs.build_cs_pairs_engine` and keep the
+    result as a heap table on ``state.cs_table`` (its ``ORDER BY``
+    sorts externally once the join outgrows the buffer pool); the
+    in-memory row list is materialized only when the config asks to
+    keep it (``keep_cs_pairs`` or any verify mode), so an out-of-core
+    run never holds the full relation.  In-memory runs call
+    :func:`~repro.core.cspairs.build_cs_pairs`.
     """
 
     name = "cspairs"
@@ -245,27 +243,22 @@ class CSPairsStage:
                 state.relation,
             )
         if ctx.engine is not None and state.nn_table is not None:
-            table = build_cs_pairs_engine_parallel(
+            table = build_cs_pairs_engine(
                 ctx.engine,
                 state.params,
-                n_workers=config.phase2_workers,
-                pool=config.phase2_pool,
-                stats=state.stats.phase2,
-                spill_runs=config.spill,
                 pair_filter=pair_filter,
+                stats=state.stats.phase2,
             )
             state.cs_table = table
             state.stats.n_cs_pairs = table.n_rows
             if keep:
                 state.cs_pairs = cs_pairs_from_table(table)
         else:
-            state.cs_pairs = build_cs_pairs_parallel(
+            state.cs_pairs = build_cs_pairs(
                 state.nn_relation,
                 state.params,
-                n_workers=config.phase2_workers,
-                pool=config.phase2_pool,
-                stats=state.stats.phase2,
                 pair_filter=pair_filter,
+                stats=state.stats.phase2,
             )
             state.stats.n_cs_pairs = len(state.cs_pairs)
 
@@ -275,36 +268,24 @@ class PartitionStage:
 
     Consumes the in-memory row list when one exists; otherwise streams
     straight from the ``CSPairs`` heap table through the buffer pool (a
-    spilled run's bounded-memory path).  With ``phase2_workers > 1``
-    extraction shards over connected components of the mutual-NN graph.
+    spilled run's bounded-memory path).
     """
 
     name = "partition"
 
     def run(self, ctx: RunContext, state: RunState) -> None:
-        config = ctx.config
         if state.cs_pairs is not None:
             source = state.cs_pairs
         else:
             assert state.cs_table is not None, "CSPairs must be built first"
             source = iter_cs_pairs(state.cs_table)
             state.stats.phase2.partition_streamed = True
-        if config.phase2_workers > 1:
-            state.partition = partition_records_sharded(
-                state.relation.ids(),
-                source,
-                state.params,
-                n_workers=config.phase2_workers,
-                pool=config.phase2_pool,
-                stats=state.stats.phase2,
-            )
-        else:
-            state.partition = partition_records(
-                state.relation.ids(),
-                source,
-                state.params,
-                stats=state.stats.phase2,
-            )
+        state.partition = partition_records(
+            state.relation.ids(),
+            source,
+            state.params,
+            stats=state.stats.phase2,
+        )
 
 
 class PostprocessStage:

@@ -5,9 +5,8 @@ lookup counters (:class:`~repro.core.nn_phase.Phase1Stats`), the
 distance memo cache, per-stage wall times, and — when the storage
 engine is in play — the buffer pool's hit/miss counters (the paper's
 Figure 8 quantity).  :class:`RunStats` gathers all of them into one
-structure attached to ``DEResult.stats``; the former loose fields
-(``phase1``, ``phase2_seconds``, ``n_cs_pairs``) survive as deprecated
-properties on the result.
+structure attached to ``DEResult.stats``; the per-stage ``timings``
+are its one clock.
 """
 
 from __future__ import annotations
@@ -20,12 +19,6 @@ from repro.storage.buffer import BufferStats
 
 __all__ = ["StageTiming", "Phase2Stats", "RunStats"]
 
-#: Stage names whose wall time constitutes "Phase 2" in the legacy
-#: accounting (everything between the NN computation and the result).
-#: On sharded runs the cross-shard merge plays the same role.
-PHASE2_STAGES = ("spill", "cspairs", "partition", "postprocess", "merge")
-
-
 @dataclass(frozen=True)
 class StageTiming:
     """Wall-clock time of one pipeline stage."""
@@ -36,78 +29,31 @@ class StageTiming:
 
 @dataclass
 class Phase2Stats:
-    """Cost accounting of the partitioned Phase-2 self-join and the
+    """Cost accounting of the Phase-2 self-join and the
     group-extraction scan.
-
-    Filled in by :func:`repro.parallel.join.record_join` (the join
-    side) and the partitioner (the extraction side); all fields stay at
-    their zero values on runs that bypass the partitioned path.
 
     Parameters
     ----------
-    join_workers, join_pool, n_join_chunks:
-        Execution shape of the partitioned self-join: worker count,
-        pool kind, and the number of anchor-range chunks it planned.
-    rows_probed, probes, pairs_emitted:
-        Outer rows consumed, hash-index keys looked up (batched), and
-        CSPairs rows produced — deterministic per-chunk sums, identical
-        for any worker count.
     pairs_filtered:
         Mutual pairs the constraint pair filter dropped at join time
         (inline constraint mode; zero elsewhere).
-    join_seconds, merge_seconds:
-        Wall time of the chunked probe phase and of the k-way merge of
-        locally sorted runs.
-    worker_runs:
-        Per-chunk accounting (chunk index, rows probed, probes, pairs
-        emitted, seconds) — the ``dedup --stats`` per-worker view.
-    peak_run_rows:
-        Largest locally sorted run held by any single chunk result; in
-        spill mode runs are bounded by one buffer pool's worth of rows.
     partition_streamed:
         Whether group extraction consumed CSPairs as a stream from its
         heap table (never fully resident) instead of an in-memory list.
-    partition_shards, n_components:
-        Component-sharded extraction shape: shard count and the number
-        of connected components of the mutual-NN graph.
     peak_group_rows:
         Largest single-anchor row group the extraction scan held — the
         streaming path's actual residency bound.
     """
 
-    join_workers: int = 0
-    join_pool: str = ""
-    n_join_chunks: int = 0
-    rows_probed: int = 0
-    probes: int = 0
-    pairs_emitted: int = 0
     pairs_filtered: int = 0
-    join_seconds: float = 0.0
-    merge_seconds: float = 0.0
-    worker_runs: list[dict[str, Any]] = field(default_factory=list)
-    peak_run_rows: int = 0
     partition_streamed: bool = False
-    partition_shards: int = 0
-    n_components: int = 0
     peak_group_rows: int = 0
 
     def to_dict(self) -> dict[str, Any]:
         """Render as a JSON-serializable dict."""
         return {
-            "join_workers": self.join_workers,
-            "join_pool": self.join_pool,
-            "n_join_chunks": self.n_join_chunks,
-            "rows_probed": self.rows_probed,
-            "probes": self.probes,
-            "pairs_emitted": self.pairs_emitted,
             "pairs_filtered": self.pairs_filtered,
-            "join_seconds": self.join_seconds,
-            "merge_seconds": self.merge_seconds,
-            "worker_runs": list(self.worker_runs),
-            "peak_run_rows": self.peak_run_rows,
             "partition_streamed": self.partition_streamed,
-            "partition_shards": self.partition_shards,
-            "n_components": self.n_components,
             "peak_group_rows": self.peak_group_rows,
         }
 
@@ -122,8 +68,8 @@ class RunStats:
         Phase-1 cost accounting (lookups, evaluations, pruning,
         pair-cache hits).
     phase2:
-        Phase-2 cost accounting: the partitioned CSPairs self-join and
-        the group-extraction scan (see :class:`Phase2Stats`).
+        Phase-2 cost accounting: the CSPairs self-join and the
+        group-extraction scan (see :class:`Phase2Stats`).
     timings:
         Per-stage wall times, in execution order.
     n_cs_pairs:
@@ -190,14 +136,6 @@ class RunStats:
         return sum(t.seconds for t in self.timings)
 
     @property
-    def phase2_seconds(self) -> float:
-        """Legacy Phase-2 accounting: spill + CSPairs + partition +
-        post-processing wall time."""
-        return sum(
-            t.seconds for t in self.timings if t.stage in PHASE2_STAGES
-        )
-
-    @property
     def distance_cache_hit_rate(self) -> float:
         """Fraction of distance calls served by the memo cache."""
         if self.distance_cache_calls == 0:
@@ -219,7 +157,6 @@ class RunStats:
                 {"stage": t.stage, "seconds": t.seconds} for t in self.timings
             ],
             "total_seconds": self.total_seconds,
-            "phase2_seconds": self.phase2_seconds,
             "n_cs_pairs": self.n_cs_pairs,
             "spilled": self.spilled,
             "phase1": {

@@ -124,7 +124,6 @@ def _run_shard(task) -> ShardOutcome:
         shards=1,
         shards_in_flight=None,
         n_workers=1,
-        phase2_workers=1,
         verify=False,
         keep_cs_pairs=True,
         minimal=False,
@@ -202,7 +201,6 @@ def _run_block(task) -> ShardOutcome:
         shards=1,
         shards_in_flight=None,
         n_workers=1,
-        phase2_workers=1,
         verify=False,
         keep_cs_pairs=True,
         minimal=False,

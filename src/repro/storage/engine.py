@@ -32,11 +32,8 @@ __all__ = ["Engine", "HashIndex"]
 class HashIndex:
     """An in-memory hash index over one column of a heap table.
 
-    Built by one scan (:meth:`Engine.hash_index`); probed either one
-    key at a time (:meth:`probe`, the classic index nested-loop plan)
-    or in batches (:meth:`probe_batch`), which is how the partitioned
-    Phase-2 self-join amortizes the per-lookup overhead: each worker
-    resolves every join key of an outer row with a single call.  The
+    Built by one scan (:meth:`Engine.hash_index`) and probed one key
+    at a time (:meth:`probe`, the classic index nested-loop plan).  The
     ``probes`` counter records how many keys were looked up, so join
     plans account their index traffic like a real executor.
     """
@@ -53,17 +50,6 @@ class HashIndex:
         """Look up one key, counting the probe."""
         self.probes += 1
         return self._buckets.get(key, ())
-
-    def probe_batch(self, keys: Sequence[Any]) -> list[Sequence[Row]]:
-        """Look up a batch of keys in one call.
-
-        Returns one (possibly empty) bucket per key, in key order.  A
-        single attribute fetch of the underlying dict's ``get`` serves
-        the whole batch, so the per-key cost is one dictionary lookup.
-        """
-        self.probes += len(keys)
-        get = self._buckets.get
-        return [get(key, ()) for key in keys]
 
     def __getitem__(self, key: Any) -> list[Row]:
         return self._buckets[key]

@@ -369,13 +369,13 @@ def check_cspairs(ctx: VerificationContext) -> CheckResult:
                         f"the NN lists ({list(want.flags)})",
                     )
                 )
-    elif ctx.result.n_cs_pairs != len(reference):
+    elif ctx.result.stats.n_cs_pairs != len(reference):
         violations.append(
             Violation(
                 "cspairs",
                 (),
-                f"run reports {ctx.result.n_cs_pairs} CSPairs rows; the NN "
-                f"relation yields {len(reference)}",
+                f"run reports {ctx.result.stats.n_cs_pairs} CSPairs rows; "
+                f"the NN relation yields {len(reference)}",
             )
         )
 

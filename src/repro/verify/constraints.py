@@ -128,7 +128,6 @@ def verify_constraint_blocks(
     block_config = config.replace(
         constraint_mode="inline",
         n_workers=1,
-        phase2_workers=1,
         minimal=False,
     )
     for block in blocks:

@@ -3,11 +3,10 @@
 The repository has several ways to run the same DE instance — the
 legacy :class:`~repro.core.pipeline.DuplicateEliminator` facade,
 sequential vs. parallel Phase 1 (``n_workers``) crossed with in-memory
-vs. storage-engine Phase 2, the partitioned Phase-2 self-join and
-component-sharded partitioner (``phase2_workers``), the out-of-core
-spill path that streams ``NN_Reln`` through the buffer pool, and the
-vectorized-kernel vs. scalar Phase-1 distance backends (``kernel``) —
-all defined to produce identical output.  Every path is derived from one shared
+vs. storage-engine Phase 2, the out-of-core spill path that streams
+``NN_Reln`` through the buffer pool, and the vectorized-kernel vs.
+scalar Phase-1 distance backends (``kernel``) — all defined to produce
+identical output.  Every path is derived from one shared
 :class:`~repro.run.config.RunConfig` via ``replace(...)`` variants.
 :func:`verify_paths` executes every path, checks the invariants on the
 canonical (sequential, in-memory) result, and appends a ``cross-path``
@@ -44,9 +43,8 @@ __all__ = [
 #: The execution paths as ``(name, RunConfig.replace overrides)``.
 #: ``None`` marks the legacy facade path, which goes through the
 #: ``DuplicateEliminator`` kwargs constructor instead of a config —
-#: exercising the kwargs → RunConfig mapping itself.  Truthy
-#: ``n_workers`` / ``phase2_workers`` overrides are replaced by
-#: ``run_paths``'s worker count.
+#: exercising the kwargs → RunConfig mapping itself.  A truthy
+#: ``n_workers`` override is replaced by ``run_paths``'s worker count.
 EXECUTION_PATHS: tuple[tuple[str, Mapping | None], ...] = (
     ("facade", None),
     ("seq-mem", {}),
@@ -54,12 +52,6 @@ EXECUTION_PATHS: tuple[tuple[str, Mapping | None], ...] = (
     ("seq-eng", {"use_engine": True}),
     ("par-eng", {"n_workers": 2, "use_engine": True}),
     ("spill", {"use_engine": True, "spill": True, "buffer_pages": 8}),
-    ("p2-mem", {"phase2_workers": 2}),
-    ("p2-eng", {"use_engine": True, "phase2_workers": 2}),
-    ("p2-spill", {
-        "use_engine": True, "spill": True, "buffer_pages": 8,
-        "phase2_workers": 2,
-    }),
     # Scalar Phase 1: forces the pure-python per-pair distance path
     # while every other path runs under the default ``kernel="auto"``.
     # With numpy present this asserts the vectorized kernels are
@@ -114,8 +106,6 @@ def run_paths(
         changes = dict(overrides)
         if changes.get("n_workers"):
             changes["n_workers"] = n_workers
-        if changes.get("phase2_workers"):
-            changes["phase2_workers"] = n_workers
         context = RunContext.create(
             base_config.replace(**changes),
             distance=distance,
@@ -158,13 +148,14 @@ def check_cross_path(results: dict[str, DEResult]) -> CheckResult:
                     f"{baseline_name!r} (e.g. group {example})",
                 )
             )
-        if other.n_cs_pairs != baseline.n_cs_pairs:
+        if other.stats.n_cs_pairs != baseline.stats.n_cs_pairs:
             violations.append(
                 Violation(
                     "cross-path",
                     (),
-                    f"path {name!r} built {other.n_cs_pairs} CSPairs rows; "
-                    f"{baseline_name!r} built {baseline.n_cs_pairs}",
+                    f"path {name!r} built {other.stats.n_cs_pairs} "
+                    f"CSPairs rows; {baseline_name!r} built "
+                    f"{baseline.stats.n_cs_pairs}",
                 )
             )
     return CheckResult.from_violations(

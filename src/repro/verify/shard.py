@@ -130,13 +130,14 @@ def verify_shard_merge(
                             f"reference ({where})",
                         )
                     )
-                if sharded.n_cs_pairs != reference.n_cs_pairs:
+                if sharded.stats.n_cs_pairs != reference.stats.n_cs_pairs:
                     violations.append(
                         Violation(
                             "shard-merge-parity",
                             (),
-                            f"merged CSPairs count {sharded.n_cs_pairs} != "
-                            f"reference {reference.n_cs_pairs} ({where})",
+                            f"merged CSPairs count "
+                            f"{sharded.stats.n_cs_pairs} != reference "
+                            f"{reference.stats.n_cs_pairs} ({where})",
                         )
                     )
         checks.append(

@@ -70,9 +70,9 @@ class TestBasicRuns:
         relation = numbers_relation([0, 1, 50])
         solver = DuplicateEliminator(absdiff_distance())
         result = solver.run(relation, DEParams.size(2, c=3.0))
-        assert result.phase1.lookups == 3
-        assert result.phase1.seconds > 0.0
-        assert result.n_cs_pairs >= 1
+        assert result.stats.phase1.lookups == 3
+        assert result.stats.phase1.seconds > 0.0
+        assert result.stats.n_cs_pairs >= 1
         assert len(result.nn_relation) == 3
 
 

@@ -72,7 +72,7 @@ class TestFileRoundTrip:
         save_result(result, path)
         payload = json.loads(path.read_text())
         assert payload["format"] == "repro-de-result"
-        assert payload["stats"]["phase1_lookups"] == 5
+        assert payload["stats"]["phase1"]["lookups"] == 5
 
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "bogus.json"

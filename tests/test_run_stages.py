@@ -139,8 +139,8 @@ class TestTelemetry:
             "phase1", "spill", "cspairs", "partition", "postprocess"
         ]
         assert all(t.seconds >= 0.0 for t in stats.timings)
-        assert stats.phase2_seconds == pytest.approx(
-            sum(t.seconds for t in stats.timings if t.stage != "phase1")
+        assert stats.total_seconds == pytest.approx(
+            sum(t.seconds for t in stats.timings)
         )
         assert context.last_stats is stats
 
@@ -154,12 +154,6 @@ class TestTelemetry:
         assert {t["stage"] for t in payload["stages"]} >= {"phase1", "spill"}
         assert 0.0 <= payload["buffer"]["hit_ratio"] <= 1.0
         assert payload["distance_cache"]["calls"] >= 0
-
-    def test_deprecated_result_accessors(self):
-        result, _ = staged_result(numbers_relation(VALUES), PARAMS)
-        assert result.phase1 is result.stats.phase1
-        assert result.phase2_seconds == result.stats.phase2_seconds
-        assert result.n_cs_pairs == result.stats.n_cs_pairs
 
     def test_verify_stage_attaches_report(self):
         result, _ = staged_result(

@@ -228,7 +228,7 @@ class TestCrossPath:
         )
         assert report.ok
         assert "cross-path" in report
-        assert report.get("cross-path").checked == 10
+        assert report.get("cross-path").checked == 7
 
     def test_cross_path_flags_divergent_partition(self):
         relation = table1_relation()
