@@ -86,7 +86,7 @@ class DuplicateEliminator:
     index:
         NN index instance; defaults to :class:`BruteForceIndex`.  The
         index is (re)built per :meth:`run` call.  Approximate indexes
-        (MinHash, q-gram, BK-tree, pivot) trade distance evaluations
+        (MinHash, q-gram, BK-tree) trade distance evaluations
         for recall — see ``docs/performance.md`` ("Choosing an index");
         the result's ``stats.phase1`` records the candidate counts and
         pruning each run actually achieved.

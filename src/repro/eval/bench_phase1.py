@@ -6,10 +6,11 @@ computation are timed on brute-force indexes over a generated dataset:
 
 - ``per-query`` — the sequential baseline: one full relation scan per
   k-NN lookup and another per NG range count;
-- ``batch`` with 1 worker — the blocked all-pairs fast path
-  (:meth:`repro.index.bruteforce.BruteForceIndex.prime_pairs`), which
-  exploits distance symmetry and serves the NG counts from the shared
-  pair cache;
+- ``batch`` with 1 worker — :meth:`BruteForceIndex.phase1_batch
+  <repro.index.bruteforce.BruteForceIndex.phase1_batch>`: dense kernel
+  rows read off by the shared Phase-1 read-off (``--kernel auto``), or
+  the scalar batch scope that evaluates each unordered pair once and
+  serves the NG counts from the pair cache (``--kernel python``);
 - ``batch`` with N workers — the chunked
   :class:`~repro.parallel.engine.ParallelNNEngine` executor.
 
@@ -44,7 +45,6 @@ from repro.index.bktree import BKTreeIndex
 from repro.index.bruteforce import BruteForceIndex
 from repro.index.inverted import QgramInvertedIndex
 from repro.index.minhash import MinHashIndex
-from repro.index.pivot import PivotIndex
 from repro.parallel.engine import ParallelNNEngine
 
 __all__ = [
@@ -79,7 +79,6 @@ INDEX_FACTORIES: dict[str, Callable[[], NNIndex]] = {
     "bktree": BKTreeIndex,
     "qgram": lambda: QgramInvertedIndex(max_df=64, within_budget=128),
     "minhash": MinHashIndex,
-    "pivot": PivotIndex,
 }
 
 

@@ -12,7 +12,6 @@ from repro.index.bruteforce import BruteForceIndex
 from repro.index.cache import PagedPostingStore
 from repro.index.inverted import QgramInvertedIndex
 from repro.index.minhash import MinHashIndex, band_keys, minhash_signature
-from repro.index.pivot import PivotIndex
 from repro.index.postings import PersistentMinHashPostings
 
 __all__ = [
@@ -22,7 +21,6 @@ __all__ = [
     "BKTreeIndex",
     "QgramInvertedIndex",
     "MinHashIndex",
-    "PivotIndex",
     "PagedPostingStore",
     "PersistentMinHashPostings",
     "minhash_signature",

@@ -17,6 +17,15 @@ plus :meth:`NNIndex.neighborhood_growth`, the paper's ``ng(v)``: the
 number of tuples (including ``v`` itself) within a sphere of radius
 ``p * nn(v)``, with ``p = 2`` fixed in the paper.
 
+Phase 1 asks for all three at once through :meth:`NNIndex.phase1_batch`.
+An index with a batch kernel only generates and scores candidates
+(MinHash: LSH candidate pairs; brute force: dense kernel rows) and
+hands them to :func:`read_off`, the one routine that ranks, cuts and
+reads ``nn(v)`` and ``ng(v)``.  Per-record kernel queries answer
+through it as one-query batches; the scalar per-record path, the
+reference every batch answer must equal, cuts with
+:func:`cut_neighbors`.
+
 Ordering and ties
 -----------------
 Neighbors are always ordered by ``(distance, rid)``.  The deterministic
@@ -27,6 +36,8 @@ violates the paper's distinct-distances assumption.
 from __future__ import annotations
 
 import abc
+import heapq
+import math
 import threading
 import time
 from contextlib import contextmanager
@@ -36,7 +47,7 @@ from typing import Callable, Iterator, Sequence
 from repro.data.schema import Record, Relation
 from repro.distances.base import DistanceFunction
 
-__all__ = ["BatchCounts", "Neighbor", "NNIndex"]
+__all__ = ["BatchCounts", "Neighbor", "NNIndex", "cut_neighbors", "read_off"]
 
 #: The work counters every index keeps, in ``BatchCounts`` field order.
 _COUNTERS = (
@@ -104,7 +115,7 @@ class NNIndex(abc.ABC):
         #: accounting in benchmarks).
         self.evaluations = 0
         #: Distance computations spent constructing the index itself
-        #: (pivot tables, BK-tree inserts); zero for structure-free
+        #: (BK-tree inserts); zero for structure-free
         #: indexes.  Reported separately so the bench matrix can charge
         #: each index its honest total cost.
         self.build_evaluations = 0
@@ -243,34 +254,6 @@ class NNIndex(abc.ABC):
     # ------------------------------------------------------------------
     # Batch queries
     # ------------------------------------------------------------------
-
-    def knn_batch(self, records: "Sequence[Record]", k: int) -> list[list[Neighbor]]:
-        """Answer :meth:`knn` for several records at once.
-
-        The default runs the per-record loop inside a *batch scope*:
-        indexes that route candidate verification through
-        :meth:`_pair_distance` then evaluate each unordered pair at most
-        once per batch (distance symmetry), with later probes of the
-        same pair — including the NG range counts of
-        :meth:`phase1_batch` — served from the shared pair cache.
-        :class:`~repro.index.bruteforce.BruteForceIndex` overrides the
-        batch methods entirely with a blocked all-pairs evaluation.
-        Results are positionally aligned with ``records`` and identical
-        to per-record :meth:`knn` calls.
-        """
-        with self._batch_scope():
-            return [self.knn(record, k) for record in records]
-
-    def within_batch(
-        self, records: "Sequence[Record]", radius: float, inclusive: bool = False
-    ) -> list[list[Neighbor]]:
-        """Answer :meth:`within` for several records at once.
-
-        Same contract as :meth:`knn_batch`: positionally aligned,
-        result-identical to per-record calls, pair-cached per batch.
-        """
-        with self._batch_scope():
-            return [self.within(record, radius, inclusive) for record in records]
 
     def phase1_batch(
         self,
@@ -459,104 +442,173 @@ class NNIndex(abc.ABC):
             self.substage_seconds.get(name, 0.0) + seconds
         )
 
-    def _candidate_distances(
-        self, record: Record, rids: "Sequence[int]"
-    ) -> list[float]:
-        """Verify a candidate list: distances from ``record`` to ``rids``.
-
-        The batch-kernel route (when enabled and when the whole list is
-        in-relation) answers all candidates in one vectorized pass,
-        ledgered under ``kernel_evaluations``; otherwise each pair goes
-        through :meth:`_pair_distance` exactly as before.  Both routes
-        return bit-identical values, so approximate indexes may take
-        either without affecting results.  Kernels whose row evaluation
-        is O(n) advertise ``pairs_min`` to skip tiny candidate lists.
-        """
-        started = time.perf_counter()
-        try:
-            kernel = self._kernel
-            if (
-                kernel is not None
-                and len(rids) >= getattr(kernel, "pairs_min", 1)
-                and record.rid in kernel
-                and all(rid in kernel for rid in rids)
-            ):
-                self.kernel_evaluations += len(rids)
-                return kernel.pairs(record.rid, rids)
-            relation, _ = self._checked()
-            return [self._pair_distance(record, relation.get(rid)) for rid in rids]
-        finally:
-            self._credit_substage("verify", time.perf_counter() - started)
-
-    def _select_neighbors(
+    def _verify_cut(
         self,
         record: Record,
         rids: "Sequence[int]",
         k: int | None = None,
         radius: float | None = None,
         inclusive: bool = False,
-    ) -> "list[Neighbor] | None":
-        """Kernel-vectorized verify + select for one candidate list.
+    ) -> list[Neighbor]:
+        """Score a candidate list and cut it like ``knn``/``within``.
 
-        Computes all candidate distances through the kernel's array
-        path, filters by radius, and ranks by ``(distance, rid)`` with a
-        stable ``lexsort`` — the exact total order ``Neighbor`` tuples
-        sort by, so the result is bit-identical to the scalar
-        build-``Neighbor``-objects-then-sort route while skipping
-        millions of python-level comparisons on large candidate lists.
-        Returns ``None`` when the kernel/numpy path cannot serve the
-        query (caller falls back to the scalar path).
+        Keeps the candidates with ``d < radius`` (``<=`` when
+        ``inclusive``), then the ``k`` nearest of those.  A kernel that
+        maps rids to rows scores the list in one array pass and
+        :func:`read_off` cuts it as a one-query batch; a kernel with
+        only ``pairs`` scores it in one call; otherwise each pair goes
+        through :meth:`_pair_distance`, and :func:`cut_neighbors` cuts.
+        Every route gives the same list.  Kernels whose row evaluation
+        is O(n) advertise ``pairs_min`` to skip tiny candidate lists.
         """
-        kernel = self._kernel
-        if kernel is None or not hasattr(kernel, "pairs_array"):
-            return None
-        if len(rids) < getattr(kernel, "pairs_min", 1):
-            return None
-        from repro.distances.kernels.compat import numpy_or_none
-
-        np = numpy_or_none()
-        if np is None:  # pragma: no cover - kernels imply numpy
-            return None
         started = time.perf_counter()
         try:
-            candidates = np.asarray(rids, dtype=np.int64)
-            query_row = None
-            rows = None
-            resolver = getattr(kernel, "resolve_rows", None)
-            if resolver is not None:
-                # One bulk membership-check-plus-row-mapping instead of
-                # a python ``in`` probe per candidate.
-                resolved = resolver(record.rid, candidates)
-                if resolved is None:
-                    return None
-                query_row, rows = resolved
-            elif record.rid not in kernel or not all(
-                rid in kernel for rid in rids
+            kernel = self._kernel
+            usable = kernel is not None and len(rids) >= getattr(
+                kernel, "pairs_min", 1
+            )
+            if usable and hasattr(kernel, "resolve_rows"):
+                from repro.distances.kernels.compat import require_numpy
+
+                np = require_numpy()
+                candidates = np.asarray(rids, dtype=np.int64)
+                resolved = kernel.resolve_rows(record.rid, candidates)
+                if resolved is not None:
+                    query_row, rows = resolved
+                    self.kernel_evaluations += len(candidates)
+                    distances = kernel.pairs_array(
+                        record.rid, candidates, rows=rows, query_row=query_row
+                    )
+                    if radius is not None and inclusive:
+                        # ``d <= r`` is ``d < nextafter(r, inf)`` on floats.
+                        radius = math.nextafter(radius, math.inf)
+                    (hits, _), = read_off(
+                        np, np.zeros(len(candidates), dtype=np.int64),
+                        candidates, distances, 1, k=k, theta=radius,
+                    )
+                    return hits
+            if not isinstance(rids, list):
+                rids = rids.tolist()
+            if (
+                usable
+                and record.rid in kernel
+                and all(rid in kernel for rid in rids)
             ):
-                return None
-            self.kernel_evaluations += len(rids)
-            if rows is None:
-                distances = kernel.pairs_array(record.rid, rids)
+                self.kernel_evaluations += len(rids)
+                distances = kernel.pairs(record.rid, rids)
             else:
-                distances = kernel.pairs_array(
-                    record.rid, candidates, rows=rows, query_row=query_row
-                )
-            if radius is not None:
-                # ``d < r or (inclusive and d == r)`` — distances are
-                # clipped floats (never NaN), so ``<=`` is the same set.
-                keep = (
-                    distances <= radius if inclusive else distances < radius
-                )
-                distances = distances[keep]
-                candidates = candidates[keep]
-            order = np.lexsort((candidates, distances))
-            if k is not None:
-                order = order[:k]
-            return [
-                Neighbor(d, rid)
-                for d, rid in zip(
-                    distances[order].tolist(), candidates[order].tolist()
-                )
-            ]
+                relation, _ = self._checked()
+                distances = [
+                    self._pair_distance(record, relation.get(rid))
+                    for rid in rids
+                ]
+            return cut_neighbors(distances, rids, k, radius, inclusive)
         finally:
             self._credit_substage("verify", time.perf_counter() - started)
+
+
+def cut_neighbors(
+    distances: "Sequence[float]",
+    rids: "Sequence[int]",
+    k: int | None = None,
+    radius: float | None = None,
+    inclusive: bool = False,
+) -> list[Neighbor]:
+    """The scalar cut: ``(distance, rid)``-ranked hits within ``radius``,
+    at most ``k`` of them."""
+    hits = zip(distances, rids)
+    if radius is not None:
+        hits = [
+            hit for hit in hits
+            if hit[0] < radius or (inclusive and hit[0] == radius)
+        ]
+    ranked = sorted(hits) if k is None else heapq.nsmallest(k, hits)
+    return [Neighbor(d, rid) for d, rid in ranked]
+
+
+def read_off(
+    np,
+    slot,
+    rids,
+    distances,
+    n_queries: int,
+    k: int | None = None,
+    theta: float | None = None,
+    p: float = 2.0,
+    radius_fn: "Callable[[float], float] | None" = None,
+    rows=None,
+    counted=None,
+) -> list[tuple[list[Neighbor], int]]:
+    """Phase 1's read-off: each query's cut list and ``ng(v)``.
+
+    The entries ``(slot[i], rids[i], distances[i])`` are the scored
+    candidates of query ``slot[i]`` (any order, each rid at most once
+    per query).  Each query's entries are ranked by ``(distance, rid)``
+    and cut to the ``k`` nearest, to all with ``d < theta``, or to the
+    ``k`` nearest of those.  ``nn(v)`` is the query's smallest
+    distance, and ``ng(v)`` counts itself plus the records inside the
+    NG sphere: ``d < radius_fn(nn)`` (``p * nn`` by default), or
+    ``d == 0`` when ``nn = 0`` (exact duplicates, see
+    :meth:`NNIndex.neighborhood_growth`); a query without entries has
+    ``ng = 1``.
+
+    ``rows``, when given, is a dense block with one row per query
+    holding its distance to every record (itself as ``inf``):
+    ``nn(v)`` and the NG count are read off it, so the entries need
+    only hold each query's possible cut entries.  Otherwise both are
+    read off the entries, and ``counted`` (a mask over them) limits
+    the NG count to a subset.  Returns ``(neighbors, ng)`` per query.
+    """
+    order = np.lexsort((rids, distances, slot))
+    slot = slot[order]
+    rids = rids[order]
+    distances = distances[order]
+    per_query = np.bincount(slot, minlength=n_queries)
+    first = np.cumsum(per_query) - per_query
+    if theta is not None:
+        kept = np.bincount(
+            slot, weights=distances < theta, minlength=n_queries
+        ).astype(np.int64)
+    else:
+        kept = per_query
+    if k is not None:
+        kept = np.minimum(kept, k)
+    keep = np.arange(len(slot)) - first[slot] < kept[slot]
+    kept_distances = distances[keep].tolist()
+    kept_rids = rids[keep].tolist()
+    neighbors: list[list[Neighbor]] = []
+    at = 0
+    for count in kept.tolist():
+        neighbors.append(
+            list(map(
+                Neighbor,
+                kept_distances[at : at + count],
+                kept_rids[at : at + count],
+            ))
+        )
+        at += count
+
+    if rows is not None:
+        nn = rows.min(axis=1)
+    else:
+        nn = np.full(n_queries, np.inf)
+        has = per_query > 0
+        nn[has] = distances[first[has]]
+    if radius_fn is None:
+        radius = p * nn
+    else:
+        radius = np.zeros(n_queries)
+        ask = (nn > 0.0) & (nn < np.inf)
+        radius[ask] = [radius_fn(value) for value in nn[ask].tolist()]
+    # For distances (never negative) ``d == 0`` is ``d < 5e-324``.
+    radius[nn == 0.0] = np.nextafter(0.0, 1.0)
+    if rows is not None:
+        ng = (rows < radius[:, None]).sum(axis=1)
+    else:
+        inside = distances < radius[slot]
+        if counted is not None:
+            inside &= counted[order]
+        ng = np.bincount(slot, weights=inside, minlength=n_queries)
+    return [
+        (hits, 1 + int(count)) for hits, count in zip(neighbors, ng.tolist())
+    ]

@@ -287,13 +287,7 @@ class QgramInvertedIndex(NNIndex):
             # No cutoff-based rejection without the edit fast path:
             # every ranked candidate gets a full distance anyway, so
             # verify the whole list in one (kernelizable) batch.
-            rids = [rid for rid, _ in ranked]
-            hits = [
-                Neighbor(d, rid)
-                for d, rid in zip(self._candidate_distances(record, rids), rids)
-            ]
-            hits.sort()
-            return hits[:k]
+            return self._verify_cut(record, [rid for rid, _ in ranked], k=k)
         hits: list[Neighbor] = []
         cutoff: float | None = None
         for rid, shared in ranked:
@@ -321,14 +315,10 @@ class QgramInvertedIndex(NNIndex):
             candidates = list(counts.items())
         self._account_candidates(record, len(candidates))
         if not self._edit_fast_path:
-            rids = [rid for rid, _ in candidates]
-            hits = [
-                Neighbor(d, rid)
-                for d, rid in zip(self._candidate_distances(record, rids), rids)
-                if d < radius or (inclusive and d == radius)
-            ]
-            hits.sort()
-            return hits
+            return self._verify_cut(
+                record, [rid for rid, _ in candidates],
+                radius=radius, inclusive=inclusive,
+            )
         hits = []
         for rid, shared in candidates:
             d = self._verify(

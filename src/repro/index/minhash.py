@@ -18,6 +18,9 @@ Signatures *and* per-record band keys are computed exactly once, in
 bucket member lists (no hashing) plus one verification per surfaced
 candidate.
 
+The index only generates and scores candidates; the shared
+:func:`~repro.index.base.read_off` ranks them and reads every cut list,
+``nn(v)`` and ``ng(v)``, as it does for brute force's kernel rows.
 With a batch kernel that scores explicit row pairs (cosine, Jaccard),
 :meth:`MinHashIndex.phase1_batch` is a *blocked* pass that answers a
 whole batch at once:
@@ -27,21 +30,22 @@ whole batch at once:
    the two endpoints of a pair when both are queries;
 2. score each remaining unordered pair once with the kernel's
    ``pair_distances``;
-3. sort the pairs by (query, distance, rid) and read each query's cut
-   list, ``nn(v)`` and ``ng(v)`` off its segment.
+3. hand both endpoints' entries to ``read_off``.
 
 Every answer equals the per-record ``knn``/``within`` +
 ``neighborhood_growth`` sequence: ``ng(v)`` counts over the same LSH
 candidate set, so a record without candidates has ``ng = 1``, and a
-size-cut record with fewer than ``k`` candidates still extends its list
-with the exhaustive fallback.  Queries are sliced so that one slice
-gathers at most ``_PAIR_BUDGET`` pairs before de-duplication; scratch
-memory is bounded by that budget, not by the batch size, and a pair
-whose endpoints land in different slices is scored once per slice.
-The per-record path (the scalar reference, and batches the blocked
-pass cannot serve) verifies a candidate set once per probe: the cut
-list, then the NG range count.  See ``docs/performance.md`` ("Choosing
-an index") for the knobs.
+size-cut record with fewer than ``k`` candidates still ranks the rest
+of the relation (the exhaustive fallback), entries the NG count does
+not see.  Queries are sliced so that one slice gathers at most
+``_PAIR_BUDGET`` pairs before de-duplication; scratch memory is bounded
+by that budget, not by the batch size, and a pair whose endpoints land
+in different slices is scored once per slice.  Per-record ``knn`` and
+``within`` score one candidate set through ``NNIndex._verify_cut``;
+that path (the scalar reference, and batches the blocked pass cannot
+serve) verifies a candidate set once per probe: the cut list, then the
+NG range count.  See ``docs/performance.md`` ("Choosing an index") for
+the knobs.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ import time
 from repro.data.schema import Record
 from repro.distances.kernels.compat import numpy_or_none
 from repro.distances.tokens import qgrams, tokenize
-from repro.index.base import BatchCounts, Neighbor, NNIndex
+from repro.index.base import BatchCounts, Neighbor, NNIndex, read_off
 from repro.index.signatures import (
     RelationSignatures,
     SignatureFactory,
@@ -359,42 +363,16 @@ class MinHashIndex(NNIndex):
         relation, _ = self._checked()
         if k <= 0 or len(relation) <= 1:
             return []
-        candidates = self._final_candidates(record, k)
-        hits = self._select_neighbors(record, candidates, k=k)
-        if hits is not None:
-            return hits
-        if not isinstance(candidates, list):
-            candidates = candidates.tolist()
-        hits = [
-            Neighbor(d, rid)
-            for d, rid in zip(
-                self._candidate_distances(record, candidates), candidates
-            )
-        ]
-        hits.sort()
-        return hits[:k]
+        return self._verify_cut(record, self._final_candidates(record, k), k=k)
 
     def within(
         self, record: Record, radius: float, inclusive: bool = False
     ) -> list[Neighbor]:
-        relation, _ = self._checked()
-        candidates = self._final_candidates(record, None)
-        hits = self._select_neighbors(
-            record, candidates, radius=radius, inclusive=inclusive
+        self._checked()
+        return self._verify_cut(
+            record, self._final_candidates(record, None),
+            radius=radius, inclusive=inclusive,
         )
-        if hits is not None:
-            return hits
-        if not isinstance(candidates, list):
-            candidates = candidates.tolist()
-        hits = [
-            Neighbor(d, rid)
-            for d, rid in zip(
-                self._candidate_distances(record, candidates), candidates
-            )
-            if d < radius or (inclusive and d == radius)
-        ]
-        hits.sort()
-        return hits
 
     def neighborhood_growth(
         self,
@@ -508,7 +486,6 @@ class MinHashIndex(NNIndex):
         keys = np.unique(slot[mine] * n + other[mine])
         slot = keys // n
         other = keys - slot * n
-        n_candidates = np.bincount(slot, minlength=n_queries)
         # Each unordered pair once, even when both endpoints are queries.
         query = rows[slot]
         low = np.minimum(query, other)
@@ -524,105 +501,59 @@ class MinHashIndex(NNIndex):
         distance = self._kernel.pair_distances(
             kernel_rows[pair_low], kernel_rows[pairs - pair_low * n]
         )[inverse]
-
-        # 3. Segments sorted by (query, distance, rid): the per-record
-        #    ``Neighbor`` order.  A query's within-θ hits and its k
-        #    nearest are prefixes of its segment.
         other_rid = self._rid_array[other]
-        order = np.lexsort((other_rid, distance, slot))
-        slot = slot[order]
-        distance = distance[order]
-        other_rid = other_rid[order]
-        first = np.cumsum(n_candidates) - n_candidates
-        has = n_candidates > 0
-        nn = np.zeros(n_queries)
-        nn[has] = distance[first[has]]
-        if theta is not None:
-            kept = np.bincount(
-                slot, weights=distance < theta, minlength=n_queries
-            ).astype(np.int64)
-        else:
-            kept = n_candidates
-        if k is not None:
-            kept = np.minimum(kept, k)
-        keep = np.arange(len(slot)) - first[slot] < kept[slot]
-        kept_distances = distance[keep].tolist()
-        kept_rids = other_rid[keep].tolist()
-        neighbors: list[list[Neighbor]] = []
-        at = 0
-        for count in kept.tolist():
-            neighbors.append(
-                list(map(
-                    Neighbor,
-                    kept_distances[at : at + count],
-                    kept_rids[at : at + count],
-                ))
-            )
-            at += count
-
+        counted = None
         fallback_pairs = 0
         if theta is None and self.exhaustive_fallback:
-            # Size-cut queries short of k candidates extend their list
-            # over the rest of the relation, exactly like ``knn``; their
-            # NG radius comes from that list's nearest neighbor.
-            for i in np.flatnonzero(n_candidates < k).tolist():
-                neighbors[i], scored = self._extend_short(
-                    np, int(rows[i]), neighbors[i], k
-                )
-                fallback_pairs += scored
-                if neighbors[i]:
-                    nn[i] = neighbors[i][0].distance
+            # Size-cut queries short of k candidates rank the rest of
+            # the relation too, exactly like ``knn``; NG still counts
+            # over the LSH candidates only.
+            per_query = np.bincount(slot, minlength=n_queries)
+            short = np.flatnonzero(per_query < k).tolist()
+            if short:
+                # ``keys`` are sorted, so each query's candidates are
+                # one contiguous run of ``other``.
+                ends = np.cumsum(per_query).tolist()
+                extra = [
+                    self._rest(
+                        np, int(rows[i]), i,
+                        other[ends[i] - int(per_query[i]) : ends[i]],
+                    )
+                    for i in short
+                ]
+                fallback_pairs = sum(len(e[1]) for e in extra)
+                counted = np.concatenate((
+                    np.ones(len(slot), dtype=bool),
+                    np.zeros(fallback_pairs, dtype=bool),
+                ))
+                slot = np.concatenate([slot] + [e[0] for e in extra])
+                other_rid = np.concatenate([other_rid] + [e[1] for e in extra])
+                distance = np.concatenate([distance] + [e[2] for e in extra])
 
-        # nn(v) = 0 (exact duplicates): the zero-distance records are
-        # the neighborhood, as in ``NNIndex.neighborhood_growth``, which
-        # never asks ``radius_fn`` then.
-        if radius_fn is None:
-            radius = p * nn
-        else:
-            radius = np.array([
-                radius_fn(value) if present and value else 0.0
-                for value, present in zip(nn.tolist(), has.tolist())
-            ])
-        inside = np.where(
-            (nn == 0.0)[slot], distance <= 0.0, distance < radius[slot]
+        # 3. The shared read-off: cut lists, nn(v) and ng(v).
+        answers = read_off(
+            np, slot, other_rid, distance, n_queries, k=k, theta=theta,
+            p=p, radius_fn=radius_fn, counted=counted,
         )
-        ng = np.bincount(slot, weights=inside, minlength=n_queries)
-
         generated = len(keys) + fallback_pairs
         own.candidates_generated += generated
         own.evaluations_pruned += n_queries * (n - 1) - generated
         own.kernel_evaluations += len(pairs) + fallback_pairs
         own.add_seconds("verify", time.perf_counter() - verify_started)
-        return [
-            (hits, 1 + int(count))
-            for hits, count in zip(neighbors, ng.tolist())
-        ]
+        return answers
 
-    def _extend_short(self, np, row: int, hits: list[Neighbor], k: int):
-        """A size-cut list short of ``k``, extended like ``knn`` does.
-
-        Scores the rest of the relation through the kernel's own row
-        path, re-ranks it together with the candidates, and returns the
-        extended list with the number of pairs scored.
-        """
+    def _rest(self, np, row: int, i: int, candidates):
+        """Entries ``(slot, rid, distance)`` of query slot ``i`` (relation
+        row ``row``) for the rows outside its candidate set, scored
+        through the kernel's own row path."""
         rest = np.ones(len(self._rid_array), dtype=bool)
         rest[row] = False
-        rest[[self._row_of[hit.rid] for hit in hits]] = False
+        rest[candidates] = False
         rest = np.flatnonzero(rest)
-        if not len(rest):
-            return hits, 0
         kernel_rows = self._kernel_rows
         rest_rids = self._rid_array[rest]
-        distances = np.concatenate((
-            [hit.distance for hit in hits],
-            self._kernel.pairs_array(
-                int(self._rid_array[row]), rest_rids,
-                rows=kernel_rows[rest], query_row=int(kernel_rows[row]),
-            ),
-        ))
-        rids = np.concatenate((
-            np.asarray([hit.rid for hit in hits], dtype=np.int64), rest_rids
-        ))
-        top = np.lexsort((rids, distances))[:k]
-        extended = list(map(Neighbor, distances[top].tolist(), rids[top].tolist()))
-        return extended, len(rest)
+        distances = self._kernel.pairs_array(
+            int(self._rid_array[row]), rest_rids,
+            rows=kernel_rows[rest], query_row=int(kernel_rows[row]),
+        )
+        return np.full(len(rest), i, dtype=np.int64), rest_rids, distances

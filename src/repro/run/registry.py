@@ -21,7 +21,6 @@ from repro.index.bktree import BKTreeIndex
 from repro.index.bruteforce import BruteForceIndex
 from repro.index.inverted import QgramInvertedIndex
 from repro.index.minhash import MinHashIndex
-from repro.index.pivot import PivotIndex
 
 __all__ = ["DISTANCES", "INDEXES", "make_distance", "make_index"]
 
@@ -37,7 +36,6 @@ INDEXES: dict[str, Callable[[], NNIndex]] = {
     "bktree": BKTreeIndex,
     "qgram": QgramInvertedIndex,
     "minhash": MinHashIndex,
-    "pivot": PivotIndex,
 }
 
 

@@ -1,15 +1,17 @@
-"""The blocked MinHash Phase-1 pass and its exact work accounting.
+"""The blocked Phase-1 passes and their exact work accounting.
 
 ``MinHashIndex.phase1_batch`` answers a batch in one vectorized pass:
 candidate pairs gathered from the flat band layout, each unordered pair
-scored once through the kernel's ``pair_distances``, and every cut
-list, ``nn(v)`` and ``ng(v)`` read off sorted pair segments.  Its
-contract is equality with the per-record ``within``/``knn`` +
-``neighborhood_growth`` sequence, which these tests check against the
-scalar (``kernel="python"``) index across cuts, distances, radius
-functions, exact duplicates, records without LSH candidates, size-cut
-records short of ``k`` candidates, subset batches, batches larger than
-the pair budget, and the thread and process pools.
+scored once through the kernel's ``pair_distances``.
+``BruteForceIndex.phase1_batch`` scores dense kernel rows.  Both hand
+their scored candidates to the shared ``read_off``, which reads every
+cut list, ``nn(v)`` and ``ng(v)``.  The contract is equality with the
+per-record ``within``/``knn`` + ``neighborhood_growth`` sequence, which
+these tests check against the scalar (``kernel="python"``) index of
+both kinds across cuts, distances, radius functions, exact duplicates,
+isolated records and subset batches; for MinHash also across size-cut
+records short of ``k`` candidates, batches larger than the pair budget,
+and the thread and process pools.
 """
 
 from __future__ import annotations
@@ -27,9 +29,11 @@ from repro.core.radius import AffineRadius
 from repro.data.loaders import load_dataset
 from repro.data.schema import Relation
 from repro.distances.cosine import CosineDistance
+from repro.distances.edit import EditDistance
 from repro.distances.jaccard import TokenJaccardDistance
 from repro.distances.kernels.compat import have_numpy
 from repro.index.base import BatchCounts, NNIndex
+from repro.index.bruteforce import BruteForceIndex
 from repro.index.minhash import MinHashIndex
 from repro.run.config import RunConfig
 from repro.run.context import RunContext
@@ -38,7 +42,23 @@ from repro.verify.parity import nn_signature
 
 needs_numpy = pytest.mark.skipif(not have_numpy(), reason="numpy not installed")
 
-DISTANCES = {"cosine": CosineDistance, "jaccard": TokenJaccardDistance}
+DISTANCES = {
+    "cosine": CosineDistance,
+    "jaccard": TokenJaccardDistance,
+    "edit": EditDistance,
+}
+
+#: The two candidate generators feeding the shared read-off.
+INDEXES = (MinHashIndex, BruteForceIndex)
+
+#: (index, distance) cases of the parity test; bare ids are MinHash's.
+PARITY_CASES = [
+    pytest.param(MinHashIndex, "cosine", id="cosine"),
+    pytest.param(MinHashIndex, "jaccard", id="jaccard"),
+    pytest.param(BruteForceIndex, "cosine", id="bruteforce-cosine"),
+    pytest.param(BruteForceIndex, "jaccard", id="bruteforce-jaccard"),
+    pytest.param(BruteForceIndex, "edit", id="bruteforce-edit"),
+]
 
 #: (k, theta): size, diameter and combined cuts.
 CUTS = [(3, None), (None, 0.5), (3, 0.5)]
@@ -75,8 +95,8 @@ def relations(draw):
     return Relation.from_strings("r", texts)
 
 
-def _built(relation, distance, kernel):
-    index = MinHashIndex()
+def _built(relation, distance, kernel, factory=MinHashIndex):
+    index = factory()
     index.enable_kernel(kernel)
     index.build(relation, DISTANCES[distance]())
     return index
@@ -105,7 +125,7 @@ def _per_record(index, records, k, theta, p=2.0, radius_fn=None, growth=None):
 
 @needs_numpy
 class TestPairDistances:
-    @pytest.mark.parametrize("distance", sorted(DISTANCES))
+    @pytest.mark.parametrize("distance", ["cosine", "jaccard"])
     @settings(max_examples=30, deadline=None)
     @given(relation=relations(), data=st.data())
     def test_bit_identical_to_subset_distances(self, distance, relation, data):
@@ -137,14 +157,18 @@ class TestPairDistances:
 
 @needs_numpy
 class TestBlockedParity:
-    @pytest.mark.parametrize("distance", sorted(DISTANCES))
+    @pytest.mark.parametrize("factory,distance", PARITY_CASES)
     @pytest.mark.parametrize("k,theta", CUTS)
     @settings(max_examples=25, deadline=None)
     @given(relation=relations())
-    def test_equals_per_record_reference(self, distance, k, theta, relation):
-        blocked = _built(relation, distance, "numpy")
-        assert blocked._kernel_rows is not None  # the blocked pass runs
-        reference = _built(relation, distance, "python")
+    def test_equals_per_record_reference(
+        self, factory, distance, k, theta, relation
+    ):
+        blocked = _built(relation, distance, "numpy", factory)
+        assert blocked.kernel_backend == "numpy"  # the blocked pass runs
+        if factory is MinHashIndex:
+            assert blocked._kernel_rows is not None
+        reference = _built(relation, distance, "python", factory)
         records = list(relation)
         assert blocked.phase1_batch(records, k=k, theta=theta) == _per_record(
             reference, records, k, theta
@@ -155,12 +179,15 @@ class TestBlockedParity:
     @given(relation=relations(), p=st.sampled_from([1.5, 2.0, 3.0]))
     def test_custom_radius_fn(self, k, theta, relation, p):
         radius_fn = AffineRadius(p=p, delta=0.05)
-        blocked = _built(relation, "cosine", "numpy")
-        reference = _built(relation, "cosine", "python")
         records = list(relation)
-        assert blocked.phase1_batch(
-            records, k=k, theta=theta, radius_fn=radius_fn
-        ) == _per_record(reference, records, k, theta, radius_fn=radius_fn)
+        for factory in INDEXES:
+            blocked = _built(relation, "cosine", "numpy", factory)
+            reference = _built(relation, "cosine", "python", factory)
+            assert blocked.phase1_batch(
+                records, k=k, theta=theta, radius_fn=radius_fn
+            ) == _per_record(
+                reference, records, k, theta, radius_fn=radius_fn
+            )
 
     @pytest.mark.parametrize("k,theta", CUTS)
     @settings(max_examples=20, deadline=None)
@@ -170,11 +197,12 @@ class TestBlockedParity:
         subset = data.draw(
             st.lists(st.sampled_from(records), min_size=1, unique_by=lambda r: r.rid)
         )
-        blocked = _built(relation, "jaccard", "numpy")
-        reference = _built(relation, "jaccard", "python")
-        assert blocked.phase1_batch(subset, k=k, theta=theta) == _per_record(
-            reference, subset, k, theta
-        )
+        for factory in INDEXES:
+            blocked = _built(relation, "jaccard", "numpy", factory)
+            reference = _built(relation, "jaccard", "python", factory)
+            assert blocked.phase1_batch(
+                subset, k=k, theta=theta
+            ) == _per_record(reference, subset, k, theta)
 
     @pytest.mark.parametrize("k,theta", CUTS)
     def test_batch_larger_than_pair_budget(self, monkeypatch, k, theta):
@@ -199,19 +227,25 @@ class TestBlockedParity:
                 "solo0 only0", "solo1 only1",
             ],
         )
-        blocked = _built(relation, "cosine", "numpy")
-        reference = _built(relation, "cosine", "python")
         records = list(relation)
-        isolated = [r for r in records if not blocked._has_candidates(r)]
-        assert len(isolated) == 2
-        for k, theta in CUTS + [(5, None)]:
-            answers = blocked.phase1_batch(records, k=k, theta=theta)
-            assert answers == _per_record(reference, records, k, theta)
-            by_rid = dict(zip((r.rid for r in records), answers))
-            # nn = 0 between the exact duplicates: both counted.
-            assert by_rid[records[0].rid][1] == 2
-            for record in isolated:
-                assert by_rid[record.rid][1] == 1
+        isolated = records[-2:]
+        for factory in INDEXES:
+            blocked = _built(relation, "cosine", "numpy", factory)
+            reference = _built(relation, "cosine", "python", factory)
+            for k, theta in CUTS + [(5, None)]:
+                answers = blocked.phase1_batch(records, k=k, theta=theta)
+                assert answers == _per_record(reference, records, k, theta)
+                by_rid = dict(zip((r.rid for r in records), answers))
+                # nn = 0 between the exact duplicates: both counted.
+                assert by_rid[records[0].rid][1] == 2
+                for record in isolated:
+                    if factory is MinHashIndex:
+                        # No LSH candidate: its own whole neighborhood.
+                        assert not blocked._has_candidates(record)
+                        assert by_rid[record.rid][1] == 1
+                    else:
+                        # nn = 1 to everyone: the whole relation.
+                        assert by_rid[record.rid][1] == len(records)
 
     def test_size_cut_short_of_k_takes_the_exhaustive_fallback(self):
         relation = Relation.from_strings(

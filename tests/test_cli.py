@@ -214,15 +214,6 @@ class TestVerifyCommand:
 
 
 class TestMoreIndexes:
-    def test_pivot_index_available(self, org_csv):
-        path, _ = org_csv
-        out = io.StringIO()
-        code = main(
-            ["dedup", str(path), "--distance", "jaccard", "--index", "pivot"],
-            out=out,
-        )
-        assert code == 0
-
     def test_minhash_index_available(self, org_csv):
         path, _ = org_csv
         out = io.StringIO()

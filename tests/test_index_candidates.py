@@ -1,18 +1,18 @@
 """Batched candidate generation across the approximate indexes.
 
 The contracts under test, per index (MinHash LSH, q-gram inverted,
-BK-tree, LAESA pivot):
+BK-tree):
 
-- ``knn_batch`` / ``within_batch`` / ``phase1_batch`` are
-  result-identical to per-query calls on a fresh index;
+- ``phase1_batch`` is result-identical to per-query calls on a fresh
+  index;
 - the parallel engine reproduces the sequential NN relation checksum
   for any worker count;
 - Phase-1 ``evaluations`` strictly drop vs. the brute-force baseline,
   and the new pruning counters (``candidates_generated`` /
   ``evaluations_pruned`` / per-index attribution) are filled;
 - the MinHash index signs and buckets records exactly once per build;
-- the per-query path consults a primed pair cache (the recorded
-  ``cache_hit_rate = 0.0`` regression).
+- the per-query path consults a pair cache primed by a batch (the
+  recorded ``cache_hit_rate = 0.0`` regression).
 """
 
 from __future__ import annotations
@@ -28,14 +28,12 @@ from repro.index.bktree import BKTreeIndex
 from repro.index.bruteforce import BruteForceIndex
 from repro.index.inverted import QgramInvertedIndex
 from repro.index.minhash import MinHashIndex
-from repro.index.pivot import PivotIndex
 from repro.parallel.engine import ParallelNNEngine
 
 APPROX_FACTORIES = [
     ("minhash", MinHashIndex),
     ("qgram", QgramInvertedIndex),
     ("bktree", BKTreeIndex),
-    ("pivot", PivotIndex),
 ]
 
 K = 3
@@ -60,20 +58,6 @@ def build(factory, relation):
 
 class TestBatchPerQueryParity:
     """Batch answers must be bit-identical to per-query answers."""
-
-    @pytest.mark.parametrize("name,factory", APPROX_FACTORIES)
-    def test_knn_batch(self, name, factory, relation):
-        records = relation.records
-        got = build(factory, relation).knn_batch(records, K)
-        plain = build(factory, relation)
-        assert got == [plain.knn(record, K) for record in records]
-
-    @pytest.mark.parametrize("name,factory", APPROX_FACTORIES)
-    def test_within_batch(self, name, factory, relation):
-        records = relation.records
-        got = build(factory, relation).within_batch(records, THETA)
-        plain = build(factory, relation)
-        assert got == [plain.within(record, THETA) for record in records]
 
     @pytest.mark.parametrize("name,factory", APPROX_FACTORIES)
     @pytest.mark.parametrize(
@@ -106,7 +90,6 @@ class TestBatchPerQueryParity:
             # once-per-pair bound only holds on the _pair_distance route.
             ("qgram", lambda: QgramInvertedIndex(enable_fast_path=False)),
             ("bktree", BKTreeIndex),
-            ("pivot", PivotIndex),
         ],
     )
     def test_batch_reuses_pairs(self, name, factory, relation):
@@ -232,7 +215,8 @@ class TestMinHashBuildOnce:
 
 
 class TestPerQueryCacheConsultation:
-    """A primed pair cache serves the per-query path (hit-rate regression).
+    """A batch-primed pair cache serves the per-query path (hit-rate
+    regression).
 
     ``BENCH_phase1.json`` once recorded ``cache_hit_rate = 0.0`` for
     every per-query run — correct for a cold index (per-query lookups
@@ -242,7 +226,7 @@ class TestPerQueryCacheConsultation:
 
     def test_primed_cache_serves_per_query_lookups(self, relation):
         index = build(BruteForceIndex, relation)
-        index.prime_pairs(relation.records)
+        index.phase1_batch(relation.records, k=K)
         stats = Phase1Stats()
         prepare_nn_lists(relation, index, PARAMS, order="sequential", stats=stats)
         assert stats.cache_hits > 0

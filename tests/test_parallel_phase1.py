@@ -1,4 +1,4 @@
-"""Tests for the batch query API and the chunked parallel Phase-1 engine.
+"""Tests for the batch scope and the chunked parallel Phase-1 engine.
 
 The headline contract under test: for any worker count, pool kind, or
 chunk size, :class:`ParallelNNEngine` produces an NN relation
@@ -14,17 +14,15 @@ from repro.core.formulation import DEParams
 from repro.core.nn_phase import Phase1Stats, prepare_nn_lists
 from repro.data.loaders import dataset_names, load_dataset
 from repro.distances.cosine import CosineDistance
-from repro.distances.edit import EditDistance
 from repro.eval.bench_phase1 import nn_checksum
-from repro.index.bktree import BKTreeIndex
 from repro.index.bruteforce import BruteForceIndex
 from repro.parallel import Chunk, ParallelNNEngine, plan_chunks
 
 from tests.helpers import absdiff_distance, numbers_relation
 
 
-def build_brute(relation, distance=None, **kwargs):
-    index = BruteForceIndex(**kwargs)
+def build_brute(relation, distance=None):
+    index = BruteForceIndex()
     index.build(relation, distance or absdiff_distance())
     return index
 
@@ -63,35 +61,24 @@ class TestPlanChunks:
 
 
 class TestBatchQueries:
-    """knn_batch / within_batch match their per-query counterparts."""
+    """The scalar ``phase1_batch`` scope: each pair evaluated once."""
 
     def setup_method(self):
         self.relation = numbers_relation([0, 1, 3, 7, 8, 9, 20, 21])
         self.records = self.relation.records
 
-    def test_knn_batch_matches_per_query(self):
-        batch_index = build_brute(self.relation)
-        plain_index = build_brute(self.relation)
-        got = batch_index.knn_batch(self.records, 3)
-        want = [plain_index.knn(r, 3) for r in self.records]
-        assert got == want
-
-    def test_within_batch_matches_per_query(self):
-        batch_index = build_brute(self.relation)
-        plain_index = build_brute(self.relation)
-        got = batch_index.within_batch(self.records, 0.005)
-        want = [plain_index.within(r, 0.005) for r in self.records]
-        assert got == want
-
     def test_batch_on_subset_of_relation(self):
         index = build_brute(self.relation)
         subset = self.records[2:5]
-        assert index.knn_batch(subset, 2) == [index.knn(r, 2) for r in subset]
+        assert index.phase1_batch(subset, k=2) == [
+            (index.knn(r, 2), index.neighborhood_growth(r)) for r in subset
+        ]
 
     def test_batch_halves_evaluations(self):
-        # A whole-relation batch evaluates each unordered pair once.
+        # A whole-relation batch evaluates each unordered pair once,
+        # NG range counts included.
         index = build_brute(self.relation)
-        index.knn_batch(self.records, 3)
+        index.phase1_batch(self.records, k=3)
         n = len(self.records)
         assert index.evaluations == n * (n - 1) // 2
 
@@ -99,29 +86,12 @@ class TestBatchQueries:
         index = build_brute(self.relation)
         index.knn(self.records[0], 3)
         assert len(index._pair_cache) == 0
-        index.knn_batch(self.records, 3)
+        index.phase1_batch(self.records, k=3)
         filled = len(index._pair_cache)
         assert filled > 0
         index.knn(self.records[0], 3)  # served from cache
         assert len(index._pair_cache) == filled
         assert index.cache_hits > 0
-
-    def test_default_fallback_on_other_indexes(self):
-        # BKTree inherits the sequential default implementations.
-        index = BKTreeIndex()
-        index.build(self.relation, EditDistance())
-        assert index.knn_batch(self.records, 2) == [
-            index.knn(r, 2) for r in self.records
-        ]
-        assert index.within_batch(self.records, 0.4) == [
-            index.within(r, 0.4) for r in self.records
-        ]
-
-    def test_cacheless_index_falls_back(self):
-        index = build_brute(self.relation, cache_pairs=False)
-        plain = build_brute(self.relation)
-        assert index.knn_batch(self.records, 3) == plain.knn_batch(self.records, 3)
-        assert len(index._pair_cache) == 0
 
 
 class TestPhase1Batch:
@@ -184,9 +154,6 @@ class TestPhase1Batch:
         index = build_brute(self.relation)
         with pytest.raises(ValueError, match="k, theta, or both"):
             index.phase1_batch(self.records)
-        cacheless = build_brute(self.relation, cache_pairs=False)
-        with pytest.raises(ValueError, match="k, theta, or both"):
-            cacheless.phase1_batch(self.records)
 
 
 class TestEngineParity:
@@ -359,38 +326,13 @@ class TestPrepareNNListsDelegation:
 
 
 class TestBoundedPairCache:
-    def test_eviction_bounds_cache(self):
-        relation = numbers_relation(list(range(20)))
-        index = build_brute(relation, max_cache_entries=10)
-        index.knn_batch(relation.records, 3)
-        assert len(index._pair_cache) <= 10
-        assert index.cache_evictions > 0
-
-    def test_eviction_does_not_change_results(self):
-        relation = numbers_relation(list(range(20)))
-        bounded = build_brute(relation, max_cache_entries=5)
-        unbounded = build_brute(relation)
-        params = DEParams.size(3, c=4.0)
-        assert nn_checksum(
-            ParallelNNEngine(n_workers=2).run(relation, bounded, params)
-        ) == nn_checksum(
-            ParallelNNEngine(n_workers=2).run(relation, unbounded, params)
-        )
-
-    def test_invalid_bound_rejected(self):
-        with pytest.raises(ValueError, match="max_cache_entries"):
-            BruteForceIndex(max_cache_entries=0)
+    """The pair cache and its counters live for one build."""
 
     def test_build_resets_cache_counters(self):
         relation = numbers_relation([1, 2, 3, 4])
         index = build_brute(relation)
-        index.knn_batch(relation.records, 2)
+        index.phase1_batch(relation.records, k=2)
         assert index.cache_misses > 0
         index.build(relation, absdiff_distance())
         assert len(index._pair_cache) == 0
-        assert (index.cache_hits, index.cache_misses, index.cache_evictions) == (
-            0,
-            0,
-            0,
-        )
-        assert index.cache_hit_rate == 0.0
+        assert (index.cache_hits, index.cache_misses) == (0, 0)
