@@ -99,9 +99,10 @@ def _add_constraint_flags(parser: argparse.ArgumentParser) -> None:
         default="postprocess",
         help="where constraints are discharged: split groups after "
              "partitioning (postprocess, the paper's section 4.5), "
-             "filter CSPairs at join time (inline), or plan the run "
-             "from the hard constraints' blocks (pushdown); every "
-             "mode emits zero constraint-violating groups",
+             "filter CSPairs at join time (inline), or restrict Phase 1 "
+             "to pairs inside one hard-constraint block (pushdown; every "
+             "same-block pair is scored exactly, so --index has no "
+             "effect); every mode emits zero constraint-violating groups",
     )
 
 
@@ -721,8 +722,10 @@ def _cmd_dedup(args: argparse.Namespace, out) -> int:
             if stats.cache_bypassed
             else f"cache hit rate {stats.cache_hit_rate:.2f}"
         )
+        # Pushdown answers through its block index, whatever --index is.
+        index = "blocks" if result.stats.constraint_plan else args.index
         print(
-            f"phase 1 [{args.index}]: {stats.lookups} lookups in "
+            f"phase 1 [{index}]: {stats.lookups} lookups in "
             f"{stats.seconds:.2f}s ({stats.throughput:.0f}/s), "
             f"{stats.evaluations} distance evaluations, "
             f"{stats.kernel_evaluations} kernel evaluations "

@@ -59,7 +59,6 @@ __all__ = [
     "hard_constraints",
     "parse_day",
     "plan_blocks",
-    "residual_constraints",
     "validate_constraints",
 ]
 
@@ -204,18 +203,6 @@ def hard_constraints(
 ) -> tuple[Constraint, ...]:
     """The constraints eligible to drive pushdown block planning."""
     return tuple(c for c in constraints if c.hard)
-
-
-def residual_constraints(
-    constraints: Iterable[Constraint],
-) -> tuple[Constraint, ...]:
-    """The constraints that must still filter pairs *inside* a block.
-
-    ``BlockKey`` is fully discharged by blocking (equal keys by
-    construction); everything else — soft constraints and time windows,
-    whose gap blocks over-admit chained records — remains pairwise.
-    """
-    return tuple(c for c in constraints if not isinstance(c, BlockKey))
 
 
 class PairFilter:

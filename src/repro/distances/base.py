@@ -229,10 +229,11 @@ class FrozenDistance(DistanceFunction):
 
     Two consumers rely on pinning corpus statistics this way: the
     incremental-parity batch reference (parity is defined against the
-    statistics the online session actually used), and constraint-
-    pushdown block workers (every block must measure distances under
-    the *global* corpus statistics, or block-local IDF weights would
-    make pushdown and postprocess answers diverge).
+    statistics the online session actually used), and the standalone
+    per-block reference of constraint pushdown's block-parity check
+    (each block must measure distances under the *global* corpus
+    statistics pushdown used, or block-local IDF weights would make
+    the two answers diverge).
     """
 
     def __init__(self, inner: DistanceFunction):

@@ -160,13 +160,27 @@ class EditKernel(DistanceKernel):
             out[r, :] = self._row(self._row_of[rid])
         return out
 
-    def pairs(self, query_rid: int, rids: Sequence[int]) -> list[float]:
-        query = self._texts[self._row_of[query_rid]]
-        peq = _build_peq(query)
+    def pair_distances(self, rows_a, rows_b):
+        """Distances of aligned row pairs ``(rows_a[p], rows_b[p])``,
+        equal to ``block`` in both directions (Levenshtein and ``raw /
+        max(len)`` are exactly symmetric); a run of pairs sharing
+        ``rows_a[p]`` builds its match masks once."""
+        np = self._np
         texts = self._texts
-        row_of = self._row_of
-        out = [_normalized(query, peq, texts[row_of[rid]]) for rid in rids]
+        out = []
+        last = None
+        for a, b in zip(np.asarray(rows_a).tolist(), np.asarray(rows_b).tolist()):
+            if a != last:
+                last, query = a, texts[a]
+                peq = _build_peq(query)
+            out.append(_normalized(query, peq, texts[b]))
         with self._lock:
-            self.evaluations += len(rids)
-        return out
+            self.evaluations += len(out)
+        return np.array(out, dtype=np.float64)
+
+    def pairs(self, query_rid: int, rids: Sequence[int]) -> list[float]:
+        row_of = self._row_of
+        return self.pair_distances(
+            [row_of[query_rid]] * len(rids), [row_of[rid] for rid in rids]
+        ).tolist()
 

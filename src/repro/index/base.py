@@ -47,7 +47,14 @@ from typing import Callable, Iterator, Sequence
 from repro.data.schema import Record, Relation
 from repro.distances.base import DistanceFunction
 
-__all__ = ["BatchCounts", "Neighbor", "NNIndex", "cut_neighbors", "read_off"]
+__all__ = [
+    "BatchCounts",
+    "Neighbor",
+    "NNIndex",
+    "cut_neighbors",
+    "read_off",
+    "score_pairs",
+]
 
 #: The work counters every index keeps, in ``BatchCounts`` field order.
 _COUNTERS = (
@@ -524,6 +531,23 @@ def cut_neighbors(
         ]
     ranked = sorted(hits) if k is None else heapq.nsmallest(k, hits)
     return [Neighbor(d, rid) for d, rid in ranked]
+
+
+def score_pairs(np, kernel, kernel_rows, query, other, n: int):
+    """Distances of the entries ``(query[i], other[i])`` (relation rows,
+    ``n`` in all), each unordered pair scored once: pairs listed from
+    both endpoints share one ``kernel.pair_distances`` evaluation,
+    mirrored back onto every entry.  Returns the distances and the
+    number of pairs scored."""
+    pairs, inverse = np.unique(
+        np.minimum(query, other) * n + np.maximum(query, other),
+        return_inverse=True,
+    )
+    low = pairs // n
+    distances = kernel.pair_distances(
+        kernel_rows[low], kernel_rows[pairs - low * n]
+    )
+    return distances[inverse], len(pairs)
 
 
 def read_off(

@@ -32,7 +32,6 @@ from repro.index.base import (
     BatchCounts,
     Neighbor,
     NNIndex,
-    cut_neighbors,
     read_off,
 )
 
@@ -125,16 +124,9 @@ class BruteForceIndex(NNIndex):
         self._credit_substage("verify", time.perf_counter() - started)
         return answers
 
-    def _scan(self, record: Record) -> tuple[list[float], list[int]]:
-        """Scalar distances from ``record`` to every other record."""
+    def _others(self, record: Record) -> list[int]:
         relation, _ = self._checked()
-        distances: list[float] = []
-        rids: list[int] = []
-        for other in relation:
-            if other.rid != record.rid:
-                distances.append(self._pair_distance(record, other))
-                rids.append(other.rid)
-        return distances, rids
+        return [other.rid for other in relation if other.rid != record.rid]
 
     def knn(self, record: Record, k: int) -> list[Neighbor]:
         self._checked()
@@ -143,8 +135,7 @@ class BruteForceIndex(NNIndex):
         kernel = self._usable_kernel((record,))
         if kernel is not None:
             return self._read_block(kernel, [record.rid], k, None)[0][0]
-        distances, rids = self._scan(record)
-        return cut_neighbors(distances, rids, k=k)
+        return self._verify_cut(record, self._others(record), k=k)
 
     def within(
         self, record: Record, radius: float, inclusive: bool = False
@@ -156,8 +147,9 @@ class BruteForceIndex(NNIndex):
                 # ``d <= r`` is ``d < nextafter(r, inf)`` on floats.
                 radius = math.nextafter(radius, math.inf)
             return self._read_block(kernel, [record.rid], None, radius)[0][0]
-        distances, rids = self._scan(record)
-        return cut_neighbors(distances, rids, radius=radius, inclusive=inclusive)
+        return self._verify_cut(
+            record, self._others(record), radius=radius, inclusive=inclusive
+        )
 
     def phase1_batch(
         self,

@@ -25,6 +25,7 @@ the configuration the Figure 8 (BF ordering) benchmark measures.
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 
 from repro.data.schema import Record
@@ -37,6 +38,12 @@ from repro.index.cache import PagedPostingStore
 from repro.storage.buffer import BufferPool
 
 __all__ = ["QgramInvertedIndex"]
+
+
+def _most_shared(counts: Counter[int], budget: int) -> list[tuple[int, int]]:
+    """The ``budget`` candidates sharing the most q-grams, ties by rid
+    (``most_common`` ties follow the hash order of q-gram sets)."""
+    return heapq.nsmallest(budget, counts.items(), key=lambda c: (-c[1], c[0]))
 
 
 class QgramInvertedIndex(NNIndex):
@@ -68,7 +75,7 @@ class QgramInvertedIndex(NNIndex):
         A6) can measure the unoptimized baseline; leave on otherwise.
     within_budget:
         Cap on the number of candidates verified per ``within`` query
-        (most-shared-grams first).  ``None`` verifies all candidates.
+        (most-shared-grams first, ties by rid).  ``None`` verifies all candidates.
         Range queries power the NG computation; capping them trades a
         slight NG underestimate on very popular strings for linear-time
         behaviour, in the spirit of the paper's probabilistic indexes.
@@ -275,7 +282,7 @@ class QgramInvertedIndex(NNIndex):
             return []
         counts, skipped, n_grams = self._candidates(record)
         budget = max(self.candidate_factor * k, self.min_candidates)
-        ranked = counts.most_common(budget)
+        ranked = _most_shared(counts, budget)
         if len(ranked) < k and self.exhaustive_fallback:
             seen = {rid for rid, _ in ranked}
             seen.add(record.rid)
@@ -310,7 +317,7 @@ class QgramInvertedIndex(NNIndex):
         relation, _ = self._checked()
         counts, skipped, n_grams = self._candidates(record)
         if self.within_budget is not None:
-            candidates = counts.most_common(self.within_budget)
+            candidates = _most_shared(counts, self.within_budget)
         else:
             candidates = list(counts.items())
         self._account_candidates(record, len(candidates))

@@ -56,7 +56,7 @@ import time
 from repro.data.schema import Record
 from repro.distances.kernels.compat import numpy_or_none
 from repro.distances.tokens import qgrams, tokenize
-from repro.index.base import BatchCounts, Neighbor, NNIndex, read_off
+from repro.index.base import BatchCounts, Neighbor, NNIndex, read_off, score_pairs
 from repro.index.signatures import (
     RelationSignatures,
     SignatureFactory,
@@ -242,18 +242,20 @@ class MinHashIndex(NNIndex):
     def _resolve_kernel(self) -> None:
         super()._resolve_kernel()
         self._kernel_rows = None
-        kernel = self._kernel
         rids = self._rid_array
-        if (
-            hasattr(kernel, "pair_distances")
-            and self._row_bucket_ids is not None
-            and rids is not None
-            and len(rids)
-        ):
-            # Any indexed rid serves as the query of the bulk mapping.
-            resolved = kernel.resolve_rows(int(rids[0]), rids)
-            if resolved is not None:
-                self._kernel_rows = resolved[1]
+        if self._row_bucket_ids is not None and rids is not None and len(rids):
+            self._kernel_rows = self._map_kernel_rows(self._kernel, rids)
+
+    def _map_kernel_rows(self, kernel, rids):
+        """The kernel row of each relation rid, or ``None`` when the
+        blocked pass cannot run: it needs a kernel with a columnar row
+        layout (cosine, Jaccard), which also ranks the size-cut
+        exhaustive fallback through ``pairs_array``."""
+        if not hasattr(kernel, "resolve_rows"):
+            return None
+        # Any indexed rid serves as the query of the bulk mapping.
+        resolved = kernel.resolve_rows(int(rids[0]), rids)
+        return None if resolved is None else resolved[1]
 
     def relation_signatures(self) -> RelationSignatures | None:
         """The build's signature batch, shareable with shard planning.
@@ -486,21 +488,14 @@ class MinHashIndex(NNIndex):
         keys = np.unique(slot[mine] * n + other[mine])
         slot = keys // n
         other = keys - slot * n
-        # Each unordered pair once, even when both endpoints are queries.
-        query = rows[slot]
-        low = np.minimum(query, other)
-        pairs, inverse = np.unique(
-            low * n + np.maximum(query, other), return_inverse=True
-        )
         verify_started = time.perf_counter()
         own.add_seconds("candidates", verify_started - started)
 
-        # 2. Score every pair once.
-        pair_low = pairs // n
-        kernel_rows = self._kernel_rows
-        distance = self._kernel.pair_distances(
-            kernel_rows[pair_low], kernel_rows[pairs - pair_low * n]
-        )[inverse]
+        # 2. Score each unordered pair once, even when both endpoints
+        #    are queries.
+        distance, n_pairs = score_pairs(
+            np, self._kernel, self._kernel_rows, rows[slot], other, n
+        )
         other_rid = self._rid_array[other]
         counted = None
         fallback_pairs = 0
@@ -538,7 +533,7 @@ class MinHashIndex(NNIndex):
         generated = len(keys) + fallback_pairs
         own.candidates_generated += generated
         own.evaluations_pruned += n_queries * (n - 1) - generated
-        own.kernel_evaluations += len(pairs) + fallback_pairs
+        own.kernel_evaluations += n_pairs + fallback_pairs
         own.add_seconds("verify", time.perf_counter() - verify_started)
         return answers
 

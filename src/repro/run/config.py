@@ -43,9 +43,8 @@ VERIFY_MODES = (False, True, "report", "strict")
 #: Accepted values of :attr:`RunConfig.constraint_mode`:
 #: ``postprocess`` is the paper-exact reference (constraints split
 #: groups after partitioning); ``pushdown`` turns hard constraints into
-#: planning blocks, each solved by a full block-local pipeline;
-#: ``inline`` filters candidate pairs during the CSPairs join without
-#: re-planning (it is also the mode block workers execute under).
+#: blocks and restricts Phase 1 to same-block pairs; ``inline`` filters
+#: candidate pairs during the CSPairs join without re-planning.
 CONSTRAINT_MODES = ("postprocess", "pushdown", "inline")
 
 _ORDERS = ("bf", "random", "sequential")

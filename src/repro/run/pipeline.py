@@ -62,20 +62,21 @@ class StagedPipeline:
         CSPairs join.  With ``shards > 1`` the whole Phase-1/Phase-2
         program runs once per shard inside :class:`ShardStage` (each
         shard with its own engine budget), so the top level is just
-        shard → merge → postprocess.  Constraint pushdown has the same
-        shape with hard-constraint blocks in place of LSH shards:
-        constraint → merge → postprocess (block workers run in inline
-        mode, which is also why ``from_nn`` runs fall back to inline —
-        there is no Phase 1 left to push the blocking into).
+        shard → merge → postprocess.  Constraint pushdown puts
+        :class:`ConstraintStage` ahead of Phase 1: constraint → phase1
+        → [spill] → cspairs → partition → postprocess, one Phase 1 and
+        one Phase 2 over the whole relation with the candidates
+        restricted to block mates.  A ``from_nn`` run has no Phase 1
+        to restrict, so pushdown there discharges its constraints
+        inline.
         """
         config = self.context.config
-        pushdown = config.constraint_mode == "pushdown" and config.constraints
-        if not from_nn and pushdown:
-            return [ConstraintStage(), MergeStage(), PostprocessStage()]
         if not from_nn and config.shards > 1:
             return [ShardStage(), MergeStage(), PostprocessStage()]
         stages: list[Stage] = []
         if not from_nn:
+            if config.constraint_mode == "pushdown" and config.constraints:
+                stages.append(ConstraintStage())
             stages.append(Phase1Stage())
         if self.context.engine is not None:
             stages.append(SpillStage())
@@ -89,7 +90,10 @@ class StagedPipeline:
     def run(self, relation: Relation, params: DEParams) -> DEResult:
         """Solve the DE instance over ``relation`` end to end."""
         state = RunState(
-            relation=relation, params=params, stats=self.context.new_stats()
+            relation=relation,
+            params=params,
+            stats=self.context.new_stats(),
+            index=self.context.index,
         )
         return self._execute(state, self.stages())
 
@@ -101,6 +105,7 @@ class StagedPipeline:
             relation=relation,
             params=params,
             stats=self.context.new_stats(),
+            index=self.context.index,
             nn_relation=nn_relation,
         )
         return self._execute(state, self.stages(from_nn=True))
@@ -124,7 +129,7 @@ class StagedPipeline:
             stats.record_stage(stage.name, time.perf_counter() - started)
         # Recorded after the stages ran: Phase1Stage builds the index,
         # which is when the kernel mode resolves to a backend.
-        stats.kernel_backend = getattr(ctx.index, "kernel_backend", "python")
+        stats.kernel_backend = getattr(state.index, "kernel_backend", "python")
 
         if cache is not None:
             stats.distance_cache_calls = cache.calls - calls_before

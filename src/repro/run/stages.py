@@ -2,6 +2,8 @@
 
 The DE pipeline is a short program over a mutable :class:`RunState`:
 
+- :class:`ConstraintStage` — under constraint pushdown, plan the
+  hard-constraint blocks and restrict Phase 1 to same-block pairs;
 - :class:`Phase1Stage` — build the NN index and (unless spilling)
   materialize the NN relation in memory;
 - :class:`SpillStage` — materialize ``NN_Reln`` into a storage-engine
@@ -46,6 +48,8 @@ from repro.core.partitioner import partition_records
 from repro.core.predicates import apply_constraining_predicate
 from repro.core.result import Partition
 from repro.data.schema import Relation
+from repro.index.base import NNIndex
+from repro.index.blocks import BlockIndex
 from repro.parallel.engine import ParallelNNEngine
 from repro.run.context import RunContext
 from repro.run.spill import SpilledNNRelation
@@ -80,6 +84,10 @@ class RunState:
     relation: Relation
     params: DEParams
     stats: RunStats
+    #: The index Phase 1 builds and queries.  The pipeline starts every
+    #: run with the context's; pushdown's constraint stage puts its
+    #: block index in place.
+    index: NNIndex | None = None
     nn_relation: NNRelation | None = None
     nn_table: HeapTable | None = None
     cs_pairs: "list[CSPair] | None" = None
@@ -121,14 +129,15 @@ class Phase1Stage:
         # Build-side sub-stage timers (tokenize/sign/bucket) accrue on
         # the index during build; lookup drivers capture their own
         # deltas afterwards, so harvesting here never double-counts.
-        before = _substage_snapshot(ctx.index)
-        ctx.index.build(state.relation, ctx.distance)
-        state.stats.phase1.add_substages(_substage_delta(ctx.index, before))
+        index = state.index
+        before = _substage_snapshot(index)
+        index.build(state.relation, ctx.distance)
+        state.stats.phase1.add_substages(_substage_delta(index, before))
         if config.spill:
             return
         state.nn_relation = prepare_nn_lists(
             state.relation,
-            ctx.index,
+            index,
             state.params,
             order=config.order,  # type: ignore[arg-type]
             order_seed=config.order_seed,
@@ -181,7 +190,7 @@ class SpillStage:
         previous = None
         for chunk in parallel.iter_chunk_results(
             state.relation,
-            ctx.index,
+            state.index,
             state.params,
             order=config.order,
             order_seed=config.order_seed,
@@ -232,10 +241,11 @@ class CSPairsStage:
         keep = config.keep_cs_pairs or bool(config.verify)
         pair_filter = None
         if config.constraints and config.constraint_mode in ("inline", "pushdown"):
-            # Inline (and pushdown block-worker) runs discharge the
-            # constraints where pairs are born: a filtered pair never
-            # reaches partitioning.  Postprocess mode leaves the join
-            # untouched — it is the paper-exact reference.
+            # Inline and pushdown runs discharge the constraints where
+            # pairs are born: a filtered pair never reaches partitioning
+            # (under pushdown only the residual constraints can still
+            # forbid a same-block pair).  Postprocess mode leaves the
+            # join untouched — it is the paper-exact reference.
             from repro.core.constraints import PairFilter, RelationPairFilter
 
             pair_filter = RelationPairFilter(
@@ -373,35 +383,27 @@ class ShardStage:
 
 
 def _aggregate_phase1(phase1, outcomes) -> None:
-    """Sum per-shard (or per-block) Phase-1 counters into ``phase1``."""
+    """Sum per-shard Phase-1 counters into ``phase1``."""
     for outcome in outcomes:
-        counters = outcome.phase1
-        phase1.lookups += counters.get("lookups", 0)
-        phase1.seconds += counters.get("seconds", 0.0)
-        phase1.evaluations += counters.get("evaluations", 0)
-        phase1.cache_hits += counters.get("cache_hits", 0)
-        phase1.cache_misses += counters.get("cache_misses", 0)
-        phase1.candidates_generated += counters.get("candidates_generated", 0)
-        phase1.evaluations_pruned += counters.get("evaluations_pruned", 0)
-        phase1.kernel_evaluations += counters.get("kernel_evaluations", 0)
-        phase1.add_substages(counters.get("substage_seconds"))
+        counters = dict(outcome.phase1)
+        phase1.add_substages(counters.pop("substage_seconds", None))
+        for name, value in counters.items():
+            setattr(phase1, name, getattr(phase1, name) + value)
 
 
 class ConstraintStage:
-    """Plan hard-constraint blocks and run the pipeline once per block.
+    """Plan hard-constraint blocks and restrict Phase 1 to them.
 
     The pushdown mode's planner stage: hard constraints (``BlockKey``,
     hard ``TimeWindow``) partition the relation into equivalence-class
-    blocks (:func:`~repro.shard.plan.plan_constraint_blocks`), and each
-    multi-record block runs the *full* Phase-1/Phase-2 program over its
-    own sub-relation on the shard runner
-    (:meth:`~repro.shard.runner.ShardRunner.run_blocks`).  Distances
-    are prepared once, globally, before any block runs — block workers
-    wrap the prepared distance in
-    :class:`~repro.distances.base.FrozenDistance` so every block
-    measures under the full-corpus statistics, exactly like an
-    unblocked run.  Singleton blocks are never executed; the merge
-    stage closes them as singleton groups.
+    blocks (:func:`~repro.shard.plan.plan_constraint_blocks`), and no
+    pair across two blocks can be a duplicate.  The stage hands the
+    blocks to a :class:`~repro.index.blocks.BlockIndex`, which replaces
+    the configured index for this run: the ordinary Phase 1 and Phase 2
+    then run once over the whole relation, and each record's candidates
+    are exactly its block mates, every one scored.  Residual constraints
+    (soft predicates, pairwise time windows) are discharged inline, at
+    the join and in the final split.
     """
 
     name = "constraint"
@@ -409,20 +411,12 @@ class ConstraintStage:
     def run(self, ctx: RunContext, state: RunState) -> None:
         # Imported lazily: repro.shard depends on the run modules.
         from repro.shard.plan import plan_constraint_blocks
-        from repro.shard.runner import ShardRunner
 
-        config = ctx.config
-        ctx.distance.prepare(state.relation)
-        plan = plan_constraint_blocks(state.relation, config.constraints)
-        outcomes = ShardRunner(ctx).run_blocks(
-            state.relation, state.params, plan
-        )
-        state.shard_plan = plan
-        state.shard_outcomes = outcomes
-
-        stats = state.stats
+        plan = plan_constraint_blocks(state.relation, ctx.config.constraints)
+        state.index = BlockIndex(plan.members)
+        state.index.enable_kernel(ctx.config.kernel)
         sizes = [len(members) for members in plan.members]
-        stats.constraint_plan = {
+        state.stats.constraint_plan = {
             "mode": "pushdown",
             "n_blocks": plan.n_shards,
             "n_multi_blocks": sum(1 for size in sizes if size >= 2),
@@ -430,8 +424,6 @@ class ConstraintStage:
             "n_candidate_pairs": plan.n_candidate_pairs,
             "n_coresident_pairs": plan.n_coresident_pairs,
         }
-        stats.shard_runs = [outcome.summary() for outcome in outcomes]
-        _aggregate_phase1(stats.phase1, outcomes)
 
 
 class MergeStage:
@@ -485,9 +477,9 @@ class VerifyStage:
             or bool(config.constraints)
         )
         if config.constraints and config.constraint_mode == "pushdown":
-            # Per-block Phase 1 makes the global NN lists intentionally
-            # different from an unblocked run; inline mode keeps Phase 1
-            # global, so nn-parity still holds there.
+            # Phase 1 restricted to block mates makes the NN lists
+            # intentionally different from an unrestricted run; inline
+            # mode keeps Phase 1 global, so nn-parity still holds there.
             checks: tuple[str, ...] | None = ("partition", "cut-spec")
         elif postprocessed:
             checks = ("partition", "cut-spec", "nn-parity")

@@ -24,6 +24,12 @@ per-shard :class:`ShardOutcome` payloads by running the existing
 
 Worker payloads are plain tuples/dicts so both pool kinds work
 unchanged.
+
+:meth:`ShardRunner.run_blocks` is not part of any run: it is the
+standalone per-block reference that constraint pushdown's block-parity
+check compares against (pushdown itself runs one restricted Phase 1
+over the whole relation, see :class:`~repro.run.stages
+.ConstraintStage`).
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any
 
 from repro.core.formulation import DEParams
 from repro.core.neighborhood import entry_to_row
@@ -180,87 +186,6 @@ def _run_shard(task) -> ShardOutcome:
     )
 
 
-def _run_block(task) -> ShardOutcome:
-    """Execute one constraint block end to end (runs inside a worker).
-
-    Unlike :func:`_run_shard`, a constraint block is *closed*: hard
-    constraints guarantee no cross-block pair can ever be a duplicate,
-    so the block runs the full Phase-1/Phase-2 program over its own
-    sub-relation with a private index.  The distance arrives already
-    prepared on the full corpus and is wrapped in
-    :class:`~repro.distances.base.FrozenDistance` so the block-local
-    ``index.build`` cannot re-fit statistics to the block.  Residual
-    constraints (soft predicates, pairwise time windows) run in inline
-    mode inside the block — filtered at the join, split after
-    partitioning.
-    """
-    shard_id, sub_relation, params, config, radius_fn, distance = task
-
-    started = time.perf_counter()
-    worker_config = config.replace(
-        shards=1,
-        shards_in_flight=None,
-        n_workers=1,
-        verify=False,
-        keep_cs_pairs=True,
-        minimal=False,
-        constraint_mode="inline",
-    )
-    engine = None
-    if worker_config.use_engine:
-        engine = Engine(
-            buffer_pages=worker_config.buffer_pages,
-            page_capacity=worker_config.page_capacity,
-        )
-    from repro.distances.base import FrozenDistance
-    from repro.run.registry import make_index
-
-    index = make_index(worker_config.index)
-    ctx = RunContext(
-        worker_config,
-        FrozenDistance(distance),
-        index,
-        engine=engine,
-        radius_fn=radius_fn,
-    )
-    result = StagedPipeline(ctx).run(sub_relation, params)
-    stats = ctx.last_stats
-    assert stats is not None and result.cs_pairs is not None
-
-    buffer = None
-    if stats.buffer is not None:
-        buffer = {
-            "pages": worker_config.buffer_pages,
-            "hits": stats.buffer.hits,
-            "misses": stats.buffer.misses,
-            "evictions": stats.buffer.evictions,
-        }
-    return ShardOutcome(
-        shard_id=shard_id,
-        n_members=len(sub_relation),
-        nn_rows=[entry_to_row(entry) for entry in result.nn_relation],
-        cs_rows=[
-            (pair.id1, pair.id2, pair.ng1, pair.ng2, pair.flags)
-            for pair in result.cs_pairs
-        ],
-        groups=[list(group) for group in result.partition.non_trivial_groups()],
-        seconds=time.perf_counter() - started,
-        stage_seconds={
-            timing.stage: stats.stage_seconds(timing.stage)
-            for timing in stats.timings
-        },
-        phase1={
-            **{
-                name: getattr(stats.phase1, name)
-                for name in _PHASE1_COUNTERS
-            },
-            "substage_seconds": dict(stats.phase1.substage_seconds),
-        },
-        buffer=buffer,
-        n_cs_pairs=stats.n_cs_pairs,
-    )
-
-
 class ShardRunner:
     """Run the staged pipeline once per shard, bounded shards in flight."""
 
@@ -314,40 +239,38 @@ class ShardRunner:
         relation: Relation,
         params: DEParams,
         plan: ShardPlan,
-    ) -> list[ShardOutcome]:
-        """Execute every multi-record block of a constraint plan.
+    ) -> list[list[list[int]]]:
+        """The standalone per-block reference of constraint pushdown.
 
-        Singleton blocks are skipped — they cannot contain a duplicate
-        pair, and the merge's singleton closure emits them as trivial
-        groups — which is exactly where pushdown's work saving comes
-        from.  Parallelism is bounded by ``config.n_workers`` (under
-        pushdown the config's ``shards`` knob is 1, so the
-        ``shards_in_flight`` cap does not apply).  The context's
-        distance must already be prepared on the full relation.
+        Solves each multi-record block of ``plan`` alone: the whole
+        pipeline over its sub-relation, brute force whatever index the
+        config names, constraints inline, one worker, no engine, and a
+        :class:`~repro.distances.base.FrozenDistance` of the context's
+        distance (already prepared on the full relation).  Returns each
+        plan block's non-trivial groups (none for a singleton block).
         """
-        config: RunConfig = self.context.config
-        tasks = [
-            (
-                shard_id,
-                relation.subset(list(members)),
-                params,
-                config,
-                self.context.radius_fn,
-                self.context.distance,
+        from repro.distances.base import FrozenDistance
+        from repro.index.bruteforce import BruteForceIndex
+
+        config = self.context.config.replace(
+            n_workers=1, verify=False, minimal=False, use_engine=False,
+            spill=False, constraint_mode="inline",
+        )
+        distance = FrozenDistance(self.context.distance)
+        groups: list[list[list[int]]] = []
+        for members in plan.members:
+            if len(members) < 2:
+                groups.append([])
+                continue
+            ctx = RunContext(
+                config, distance, BruteForceIndex(),
+                radius_fn=self.context.radius_fn,
             )
-            for shard_id, members in enumerate(plan.members)
-            if len(members) >= 2
-        ]
-        in_flight = max(1, min(config.n_workers, max(1, len(tasks))))
-        if in_flight <= 1 or len(tasks) <= 1:
-            outcomes = [_run_block(task) for task in tasks]
-        elif config.pool == "process":
-            with ProcessPoolExecutor(max_workers=in_flight) as executor:
-                outcomes = list(executor.map(_run_block, tasks))
-        else:
-            with ThreadPoolExecutor(max_workers=in_flight) as executor:
-                outcomes = list(executor.map(_run_block, tasks))
-        return sorted(outcomes, key=lambda outcome: outcome.shard_id)
+            result = StagedPipeline(ctx).run(relation.subset(members), params)
+            groups.append(
+                [list(group) for group in result.partition.non_trivial_groups()]
+            )
+        return groups
 
     @staticmethod
     def effective_in_flight(config: RunConfig, n_shards: int) -> int:
@@ -355,9 +278,3 @@ class ShardRunner:
         in_flight = config.shards_in_flight or n_shards
         return max(1, min(in_flight, n_shards))
 
-
-def run_shard_sequence(
-    tasks: Sequence[tuple],
-) -> list[ShardOutcome]:  # pragma: no cover - debugging helper
-    """Run prepared shard tasks sequentially (no pool); test hook."""
-    return [_run_shard(task) for task in tasks]

@@ -10,7 +10,8 @@ Two guarantees turn into machine-checkable results here:
 - ``constraint-block-parity`` — each multi-record pushdown block's
   groups are bit-identical to running the pipeline over that block
   alone.  This is the pushdown *planning* contract: hard constraints
-  really do close the blocks, so blocking changes cost, not answers.
+  really do close the blocks, so restricting Phase 1 to block mates
+  changes cost, not answers.
 
 Used by :class:`~repro.run.stages.VerifyStage` (the first check rides
 along on every ``--verify`` run with constraints), the test suite, and
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core.constraints import Constraint, PairFilter, plan_blocks
+from repro.core.constraints import Constraint, PairFilter
 from repro.core.formulation import DEParams
 from repro.core.result import Partition
 from repro.data.schema import Relation
@@ -93,20 +94,21 @@ def verify_constraint_blocks(
 ) -> VerificationReport:
     """Prove pushdown blocking is answer-preserving, block by block.
 
-    Runs the pushdown pipeline once, then re-runs the pipeline over
-    each multi-record block's sub-relation alone (inline mode, frozen
-    global distance statistics — the exact block-worker configuration)
-    and requires the pushdown groups inside that block to match the
-    standalone groups exactly.  Also checks the full pushdown output
-    against ``constraint-consistency`` and against the postprocess
-    reference's zero-violation contract.
+    Runs the pushdown pipeline once, then solves each multi-record
+    block's sub-relation alone through the standalone reference
+    (:meth:`~repro.shard.runner.ShardRunner.run_blocks`: brute force,
+    inline mode, frozen global distance statistics) and requires the
+    pushdown groups inside that block to match the standalone groups
+    exactly.  Also checks the full pushdown output against
+    ``constraint-consistency``.  ``index`` has no effect on either
+    side: pushdown scores every same-block pair exactly.
     """
     # Imported lazily: keeps verify importable without run.pipeline.
-    from repro.distances.base import FrozenDistance
     from repro.run.config import RunConfig
     from repro.run.context import RunContext
     from repro.run.pipeline import StagedPipeline
-    from repro.run.registry import make_index
+    from repro.shard.plan import plan_constraint_blocks
+    from repro.shard.runner import ShardRunner
 
     config = RunConfig(
         distance=distance,
@@ -118,19 +120,13 @@ def verify_constraint_blocks(
     ctx = RunContext.create(config)
     pushdown = StagedPipeline(ctx).run(relation, params)
 
-    blocks = [
-        block
-        for block in plan_blocks(relation, config.constraints)
-        if len(block) >= 2
-    ]
+    plan = plan_constraint_blocks(relation, config.constraints)
+    references = ShardRunner(ctx).run_blocks(relation, params, plan)
     violations: list[Violation] = []
     sizes: list[str] = []
-    block_config = config.replace(
-        constraint_mode="inline",
-        n_workers=1,
-        minimal=False,
-    )
-    for block in blocks:
+    for block, standalone in zip(plan.members, references):
+        if len(block) < 2:
+            continue
         sizes.append(str(len(block)))
         members = set(block)
         ours = sorted(
@@ -138,18 +134,7 @@ def verify_constraint_blocks(
             for group in pushdown.partition.non_trivial_groups()
             if members.issuperset(group)
         )
-        block_ctx = RunContext(
-            block_config,
-            FrozenDistance(ctx.distance),
-            make_index(block_config.index),
-        )
-        standalone = StagedPipeline(block_ctx).run(
-            relation.subset(block), params
-        )
-        theirs = sorted(
-            tuple(sorted(group))
-            for group in standalone.partition.non_trivial_groups()
-        )
+        theirs = sorted(tuple(sorted(group)) for group in standalone)
         if ours != theirs:
             violations.append(
                 Violation(
@@ -163,7 +148,7 @@ def verify_constraint_blocks(
             )
     parity = CheckResult.from_violations(
         "constraint-block-parity",
-        checked=len(blocks),
+        checked=len(sizes),
         violations=violations,
         detail=f"block sizes {', '.join(sizes) or 'none'}",
     )

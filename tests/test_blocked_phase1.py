@@ -11,7 +11,9 @@ these tests check against the scalar (``kernel="python"``) index of
 both kinds across cuts, distances, radius functions, exact duplicates,
 isolated records and subset batches; for MinHash also across size-cut
 records short of ``k`` candidates, batches larger than the pair budget,
-and the thread and process pools.
+and the thread and process pools.  ``BlockIndex`` (constraint pushdown)
+scores the same-block pairs of a batch once each and must also equal
+brute force over each block alone.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from repro.distances.edit import EditDistance
 from repro.distances.jaccard import TokenJaccardDistance
 from repro.distances.kernels.compat import have_numpy
 from repro.index.base import BatchCounts, NNIndex
+from repro.index.blocks import BlockIndex
 from repro.index.bruteforce import BruteForceIndex
 from repro.index.minhash import MinHashIndex
 from repro.run.config import RunConfig
@@ -293,6 +296,59 @@ class TestBlockedParity:
         assert counts.candidates_generated == uses == 2 * counts.kernel_evaluations
         assert blocked.kernel_evaluations == counts.kernel_evaluations
         assert counts.evaluations_pruned == len(records) * (len(records) - 1) - uses
+
+
+@needs_numpy
+class TestBlockIndex:
+    """Pushdown's block index: the same read-off over same-block pairs."""
+
+    @staticmethod
+    def blocks(relation, labels):
+        rids = relation.ids()
+        groups = [
+            [rid for rid, label in zip(rids, labels) if label == block]
+            for block in range(4)
+        ]
+        return [group for group in groups if group]
+
+    @pytest.mark.parametrize("distance", sorted(DISTANCES))
+    @pytest.mark.parametrize("k,theta", CUTS)
+    @settings(max_examples=20, deadline=None)
+    @given(relation=relations(), data=st.data())
+    def test_equals_per_record_and_per_block_brute_force(
+        self, distance, k, theta, relation, data
+    ):
+        from repro.distances.base import FrozenDistance
+
+        n = len(relation)
+        blocks = self.blocks(
+            relation,
+            data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
+        )
+        factory = functools.partial(BlockIndex, blocks)
+        blocked = _built(relation, distance, "numpy", factory)
+        reference = _built(relation, distance, "python", factory)
+        records = list(relation)
+        answers = blocked.phase1_batch(records, k=k, theta=theta)
+        assert answers == _per_record(reference, records, k, theta)
+        # Each unordered same-block pair is scored once.
+        assert blocked.kernel_evaluations == sum(
+            len(block) * (len(block) - 1) // 2 for block in blocks
+        )
+        by_rid = dict(zip(relation.ids(), answers))
+        for block in blocks:
+            sub = relation.subset(block)
+            alone = BruteForceIndex()
+            alone.build(sub, FrozenDistance(blocked.distance))
+            assert [by_rid[rid] for rid in block] == _per_record(
+                alone, list(sub), k, theta
+            )
+
+    def test_blocks_must_partition_the_relation(self):
+        relation = Relation.from_strings("r", ["a", "b", "c"])
+        for blocks in ([[0, 1]], [[0, 1], [1, 2]]):
+            with pytest.raises(ValueError, match="partition"):
+                BlockIndex(blocks).build(relation, EditDistance())
 
 
 @needs_numpy

@@ -234,6 +234,56 @@ class TestModes:
         plan = pushdown.stats.constraint_plan
         assert plan["mode"] == "pushdown"
         assert plan["n_blocks"] >= plan["n_multi_blocks"] > 0
+        # Each same-block pair is scored exactly once.
+        assert evals(pushdown) == plan["n_coresident_pairs"]
+
+    def test_pushdown_paths_agree(self, claims):
+        reference = run_claims(claims, constraint_mode="pushdown")
+        spill = run_claims(
+            claims,
+            constraint_mode="pushdown",
+            use_engine=True,
+            spill=True,
+            buffer_pages=8,
+        )
+        threads = run_claims(
+            claims, constraint_mode="pushdown", n_workers=2, pool="thread"
+        )
+        assert spill.partition.checksum() == reference.partition.checksum()
+        assert threads.partition.checksum() == reference.partition.checksum()
+
+    def test_pushdown_kernel_and_scalar_agree(self, claims):
+        auto = run_claims(claims, constraint_mode="pushdown", kernel="auto")
+        scalar = run_claims(claims, constraint_mode="pushdown", kernel="python")
+        assert scalar.stats.kernel_backend == "python"
+        assert auto.partition.checksum() == scalar.partition.checksum()
+
+    def test_pushdown_runs_one_pipeline(self, claims, monkeypatch):
+        from repro.shard.runner import ShardRunner
+
+        config = RunConfig(
+            distance="edit",
+            use_engine=True,
+            constraints=CLAIMS_CONSTRAINTS,
+            constraint_mode="pushdown",
+        )
+        names = [
+            stage.name
+            for stage in StagedPipeline(RunContext.create(config)).stages()
+        ]
+        assert names == [
+            "constraint", "phase1", "spill", "cspairs", "partition",
+            "postprocess",
+        ]
+
+        def no_block_pipelines(*args, **kwargs):
+            raise AssertionError("pushdown ran the per-block reference")
+
+        monkeypatch.setattr(ShardRunner, "run_blocks", no_block_pipelines)
+        result = run_claims(claims, constraint_mode="pushdown")
+        assert [t.stage for t in result.stats.timings] == [
+            name for name in names if name != "spill"
+        ]
 
     def test_inline_filter_counts_drops(self, claims):
         inline = run_claims(claims, constraint_mode="inline")

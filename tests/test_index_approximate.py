@@ -33,6 +33,22 @@ def relation():
     return Relation.from_strings("orgs", NAMES)
 
 
+_QGRAM_ANSWERS = """
+import hashlib
+from repro.data.loaders import load_dataset
+from repro.distances.cosine import CosineDistance
+from repro.index.inverted import QgramInvertedIndex
+relation = load_dataset("org", n_entities=300, duplicate_fraction=0.3).relation
+index = QgramInvertedIndex(max_df=64, within_budget=128)
+index.build(relation, CosineDistance())
+digest = hashlib.sha256()
+for record in relation:
+    digest.update(repr(index.knn(record, 5)).encode())
+    digest.update(repr(index.within(record, 0.4)).encode())
+print(digest.hexdigest())
+"""
+
+
 class TestQgramInverted:
     def test_finds_obvious_duplicates(self, relation):
         idx = QgramInvertedIndex()
@@ -94,6 +110,29 @@ class TestQgramInverted:
             assert [n.rid for n in paged.knn(record, 4)] == [
                 n.rid for n in plain.knn(record, 4)
             ]
+
+    def test_answers_do_not_depend_on_the_hash_seed(self):
+        # Candidate budgets break shared-gram count ties by rid, never by
+        # the hash order of q-gram sets.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        digests = set()
+        for seed in ("0", "5"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            digests.add(
+                subprocess.run(
+                    [sys.executable, "-c", _QGRAM_ANSWERS],
+                    env=env, capture_output=True, text=True, check=True,
+                    timeout=300,
+                ).stdout
+            )
+        assert len(digests) == 1
 
 
 class TestMinHash:

@@ -280,6 +280,19 @@ class TestEditKernelRows:
             others = [r for r in rids if r != q]
             assert kernel.pairs(q, others) == [want[q][r] for r in others]
 
+    def test_pair_distances_equal_block_rows_in_both_directions(self):
+        import numpy as np
+
+        relation, _, kernel = self.make(long_texts(12, seed=2) + ["", "a"])
+        n = len(relation)
+        rows = kernel.block(relation.ids()).tolist()
+        rows_a, rows_b = np.triu_indices(n, k=1)
+        for a, b in ((rows_a, rows_b), (rows_b, rows_a)):
+            before = kernel.evaluations
+            got = kernel.pair_distances(a, b).tolist()
+            assert got == [rows[i][j] for i, j in zip(a.tolist(), b.tolist())]
+            assert kernel.evaluations - before == len(got)
+
     def test_mirrored_entries_equal_fresh_computation(self):
         words = long_texts(10, seed=1)
         _, _, kernel = self.make(words)
