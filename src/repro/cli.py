@@ -532,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     benchs.add_argument(
         "--min-speedup", type=float, default=None,
-        help="the --check floor on the vectorized signer's speedup "
+        help="the --check floor on the signature factory's speedup "
              "over the scalar per-occurrence signer (build throughput)",
     )
 
@@ -1156,7 +1156,7 @@ def _cmd_bench_phase1(args: argparse.Namespace, out) -> int:
         return 1
     if build and not build.get("parity", True):
         print(
-            "ERROR: signer backends disagreed on MinHash signatures",
+            "ERROR: signers disagreed on MinHash signatures",
             file=out,
         )
         return 1

@@ -2,7 +2,8 @@
 
 All distances are symmetric and normalized to [0, 1] as the paper's
 formalization requires; corpus-dependent functions expose a
-``prepare(relation)`` hook.  The CS/SN framework is orthogonal to the
+``prepare(relation)`` hook, which token-based ones answer with one
+shared :class:`~repro.distances.corpus.Corpus`.  The CS/SN framework is orthogonal to the
 specific choice (paper section 1).
 """
 
@@ -12,11 +13,11 @@ from repro.distances.base import (
     FunctionDistance,
     ScaledDistance,
 )
+from repro.distances.corpus import Corpus
 from repro.distances.cosine import CosineDistance
 from repro.distances.edit import EditDistance, damerau_levenshtein, levenshtein
 from repro.distances.fms import FuzzyMatchDistance
 from repro.distances.hybrid import MongeElkanDistance, SoftTfIdfDistance
-from repro.distances.idf import IdfTable
 from repro.distances.jaccard import (
     QgramJaccardDistance,
     TokenJaccardDistance,
@@ -34,7 +35,7 @@ __all__ = [
     "levenshtein",
     "damerau_levenshtein",
     "CosineDistance",
-    "IdfTable",
+    "Corpus",
     "TokenJaccardDistance",
     "QgramJaccardDistance",
     "WeightedJaccardDistance",

@@ -6,7 +6,8 @@ tuples.  All distance functions in this package implement
 
 - ``prepare(relation)`` lets corpus-dependent functions (IDF-weighted
   cosine, fuzzy match similarity) collect statistics before any distance
-  is computed.  Corpus-free functions (edit distance) ignore it.
+  is computed — one :class:`~repro.distances.corpus.Corpus`, exposed as
+  ``corpus``.  Corpus-free functions (edit distance) ignore it.
 - ``distance(a, b)`` returns a value in ``[0, 1]``, ``0`` meaning
   identical.
 
@@ -47,6 +48,11 @@ class DistanceFunction(abc.ABC):
 
     #: Human-readable name used in reports and experiment indexes.
     name: str = "distance"
+
+    #: The :class:`~repro.distances.corpus.Corpus` ``prepare`` built
+    #: (token-based distances), which indexes sign from; ``None``
+    #: otherwise.
+    corpus = None
 
     def prepare(self, relation: Relation) -> None:
         """Collect corpus statistics from ``relation`` (optional hook)."""
@@ -173,6 +179,10 @@ class CachedDistance(DistanceFunction):
         self._cache.clear()
         self.inner.prepare(relation)
 
+    @property
+    def corpus(self):
+        return self.inner.corpus
+
     def make_kernel(self, relation: Relation):
         # Kernels are exact replicas of the inner distance; memoizing
         # their batch output pair-by-pair would defeat the point, so
@@ -242,6 +252,10 @@ class FrozenDistance(DistanceFunction):
 
     def prepare(self, relation: Relation) -> None:  # noqa: ARG002
         pass
+
+    @property
+    def corpus(self):
+        return self.inner.corpus
 
     def make_kernel(self, relation: Relation):
         return self.inner.make_kernel(relation)

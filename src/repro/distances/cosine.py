@@ -6,10 +6,10 @@ with IDF weights places "microsft corporation" close to "boeing
 corporation" because the shared token "corporation" carries (some)
 weight while the typo token "microsft" matches nothing.
 
-The scalar path evaluates each pair as a merge-join over per-record
-``(token, weight)`` lists *sorted by token string*, with norms
-precomputed in ``prepare``.  That fixes one canonical floating-point
-summation order — ascending token — which
+The scalar path evaluates each pair as a merge-join over the records'
+``(token, weight)`` lists *sorted by token string*, read from the
+:class:`~repro.distances.corpus.Corpus` with their norms.  That fixes
+one canonical floating-point summation order — ascending token — which
 :class:`~repro.distances.kernels.cosine.CosineKernel` reproduces
 exactly, so batch and per-pair results are bit-identical.
 """
@@ -19,8 +19,8 @@ from __future__ import annotations
 import math
 
 from repro.data.schema import Record, Relation
-from repro.distances.base import DistanceFunction, clamp01
-from repro.distances.idf import IdfTable
+from repro.distances.base import clamp01
+from repro.distances.corpus import CorpusDistance
 
 __all__ = ["CosineDistance", "cosine_similarity"]
 
@@ -39,73 +39,27 @@ def cosine_similarity(u: dict[str, float], v: dict[str, float]) -> float:
     return dot / (nu * nv)
 
 
-def _sorted_items(vector: dict[str, float]) -> tuple[list[str], list[float]]:
-    """Split a sparse vector into token/weight lists, ascending token."""
-    tokens = sorted(vector)
-    return tokens, [vector[t] for t in tokens]
-
-
-def _norm(weights: list[float]) -> float:
-    """Euclidean norm accumulated in the canonical (token) order."""
-    total = 0.0
-    for w in weights:
-        total += w * w
-    return math.sqrt(total)
-
-
-class CosineDistance(DistanceFunction):
+class CosineDistance(CorpusDistance):
     """``1 - cosine`` over tf-idf token vectors of whole records.
 
     ``prepare`` must be called with the relation before computing
-    distances; it builds the IDF table.  Distances for records with no
+    distances; it builds the corpus.  Distances for records with no
     tokens in common are 1.
     """
 
     name = "cosine"
 
-    def __init__(self, idf: IdfTable | None = None):
-        self._idf = idf
-        # rid -> (tokens ascending, weights aligned, norm)
-        self._items: dict[int, tuple[list[str], list[float], float]] = {}
-
-    @property
-    def idf(self) -> IdfTable:
-        if self._idf is None:
-            raise RuntimeError("CosineDistance.prepare(relation) has not been called")
-        return self._idf
-
-    def prepare(self, relation: Relation) -> None:
-        self._idf = IdfTable.from_relation(relation)
-        self._items = {}
-        for record in relation:
-            tokens, weights = _sorted_items(self._idf.vector(record.text()))
-            self._items[record.rid] = (tokens, weights, _norm(weights))
-
     def make_kernel(self, relation: Relation):
         from repro.distances.kernels.columnar import ColumnarVectors
         from repro.distances.kernels.cosine import CosineKernel
 
-        rows = sorted(
-            (record.rid for record in relation if record.rid in self._items)
-        )
-        tokens_per_record = [self._items[rid][0] for rid in rows]
-        weights_per_record = [self._items[rid][1] for rid in rows]
-        norms = [self._items[rid][2] for rid in rows]
-        vectors = ColumnarVectors(rows, tokens_per_record, weights_per_record)
-        return self._register_kernel(CosineKernel(vectors, norms))
-
-    def _record_items(
-        self, record: Record
-    ) -> tuple[list[str], list[float], float]:
-        items = self._items.get(record.rid)
-        if items is None:
-            tokens, weights = _sorted_items(self.idf.vector(record.text()))
-            items = (tokens, weights, _norm(weights))
-        return items
+        vectors = ColumnarVectors(self._corpus(), relation.ids(), weighted=True)
+        return self._register_kernel(CosineKernel(vectors))
 
     def distance(self, a: Record, b: Record) -> float:
-        tokens_a, weights_a, norm_a = self._record_items(a)
-        tokens_b, weights_b, norm_b = self._record_items(b)
+        vector = self._corpus().vector
+        tokens_a, weights_a, norm_a = vector(a)
+        tokens_b, weights_b, norm_b = vector(b)
         if not tokens_a or not tokens_b:
             return 1.0
         dot = 0.0

@@ -25,11 +25,10 @@ fallback for environments without scipy.
 
 from __future__ import annotations
 
-from repro.data.schema import Record, Relation
-from repro.distances.base import DistanceFunction, clamp01
+from repro.data.schema import Record
+from repro.distances.base import clamp01
+from repro.distances.corpus import Corpus, CorpusDistance
 from repro.distances.edit import levenshtein
-from repro.distances.idf import IdfTable
-from repro.distances.tokens import tokenize
 
 from repro.distances.kernels.compat import numpy_or_none
 
@@ -81,7 +80,7 @@ def _assignment(cost: list[list[float]]) -> list[tuple[int, int]]:
 def directed_fuzzy_match_distance(
     source_tokens: list[str],
     target_tokens: list[str],
-    idf: IdfTable,
+    corpus: Corpus,
     insertion_factor: float = 0.5,
 ) -> float:
     """Return ``fmd(source -> target)`` in [0, 1].
@@ -96,8 +95,8 @@ def directed_fuzzy_match_distance(
     if not source_tokens:
         return 1.0
 
-    source_weights = [idf.weight(t) for t in source_tokens]
-    target_weights = [idf.weight(t) for t in target_tokens]
+    source_weights = [corpus.weight(t) for t in source_tokens]
+    target_weights = [corpus.weight(t) for t in target_tokens]
     total_weight = sum(source_weights)
     if total_weight <= 0.0:
         return 0.0
@@ -128,46 +127,26 @@ def directed_fuzzy_match_distance(
     return clamp01(cost / total_weight)
 
 
-class FuzzyMatchDistance(DistanceFunction):
+class FuzzyMatchDistance(CorpusDistance):
     """Symmetric fuzzy match distance over whole records.
 
-    ``prepare(relation)`` builds the IDF table; tokenized records are
-    cached by record id.  The symmetric variant averages the two
-    directed distances, preserving symmetry as the DE formalization
-    requires.
+    ``prepare(relation)`` builds the corpus: each record's tokens and
+    the IDF weights.  The symmetric variant averages the two directed
+    distances, preserving symmetry as the DE formalization requires.
     """
 
     name = "fms"
 
-    def __init__(self, insertion_factor: float = 0.5, idf: IdfTable | None = None):
+    def __init__(self, insertion_factor: float = 0.5):
         self.insertion_factor = insertion_factor
-        self._idf = idf
-        self._tokens: dict[int, list[str]] = {}
-
-    @property
-    def idf(self) -> IdfTable:
-        if self._idf is None:
-            raise RuntimeError("FuzzyMatchDistance.prepare(relation) not called")
-        return self._idf
-
-    def prepare(self, relation: Relation) -> None:
-        self._idf = IdfTable.from_relation(relation)
-        self._tokens = {
-            record.rid: tokenize(record.text()) for record in relation
-        }
-
-    def _tokenize(self, record: Record) -> list[str]:
-        tokens = self._tokens.get(record.rid)
-        if tokens is None:
-            tokens = tokenize(record.text())
-        return tokens
 
     def distance(self, a: Record, b: Record) -> float:
-        ta, tb = self._tokenize(a), self._tokenize(b)
+        corpus = self._corpus()
+        ta, tb = corpus.tokens(a), corpus.tokens(b)
         forward = directed_fuzzy_match_distance(
-            ta, tb, self.idf, self.insertion_factor
+            ta, tb, corpus, self.insertion_factor
         )
         backward = directed_fuzzy_match_distance(
-            tb, ta, self.idf, self.insertion_factor
+            tb, ta, corpus, self.insertion_factor
         )
         return (forward + backward) / 2.0

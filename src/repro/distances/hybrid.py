@@ -22,16 +22,15 @@ from __future__ import annotations
 
 import math
 
-from repro.data.schema import Record, Relation
-from repro.distances.base import DistanceFunction, clamp01
-from repro.distances.idf import IdfTable
+from repro.data.schema import Record
+from repro.distances.base import clamp01
+from repro.distances.corpus import CorpusDistance
 from repro.distances.jaro import jaro_winkler_similarity
-from repro.distances.tokens import tokenize
 
 __all__ = ["MongeElkanDistance", "SoftTfIdfDistance"]
 
 
-class MongeElkanDistance(DistanceFunction):
+class MongeElkanDistance(CorpusDistance):
     """Symmetric Monge-Elkan distance with Jaro-Winkler inner similarity.
 
     ``me(a -> b) = mean over tokens s of a of max_t sim(s, t)``; the
@@ -39,18 +38,7 @@ class MongeElkanDistance(DistanceFunction):
     """
 
     name = "monge-elkan"
-
-    def __init__(self) -> None:
-        self._tokens: dict[int, list[str]] = {}
-
-    def prepare(self, relation: Relation) -> None:
-        self._tokens = {record.rid: tokenize(record.text()) for record in relation}
-
-    def _tokenize(self, record: Record) -> list[str]:
-        tokens = self._tokens.get(record.rid)
-        if tokens is None:
-            tokens = tokenize(record.text())
-        return tokens
+    uses_idf = False
 
     @staticmethod
     def _directed(source: list[str], target: list[str]) -> float:
@@ -64,14 +52,15 @@ class MongeElkanDistance(DistanceFunction):
         return total / len(source)
 
     def distance(self, a: Record, b: Record) -> float:
-        ta, tb = self._tokenize(a), self._tokenize(b)
+        corpus = self._corpus()
+        ta, tb = corpus.tokens(a), corpus.tokens(b)
         if not ta and not tb:
             return 0.0
         similarity = (self._directed(ta, tb) + self._directed(tb, ta)) / 2.0
         return clamp01(1.0 - similarity)
 
 
-class SoftTfIdfDistance(DistanceFunction):
+class SoftTfIdfDistance(CorpusDistance):
     """SoftTFIDF distance: tf-idf cosine with fuzzy token matching.
 
     Parameters
@@ -83,31 +72,13 @@ class SoftTfIdfDistance(DistanceFunction):
 
     name = "soft-tfidf"
 
-    def __init__(self, threshold: float = 0.9, idf: IdfTable | None = None):
+    def __init__(self, threshold: float = 0.9):
         if not 0.0 < threshold <= 1.0:
             raise ValueError("threshold must be in (0, 1]")
         self.threshold = threshold
-        self._idf = idf
-        self._tokens: dict[int, list[str]] = {}
-
-    @property
-    def idf(self) -> IdfTable:
-        if self._idf is None:
-            raise RuntimeError("SoftTfIdfDistance.prepare(relation) not called")
-        return self._idf
-
-    def prepare(self, relation: Relation) -> None:
-        self._idf = IdfTable.from_relation(relation)
-        self._tokens = {record.rid: tokenize(record.text()) for record in relation}
-
-    def _tokenize(self, record: Record) -> list[str]:
-        tokens = self._tokens.get(record.rid)
-        if tokens is None:
-            tokens = tokenize(record.text())
-        return tokens
 
     def _norm(self, tokens: list[str]) -> float:
-        return math.sqrt(sum(self.idf.weight(t) ** 2 for t in set(tokens)))
+        return math.sqrt(sum(self.corpus.weight(t) ** 2 for t in set(tokens)))
 
     def _directed_score(
         self, source: list[str], target: list[str], norm_s: float, norm_t: float
@@ -123,8 +94,8 @@ class SoftTfIdfDistance(DistanceFunction):
                     best_token = t
             if best_token is not None and best_sim >= self.threshold:
                 score += (
-                    (self.idf.weight(s) / norm_s)
-                    * (self.idf.weight(best_token) / norm_t)
+                    (self.corpus.weight(s) / norm_s)
+                    * (self.corpus.weight(best_token) / norm_t)
                     * best_sim
                 )
         return score
@@ -133,8 +104,9 @@ class SoftTfIdfDistance(DistanceFunction):
         """Symmetrized SoftTFIDF (the classic CLOSE() sum is directed;
         averaging both directions restores the symmetry the DE
         formalization requires)."""
-        ta = sorted(set(self._tokenize(a)))
-        tb = sorted(set(self._tokenize(b)))
+        corpus = self._corpus()
+        ta = sorted(set(corpus.tokens(a)))
+        tb = sorted(set(corpus.tokens(b)))
         if not ta and not tb:
             return 0.0
         if not ta or not tb:

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from repro.data.schema import Record, Relation
 from repro.distances.base import DistanceFunction, clamp01
-from repro.distances.idf import IdfTable
-from repro.distances.tokens import qgrams, tokenize
+from repro.distances.corpus import CorpusDistance
+from repro.distances.tokens import qgrams
 
 __all__ = [
     "jaccard_similarity",
@@ -47,45 +47,31 @@ def weighted_jaccard_similarity(
     return shared / union
 
 
-class TokenJaccardDistance(DistanceFunction):
+class TokenJaccardDistance(CorpusDistance):
     """``1 - Jaccard`` over word-token sets of whole records.
 
-    ``prepare`` caches each record's token set so repeated pair
-    evaluations and the vectorized kernel share one tokenization pass;
-    out-of-relation records are tokenized on the fly as before.
+    Token sets are read from the corpus ``prepare`` builds, which the
+    vectorized kernel shares; unprepared, or for out-of-corpus
+    records, tokens are computed on the fly.
     """
 
     name = "jaccard"
-
-    def __init__(self) -> None:
-        self._token_sets: dict[int, set[str]] = {}
-
-    def prepare(self, relation: Relation) -> None:
-        self._token_sets = {
-            record.rid: set(tokenize(record.text())) for record in relation
-        }
+    uses_idf = False
 
     def make_kernel(self, relation: Relation):
         from repro.distances.kernels.columnar import ColumnarVectors
         from repro.distances.kernels.jaccard import JaccardKernel
 
-        if not self._token_sets:
+        if self.corpus is None:
             self.prepare(relation)
-        rows = sorted(
-            (record.rid for record in relation if record.rid in self._token_sets)
-        )
-        tokens_per_record = [sorted(self._token_sets[rid]) for rid in rows]
-        vectors = ColumnarVectors(rows, tokens_per_record)
+        vectors = ColumnarVectors(self.corpus, relation.ids())
         return self._register_kernel(JaccardKernel(vectors))
 
-    def _token_set(self, record: Record) -> set[str]:
-        tokens = self._token_sets.get(record.rid)
-        if tokens is None:
-            tokens = set(tokenize(record.text()))
-        return tokens
-
     def distance(self, a: Record, b: Record) -> float:
-        return clamp01(1.0 - jaccard_similarity(self._token_set(a), self._token_set(b)))
+        corpus = self._corpus()
+        return clamp01(
+            1.0 - jaccard_similarity(set(corpus.tokens(a)), set(corpus.tokens(b)))
+        )
 
 
 class QgramJaccardDistance(DistanceFunction):
@@ -101,34 +87,18 @@ class QgramJaccardDistance(DistanceFunction):
         return clamp01(1.0 - jaccard_similarity(sa, sb))
 
 
-class WeightedJaccardDistance(DistanceFunction):
+class WeightedJaccardDistance(CorpusDistance):
     """``1 - weighted Jaccard`` with IDF token weights.
 
-    Requires ``prepare(relation)`` to build the IDF table.
+    Requires ``prepare(relation)`` to build the corpus.
     """
 
     name = "wjaccard"
 
-    def __init__(self) -> None:
-        self._idf: IdfTable | None = None
-        self._weights: dict[str, float] = {}
-
-    def prepare(self, relation: Relation) -> None:
-        self._idf = IdfTable.from_relation(relation)
-        self._weights = {}
-
-    def _weight(self, token: str) -> float:
-        if self._idf is None:
-            raise RuntimeError("prepare(relation) has not been called")
-        weight = self._weights.get(token)
-        if weight is None:
-            weight = self._idf.weight(token)
-            self._weights[token] = weight
-        return weight
-
     def distance(self, a: Record, b: Record) -> float:
-        sa, sb = set(tokenize(a.text())), set(tokenize(b.text()))
+        corpus = self._corpus()
+        sa, sb = set(corpus.tokens(a)), set(corpus.tokens(b))
         if not sa and not sb:
             return 0.0
-        weight = {t: self._weight(t) for t in sa | sb}
+        weight = {t: corpus.weight(t) for t in sa | sb}
         return clamp01(1.0 - weighted_jaccard_similarity(sa, sb, weight))

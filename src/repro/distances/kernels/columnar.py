@@ -1,14 +1,16 @@
 """Columnar (CSR + CSC) token-vector storage for one relation chunk.
 
-``ColumnarVectors`` holds every record's sparse token vector in three
-contiguous arrays — ``indptr`` / ``indices`` / ``values`` — built once
-from per-record token lists.  Rows are ordered by ascending record id;
-the vocabulary is the *sorted* token universe, so ascending vocabulary
-index is exactly ascending token string.  That invariant is what makes
-the kernels bit-identical to the scalar merge-join paths:
-``similarity_row`` accumulates each dot product with ``np.bincount``,
-whose C loop adds contributions sequentially in concatenation order =
-ascending token order = the order the scalar merge-join uses.
+``ColumnarVectors`` holds the sparse token vectors of a chunk's records
+in three contiguous arrays — ``indptr`` / ``indices`` / ``values`` —
+gathered straight from the rows of a
+:class:`~repro.distances.corpus.Corpus` CSR: no second interning, no
+sort.  Rows are ordered by ascending record id; the vocabulary is the
+corpus's *sorted* token universe, so ascending vocabulary index is
+exactly ascending token string.  That invariant is what makes the
+kernels bit-identical to the scalar merge-join paths: ``similarity_row``
+accumulates each dot product with ``np.bincount``, whose C loop adds
+contributions sequentially in concatenation order = ascending token
+order = the order the scalar merge-join uses.
 
     rids:    [r0, r1, ...]                       (ascending)
     indptr:  [0, nnz(r0), nnz(r0)+nnz(r1), ...]  row boundaries
@@ -25,7 +27,7 @@ as flat buffers instead of per-record dicts.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable
 
 from .compat import require_numpy
 
@@ -33,53 +35,30 @@ __all__ = ["ColumnarVectors"]
 
 
 class ColumnarVectors:
-    """CSR token matrix over a relation chunk, with lazy CSC postings."""
+    """CSR token matrix over a relation chunk, with lazy CSC postings.
 
-    def __init__(
-        self,
-        rids: Sequence[int],
-        tokens_per_record: Sequence[Sequence[str]],
-        weights_per_record: Sequence[Sequence[float]] | None = None,
-    ) -> None:
+    Holds the rows of ``corpus`` for the rids of ``rids`` it covers
+    (any subset, e.g. a block or a shard of the corpus's relation);
+    ``weighted`` keeps the tf-idf ``values`` and ``norms`` a weighted
+    kernel needs.
+    """
+
+    def __init__(self, corpus, rids: Iterable[int], weighted: bool = False) -> None:
         np = require_numpy()
         self._np = np
-        if list(rids) != sorted(rids):
-            raise ValueError("rids must be ascending")
-        self.rid_list = [int(r) for r in rids]
+        row_of = corpus.row_of
+        self.rid_list = sorted(int(rid) for rid in rids if rid in row_of)
         self.rids = np.asarray(self.rid_list, dtype=np.int64)
         self.row_of = {rid: i for i, rid in enumerate(self.rid_list)}
+        self.n_vocab = len(corpus.vocab)
 
-        vocab = sorted({t for tokens in tokens_per_record for t in tokens})
-        self.vocab_index = {t: i for i, t in enumerate(vocab)}
-        self.n_vocab = len(vocab)
-
-        indptr = np.zeros(len(self.rid_list) + 1, dtype=np.int64)
-        flat_indices: list[int] = []
-        flat_values: list[float] | None = (
-            [] if weights_per_record is not None else None
-        )
-        for i, tokens in enumerate(tokens_per_record):
-            cols = sorted(self.vocab_index[t] for t in tokens)
-            flat_indices.extend(cols)
-            indptr[i + 1] = len(flat_indices)
-            if flat_values is not None:
-                # Re-sort weights alongside their (string-sorted) tokens;
-                # vocab index order coincides with token string order.
-                pairs = sorted(
-                    zip(
-                        (self.vocab_index[t] for t in tokens),
-                        weights_per_record[i],
-                    )
-                )
-                flat_values.extend(w for _, w in pairs)
-        self.indptr = indptr
-        self.indices = np.asarray(flat_indices, dtype=np.int64)
-        self.values = (
-            np.asarray(flat_values, dtype=np.float64)
-            if flat_values is not None
-            else None
-        )
-        self.row_sizes = np.diff(indptr)
+        _, indices, tfidf, norms = corpus.arrays()
+        rows = np.asarray([row_of[rid] for rid in self.rid_list], dtype=np.int64)
+        self.indptr, flat = corpus.gather(rows)
+        self.row_sizes = np.diff(self.indptr)
+        self.indices = indices[flat]
+        self.values = tfidf[flat] if weighted else None
+        self.norms = norms[rows] if weighted else None
         self._pindptr = None
         self._prows = None
         self._pvals = None

@@ -5,8 +5,8 @@ merge-join accumulates ``dot`` over shared tokens in ascending token
 order and divides by python-precomputed norms; this kernel reproduces
 the identical floating-point operation sequence via
 ``ColumnarVectors.dot_row`` (sequential ``bincount`` accumulation in
-the same token order) and the *same* norm values, so every distance is
-the same float64 down to the last bit.
+the same token order) and the *same* norm values (the corpus's), so
+every distance is the same float64 down to the last bit.
 """
 
 from __future__ import annotations
@@ -26,14 +26,11 @@ class CosineKernel(DistanceKernel):
     backend = "numpy"
     pairs_min = 16  # pairs() computes a full row; skip tiny lists
 
-    def __init__(self, vectors: ColumnarVectors, norms: Sequence[float]) -> None:
-        np = require_numpy()
-        self._np = np
+    def __init__(self, vectors: ColumnarVectors) -> None:
+        self._np = require_numpy()
         self.evaluations = 0
         self._v = vectors
-        self._norms = np.asarray(norms, dtype=np.float64)
-        if len(self._norms) != len(vectors):
-            raise ValueError("one norm per row required")
+        self._norms = vectors.norms
 
     @property
     def rids(self) -> list[int]:

@@ -129,30 +129,29 @@ def run_build_throughput(
     duplicate_fraction: float = 0.3,
     seed: int = 0,
 ) -> dict:
-    """Time MinHash signing + banding: scalar baseline vs the factory.
+    """Time MinHash signing + banding: scalar reference vs the factory.
 
     The index-build half of the Phase-1 cost model, isolated, across
-    three signers of the same relation:
+    two signers of the same relation:
 
-    - ``scalar`` — the seed path: ``minhash_signature`` per record
+    - ``scalar`` — the reference path: ``minhash_signature`` per record
       (hashes every token *occurrence* per salt) plus the per-record
       ``band_keys`` bucketing loop;
-    - ``python`` / ``numpy`` — the two backends of the
-      vocabulary-hashed :class:`~repro.index.signatures.
-      SignatureFactory` (hash each *distinct* token once per salt).
+    - ``factory`` — one :class:`~repro.distances.corpus.Corpus` of the
+      relation (``tokenize``) signed by the vocabulary-hashed
+      :class:`~repro.index.signatures.SignatureFactory` (hash each
+      *distinct* token once per salt, ``sign``) and bucketed by
+      :func:`~repro.index.signatures.group_band_buckets` (``bucket``).
 
     The payload records per-signer wall time, records/sec, the
     tokenize/sign/bucket split, the vocabulary compression ratio
     (occurrences / distinct tokens — the quantity vocabulary hashing
     exploits, and the reason the factory wins), a signature checksum,
-    ``parity`` (checksums byte-identical across all signers),
-    ``speedup_vectorized_vs_scalar`` (the headline: best factory
-    backend vs the scalar baseline — what ``bench-scale
-    --min-speedup`` gates), and ``speedup_numpy_vs_python`` (the
-    factory's backends against each other; near 1.0 is expected, the
-    shared blake2b hashing dominates both).
+    ``parity`` (checksums byte-identical across both signers) and
+    ``speedup_vectorized_vs_scalar`` (factory vs scalar — what
+    ``bench-scale --min-speedup`` gates).
     """
-    from repro.distances.kernels.compat import have_numpy
+    from repro.distances.corpus import Corpus
     from repro.distances.tokens import tokenize
     from repro.index.minhash import band_keys, minhash_signature
     from repro.index.signatures import SignatureFactory, group_band_buckets
@@ -164,9 +163,6 @@ def run_build_throughput(
         seed=seed,
     ).relation
     rids = relation.ids()
-    texts = {rid: relation.get(rid).text() for rid in rids}
-    occurrences = sum(len(tokenize(text)) for text in texts.values())
-    vocabulary = len({t for text in texts.values() for t in tokenize(text)})
 
     def checksum_of(signature_items) -> str:
         digest = hashlib.sha256()
@@ -174,12 +170,22 @@ def run_build_throughput(
             digest.update(repr((rid, signature)).encode())
         return digest.hexdigest()
 
-    rows: list[dict] = []
-    checksums: set[str] = set()
+    def row(signer, tokenize_seconds, sign_seconds, bucket_seconds, buckets, checksum):
+        seconds = tokenize_seconds + sign_seconds + bucket_seconds
+        return {
+            "signer": signer,
+            "seconds": seconds,
+            "records_per_second": len(rids) / seconds if seconds > 0 else None,
+            "tokenize_seconds": tokenize_seconds,
+            "sign_seconds": sign_seconds,
+            "bucket_seconds": bucket_seconds,
+            "n_buckets": len(buckets),
+            "signature_checksum": checksum,
+        }
 
-    # Scalar baseline: per-occurrence hashing, per-record bucketing.
+    # Scalar reference: per-occurrence hashing, per-record bucketing.
     started = time.perf_counter()
-    element_sets = {rid: set(tokenize(texts[rid])) for rid in rids}
+    element_sets = {rid: set(tokenize(relation.get(rid).text())) for rid in rids}
     tokenize_seconds = time.perf_counter() - started
     started = time.perf_counter()
     scalar_signatures = [
@@ -191,58 +197,22 @@ def run_build_throughput(
     for rid, signature in scalar_signatures:
         for band, key in band_keys(signature, n_bands):
             scalar_buckets.setdefault((band, key), []).append(rid)
-    bucket_seconds = time.perf_counter() - started
-    seconds = tokenize_seconds + sign_seconds + bucket_seconds
-    checksum = checksum_of(scalar_signatures)
-    checksums.add(checksum)
-    rows.append(
-        {
-            "backend": "scalar",
-            "seconds": seconds,
-            "records_per_second": len(rids) / seconds if seconds > 0 else None,
-            "tokenize_seconds": tokenize_seconds,
-            "sign_seconds": sign_seconds,
-            "bucket_seconds": bucket_seconds,
-            "n_buckets": len(scalar_buckets),
-            "signature_checksum": checksum,
-        }
+    scalar = row(
+        "scalar", tokenize_seconds, sign_seconds,
+        time.perf_counter() - started, scalar_buckets,
+        checksum_of(scalar_signatures),
     )
 
-    for backend in ["python"] + (["numpy"] if have_numpy() else []):
-        factory = SignatureFactory(n_hashes, backend=backend)
-        started = time.perf_counter()
-        signed = factory.sign_records(rids, lambda rid: tokenize(texts[rid]))
-        grouping = group_band_buckets(signed, n_bands)
-        seconds = time.perf_counter() - started
-        checksum = checksum_of(zip(signed.rids, signed.tuples))
-        checksums.add(checksum)
-        rows.append(
-            {
-                "backend": backend,
-                "seconds": seconds,
-                "records_per_second": (
-                    len(rids) / seconds if seconds > 0 else None
-                ),
-                "tokenize_seconds": signed.timings.get("tokenize", 0.0),
-                "sign_seconds": signed.timings.get("sign", 0.0),
-                "bucket_seconds": grouping.seconds,
-                "n_buckets": len(grouping.buckets),
-                "signature_checksum": checksum,
-            }
-        )
-
-    by_backend = {row["backend"]: row for row in rows}
-    best = by_backend.get("numpy") or by_backend["python"]
-    vectorized_speedup = (
-        by_backend["scalar"]["seconds"] / best["seconds"]
-        if best["seconds"] > 0
-        else None
+    started = time.perf_counter()
+    corpus = Corpus(relation)
+    tokenize_seconds = time.perf_counter() - started
+    signed = SignatureFactory(n_hashes).sign(corpus, rids)
+    grouping = group_band_buckets(signed, n_bands)
+    factory = row(
+        "factory", tokenize_seconds, signed.timings["sign"], grouping.seconds,
+        grouping.buckets, checksum_of(zip(signed.rids, signed.tuples)),
     )
-    backend_speedup = None
-    if "python" in by_backend and "numpy" in by_backend:
-        numpy_seconds = by_backend["numpy"]["seconds"]
-        if numpy_seconds > 0:
-            backend_speedup = by_backend["python"]["seconds"] / numpy_seconds
+    occurrences = sum(len(tokens) for tokens in corpus.token_lists)
     return {
         "dataset": dataset,
         "n": len(relation),
@@ -250,15 +220,17 @@ def run_build_throughput(
         "n_hashes": n_hashes,
         "n_bands": n_bands,
         "token_occurrences": occurrences,
-        "distinct_tokens": vocabulary,
+        "distinct_tokens": len(corpus.vocab),
         "vocab_compression": (
-            occurrences / vocabulary if vocabulary else None
+            occurrences / len(corpus.vocab) if corpus.vocab else None
         ),
-        "rows": rows,
-        "vectorized_backend": best["backend"],
-        "speedup_vectorized_vs_scalar": vectorized_speedup,
-        "speedup_numpy_vs_python": backend_speedup,
-        "parity": len(checksums) == 1,
+        "rows": [scalar, factory],
+        "speedup_vectorized_vs_scalar": (
+            scalar["seconds"] / factory["seconds"]
+            if factory["seconds"] > 0
+            else None
+        ),
+        "parity": scalar["signature_checksum"] == factory["signature_checksum"],
     }
 
 
@@ -631,7 +603,7 @@ def build_throughput_table(build: Mapping) -> str:
     """Render a :func:`run_build_throughput` section as a text table."""
     rows = [
         (
-            row["backend"],
+            row["signer"],
             f"{row['seconds']:.3f}s",
             (
                 f"{row['records_per_second']:.0f}/s"
@@ -655,20 +627,19 @@ def build_throughput_table(build: Mapping) -> str:
         else f"index build throughput: n={build['n']}"
     )
     table = format_table(
-        ("backend", "seconds", "rec/s", "tokenize", "sign", "bucket",
+        ("signer", "seconds", "rec/s", "tokenize", "sign", "bucket",
          "buckets", "checksum"),
         rows,
         title=title,
     )
     speedup = build.get("speedup_vectorized_vs_scalar")
     footer = (
-        f"vectorized ({build.get('vectorized_backend')}) vs scalar "
-        f"signer speedup: {speedup:.2f}x"
+        f"factory vs scalar signer speedup: {speedup:.2f}x"
         if speedup
-        else "no vectorized-vs-scalar speedup recorded"
+        else "no factory-vs-scalar speedup recorded"
     )
     parity = "identical" if build.get("parity") else "MISMATCH"
-    return f"{table}\n\n{footer}; signatures across backends: {parity}"
+    return f"{table}\n\n{footer}; signatures across signers: {parity}"
 
 
 def index_matrix_table(matrix: Mapping) -> str:

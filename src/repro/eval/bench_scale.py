@@ -191,7 +191,7 @@ def run_scale_bench(
     ).relation
     build_throughput = run_build_throughput(
         dataset=dataset,
-        # Bound the isolated build-throughput sample: the python signer
+        # Bound the isolated build-throughput sample: the scalar signer
         # re-hashes every token occurrence, so at headline sizes the
         # comparison leg alone would dominate the bench's wall time.
         n_entities=min(entities, 20_000),
@@ -257,14 +257,14 @@ def check_scale_payload(
 
     ``"checksum"`` failures (shard counts disagreeing on the partition,
     the small cross-cut/cross-kernel parity matrix failing, or the
-    build-throughput backends disagreeing on signatures) are
+    build-throughput signers disagreeing on signatures) are
     correctness violations — the CLI always fails on them.
     ``"recall"`` failures flag a shard plan whose blocking kept fewer
     than ``min_recall`` of the LSH candidate pairs co-resident.
     ``"scale"`` failures (only checked when ``min_n`` is given) flag a
     headline run smaller than the roadmap's floor.
     ``"speedup"`` failures (only checked when ``min_speedup`` is given)
-    flag a vectorized signer slower than ``min_speedup`` x the scalar
+    flag a signature factory slower than ``min_speedup`` x the scalar
     per-occurrence one in the payload's build-throughput section.
     """
     failures: dict[str, list[str]] = {
@@ -298,18 +298,18 @@ def check_scale_payload(
     build = payload.get("build_throughput") or {}
     if build and not build.get("parity", True):
         failures["checksum"].append(
-            "build-throughput backends produced different signature checksums"
+            "build-throughput signers produced different signature checksums"
         )
     if min_speedup is not None:
         speedup = build.get("speedup_vectorized_vs_scalar")
         if speedup is None:
             failures["speedup"].append(
-                "payload records no vectorized-vs-scalar build speedup "
+                "payload records no factory-vs-scalar build speedup "
                 "(no build_throughput section)"
             )
         elif speedup < min_speedup:
             failures["speedup"].append(
-                f"vectorized signer speedup {speedup:.2f}x below the "
+                f"signature factory speedup {speedup:.2f}x below the "
                 f"{min_speedup:.2f}x floor"
             )
     return {key: value for key, value in failures.items() if value}

@@ -57,12 +57,3 @@ class BlockIndex(MinHashIndex):
             self._row_bucket_ids[0, self._bucket_rows] = np.repeat(
                 np.arange(len(sizes)), sizes
             )
-
-    def _map_kernel_rows(self, kernel, rids):
-        # No exhaustive fallback to rank: any kernel scoring row pairs.
-        if not hasattr(kernel, "pair_distances"):
-            return None
-        position = {rid: row for row, rid in enumerate(kernel.rids)}
-        if not all(rid in position for rid in self._row_of):
-            return None
-        return numpy_or_none().asarray([position[rid] for rid in self._row_of])

@@ -21,8 +21,8 @@ candidate.
 The index only generates and scores candidates; the shared
 :func:`~repro.index.base.read_off` ranks them and reads every cut list,
 ``nn(v)`` and ``ng(v)``, as it does for brute force's kernel rows.
-With a batch kernel that scores explicit row pairs (cosine, Jaccard),
-:meth:`MinHashIndex.phase1_batch` is a *blocked* pass that answers a
+With a batch kernel that scores explicit row pairs (cosine, Jaccard,
+edit), :meth:`MinHashIndex.phase1_batch` is a *blocked* pass that answers a
 whole batch at once:
 
 1. gather every query's candidate pairs from the flat band layout in
@@ -52,8 +52,10 @@ from __future__ import annotations
 
 import hashlib
 import time
+from functools import partial
 
 from repro.data.schema import Record
+from repro.distances.corpus import Corpus
 from repro.distances.kernels.compat import numpy_or_none
 from repro.distances.tokens import qgrams, tokenize
 from repro.index.base import BatchCounts, Neighbor, NNIndex, read_off, score_pairs
@@ -155,7 +157,7 @@ class MinHashIndex(NNIndex):
         #: path for in-relation lookups.
         self._row_of: dict[int, int] = {}
         self._row_buckets: list[list[list[int]]] = []
-        #: The grouping's flat bucket layout (numpy backend only, see
+        #: The grouping's flat bucket layout (with numpy only, see
         #: ``BandGrouping``): per-band bucket ids of every row, member
         #: rows bucket after bucket, and bucket bounds.
         self._row_bucket_ids = None
@@ -195,31 +197,33 @@ class MinHashIndex(NNIndex):
         entries, and no lookup ever recomputes a signature or band key
         for an in-relation record.
 
-        Signing runs through the columnar
-        :class:`~repro.index.signatures.SignatureFactory` (vocabulary
-        hashing + min-gather) on the backend selected by
-        ``kernel_mode``; bucketing through
-        :func:`~repro.index.signatures.group_band_buckets`.  Both are
-        bit-identical to the scalar :func:`minhash_signature` /
-        :func:`band_keys` path, and the classic ``_signatures`` /
+        Word-token signing reads the distance's
+        :class:`~repro.distances.corpus.Corpus` when it covers the
+        relation; otherwise (q-grams, a corpus-free distance such as
+        edit) the index builds its own corpus, timed as ``tokenize``.
+        :class:`~repro.index.signatures.SignatureFactory` hashes each
+        vocabulary token once and min-gathers the signatures;
+        :func:`~repro.index.signatures.group_band_buckets` buckets them.
+        Both are bit-identical to the scalar :func:`minhash_signature`
+        / :func:`band_keys` path, and the classic ``_signatures`` /
         ``_band_keys`` / ``_buckets`` views are kept for compatibility
         (they alias the grouping's shared key tuples and member lists).
         Build wall time lands in ``substage_seconds`` under
         ``tokenize`` / ``sign`` / ``bucket``.
         """
-        relation, _ = self._checked()
+        relation, distance = self._checked()
         started = time.perf_counter()
-        records = {record.rid: record for record in relation}
-        # The corpus scan (possibly through the buffer pool) is input
-        # materialization for token-set extraction.
+        rids = relation.ids()
+        corpus = None if self.use_qgrams else distance.corpus
+        if corpus is None or not corpus.covers(rids):
+            corpus = Corpus(
+                relation,
+                elements=partial(qgrams, q=self.q) if self.use_qgrams else None,
+            )
         self._credit_substage("tokenize", time.perf_counter() - started)
-        factory = SignatureFactory(self.n_hashes, backend=self.kernel_mode)
-        signatures = factory.sign_records(
-            list(records), lambda rid: self._elements(records[rid])
-        )
+        signatures = SignatureFactory(self.n_hashes).sign(corpus, rids)
         grouping = group_band_buckets(signatures, self.n_bands)
         started = time.perf_counter()
-        rids = signatures.rids
         self._signatures = dict(zip(rids, signatures.tuples))
         self._band_keys = dict(zip(rids, grouping.row_keys))
         self._buckets = grouping.buckets
@@ -233,8 +237,7 @@ class MinHashIndex(NNIndex):
             np.asarray(rids, dtype=np.int64) if np is not None else None
         )
         self._relation_signatures = signatures
-        self._credit_substage("tokenize", signatures.timings.get("tokenize", 0.0))
-        self._credit_substage("sign", signatures.timings.get("sign", 0.0))
+        self._credit_substage("sign", signatures.timings["sign"])
         self._credit_substage(
             "bucket", grouping.seconds + (time.perf_counter() - started)
         )
@@ -242,20 +245,21 @@ class MinHashIndex(NNIndex):
     def _resolve_kernel(self) -> None:
         super()._resolve_kernel()
         self._kernel_rows = None
+        kernel = self._kernel
         rids = self._rid_array
-        if self._row_bucket_ids is not None and rids is not None and len(rids):
-            self._kernel_rows = self._map_kernel_rows(self._kernel, rids)
-
-    def _map_kernel_rows(self, kernel, rids):
-        """The kernel row of each relation rid, or ``None`` when the
-        blocked pass cannot run: it needs a kernel with a columnar row
-        layout (cosine, Jaccard), which also ranks the size-cut
-        exhaustive fallback through ``pairs_array``."""
-        if not hasattr(kernel, "resolve_rows"):
-            return None
-        # Any indexed rid serves as the query of the bulk mapping.
-        resolved = kernel.resolve_rows(int(rids[0]), rids)
-        return None if resolved is None else resolved[1]
+        if (
+            self._row_bucket_ids is None
+            or not hasattr(kernel, "pair_distances")
+            or rids is None
+            or not len(rids)
+        ):
+            return
+        # The blocked pass scores row pairs of any kernel that has
+        # ``pair_distances``; it needs every relation rid's kernel row.
+        position = {rid: row for row, rid in enumerate(kernel.rids)}
+        rows = [position.get(rid) for rid in rids.tolist()]
+        if None not in rows:
+            self._kernel_rows = numpy_or_none().asarray(rows, dtype=rids.dtype)
 
     def relation_signatures(self) -> RelationSignatures | None:
         """The build's signature batch, shareable with shard planning.
@@ -411,9 +415,9 @@ class MinHashIndex(NNIndex):
         """Phase-1 answers for ``records`` in one blocked pass.
 
         See the module docstring's cost model.  Falls back to the
-        per-record sequence when the kernel cannot score row pairs, the
-        grouping ran on the python backend, or a record is not in the
-        relation.  ``counts`` receives exactly this call's work.
+        per-record sequence when the kernel cannot score row pairs, numpy
+        is missing, or a record is not in the relation.  ``counts``
+        receives exactly this call's work.
         """
         if k is None and theta is None:
             raise ValueError("phase1_batch needs k, theta, or both")
@@ -539,16 +543,15 @@ class MinHashIndex(NNIndex):
 
     def _rest(self, np, row: int, i: int, candidates):
         """Entries ``(slot, rid, distance)`` of query slot ``i`` (relation
-        row ``row``) for the rows outside its candidate set, scored
-        through the kernel's own row path."""
+        row ``row``) for the rows outside its candidate set, read off the
+        query's full kernel row (``block``, which every kernel has)."""
         rest = np.ones(len(self._rid_array), dtype=bool)
         rest[row] = False
         rest[candidates] = False
         rest = np.flatnonzero(rest)
-        kernel_rows = self._kernel_rows
-        rest_rids = self._rid_array[rest]
-        distances = self._kernel.pairs_array(
-            int(self._rid_array[row]), rest_rids,
-            rows=kernel_rows[rest], query_row=int(kernel_rows[row]),
+        distances = self._kernel.block([int(self._rid_array[row])])[0]
+        return (
+            np.full(len(rest), i, dtype=np.int64),
+            self._rid_array[rest],
+            distances[self._kernel_rows[rest]],
         )
-        return np.full(len(rest), i, dtype=np.int64), rest_rids, distances

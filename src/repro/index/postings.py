@@ -29,11 +29,13 @@ described in ``docs/performance.md``.
 from __future__ import annotations
 
 import json
+from functools import partial
 from pathlib import Path
 
 from collections.abc import Sequence
 
 from repro.data.schema import Record
+from repro.distances.corpus import Corpus
 from repro.distances.tokens import qgrams, tokenize
 from repro.index.minhash import band_keys, minhash_signature
 from repro.index.signatures import SignatureFactory
@@ -162,11 +164,11 @@ class PersistentMinHashPostings:
         for rid in rids:
             if rid in self._signatures:
                 raise ValueError(f"record {rid} already indexed")
-        by_rid = {record.rid: record for record in records}
-        factory = SignatureFactory(self.n_hashes, backend="auto")
-        signed = factory.sign_records(
-            rids, lambda rid: self._elements(by_rid[rid])
+        corpus = Corpus(
+            records,
+            elements=partial(qgrams, q=self.q) if self.use_qgrams else None,
         )
+        signed = SignatureFactory(self.n_hashes).sign(corpus)
         self.signatures_computed += len(records)
         signatures = self.engine.table(self.signatures_table)
         postings = self.engine.table(self.postings_table)

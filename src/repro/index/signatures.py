@@ -1,30 +1,28 @@
-"""Columnar, vocabulary-hashed MinHash signature factory.
+"""Vocabulary-hashed MinHash signature factory.
 
 The scalar :func:`~repro.index.minhash.minhash_signature` hashes every
 *occurrence* of a token once per salt: ``sum_r |tokens(r)| * n_hashes``
 keyed blake2b calls for a relation.  Token sets are Zipfian, so the
 number of *distinct* tokens ``V`` is far smaller than the number of
 occurrences — on the Org generator roughly 12–17x smaller at n >= 5k,
-and the gap widens with n.  :class:`SignatureFactory` exploits that:
+and the gap widens with n.  :class:`SignatureFactory` exploits that,
+signing a :class:`~repro.distances.corpus.Corpus` (whose vocabulary and
+CSR of distinct token ids per record are already interned):
 
-1. **Intern** the corpus into a token vocabulary and a CSR layout
-   (``indptr`` / ``indices``, the same shape
-   :class:`~repro.distances.kernels.columnar.ColumnarVectors` uses):
-   each record's element set becomes a row of vocabulary ids.
-2. **Hash each distinct token once per salt** with the *same* keyed
-   blake2b the scalar path uses, into a ``(V, n_hashes)`` uint64
-   matrix ``H``.
-3. **Gather + column-min**: record ``r``'s signature is the
+1. **Hash each vocabulary token once per salt** with the *same* keyed
+   blake2b the scalar path uses, into a ``(V, n_hashes)`` table ``H``.
+2. **Gather + column-min**: record ``r``'s signature is the
    element-wise minimum of the rows ``H[ids(r)]`` — a vectorized
-   ``np.minimum.reduceat`` over CSR segments on the numpy backend, a
-   C-speed ``map(min, zip(*rows))`` on the pure-python fallback.
+   ``np.minimum.reduceat`` over CSR segments when numpy can be
+   imported, a C-speed ``map(min, zip(*rows))`` otherwise (numpy is an
+   optional extra).
 
-Both backends are **bit-identical** to the scalar function by
+Both gathers are **bit-identical** to the scalar function by
 construction: the per-(token, salt) hashes are the very same blake2b
 values, min over uint64 equals min over the non-negative python ints,
 and empty element sets sign as all-``_PRIME`` exactly like the scalar
 path.  Persistent-postings warm restarts, shard plans, and every parity
-checksum therefore stay valid no matter which backend signed.
+checksum therefore stay valid whichever gather signed.
 
 :func:`group_band_buckets` is the companion bucketing step: instead of
 ``n * n_bands`` per-record tuple-keyed dict inserts it packs each band's
@@ -39,41 +37,22 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
-from repro.distances.kernels.compat import (
-    KernelUnavailable,
-    numpy_or_none,
-    require_numpy,
-)
+from repro.distances.kernels.compat import numpy_or_none
 
 __all__ = [
     "BandGrouping",
     "RelationSignatures",
     "SignatureFactory",
     "group_band_buckets",
-    "resolve_signer_backend",
 ]
 
 _PRIME = (1 << 61) - 1
 
-
-def resolve_signer_backend(mode: str) -> str:
-    """Map an ``enable_kernel`` mode onto a signer backend.
-
-    ``"python"`` keeps the scalar loop; ``"numpy"`` requires numpy
-    (raising :class:`~repro.distances.kernels.KernelUnavailable` when it
-    is missing, mirroring ``NNIndex._resolve_kernel``); ``"auto"`` picks
-    numpy when importable and falls back to python otherwise.
-    """
-    if mode == "python":
-        return "python"
-    if mode == "numpy":
-        require_numpy()
-        return "numpy"
-    if mode == "auto":
-        return "numpy" if numpy_or_none() is not None else "python"
-    raise ValueError(f"unknown signer mode: {mode!r}")
+#: Most token occurrences one numpy gather step holds; bounds the
+#: ``(occurrences, n_hashes)`` scratch of the min-gather.
+_GATHER_BUDGET = 1 << 18
 
 
 @dataclass
@@ -81,18 +60,16 @@ class RelationSignatures:
     """Signatures of one relation, columnar plus scalar views.
 
     ``matrix`` is the ``(n, n_hashes)`` uint64 signature matrix (``None``
-    on the python backend); ``tuples`` is the per-record python-int
-    tuple view — byte-for-byte what :func:`minhash_signature` returns —
-    aligned with ``rids`` (relation iteration order).
+    without numpy); ``tuples`` is the per-record python-int tuple view —
+    byte-for-byte what :func:`minhash_signature` returns — aligned with
+    ``rids``.
     """
 
     rids: list[int]
     tuples: list[tuple[int, ...]]
     n_hashes: int
-    backend: str
     matrix: object | None = None
-    #: Sub-stage wall times: ``tokenize`` (element extraction + vocab
-    #: interning) and ``sign`` (hashing + min-gather).
+    #: Sub-stage wall time: ``sign`` (hashing + min-gather).
     timings: dict[str, float] = field(default_factory=dict)
 
     def __len__(self) -> int:
@@ -118,7 +95,7 @@ class BandGrouping:
     - ``row_buckets``: per band, row -> member list, the hash-free probe
       path for in-relation candidate lookups.
 
-    On the numpy backend the same buckets are also kept as three flat
+    With a signature matrix the same buckets are also kept as three flat
     int64 arrays (``None`` otherwise), numbering the buckets of all
     bands consecutively (band 0's first):
 
@@ -143,26 +120,13 @@ class BandGrouping:
 
 
 class SignatureFactory:
-    """Vocabulary-hashed MinHash signer with numpy and python backends.
+    """Vocabulary-hashed MinHash signer of ``n_hashes`` salts."""
 
-    Parameters
-    ----------
-    n_hashes:
-        Signature width (salt count).
-    backend:
-        ``"auto"`` / ``"numpy"`` / ``"python"`` — resolved through
-        :func:`resolve_signer_backend`, i.e. with the same semantics as
-        ``NNIndex.enable_kernel``.
-    """
-
-    def __init__(self, n_hashes: int, backend: str = "auto") -> None:
+    def __init__(self, n_hashes: int) -> None:
         if n_hashes < 1:
             raise ValueError("n_hashes must be at least 1")
         self.n_hashes = n_hashes
-        self.backend = resolve_signer_backend(backend)
         self._salts = [salt.to_bytes(8, "little") for salt in range(n_hashes)]
-
-    # ------------------------------------------------------------------
 
     def _hash_token(self, token: str) -> list[int]:
         """All ``n_hashes`` keyed blake2b values of one distinct token.
@@ -180,115 +144,63 @@ class SignatureFactory:
             for salt in self._salts
         ]
 
-    def sign_records(
-        self,
-        rids: Sequence[int],
-        elements_of: Callable[[int], Iterable[str]],
-    ) -> RelationSignatures:
-        """Sign ``rids``, reading each record's element set lazily.
-
-        ``elements_of(rid)`` returns the record's token/q-gram iterable
-        (duplicates are fine; interning dedups).  Element extraction is
-        timed as ``tokenize``, hashing + min-gather as ``sign``.
-        """
+    def sign(self, corpus, rids: Sequence[int] | None = None) -> RelationSignatures:
+        """Sign the element sets of ``corpus``'s records ``rids`` (all of
+        them, in corpus order, by default), timed as ``sign``."""
         started = time.perf_counter()
-        vocab: dict[str, int] = {}
-        vocab_id = vocab.setdefault
-        indptr = [0]
-        indices: list[int] = []
-        for rid in rids:
-            row = {vocab_id(token, len(vocab)) for token in elements_of(rid)}
-            indices.extend(row)
-            indptr.append(len(indices))
-        tokenize_seconds = time.perf_counter() - started
-
-        started = time.perf_counter()
-        if self.backend == "numpy":
-            matrix, tuples = self._sign_numpy(vocab, indptr, indices)
+        rids = list(corpus.rids if rids is None else rids)
+        row_of = corpus.row_of
+        rows = [row_of[rid] for rid in rids]
+        hashes = [self._hash_token(token) for token in corpus.vocab]
+        np = numpy_or_none()
+        if np is None:
+            matrix, tuples = None, self._gather_python(hashes, corpus, rows)
         else:
-            matrix, tuples = None, self._sign_python(vocab, indptr, indices)
-        sign_seconds = time.perf_counter() - started
+            matrix = self._gather_numpy(np, hashes, corpus, rows)
+            tuples = [tuple(row) for row in matrix.tolist()]
         return RelationSignatures(
-            rids=[int(rid) for rid in rids],
+            rids=rids,
             tuples=tuples,
             n_hashes=self.n_hashes,
-            backend=self.backend,
             matrix=matrix,
-            timings={
-                "tokenize": tokenize_seconds,
-                "sign": sign_seconds,
-            },
+            timings={"sign": time.perf_counter() - started},
         )
 
-    def sign_sets(
-        self, element_sets: Sequence[Iterable[str]]
-    ) -> RelationSignatures:
-        """Sign explicit element sets (positional rids ``0..n-1``)."""
-        return self.sign_records(
-            range(len(element_sets)), lambda i: element_sets[i]
-        )
-
-    # ------------------------------------------------------------------
-
-    def _hash_matrix_rows(self, vocab: dict[str, int]) -> list[list[int]]:
-        """One hash row per distinct token, in vocabulary-id order."""
-        rows: list[list[int]] = [None] * len(vocab)  # type: ignore[list-item]
-        for token, vid in vocab.items():
-            rows[vid] = self._hash_token(token)
-        return rows
-
-    def _sign_numpy(
-        self, vocab: dict[str, int], indptr: list[int], indices: list[int]
-    ):
-        np = require_numpy()
-        n = len(indptr) - 1
-        signatures = np.full((n, self.n_hashes), _PRIME, dtype=np.uint64)
-        if vocab:
-            flat = [value for row in self._hash_matrix_rows(vocab) for value in row]
-            hashes = np.array(flat, dtype=np.uint64).reshape(
-                len(vocab), self.n_hashes
+    def _gather_numpy(self, np, hashes, corpus, rows):
+        bounds, flat = corpus.gather(np.asarray(rows, dtype=np.int64))
+        ids = corpus.arrays()[1][flat]
+        sizes = np.diff(bounds)
+        table = np.array(hashes, dtype=np.uint64).reshape(-1, self.n_hashes)
+        signatures = np.full((len(rows), self.n_hashes), _PRIME, dtype=np.uint64)
+        row = 0
+        while row < len(rows):
+            lo = int(bounds[row])
+            end = max(
+                row + 1,
+                int(np.searchsorted(bounds, lo + _GATHER_BUDGET, "right")) - 1,
             )
-            ids = np.asarray(indices, dtype=np.int64)
-            starts = np.asarray(indptr[:-1], dtype=np.int64)
-            sizes = np.diff(np.asarray(indptr, dtype=np.int64))
-            nonempty = sizes > 0
-            # Bound the (occurrences, n_hashes) gather scratch: chunk the
-            # record range so each gather stays around ~256k rows.
-            chunk_rows = 1 << 18
-            row = 0
-            while row < n:
-                end = row
-                budget = 0
-                while end < n and (budget == 0 or budget < chunk_rows):
-                    budget += int(sizes[end])
-                    end += 1
-                lo, hi = int(starts[row]), int(indptr[end])
-                if hi > lo:
-                    gathered = hashes[ids[lo:hi]]
-                    mask = nonempty[row:end]
-                    # Empty rows are dropped from the reduceat boundary
-                    # list (duplicate offsets would mis-reduce); their
-                    # signatures stay the all-_PRIME fill.
-                    bounds = (starts[row:end] - lo)[mask]
-                    reduced = np.minimum.reduceat(gathered, bounds, axis=0)
-                    signatures[row:end][mask] = reduced
-                row = end
-        tuples = [tuple(row) for row in signatures.tolist()]
-        return signatures, tuples
+            mask = sizes[row:end] > 0
+            if mask.any():
+                # Empty rows are dropped from the reduceat boundary list
+                # (duplicate offsets would mis-reduce); their signatures
+                # stay the all-_PRIME fill.
+                signatures[row:end][mask] = np.minimum.reduceat(
+                    table[ids[lo : int(bounds[end])]],
+                    (bounds[row:end] - lo)[mask],
+                    axis=0,
+                )
+            row = end
+        return signatures
 
-    def _sign_python(
-        self, vocab: dict[str, int], indptr: list[int], indices: list[int]
-    ) -> list[tuple[int, ...]]:
+    def _gather_python(self, hashes, corpus, rows) -> list[tuple[int, ...]]:
         empty = tuple([_PRIME] * self.n_hashes)
-        rows = self._hash_matrix_rows(vocab)
+        indptr, indices = corpus.indptr, corpus.indices
         tuples: list[tuple[int, ...]] = []
-        for i in range(len(indptr) - 1):
-            lo, hi = indptr[i], indptr[i + 1]
-            if lo == hi:
+        for row in rows:
+            token_rows = [hashes[i] for i in indices[indptr[row] : indptr[row + 1]]]
+            if not token_rows:
                 tuples.append(empty)
-                continue
-            token_rows = [rows[vid] for vid in indices[lo:hi]]
-            if len(token_rows) == 1:
+            elif len(token_rows) == 1:
                 tuples.append(tuple(token_rows[0]))
             else:
                 tuples.append(tuple(map(min, zip(*token_rows))))
@@ -300,8 +212,8 @@ def group_band_buckets(
 ) -> BandGrouping:
     """Bucket signed records by LSH band, vectorized when possible.
 
-    Equal-key grouping runs as one stable lexsort per band on the numpy
-    backend (stable, so members keep relation order — the scalar append
+    Equal-key grouping runs as one stable lexsort per band over the
+    signature matrix (stable, so members keep relation order — the scalar append
     order) and as the classic dict-``setdefault`` loop otherwise.  Both
     produce identical ``buckets`` / ``row_keys`` structures.
     """

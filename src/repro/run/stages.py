@@ -363,6 +363,7 @@ class ShardStage:
             config.shards,
             overlap=config.shard_overlap,
             signatures=signatures,
+            corpus=ctx.distance.corpus,
         )
         outcomes = ShardRunner(ctx).run(state.relation, state.params, plan)
         state.shard_plan = plan

@@ -47,12 +47,13 @@ perfectly balanced shards on the same input.
 from __future__ import annotations
 
 import heapq
+import time
 from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.constraints import plan_blocks
 from repro.data.schema import Relation
-from repro.distances.tokens import tokenize
+from repro.distances.corpus import Corpus
 from repro.index.signatures import (
     RelationSignatures,
     SignatureFactory,
@@ -84,8 +85,9 @@ class ShardPlan:
     n_components: int
     #: Components larger than the per-shard capacity, split into chunks.
     n_split_components: int
-    #: Wall time the planner spent signing the relation; 0.0 when the
-    #: index's signature batch was reused (or no signing was needed).
+    #: Wall time the planner spent signing the relation (building a
+    #: corpus included); 0.0 when the index's signature batch was
+    #: reused (or no signing was needed).
     sign_seconds: float = 0.0
 
     @classmethod
@@ -149,6 +151,7 @@ def _lsh_components(
     n_hashes: int,
     n_bands: int,
     signatures: RelationSignatures | None = None,
+    corpus: Corpus | None = None,
 ) -> tuple[list[list[int]], list[set[tuple[int, int]]], int, float]:
     """Union-find rids over LSH band buckets.
 
@@ -160,12 +163,13 @@ def _lsh_components(
 
     ``signatures`` (an index's build output) is reused when it covers
     exactly this relation at this signature width — the planner then
-    hashes nothing at all; otherwise the columnar
-    :class:`~repro.index.signatures.SignatureFactory` signs the
-    relation once, timed as ``sign_seconds``.  The component structure
-    is independent of which route signed: union-find components do not
-    depend on bucket iteration order, and both routes produce the very
-    same signatures.
+    hashes nothing at all; otherwise
+    :class:`~repro.index.signatures.SignatureFactory` signs ``corpus``
+    (the distance's, when it covers the relation) or a corpus of the
+    relation built here, timed as ``sign_seconds``.  The component
+    structure is independent of which route signed: union-find
+    components do not depend on bucket iteration order, and every route
+    produces the very same signatures.
     """
     ids = relation.ids()
     parent: dict[int, int] = {rid: rid for rid in ids}
@@ -180,11 +184,11 @@ def _lsh_components(
 
     sign_seconds = 0.0
     if signatures is None or not signatures.matches(ids, n_hashes):
-        factory = SignatureFactory(n_hashes, backend="auto")
-        signatures = factory.sign_records(
-            ids, lambda rid: tokenize(relation.get(rid).text())
-        )
-        sign_seconds = sum(signatures.timings.values())
+        started = time.perf_counter()
+        if corpus is None or not corpus.covers(ids):
+            corpus = Corpus(relation)
+        signatures = SignatureFactory(n_hashes).sign(corpus, ids)
+        sign_seconds = time.perf_counter() - started
     buckets = group_band_buckets(signatures, n_bands).buckets
 
     pair_buckets: list[list[int]] = []
@@ -275,6 +279,7 @@ def plan_shards(
     n_hashes: int = 64,
     n_bands: int = 8,
     signatures: RelationSignatures | None = None,
+    corpus: Corpus | None = None,
 ) -> ShardPlan:
     """Block the relation into ``n_shards`` overlapping shards.
 
@@ -283,8 +288,9 @@ def plan_shards(
     fraction of the per-shard capacity replicated between consecutive
     chunks of a *split* component; whole components never need it.
     ``signatures`` lets the caller share an index's already-computed
-    signature batch (see :func:`_lsh_components`); the plan is
-    identical with or without it.
+    signature batch, and ``corpus`` a distance's tokenized relation
+    (see :func:`_lsh_components`); the plan is identical with or
+    without them.
     """
     if n_shards < 1:
         raise ValueError("n_shards must be at least 1")
@@ -305,7 +311,7 @@ def plan_shards(
         )
 
     components, component_pairs, _, sign_seconds = _lsh_components(
-        relation, n_hashes, n_bands, signatures=signatures
+        relation, n_hashes, n_bands, signatures=signatures, corpus=corpus
     )
     cap = max(1, -(-len(ids) // n_shards))  # ceil(n / n_shards)
 

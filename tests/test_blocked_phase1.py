@@ -58,6 +58,7 @@ INDEXES = (MinHashIndex, BruteForceIndex)
 PARITY_CASES = [
     pytest.param(MinHashIndex, "cosine", id="cosine"),
     pytest.param(MinHashIndex, "jaccard", id="jaccard"),
+    pytest.param(MinHashIndex, "edit", id="edit"),
     pytest.param(BruteForceIndex, "cosine", id="bruteforce-cosine"),
     pytest.param(BruteForceIndex, "jaccard", id="bruteforce-jaccard"),
     pytest.param(BruteForceIndex, "edit", id="bruteforce-edit"),
@@ -296,6 +297,35 @@ class TestBlockedParity:
         assert counts.candidates_generated == uses == 2 * counts.kernel_evaluations
         assert blocked.kernel_evaluations == counts.kernel_evaluations
         assert counts.evaluations_pruned == len(records) * (len(records) - 1) - uses
+
+    def test_edit_takes_the_blocked_pass(self):
+        # Any kernel with pair_distances maps its rows through
+        # kernel.rids: edit scores each distinct candidate pair once,
+        # and its NN relation equals the per-record scalar run's.
+        relation = load_dataset(
+            "org", n_entities=150, duplicate_fraction=0.4, seed=5
+        ).relation
+        params = DEParams.combined(5, 0.4, c=4.0)
+        results = {
+            kernel: StagedPipeline(
+                RunContext.create(
+                    RunConfig(distance="edit", index="minhash", kernel=kernel)
+                )
+            ).run(relation, params)
+            for kernel in ("auto", "python")
+        }
+        index = _built(relation, "edit", "numpy")
+        assert index._kernel_rows is not None
+        pairs = {
+            (min(record.rid, other), max(record.rid, other))
+            for record in relation
+            for other in index._candidates(record).tolist()
+        }
+        assert results["auto"].stats.phase1.kernel_evaluations == len(pairs)
+        assert nn_signature(results["auto"].nn_relation) == nn_signature(
+            results["python"].nn_relation
+        )
+        assert results["auto"].partition == results["python"].partition
 
 
 @needs_numpy

@@ -1,0 +1,171 @@
+"""The one corpus per run: tokenize, intern and weigh each record once.
+
+Two contracts.  Work: a run tokenizes each record exactly once, however
+many consumers (IDF weights, tf-idf vectors, kernel CSR, MinHash
+signer) read its tokens.  Values: the corpus's weights, vectors and
+norms are bit-identical to the textbook definitions computed inline
+here — ``log(1 + N/df)`` weights, ``count * weight`` tf-idf, norms
+summed sequentially in ascending token order — for in-corpus records,
+records outside the corpus, and the columnar rows a
+:class:`~repro.distances.base.FrozenDistance` subset kernel gathers.
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.distances.tokens as tokens_module
+from repro.core.formulation import DEParams
+from repro.data.loaders import load_dataset
+from repro.data.schema import Record, Relation
+from repro.distances.base import FrozenDistance
+from repro.distances.corpus import Corpus
+from repro.distances.cosine import CosineDistance
+from repro.distances.jaccard import TokenJaccardDistance
+from repro.distances.kernels.compat import have_numpy
+from repro.distances.tokens import tokenize
+from repro.run.config import RunConfig
+from repro.run.context import RunContext
+from repro.run.pipeline import StagedPipeline
+
+needs_numpy = pytest.mark.skipif(not have_numpy(), reason="numpy not installed")
+
+WORDS = ["acme", "corp", "inc", "acme-corp", "data", "bank", "", "north"]
+
+texts = st.lists(st.sampled_from(WORDS), max_size=6).map(" ".join)
+
+
+@pytest.fixture
+def tokenize_calls(monkeypatch):
+    """Count every ``tokenize`` call, whichever module bound the name."""
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return tokenize(text)
+
+    for module in list(sys.modules.values()):
+        name = getattr(module, "__name__", "") or ""
+        if name.startswith("repro") and getattr(module, "tokenize", None) is tokenize:
+            monkeypatch.setattr(module, "tokenize", counting)
+    assert tokens_module.tokenize is counting
+    return calls
+
+
+def _run(relation, **config):
+    context = RunContext.create(RunConfig(**config))
+    return StagedPipeline(context).run(relation, DEParams.combined(5, 0.4, c=4.0))
+
+
+class TestTokenizedOnce:
+    def test_batch_cosine_minhash(self, tokenize_calls):
+        relation = load_dataset("org", n_entities=150, seed=0).relation
+        _run(relation, distance="cosine", index="minhash")
+        assert len(tokenize_calls) == len(relation)
+        assert Counter(tokenize_calls) == Counter(r.text() for r in relation)
+
+    def test_brute_force_fms(self, tokenize_calls):
+        relation = load_dataset("org", n_entities=30, seed=0).relation
+        _run(relation, distance="fms", index="brute")
+        assert len(tokenize_calls) == len(relation)
+
+
+def _reference(relation):
+    """Inline IDF statistics of ``relation``: the weight and the
+    ``(tokens, weights, norm)`` vector functions, from the definitions."""
+    n = max(1, len(relation))
+    df = Counter()
+    for record in relation:
+        df.update(set(tokenize(record.text())))
+
+    def weight(token):
+        return math.log(1.0 + n / max(1, df.get(token, 0)))
+
+    def vector(text):
+        counts = Counter(tokenize(text))
+        tokens = sorted(counts)
+        weights = [counts[t] * weight(t) for t in tokens]
+        total = 0.0
+        for w in weights:
+            total += w * w
+        return tokens, weights, math.sqrt(total)
+
+    return weight, vector
+
+
+class TestValues:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        corpus_texts=st.lists(texts, min_size=1, max_size=10),
+        strangers=st.lists(texts, max_size=3),
+    )
+    def test_weights_vectors_and_norms(self, corpus_texts, strangers):
+        relation = Relation.from_strings("r", corpus_texts)
+        corpus = Corpus(relation)
+        weight, vector = _reference(relation)
+        for token in set(WORDS) | {"zzz"}:
+            assert corpus.weight(token) == weight(token)
+        for record in relation:
+            assert corpus.vector(record) == vector(record.text())
+            assert corpus.tokens(record) == tokenize(record.text())
+        # Outside the corpus: vectorized on the fly, frozen statistics.
+        for i, text in enumerate(strangers):
+            stranger = Record(1000 + i, (text + " newtoken",))
+            assert corpus.vector(stranger) == vector(stranger.text())
+            assert stranger.rid not in corpus.row_of
+
+    @needs_numpy
+    @settings(max_examples=60, deadline=None)
+    @given(
+        corpus_texts=st.lists(texts, min_size=1, max_size=10),
+        data=st.data(),
+    )
+    def test_columnar_rows_of_a_frozen_subset(self, corpus_texts, data):
+        relation = Relation.from_strings("r", corpus_texts)
+        corpus = Corpus(relation)
+        _, vector = _reference(relation)
+        indptr, indices, tfidf, norms = corpus.arrays()
+        for row, record in enumerate(relation):
+            tokens, weights, norm = vector(record.text())
+            lo, hi = int(indptr[row]), int(indptr[row + 1])
+            assert [corpus.vocab[i] for i in indices[lo:hi]] == tokens
+            assert tfidf[lo:hi].tolist() == weights
+            assert float(norms[row]) == norm
+
+        rids = data.draw(
+            st.lists(st.sampled_from(relation.ids()), min_size=1, unique=True)
+        )
+        subset = relation.subset(rids)
+        inner = CosineDistance()
+        inner.prepare(relation)
+        kernel = FrozenDistance(inner).make_kernel(subset)
+        vectors = kernel._v
+        assert vectors.rid_list == sorted(rids)
+        for row, rid in enumerate(vectors.rid_list):
+            tokens, weights, norm = vector(relation.get(rid).text())
+            lo, hi = int(vectors.indptr[row]), int(vectors.indptr[row + 1])
+            assert [corpus.vocab[i] for i in vectors.indices[lo:hi]] == tokens
+            assert vectors.values[lo:hi].tolist() == weights
+            assert float(vectors.norms[row]) == norm
+        block = kernel.block(vectors.rid_list)
+        for i, a in enumerate(vectors.rid_list):
+            for j, b in enumerate(vectors.rid_list):
+                if a != b:
+                    assert block[i, j] == inner.distance(
+                        relation.get(a), relation.get(b)
+                    )
+
+    def test_empty_corpus_and_unprepared_token_distances(self):
+        corpus = Corpus(())
+        assert len(corpus) == 0 and corpus.vocab == []
+        assert corpus.weight("a") == math.log(2.0)
+        a, b = Record(0, ("acme corp",)), Record(1, ("acme",))
+        assert TokenJaccardDistance().distance(a, b) == 0.5
+        with pytest.raises(RuntimeError, match="prepare"):
+            CosineDistance().distance(a, b)

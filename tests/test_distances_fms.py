@@ -4,7 +4,7 @@ import pytest
 
 from repro.data.schema import Record, Relation
 from repro.distances.fms import FuzzyMatchDistance, directed_fuzzy_match_distance
-from repro.distances.idf import IdfTable
+from repro.distances.corpus import Corpus
 
 
 def org_corpus():
@@ -30,26 +30,26 @@ def fms():
 
 class TestDirectedFmd:
     def test_identical_token_lists(self):
-        idf = IdfTable.from_relation(org_corpus())
-        assert directed_fuzzy_match_distance(["a", "b"], ["a", "b"], idf) == 0.0
+        corpus = Corpus(org_corpus())
+        assert directed_fuzzy_match_distance(["a", "b"], ["a", "b"], corpus) == 0.0
 
     def test_empty_source_and_target(self):
-        idf = IdfTable.from_relation(org_corpus())
-        assert directed_fuzzy_match_distance([], [], idf) == 0.0
+        corpus = Corpus(org_corpus())
+        assert directed_fuzzy_match_distance([], [], corpus) == 0.0
 
     def test_empty_source_nonempty_target(self):
-        idf = IdfTable.from_relation(org_corpus())
-        assert directed_fuzzy_match_distance([], ["a"], idf) == 1.0
+        corpus = Corpus(org_corpus())
+        assert directed_fuzzy_match_distance([], ["a"], corpus) == 1.0
 
     def test_full_mismatch_near_one(self):
-        idf = IdfTable.from_relation(org_corpus())
-        d = directed_fuzzy_match_distance(["xxxx"], ["yyyy"], idf)
+        corpus = Corpus(org_corpus())
+        d = directed_fuzzy_match_distance(["xxxx"], ["yyyy"], corpus)
         assert d > 0.5
 
     def test_in_unit_interval(self):
-        idf = IdfTable.from_relation(org_corpus())
+        corpus = Corpus(org_corpus())
         d = directed_fuzzy_match_distance(
-            ["microsoft", "corp"], ["boeing", "corporation"], idf
+            ["microsoft", "corp"], ["boeing", "corporation"], corpus
         )
         assert 0.0 <= d <= 1.0
 
@@ -112,9 +112,9 @@ class TestFuzzyMatchDistance:
     def test_insertion_factor_zero_ignores_extra_target_tokens(self):
         d = FuzzyMatchDistance(insertion_factor=0.0)
         d.prepare(org_corpus())
-        idf = d.idf
         fmd = directed_fuzzy_match_distance(
-            ["microsoft"], ["microsoft", "corporation"], idf, insertion_factor=0.0
+            ["microsoft"], ["microsoft", "corporation"], d.corpus,
+            insertion_factor=0.0
         )
         assert fmd == 0.0
 

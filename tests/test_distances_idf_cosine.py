@@ -1,52 +1,65 @@
-"""Tests for IDF statistics and the IDF-weighted cosine distance."""
+"""Tests for the corpus's IDF statistics and the IDF-weighted cosine
+distance."""
+
+import math
 
 import pytest
 
 from repro.data.schema import Record, Relation
 from repro.distances.cosine import CosineDistance, cosine_similarity
-from repro.distances.idf import IdfTable
+from repro.distances.corpus import Corpus
 
 
 def corpus(*texts):
     return Relation.from_strings("corpus", list(texts))
 
 
+def df(table, token):
+    return table.df[table.token_id[token]]
+
+
 class TestIdfTable:
+    """The corpus's IDF statistics: document frequencies, weights and
+    tf-idf vectors."""
+
     def test_document_frequency(self):
-        idf = IdfTable.from_relation(corpus("a b", "a c", "a d"))
-        assert idf.document_frequency("a") == 3
-        assert idf.document_frequency("b") == 1
+        idf = Corpus(corpus("a b", "a c", "a d"))
+        assert df(idf, "a") == 3
+        assert df(idf, "b") == 1
 
     def test_unknown_token_gets_df_one(self):
-        idf = IdfTable.from_relation(corpus("a b"))
-        assert idf.document_frequency("zzz") == 1
+        idf = Corpus(corpus("a b"))
+        assert "zzz" not in idf.token_id
+        assert idf.weight("zzz") == idf.weight("a") == math.log(1.0 + 1 / 1)
 
     def test_rare_tokens_weigh_more(self):
-        idf = IdfTable.from_relation(corpus("a b", "a c", "a d", "a e"))
+        idf = Corpus(corpus("a b", "a c", "a d", "a e"))
         assert idf.weight("b") > idf.weight("a")
 
     def test_weight_positive(self):
-        idf = IdfTable.from_relation(corpus("a", "a", "a"))
+        idf = Corpus(corpus("a", "a", "a"))
         assert idf.weight("a") > 0.0
 
     def test_token_counted_once_per_document(self):
-        idf = IdfTable.from_relation(corpus("a a a", "b"))
-        assert idf.document_frequency("a") == 1
+        idf = Corpus(corpus("a a a", "b"))
+        assert df(idf, "a") == 1
 
     def test_vector_uses_term_frequency(self):
-        idf = IdfTable.from_relation(corpus("a a b", "c"))
-        vector = idf.vector("a a b")
-        assert vector["a"] == pytest.approx(2 * idf.weight("a"))
+        relation = corpus("a a b", "c")
+        idf = Corpus(relation)
+        tokens, weights, _ = idf.vector(relation.get(0))
+        assert tokens == ["a", "b"]
+        assert weights[0] == 2 * idf.weight("a")
 
     def test_contains_and_len(self):
-        idf = IdfTable.from_relation(corpus("a b"))
-        assert "a" in idf
-        assert "zzz" not in idf
-        assert len(idf) == 2
+        idf = Corpus(corpus("a b"))
+        assert "a" in idf.token_id
+        assert "zzz" not in idf.token_id
+        assert len(idf.vocab) == 2
 
     def test_n_documents(self):
-        idf = IdfTable.from_relation(corpus("a", "b", "c"))
-        assert idf.n_documents == 3
+        idf = Corpus(corpus("a", "b", "c"))
+        assert len(idf) == 3
 
 
 class TestCosineSimilarity:

@@ -1,31 +1,33 @@
-"""Parity tests for the columnar signature factory.
+"""Parity tests for the vocabulary-hashed signature factory.
 
-The factory's whole contract is *bit-identity*: whatever backend signs
-a relation — the pure-python per-record loop or the vocabulary-hashed
-numpy gather — the signatures, band keys, and LSH buckets must be
-byte-for-byte the ones :func:`~repro.index.minhash.minhash_signature`
-and :func:`~repro.index.minhash.band_keys` produce.  Hypothesis drives
+The factory's whole contract is *bit-identity*: whichever gather signs
+a corpus — the numpy ``reduceat`` or, with numpy hidden, the
+pure-python ``zip``-min — the signatures, band keys, and LSH buckets
+must be byte-for-byte the ones
+:func:`~repro.index.minhash.minhash_signature` and
+:func:`~repro.index.minhash.band_keys` produce.  Hypothesis drives
 arbitrary unicode (including astral-plane) token sets through both
-paths; a divisor matrix covers every ``(n_hashes, n_bands)`` shape the
-index accepts; and the persistent postings' batch loader must leave
-logs indistinguishable from one-at-a-time inserts.
+gathers; a divisor matrix covers every ``(n_hashes, n_bands)`` shape
+the index accepts; and the persistent postings' batch loader must
+leave logs indistinguishable from one-at-a-time inserts.
 """
+
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.distances.kernels.compat as compat
 from repro.data.schema import Record, Relation
+from repro.distances.corpus import Corpus
 from repro.distances.kernels.compat import have_numpy
 from repro.index.minhash import _PRIME, band_keys, minhash_signature
 from repro.index.postings import PersistentMinHashPostings
-from repro.index.signatures import (
-    SignatureFactory,
-    group_band_buckets,
-    resolve_signer_backend,
-)
+from repro.index.signatures import SignatureFactory, group_band_buckets
 from repro.storage.engine import Engine
 
+#: "numpy": the numpy gather; "python": numpy hidden, the python gather.
 BACKENDS = ["python"] + (["numpy"] if have_numpy() else [])
 
 # Arbitrary unicode tokens, astral plane included: the keyed blake2b
@@ -43,28 +45,47 @@ tokens_strategy = st.lists(
 )
 
 
+@contextmanager
+def gather(backend):
+    """Sign with numpy visible (``"numpy"``) or hidden (``"python"``),
+    the way :mod:`~repro.distances.kernels.compat` sees a missing
+    import."""
+    saved = compat._NUMPY, compat._SEARCHED
+    if backend == "python":
+        compat._NUMPY, compat._SEARCHED = None, True
+    try:
+        yield
+    finally:
+        compat._NUMPY, compat._SEARCHED = saved
+
+
+def sign_sets(n_hashes, element_sets, backend="numpy" if have_numpy() else "python"):
+    """Sign explicit element sets (record ``i`` holds ``element_sets[i]``)."""
+    records = [Record(i, (str(i),)) for i in range(len(element_sets))]
+    corpus = Corpus(records, elements=lambda text: list(element_sets[int(text)]))
+    with gather(backend):
+        return SignatureFactory(n_hashes).sign(corpus)
+
+
 class TestSignatureParity:
     @pytest.mark.parametrize("backend", BACKENDS)
     @settings(max_examples=60, deadline=None)
     @given(token_sets=st.lists(tokens_strategy, min_size=1, max_size=6))
     def test_sign_sets_matches_scalar(self, backend, token_sets):
-        factory = SignatureFactory(16, backend=backend)
-        signed = factory.sign_sets([set(ts) for ts in token_sets])
+        signed = sign_sets(16, token_sets, backend)
         for tokens, signature in zip(token_sets, signed.tuples):
             assert signature == minhash_signature(set(tokens), 16)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_empty_set_signs_all_prime(self, backend):
-        factory = SignatureFactory(8, backend=backend)
-        signed = factory.sign_sets([set()])
+        signed = sign_sets(8, [set()], backend)
         assert signed.tuples[0] == (_PRIME,) * 8
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_empty_rows_between_full_rows(self, backend):
         # Empty CSR rows are the reduceat hazard: boundaries collide.
         sets = [{"a", "b"}, set(), {"c"}, set(), set(), {"a", "c"}]
-        factory = SignatureFactory(8, backend=backend)
-        signed = factory.sign_sets(sets)
+        signed = sign_sets(8, sets, backend)
         for tokens, signature in zip(sets, signed.tuples):
             assert signature == minhash_signature(tokens, 8)
 
@@ -72,16 +93,29 @@ class TestSignatureParity:
         if not have_numpy():
             pytest.skip("numpy unavailable")
         sets = [{"cascade", "systems"}, {"café", "\U0001f600"}, set()]
-        python = SignatureFactory(32, backend="python").sign_sets(sets)
-        numpy = SignatureFactory(32, backend="numpy").sign_sets(sets)
+        python = sign_sets(32, sets, "python")
+        numpy = sign_sets(32, sets, "numpy")
         assert python.tuples == numpy.tuples
-        assert python.backend == "python"
-        assert numpy.backend == "numpy"
+        assert python.matrix is None
+        assert numpy.matrix.tolist() == [list(t) for t in numpy.tuples]
 
     def test_auto_resolution(self):
-        expected = "numpy" if have_numpy() else "python"
-        assert resolve_signer_backend("auto") == expected
-        assert SignatureFactory(8, backend="auto").backend == expected
+        # The gather follows numpy's importability; there is no knob.
+        signed = sign_sets(8, [{"a"}])
+        assert (signed.matrix is not None) == have_numpy()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_rid_subset_in_given_order(self, backend):
+        relation = Relation.from_strings(
+            "orgs", ["cascade systems", "", "granite", "cascade sistems"]
+        )
+        corpus = Corpus(relation)
+        with gather(backend):
+            signed = SignatureFactory(16).sign(corpus, [3, 1, 0])
+        assert signed.rids == [3, 1, 0]
+        for rid, signature in zip(signed.rids, signed.tuples):
+            expected = set(relation.get(rid).text().split())
+            assert signature == minhash_signature(expected, 16)
 
 
 class TestBandGroupingParity:
@@ -101,9 +135,9 @@ class TestBandGroupingParity:
          if b <= h and h % b == 0],
     )
     def test_buckets_match_scalar_band_keys(self, backend, n_hashes, n_bands):
-        factory = SignatureFactory(n_hashes, backend=backend)
-        signed = factory.sign_sets(self.SETS)
-        grouping = group_band_buckets(signed, n_bands)
+        signed = sign_sets(n_hashes, self.SETS, backend)
+        with gather(backend):
+            grouping = group_band_buckets(signed, n_bands)
         expected: dict = {}
         for row, tokens in enumerate(self.SETS):
             signature = minhash_signature(tokens, n_hashes)
@@ -120,8 +154,8 @@ class TestBandGroupingParity:
     def test_row_buckets_alias_bucket_lists(self, backend):
         # row_buckets must share list identity with buckets so the
         # index's member-probe path never diverges from the key path.
-        factory = SignatureFactory(16, backend=backend)
-        grouping = group_band_buckets(factory.sign_sets(self.SETS), 4)
+        with gather(backend):
+            grouping = group_band_buckets(sign_sets(16, self.SETS, backend), 4)
         for band, per_row in enumerate(grouping.row_buckets):
             for row, members in enumerate(per_row):
                 key = grouping.row_keys[row][band]
@@ -131,7 +165,7 @@ class TestBandGroupingParity:
     def test_flat_layout_lists_the_same_members(self):
         # The flat arrays the blocked Phase-1 pass and the numpy probe
         # read must describe exactly the buckets of row_buckets.
-        signed = SignatureFactory(16, backend="numpy").sign_sets(self.SETS)
+        signed = sign_sets(16, self.SETS, "numpy")
         grouping = group_band_buckets(signed, 4)
         ids = grouping.row_bucket_ids
         bounds = grouping.bucket_bounds
@@ -142,9 +176,8 @@ class TestBandGroupingParity:
                 g = ids[band, row]
                 rows = grouping.bucket_rows[bounds[g] : bounds[g + 1]]
                 assert [signed.rids[r] for r in rows] == members
-        python = group_band_buckets(
-            SignatureFactory(16, backend="python").sign_sets(self.SETS), 4
-        )
+        with gather("python"):
+            python = group_band_buckets(sign_sets(16, self.SETS, "python"), 4)
         assert python.row_bucket_ids is None and python.bucket_rows is None
 
 
@@ -153,13 +186,9 @@ class TestSignRecords:
         relation = Relation.from_strings(
             "orgs", ["cascade systems", "cascade sistems", "granite"]
         )
-        factory = SignatureFactory(16, backend="auto")
-        signed = factory.sign_records(
-            relation.ids(),
-            lambda rid: set(relation.get(rid).text().split()),
-        )
+        signed = SignatureFactory(16).sign(Corpus(relation))
         assert signed.rids == relation.ids()
-        assert set(signed.timings) == {"tokenize", "sign"}
+        assert set(signed.timings) == {"sign"}
         assert signed.matches(relation.ids(), 16)
         assert not signed.matches(relation.ids(), 32)
         assert not signed.matches(relation.ids()[:-1], 16)

@@ -16,6 +16,7 @@ import pytest
 from repro.core.formulation import DEParams
 from repro.core.nn_phase import Phase1Stats
 from repro.data.loaders import load_dataset
+from repro.distances.corpus import Corpus
 from repro.distances.kernels.compat import have_numpy
 from repro.eval.bench_phase1 import build_throughput_table, run_build_throughput
 from repro.eval.bench_scale import check_scale_payload
@@ -111,18 +112,15 @@ class TestCacheBypass:
 class TestBuildThroughput:
     def test_payload_and_table(self):
         payload = run_build_throughput(n_entities=60)
-        backends = [row["backend"] for row in payload["rows"]]
-        assert backends[0] == "scalar"
-        assert "python" in backends
-        if have_numpy():
-            assert "numpy" in backends
-            assert payload["speedup_numpy_vs_python"] is not None
-            assert payload["vectorized_backend"] == "numpy"
+        signers = [row["signer"] for row in payload["rows"]]
+        assert signers == ["scalar", "factory"]
+        assert "speedup_numpy_vs_python" not in payload
+        assert "vectorized_backend" not in payload
         assert payload["speedup_vectorized_vs_scalar"] is not None
         assert payload["parity"] is True
         assert payload["vocab_compression"] > 1.0
         table = build_throughput_table(payload)
-        assert "scalar" in table
+        assert "scalar" in table and "factory" in table
         assert "identical" in table
 
 
@@ -171,13 +169,7 @@ class TestScaleSpeedupGate:
 
 class TestPlanSignatureReuse:
     def test_plan_reuses_index_signatures(self, relation):
-        from repro.distances.tokens import tokenize
-
-        ids = relation.ids()
-        factory = SignatureFactory(64, backend="auto")
-        signatures = factory.sign_records(
-            ids, lambda rid: tokenize(relation.get(rid).text())
-        )
+        signatures = SignatureFactory(64).sign(Corpus(relation))
         fresh = plan_shards(relation, 2)
         reused = plan_shards(relation, 2, signatures=signatures)
         assert reused.members == fresh.members
@@ -188,8 +180,10 @@ class TestPlanSignatureReuse:
         assert "sign_seconds" in fresh.to_dict()
 
     def test_mismatched_signatures_are_ignored(self, relation):
-        factory = SignatureFactory(32, backend="auto")  # wrong n_hashes
-        signatures = factory.sign_sets([{"a"}])
-        plan = plan_shards(relation, 2, signatures=signatures)
+        # Wrong n_hashes: the plan signs the corpus it is handed.
+        signatures = SignatureFactory(32).sign(Corpus(relation))
+        plan = plan_shards(
+            relation, 2, signatures=signatures, corpus=Corpus(relation)
+        )
         assert plan.sign_seconds > 0.0
         assert plan.members == plan_shards(relation, 2).members
