@@ -9,22 +9,29 @@ and :meth:`IncrementalDeduplicator.remove`, with the invariant
 (enforced by property tests and the ``incremental`` verify checks) that
 the maintained solution equals a from-scratch batch run at every point.
 
-Cost model (n = current size, K = cut-bounded list length):
+Cost model (n = current size, K = cut-bounded list length): each
+operation costs O(n) cheap steps plus work proportional to what it
+changed.
 
-- **insert** — O(n) distance evaluations to the existing records (each
-  unordered pair at most once, pinned in a per-operation memo), then
-  O(log K) list maintenance and O(1) amortized neighborhood updates per
-  existing record: the exact nearest neighbor is maintained explicitly,
-  so a shrinking radius only *truncates* the stored membership list —
-  no rescans;
-- **remove** — O(n) membership checks plus one O(n)-evaluation rebuild
-  per record that *referenced* the removed record (its cut list or its
-  exact NN), which is O(K) records on average;
-- **partition** — CSPairs rows are patched only for records whose
-  maintained entry changed since the last call; group extraction is
-  re-run only for mutual-NN connected components whose rows changed
-  (component independence is the PR 5 sharding argument), so a quiet
-  arrival re-extracts nothing.
+- **insert** — one distance row to the existing records, fetched in
+  one call through the pair cache (each unordered pair at most once,
+  pinned in a per-operation memo); the arrival is tokenized and
+  vectorized once, when it is registered with the corpus.  The row is
+  then reused to update each existing record: two comparisons skip a
+  record the newcomer can change nothing of, the others get O(log K)
+  list maintenance and O(1) amortized neighborhood updates.  The exact
+  nearest neighbor is maintained explicitly, so a shrinking radius
+  only *truncates* the stored membership list — no rescans;
+- **remove** — O(n) membership checks, O(n) probes to drop the removed
+  record's cached pairs, plus one distance row per record that
+  *referenced* the removed record (its cut list or its exact NN),
+  which is O(K) records on average;
+- **partition** — CSPairs rows are rebuilt only for records whose cut
+  list changed, and their NG fields patched for records whose NG alone
+  changed; group extraction re-runs only for the mutual-NN components
+  holding an endpoint of a row that was added, dropped or changed,
+  found by walking the rows' adjacency (component independence is the
+  sharding argument), so a quiet arrival re-extracts nothing.
 
 Corpus-dependent distances (IDF-weighted cosine, fms) are prepared
 lazily on the first arrival; ``refit_every`` re-prepares them — and
@@ -40,26 +47,27 @@ batch indexes.
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
-from bisect import insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from itertools import starmap
 
-from repro.core.cspairs import (
-    CSPair,
-    max_pair_size,
-    nn_list_limit,
-    prefix_equal_flags,
-)
+from repro.core.cspairs import CSPair, max_pair_size, prefix_equal_flags
 from repro.core.formulation import CombinedCut, DEParams, SizeCut
 from repro.core.neighborhood import NNEntry, NNRelation
-from repro.core.partitioner import extract_component_groups, mutual_components
+from repro.core.partitioner import extract_component_groups
 from repro.core.result import Partition
 from repro.data.schema import Record, Relation
 from repro.distances.base import CachedDistance, DistanceFunction
-from repro.index.base import Neighbor
+from repro.index.base import Neighbor, by_proximity
 
 __all__ = ["IncrementalDeduplicator", "OpStats", "RepairStats"]
+
+#: The smallest positive float: on distances, ``d < _ABOVE_ZERO`` is
+#: ``d == 0``.
+_ABOVE_ZERO = math.nextafter(0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -91,7 +99,8 @@ class RepairStats:
 
     n_pairs: int
     n_components: int
-    #: Components re-extracted because their CSPairs rows changed.
+    #: Components re-extracted because a CSPairs row of theirs was
+    #: added, dropped or changed.
     components_repaired: int
     #: Components whose cached group extraction was reused verbatim.
     components_reused: int
@@ -131,10 +140,9 @@ class IncrementalDeduplicator:
     max_cache_entries:
         Bound for the internally created distance cache (``None`` =
         unbounded).  Long-lived sessions should bound it: the pair cache
-        otherwise grows O(n²).  Removals invalidate the removed record's
-        cached pairs on unbounded caches (bounded ones age them out via
-        eviction; rids are never reused, so stale pairs are
-        unreachable either way).
+        otherwise grows O(n²).  A removal drops the removed record's
+        cached pairs from either kind of cache, one probe per live
+        record.
     constraints, constraint_mode:
         Constraints (:mod:`repro.core.constraints`) the maintained
         solution must respect.  ``"postprocess"`` splits groups at
@@ -168,6 +176,11 @@ class IncrementalDeduplicator:
                 "'postprocess', 'pushdown', or 'inline'"
             )
         self.params = params
+        cut = params.cut
+        #: The cut's size bound K and diameter bound θ (``None`` when
+        #: the specification has none).
+        self._k = cut.k if isinstance(cut, (SizeCut, CombinedCut)) else None
+        self._theta = None if isinstance(cut, SizeCut) else cut.theta
         self.refit_every = refit_every
         self.candidates = candidates
         if isinstance(distance, CachedDistance):
@@ -217,9 +230,20 @@ class IncrementalDeduplicator:
         self._next_rid = 0
         # Incrementally maintained Phase-2 state.
         self._pairs: dict[tuple[int, int], CSPair] = {}
+        #: rid -> keys of the CSPairs rows it is an endpoint of: the
+        #: adjacency of the mutual-NN graph.
         self._pair_keys: dict[int, set[tuple[int, int]]] = {}
+        #: Records whose cut list changed (their rows are rebuilt) and
+        #: records whose NG alone changed (their rows' NGs are patched).
         self._dirty: set[int] = set()
-        self._component_groups: dict[tuple, tuple[tuple[int, ...], ...]] = {}
+        self._ng_dirty: set[int] = set()
+        #: Endpoints of CSPairs rows added, dropped or changed since the
+        #: last :meth:`partition`.
+        self._touched: set[int] = set()
+        #: Each mutual-NN component as ``min rid -> (members, groups)``,
+        #: and the component key of every record with a CSPairs row.
+        self._components: dict[int, tuple[tuple[int, ...], tuple]] = {}
+        self._component_of: dict[int, int] = {}
         self._partition_cache: Partition | None = None
         # Lazy-prepare / refit bookkeeping (the no-seed construction
         # used to skip prepare() entirely, scoring IDF metrics against
@@ -231,12 +255,25 @@ class IncrementalDeduplicator:
         #: Telemetry of the latest operation / partition repair.
         self.last_op: OpStats | None = None
         self.last_repair: RepairStats | None = None
-        # Per-operation pair memo (satellite of the bounded-cache fix).
-        self._op_memo: dict[tuple[int, int], float] = {}
-        self._op_calls = 0
+        # Per-operation memo: rid -> {other rid: distance} of every
+        # distance row fetched during the operation, and the number of
+        # distinct pairs those rows evaluated.
+        self._op_rows: dict[int, dict[int, float]] = {}
+        self._op_pairs = 0
         self._op_marked: set[int] = set()
         if seed is not None:
-            self.distance.prepare(seed)
+            # Collect the statistics under the rids ``add`` assigns, so
+            # every corpus row names the record that will carry its rid.
+            self.distance.prepare(
+                Relation(
+                    name=seed.name,
+                    schema=seed.schema,
+                    records=[
+                        Record(rid, record.fields)
+                        for rid, record in enumerate(seed, self._next_rid)
+                    ],
+                )
+            )
             self._prepared = True
             for record in seed:
                 self.add(record.fields)
@@ -260,6 +297,9 @@ class IncrementalDeduplicator:
         if not self._prepared or self._refit_due():
             self._refit()
         else:
+            corpus = self.distance.corpus
+            if corpus is not None:
+                corpus.register(record)
             self._apply_insert(record)
         self._ops_since_refit += 1
         self._finish_op("add", rid, start)
@@ -282,37 +322,21 @@ class IncrementalDeduplicator:
         self.relation.remove(rid)
         if self.candidates is not None:
             self.candidates.remove(rid)
+        corpus = self.distance.corpus
+        if corpus is not None:
+            corpus.remove(rid)
         rebuilds: list[int] = []
         if self._refit_due():
             self._drop_entry_state(rid)
             self._refit()
         else:
-            for other in self.relation:
-                orid = other.rid
-                if any(nb.rid == rid for nb in self._neighbors[orid]):
-                    rebuilds.append(orid)
-                    continue
-                t = self._true_nn[orid]
-                if t is not None and t.rid == rid:
-                    rebuilds.append(orid)
-                    continue
-                nbh = self._nbhd[orid]
-                kept = [m for m in nbh if m.rid != rid]
-                if len(kept) != len(nbh):
-                    self._nbhd[orid] = kept
-                    self._ng[orid] = len(kept) + 1
-                    self._mark_dirty(orid)
+            rebuilds = self._unlink(rid)
             self._drop_entry_state(rid)
-            # Rids are never reused, so a removed record's cached pairs
-            # can never be probed again — invalidation exists purely to
-            # stop unbounded growth across a long session.  A bounded
-            # cache already handles that via eviction; skipping the
-            # full-cache sweep keeps removals O(n).
-            if (
-                isinstance(self.distance, CachedDistance)
-                and self.distance.max_entries is None
-            ):
-                self.distance.invalidate_rid(rid)
+            # Rids are never reused, so the removed record's cached
+            # pairs can never be probed again; dropping them keeps a
+            # long session's cache to live pairs.  Its partners are the
+            # live records, one probe each.
+            self.distance.invalidate_rid(rid, self._neighbors)
             for orid in rebuilds:
                 self._rebuild_entry(self.relation.get(orid))
         self._ops_since_refit += 1
@@ -331,41 +355,51 @@ class IncrementalDeduplicator:
         self._finish_op("refit", -1, start)
 
     # ------------------------------------------------------------------
-    # Insert path
+    # Insert and remove paths
     # ------------------------------------------------------------------
 
     def _apply_insert(self, record: Record) -> None:
         rid = record.rid
-        p = self.params.p
-        targets = self._scan_targets(record)
-        hits = sorted(Neighbor(self._d(record, o), o.rid) for o in targets)
-        self._neighbors[rid] = self._bound_list(hits)
-        nn, members = self._neighborhood(hits)
-        self._true_nn[rid] = nn
-        self._nbhd[rid] = members
-        self._ng[rid] = len(members) + 1
+        targets, row = self._scan(record)
         self._mark_dirty(rid)
 
-        for other in targets:
+        p = self.params.p
+        k, theta = self._k, self._theta
+        neighbors, true_nn, nbhd, ngs = (
+            self._neighbors, self._true_nn, self._nbhd, self._ng
+        )
+        for other, d in zip(targets, row):
             orid = other.rid
-            d = self._d(record, other)  # pinned: free re-probe
-            changed = False
-            # Cut-bounded NN list: insert if admitted, re-bound.  The
-            # newcomer survives the bound unless it ties the size-cut
-            # boundary (its id is the largest, so it sorts last).
-            if self._admits(orid, d):
-                lst = self._neighbors[orid]
-                insort(lst, Neighbor(d, rid))
-                lst = self._bound_list(lst)
-                self._neighbors[orid] = lst
-                changed = any(nb.rid == rid for nb in lst)
+            lst = neighbors[orid]
+            t_old = true_nn[orid]
+            # Cut-bounded NN list: does the newcomer belong in it?  Ties
+            # with a full size-cut list's last entry are admitted and
+            # then cut again: the newcomer's id is the largest, so it
+            # sorts last.
+            admitted = (theta is None or d < theta) and (
+                k is None or len(lst) < k or d <= lst[-1].distance
+            )
+            if not admitted and t_old is not None:
+                # Neither a nearer exact NN nor a new neighborhood
+                # member: nothing of this record changes.
+                radius = t_old.distance
+                if d >= radius and (
+                    d > 0.0 if radius == 0.0 else d >= p * radius
+                ):
+                    continue
+            cand = Neighbor(d, rid)
+            if admitted:
+                at = bisect_right(lst, (d, rid), key=by_proximity)
+                lst.insert(at, cand)
+                if k is not None and len(lst) > k:
+                    del lst[k:]
+                if at < len(lst):
+                    self._mark_dirty(orid)
             # Exact NN and neighborhood membership.  The radius can only
             # shrink on insert, so the stored membership list is
             # re-filtered — never rescanned.
-            cand = Neighbor(d, rid)
-            t_old = self._true_nn[orid]
-            old_members = self._nbhd[orid]
-            if t_old is None or cand < t_old:
+            old_members = nbhd[orid]
+            if t_old is None or (d, rid) < by_proximity(t_old):
                 t_new = cand
                 if d == 0.0:
                     members = [m for m in old_members if m.distance == 0.0]
@@ -377,38 +411,84 @@ class IncrementalDeduplicator:
                 members = old_members
             # Does the newcomer itself land in the (possibly shrunk)
             # neighborhood?  Zero radius counts exact co-locations.
-            if (d == 0.0) if t_new.distance == 0.0 else (d < p * t_new.distance):
+            radius = t_new.distance
+            if (d == 0.0) if radius == 0.0 else (d < p * radius):
                 if members is old_members:
                     members = list(old_members)
-                insort(members, cand)
-            self._true_nn[orid] = t_new
+                insort(members, cand, key=by_proximity)
+            true_nn[orid] = t_new
             if members is not old_members:
-                self._nbhd[orid] = members
+                nbhd[orid] = members
             ng = len(members) + 1
-            if ng != self._ng[orid]:
-                self._ng[orid] = ng
-                changed = True
-            if changed:
-                self._mark_dirty(orid)
+            if ng != ngs[orid]:
+                ngs[orid] = ng
+                self._mark_ng(orid)
+
+    def _unlink(self, rid: int) -> list[int]:
+        """Take a removed record out of every other record's entry.
+
+        Returns the records that must be rebuilt by a scan (the removed
+        record was in their cut list or their exact NN); any other
+        record it was a neighborhood member of loses it in place.
+        """
+        rebuilds: list[int] = []
+        true_nn, nbhd = self._true_nn, self._nbhd
+        for orid, lst in self._neighbors.items():
+            if orid == rid:
+                continue
+            referenced = False
+            for nb in lst:
+                if nb.rid == rid:
+                    referenced = True
+                    break
+            t = true_nn[orid]
+            if referenced or (t is not None and t.rid == rid):
+                rebuilds.append(orid)
+                continue
+            members = nbhd[orid]
+            for at, member in enumerate(members):
+                if member.rid == rid:
+                    members = members[:at] + members[at + 1 :]
+                    nbhd[orid] = members
+                    self._ng[orid] = len(members) + 1
+                    self._mark_ng(orid)
+                    break
+        return rebuilds
 
     # ------------------------------------------------------------------
     # Shared state builders
     # ------------------------------------------------------------------
 
-    def _d(self, a: Record, b: Record) -> float:
-        """Pair distance through the per-operation memo.
+    def _row(
+        self, record: Record, targets: list[Record]
+    ) -> tuple[list[Record], list[float]]:
+        """Distances from ``record`` to each of ``targets``, fetched
+        through the pair cache in one call.
 
-        Guarantees each unordered pair is evaluated at most once per
-        operation even when the underlying cache is bounded and has
-        evicted the pair (the documented free-re-probe promise).
+        A pair this operation already fetched from its other end is
+        read from that row instead, so each unordered pair is evaluated
+        at most once per operation even when the cache is bounded and
+        has evicted it (the documented free-re-probe promise).  Returns
+        the targets, those reused last, and their distances.
         """
-        key = (a.rid, b.rid) if a.rid < b.rid else (b.rid, a.rid)
-        value = self._op_memo.get(key)
-        if value is None:
-            value = self.distance.distance(a, b)
-            self._op_memo[key] = value
-            self._op_calls += 1
-        return value
+        rid = record.rid
+        rows = self._op_rows
+        reused = []
+        if rows:
+            for other in [o for o in targets if o.rid in rows]:
+                d = rows[other.rid].get(rid)
+                if d is not None:
+                    reused.append((other, d))
+            if reused:
+                skip = {other.rid for other, _ in reused}
+                targets = [o for o in targets if o.rid not in skip]
+        values = self.distance.row(record, targets)
+        self._op_pairs += len(values)
+        if reused:
+            targets = targets + [other for other, _ in reused]
+            values = values + [d for _, d in reused]
+        rows[rid] = dict(zip([o.rid for o in targets], values))
+        return targets, values
 
     def _scan_targets(self, record: Record) -> list[Record]:
         """The records an arrival is compared against."""
@@ -421,57 +501,37 @@ class IncrementalDeduplicator:
             if rid != record.rid and rid in self.relation
         ]
 
-    def _scan_hits(self, record: Record) -> list[Neighbor]:
-        return sorted(
-            Neighbor(self._d(record, o), o.rid) for o in self._scan_targets(record)
-        )
-
-    def _neighborhood(
-        self, hits: list[Neighbor]
-    ) -> tuple[Neighbor | None, list[Neighbor]]:
-        """Exact NN and neighborhood members from a full sorted scan."""
-        if not hits:
-            return None, []
-        nn = hits[0]
-        if nn.distance == 0.0:
-            members = [h for h in hits if h.distance == 0.0]
-        else:
-            cutoff = self.params.p * nn.distance
-            members = [h for h in hits if h.distance < cutoff]
-        return nn, members
+    def _scan(self, record: Record) -> tuple[list[Record], list[float]]:
+        """Set one record's entry — cut list, exact NN, neighborhood
+        members and NG — from its full distance row; returns the row
+        and the targets it is aligned with."""
+        targets, row = self._row(record, self._scan_targets(record))
+        hits = sorted(zip(row, [o.rid for o in targets]))
+        end = len(hits) if self._theta is None else bisect_left(hits, (self._theta,))
+        if self._k is not None:
+            end = min(end, self._k)
+        inside = 0
+        if hits:
+            nn = hits[0][0]
+            # ``d < radius``; for ``nn = 0`` that is ``d == 0``.
+            radius = self.params.p * nn if nn > 0.0 else _ABOVE_ZERO
+            inside = bisect_left(hits, (radius,))
+        rid = record.rid
+        self._neighbors[rid] = list(starmap(Neighbor, hits[:end]))
+        self._true_nn[rid] = Neighbor(*hits[0]) if hits else None
+        self._nbhd[rid] = list(starmap(Neighbor, hits[:inside]))
+        self._ng[rid] = inside + 1
+        return targets, row
 
     def _rebuild_entry(self, record: Record) -> None:
         """Recompute one record's entry by scan (removal repair path)."""
         rid = record.rid
-        hits = self._scan_hits(record)
-        lst = self._bound_list(hits)
-        nn, members = self._neighborhood(hits)
-        ng = len(members) + 1
-        if lst != self._neighbors[rid] or ng != self._ng[rid]:
+        old_list, old_ng = self._neighbors[rid], self._ng[rid]
+        self._scan(record)
+        if self._neighbors[rid] != old_list:
             self._mark_dirty(rid)
-        self._neighbors[rid] = lst
-        self._true_nn[rid] = nn
-        self._nbhd[rid] = members
-        self._ng[rid] = ng
-
-    def _admits(self, rid: int, d: float) -> bool:
-        """Whether a new neighbor at distance ``d`` belongs in rid's list."""
-        current = self._neighbors[rid]
-        if isinstance(self.params.cut, CombinedCut) and not d < self.params.theta:
-            return False
-        if isinstance(self.params.cut, (SizeCut, CombinedCut)):
-            if len(current) < self.params.cut.k:
-                return True
-            return d <= current[-1].distance  # ties: id order decides later
-        return d < self.params.theta
-
-    def _bound_list(self, hits: list[Neighbor]) -> list[Neighbor]:
-        if isinstance(self.params.cut, SizeCut):
-            return hits[: self.params.cut.k]
-        if isinstance(self.params.cut, CombinedCut):
-            within = [h for h in hits if h.distance < self.params.theta]
-            return within[: self.params.cut.k]
-        return [h for h in hits if h.distance < self.params.theta]
+        elif self._ng[rid] != old_ng:
+            self._mark_ng(rid)
 
     # ------------------------------------------------------------------
     # Refit / lazy preparation
@@ -489,21 +549,20 @@ class IncrementalDeduplicator:
         self._prepared = True
         self._ops_since_refit = 0
         self.refits += 1
-        self._op_memo.clear()  # stale under the new corpus statistics
+        self._op_rows.clear()  # stale under the new corpus statistics
         self._neighbors.clear()
         self._true_nn.clear()
         self._nbhd.clear()
         self._ng.clear()
         for record in self.relation:
-            hits = self._scan_hits(record)
-            self._neighbors[record.rid] = self._bound_list(hits)
-            nn, members = self._neighborhood(hits)
-            self._true_nn[record.rid] = nn
-            self._nbhd[record.rid] = members
-            self._ng[record.rid] = len(members) + 1
+            self._scan(record)
         # Every pair is potentially stale under the new statistics.
         self._pairs.clear()
         self._pair_keys.clear()
+        self._components.clear()
+        self._component_of.clear()
+        self._touched.clear()
+        self._ng_dirty.clear()
         self._dirty = set(self._neighbors)
         self._op_marked.update(self._neighbors)
         self._partition_cache = None
@@ -517,6 +576,30 @@ class IncrementalDeduplicator:
         self._op_marked.add(rid)
         self._partition_cache = None
 
+    def _mark_ng(self, rid: int) -> None:
+        self._ng_dirty.add(rid)
+        self._op_marked.add(rid)
+        self._partition_cache = None
+
+    def _drop_rows(self, rid: int, dropped: dict | None = None) -> None:
+        """Drop every CSPairs row ``rid`` is an endpoint of.
+
+        The dropped rows go into ``dropped`` when given (a refresh that
+        may rebuild them); otherwise their endpoints are touched.
+        """
+        for key in self._pair_keys.pop(rid, ()):
+            row = self._pairs.pop(key, None)
+            if row is None:
+                continue
+            other = key[0] if key[1] == rid else key[1]
+            keys = self._pair_keys.get(other)
+            if keys is not None:
+                keys.discard(key)
+            if dropped is None:
+                self._touched.update(key)
+            else:
+                dropped[key] = row
+
     def _drop_entry_state(self, rid: int) -> None:
         """Forget one record's Phase-1 entry and its CSPairs rows."""
         self._neighbors.pop(rid, None)
@@ -524,12 +607,8 @@ class IncrementalDeduplicator:
         self._nbhd.pop(rid, None)
         self._ng.pop(rid, None)
         self._dirty.discard(rid)
-        for key in self._pair_keys.pop(rid, set()):
-            if self._pairs.pop(key, None) is not None:
-                other = key[0] if key[1] == rid else key[1]
-                keys = self._pair_keys.get(other)
-                if keys is not None:
-                    keys.discard(key)
+        self._ng_dirty.discard(rid)
+        self._drop_rows(rid)
         self._partition_cache = None
 
     def _refresh_pairs(self) -> None:
@@ -540,7 +619,10 @@ class IncrementalDeduplicator:
         dirty record, every row it anchors or partners is dropped and
         rebuilt from its (new) cut list with the same mutuality /
         flag-prefix logic as the batch builder — bit-identical rows by
-        construction.
+        construction.  A record whose NG alone changed keeps its rows'
+        mutuality and flags, so only their NG fields are patched.  The
+        endpoints of every row that did not come back identical are
+        touched.
         """
         params = self.params
         # The online analogue of the batch inline mode: forbidden pairs
@@ -551,52 +633,118 @@ class IncrementalDeduplicator:
             if self.constraint_mode in ("pushdown", "inline")
             else None
         )
-        for rid in list(self._dirty):
-            for key in self._pair_keys.pop(rid, set()):
-                if self._pairs.pop(key, None) is not None:
-                    other = key[0] if key[1] == rid else key[1]
-                    keys = self._pair_keys.get(other)
-                    if keys is not None:
-                        keys.discard(key)
+        pairs, pair_keys, touched = self._pairs, self._pair_keys, self._touched
+        neighbors, ngs = self._neighbors, self._ng
+        dropped: dict[tuple[int, int], CSPair] = {}
         for rid in self._dirty:
-            lst = self._neighbors.get(rid)
+            self._drop_rows(rid, dropped)
+        # The neighbour-id tuple of each entry read, once per refresh.
+        ids: dict[int, tuple[int, ...]] = {}
+
+        def ids_of(rid: int) -> tuple[int, ...]:
+            found = ids.get(rid)
+            if found is None:
+                found = ids[rid] = tuple(nb.rid for nb in neighbors[rid])
+            return found
+
+        for rid in self._dirty:
+            lst = neighbors.get(rid)
             if lst is None:
                 continue
-            limit = nn_list_limit(params, len(lst))
-            for nb in lst[:limit]:
+            # Cut lists are already bounded, so Phase 2 reads all of
+            # each (``nn_list_limit`` is the list length).
+            for nb in lst:
                 orid = nb.rid
-                olist = self._neighbors.get(orid)
-                if olist is None:
-                    continue
-                olimit = nn_list_limit(params, len(olist))
-                if not any(o.rid == rid for o in olist[:olimit]):
+                if orid not in neighbors or rid not in ids_of(orid):
                     continue  # not mutual
-                id1, id2 = (rid, orid) if rid < orid else (orid, rid)
-                key = (id1, id2)
-                if key in self._pairs:
+                key = (rid, orid) if rid < orid else (orid, rid)
+                if key in pairs:
                     continue  # both endpoints dirty: already rebuilt
+                id1, id2 = key
                 if pair_filter is not None and not pair_filter(
                     self.relation.get(id1), self.relation.get(id2)
                 ):
                     continue
-                l1, l2 = self._neighbors[id1], self._neighbors[id2]
-                flags = prefix_equal_flags(
-                    id1,
-                    tuple(n.rid for n in l1),
-                    id2,
-                    tuple(n.rid for n in l2),
-                    max_pair_size(len(l1), len(l2), params),
-                )
-                self._pairs[key] = CSPair(
+                ids1, ids2 = ids_of(id1), ids_of(id2)
+                row = CSPair(
                     id1=id1,
                     id2=id2,
-                    ng1=self._ng[id1],
-                    ng2=self._ng[id2],
-                    flags=flags,
+                    ng1=ngs[id1],
+                    ng2=ngs[id2],
+                    flags=prefix_equal_flags(
+                        id1, ids1, id2, ids2,
+                        max_pair_size(len(ids1), len(ids2), params),
+                    ),
                 )
-                self._pair_keys.setdefault(id1, set()).add(key)
-                self._pair_keys.setdefault(id2, set()).add(key)
+                pairs[key] = row
+                pair_keys.setdefault(id1, set()).add(key)
+                pair_keys.setdefault(id2, set()).add(key)
+                if dropped.pop(key, None) != row:
+                    touched.update(key)
+        for key in dropped:
+            touched.update(key)
+        # A record whose cut list is unchanged keeps its rows' mutuality
+        # and flags; only the NGs it carries need patching.
+        for rid in self._ng_dirty:
+            for key in pair_keys.get(rid, ()):
+                row = pairs[key]
+                ng1, ng2 = ngs[row.id1], ngs[row.id2]
+                if row.ng1 != ng1 or row.ng2 != ng2:
+                    pairs[key] = CSPair(
+                        id1=row.id1, id2=row.id2, ng1=ng1, ng2=ng2,
+                        flags=row.flags,
+                    )
+                    touched.update(key)
         self._dirty.clear()
+        self._ng_dirty.clear()
+
+    def _repair_components(self) -> int:
+        """Re-extract the mutual-NN components that hold a touched
+        record; returns how many.
+
+        Every other component's rows are unchanged, and extraction is a
+        pure function of a component's rows, so its groups are reused.
+        A component all of whose records are untouched is also a
+        component of the old graph, so the walks from the touched
+        records reach every record of every invalidated component.
+        """
+        touched = self._touched
+        components, component_of = self._components, self._component_of
+        for rid in touched:
+            key = component_of.get(rid)
+            if key is not None and key in components:
+                for member in components.pop(key)[0]:
+                    del component_of[member]
+        pair_keys, pairs = self._pair_keys, self._pairs
+        repaired = 0
+        for rid in touched:
+            if rid in component_of or not pair_keys.get(rid):
+                continue
+            members = {rid}
+            keys: set[tuple[int, int]] = set()
+            stack = [rid]
+            while stack:
+                at = stack.pop()
+                for key in pair_keys[at]:
+                    if key in keys:
+                        continue
+                    keys.add(key)
+                    other = key[0] if key[1] == at else key[1]
+                    if other not in members:
+                        members.add(other)
+                        stack.append(other)
+            rows = [pairs[key] for key in sorted(keys)]
+            groups = tuple(
+                tuple(sorted(group))
+                for group in extract_component_groups(rows, self.params)
+            )
+            root = min(members)
+            components[root] = (tuple(members), groups)
+            for member in members:
+                component_of[member] = root
+            repaired += 1
+        touched.clear()
+        return repaired
 
     # ------------------------------------------------------------------
     # Views
@@ -618,39 +766,31 @@ class IncrementalDeduplicator:
     def cs_pairs(self) -> list[CSPair]:
         """The maintained CSPairs relation, sorted by ``(id1, id2)``."""
         self._refresh_pairs()
-        return sorted(self._pairs.values(), key=lambda pair: (pair.id1, pair.id2))
+        return [self._pairs[key] for key in sorted(self._pairs)]
 
     def partition(self) -> Partition:
         """The DE solution over the live relation.
 
         Incremental: CSPairs rows are patched for dirty entries only,
-        and group extraction re-runs only for mutual-NN components whose
-        rows changed; unchanged components reuse their cached groups
-        (exact — extraction is a pure function of a component's rows).
+        and group extraction re-runs only for the mutual-NN components
+        holding a record whose rows changed; every other component
+        reuses its groups (exact — extraction is a pure function of a
+        component's rows).
         """
         if self._partition_cache is not None:
             return self._partition_cache
         start = time.perf_counter()
-        rows = self.cs_pairs()
-        components = mutual_components(rows)
-        groups: list[list[int]] = []
-        memo: dict[tuple, tuple[tuple[int, ...], ...]] = {}
-        repaired = 0
-        for component in components:
-            key = tuple(component)
-            cached = self._component_groups.get(key)
-            if cached is None:
-                cached = tuple(
-                    tuple(group)
-                    for group in extract_component_groups(component, self.params)
-                )
-                repaired += 1
-            memo[key] = cached
-            groups.extend(list(group) for group in cached)
-        self._component_groups = memo
+        self._refresh_pairs()
+        repaired = self._repair_components()
+        groups = [
+            group for _, extracted in self._components.values()
+            for group in extracted
+        ]
         assigned = {rid for group in groups for rid in group}
-        singles = [[rid] for rid in self.relation.ids() if rid not in assigned]
-        partition = Partition.from_groups(groups + singles)
+        groups.extend((rid,) for rid in self.relation.ids() if rid not in assigned)
+        # Each group is sorted and the groups are disjoint, so sorting
+        # the tuples orders them by minimum id: the canonical form.
+        partition = Partition(groups=tuple(sorted(groups)))
         if self._pair_filter is not None:
             # The unconditional zero-violation split — identical to the
             # batch postprocess stage, so checksum parity holds.
@@ -660,10 +800,10 @@ class IncrementalDeduplicator:
                 partition, self.relation, self._pair_filter.forbids
             )
         self.last_repair = RepairStats(
-            n_pairs=len(rows),
-            n_components=len(components),
+            n_pairs=len(self._pairs),
+            n_components=len(self._components),
             components_repaired=repaired,
-            components_reused=len(components) - repaired,
+            components_reused=len(self._components) - repaired,
             seconds=time.perf_counter() - start,
         )
         self._partition_cache = partition
@@ -677,8 +817,8 @@ class IncrementalDeduplicator:
     # ------------------------------------------------------------------
 
     def _begin_op(self) -> None:
-        self._op_memo.clear()
-        self._op_calls = 0
+        self._op_rows = {}
+        self._op_pairs = 0
         self._op_marked = set()
         self._op_miss_base = self.distance.misses
 
@@ -687,8 +827,8 @@ class IncrementalDeduplicator:
             op=op,
             rid=rid,
             n=len(self.relation),
-            pinned_pairs=len(self._op_memo),
-            distance_calls=self._op_calls,
+            pinned_pairs=self._op_pairs,
+            distance_calls=self._op_pairs,
             cache_misses=self.distance.misses - self._op_miss_base,
             rebuilt=rebuilt,
             dirty=len(self._op_marked),

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import abc
 from collections import OrderedDict
-from typing import Callable
+from typing import Callable, Iterable, Sequence
 
 from repro.data.schema import Record, Relation
 
@@ -145,6 +145,7 @@ class CachedDistance(DistanceFunction):
     size stays pinned at the bound, so every eviction re-skips an
     ever-growing tombstone prefix.  Eviction only costs recomputation
     on a later probe of the evicted pair — results never change.
+    :meth:`row` answers a whole distance row in one call.
     """
 
     def __init__(self, inner: DistanceFunction, max_entries: int | None = None):
@@ -190,23 +191,38 @@ class CachedDistance(DistanceFunction):
         # ledgered in ``kernel_evaluations``, not ``calls``).
         return self.inner.make_kernel(relation)
 
-    def invalidate_rid(self, rid: int) -> int:
-        """Drop every cached pair involving ``rid``; returns the count.
+    def invalidate_rid(self, rid: int, partners: Iterable[int]) -> int:
+        """Drop every cached pair of ``rid`` with one of ``partners``;
+        returns the count.
 
         Record deletions make pairs with the removed id unreachable;
-        dropping them keeps an unbounded cache from accumulating dead
-        entries across a long-lived online session.  Costs one pass over
-        the cache — callers (the incremental layer) only pay it on
-        removals, which are already O(n).
+        dropping them keeps the cache from accumulating dead entries
+        across a long-lived online session.  The incremental layer
+        passes the live records, the only rids a removed record can
+        share a cached pair with, so a removal costs one probe per live
+        record, not a sweep of the cache.
         """
-        stale = [key for key in self._cache if rid in key]
-        for key in stale:
-            del self._cache[key]
-        return len(stale)
+        cache = self._cache
+        before = len(cache)
+        for other in partners:
+            cache.pop((rid, other) if rid < other else (other, rid), None)
+        return before - len(cache)
 
     @property
     def kernel_evaluations(self) -> int:
         return self.inner.kernel_evaluations
+
+    def _store(self, key: tuple[int, int], value: float) -> None:
+        if self.max_entries is not None and len(self._cache) >= self.max_entries:
+            try:
+                # Thread-pool Phase-1 workers may share this cache;
+                # racing on the oldest key is harmless.
+                self._cache.popitem(last=False)
+            except KeyError:
+                pass
+            else:
+                self.evictions += 1
+        self._cache[key] = value
 
     def distance(self, a: Record, b: Record) -> float:
         self.calls += 1
@@ -220,18 +236,36 @@ class CachedDistance(DistanceFunction):
         cached = self._cache.get(key)
         if cached is None:
             cached = self.inner.distance(a, b)
-            if self.max_entries is not None and len(self._cache) >= self.max_entries:
-                try:
-                    # Thread-pool Phase-1 workers may share this cache;
-                    # racing on the oldest key is harmless.
-                    self._cache.popitem(last=False)
-                except KeyError:
-                    pass
-                else:
-                    self.evictions += 1
-            self._cache[key] = cached
+            self._store(key, cached)
             self.misses += 1
         return cached
+
+    def row(self, record: Record, others: Sequence[Record]) -> list[float]:
+        """``distance(record, other)`` for every record of ``others``.
+
+        One call for a whole distance row: a cached pair costs one dict
+        lookup, and a miss goes straight to the inner distance in
+        canonical direction, exactly as :meth:`distance` would.
+        """
+        get = self._cache.get
+        store = self._store
+        inner = self.inner.distance
+        rid = record.rid
+        out: list[float] = []
+        append = out.append
+        misses = 0
+        for other in others:
+            oid = other.rid
+            key = (rid, oid) if rid < oid else (oid, rid)
+            value = get(key)
+            if value is None:
+                value = inner(record, other) if rid < oid else inner(other, record)
+                store(key, value)
+                misses += 1
+            append(value)
+        self.calls += len(out)
+        self.misses += misses
+        return out
 
 
 class FrozenDistance(DistanceFunction):

@@ -14,10 +14,12 @@ counts, ``df`` from one count over the CSR, and one IDF weight
 The scalar distance paths, the columnar kernels
 (:class:`~repro.distances.kernels.columnar.ColumnarVectors`) and the
 MinHash signer (:class:`~repro.index.signatures.SignatureFactory`) all
-read it; a record outside the corpus is vectorized on the fly under the
-frozen statistics.  Tf-idf is ``count * idf`` and a norm sums squared
-weights sequentially in ascending token order on both the scalar path
-and the arrays, so the two are bit-identical.
+read it.  A record outside the corpus is vectorized under the frozen
+statistics: once, when the incremental layer registers it on arrival
+(:meth:`Corpus.register`; cached until :meth:`Corpus.remove`), or on
+the fly, uncached, for an ad-hoc record.  Tf-idf is ``count * idf``
+and a norm sums squared weights sequentially in ascending token order
+on both the scalar path and the arrays, so the two are bit-identical.
 """
 
 from __future__ import annotations
@@ -86,6 +88,10 @@ class Corpus:
         #: rid -> (tokens ascending, tf-idf weights, norm), filled by
         #: the scalar path on first use of an in-corpus record.
         self._vectors: dict[int, tuple[list[str], list[float], float]] = {}
+        #: rid -> (fields, element list, vector) of each registered
+        #: record.  The fields are checked on every read, so a record
+        #: that merely shares a registered rid is never answered from it.
+        self._live: dict[int, tuple[tuple[str, ...], list[str], tuple]] = {}
         self._arrays = None
 
     def __len__(self) -> int:
@@ -101,8 +107,40 @@ class Corpus:
         i = self.token_id.get(token)
         return self._unknown_idf if i is None else self.idf[i]
 
+    def register(self, record: Record) -> None:
+        """Tokenize and vectorize a live record once, under the frozen
+        statistics, and serve both from a cache until :meth:`remove`.
+
+        The incremental layer registers every record it inserts between
+        refits; a refit builds a new corpus and so drops them all.
+        """
+        tokens = self.elements(record.text())
+        self._live[record.rid] = (record.fields, tokens, self._vectorize(tokens))
+
+    def remove(self, rid: int) -> None:
+        """Forget the cached element list and vector of ``rid``."""
+        self._live.pop(rid, None)
+        self._vectors.pop(rid, None)
+
+    def _registered(self, record: Record):
+        live = self._live.get(record.rid)
+        if live is not None and (
+            live[0] is record.fields or live[0] == record.fields
+        ):
+            return live
+        return None
+
+    def _vectorize(self, elements: list[str]):
+        count = Counter(elements)
+        tokens = sorted(count)
+        weights = [count[t] * self.weight(t) for t in tokens]
+        return tokens, weights, _norm(weights)
+
     def tokens(self, record: Record) -> list[str]:
         """The element list of ``record``, in text order."""
+        live = self._registered(record)
+        if live is not None:
+            return live[1]
         row = self.row_of.get(record.rid)
         if row is None:
             return self.elements(record.text())
@@ -111,15 +149,15 @@ class Corpus:
     def vector(self, record: Record) -> tuple[list[str], list[float], float]:
         """``record``'s distinct tokens (ascending), their tf-idf
         weights and the vector's norm."""
+        live = self._registered(record)
+        if live is not None:
+            return live[2]
         vector = self._vectors.get(record.rid)
         if vector is not None:
             return vector
         row = self.row_of.get(record.rid)
         if row is None:
-            count = Counter(self.elements(record.text()))
-            tokens = sorted(count)
-            weights = [count[t] * self.weight(t) for t in tokens]
-            return tokens, weights, _norm(weights)
+            return self._vectorize(self.elements(record.text()))
         lo, hi = self.indptr[row], self.indptr[row + 1]
         ids = self.indices[lo:hi]
         idf = self.idf

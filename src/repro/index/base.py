@@ -42,6 +42,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Iterator, Sequence
 
 from repro.data.schema import Record, Relation
@@ -51,6 +52,7 @@ __all__ = [
     "BatchCounts",
     "Neighbor",
     "NNIndex",
+    "by_proximity",
     "cut_neighbors",
     "read_off",
     "score_pairs",
@@ -73,6 +75,12 @@ class Neighbor:
 
     distance: float
     rid: int
+
+
+#: Sort key of a :class:`Neighbor`: its ``(distance, rid)`` tuple, read
+#: in C.  Sorting, ``bisect`` and ``insort`` by it compare plain tuples
+#: instead of calling the dataclass ``__lt__`` per comparison.
+by_proximity = attrgetter("distance", "rid")
 
 
 @dataclass
@@ -114,6 +122,12 @@ class NNIndex(abc.ABC):
 
     #: Human-readable name used in reports.
     name: str = "index"
+
+    #: Disjoint rid groups outside which no record has candidates (the
+    #: constraint blocks of :class:`~repro.index.blocks.BlockIndex`);
+    #: the parallel engine keeps each inside one lookup chunk.  ``None``
+    #: for an index over the whole relation.
+    blocks: list[tuple[int, ...]] | None = None
 
     def __init__(self) -> None:
         self.relation: Relation | None = None

@@ -43,7 +43,7 @@ from repro.distances.base import CachedDistance
 from repro.distances.edit import EditDistance, levenshtein
 from repro.distances.kernels.edit import myers_levenshtein
 from repro.distances.tokens import normalize
-from repro.index.base import Neighbor, NNIndex
+from repro.index.base import Neighbor, NNIndex, by_proximity
 
 __all__ = ["BKTreeIndex"]
 
@@ -246,5 +246,5 @@ class BKTreeIndex(NNIndex):
             for rid in node.rids:
                 if rid != record.rid:
                     neighbors.append(Neighbor(norm, rid))
-        neighbors.sort()
+        neighbors.sort(key=by_proximity)
         return neighbors

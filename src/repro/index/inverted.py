@@ -33,7 +33,7 @@ from repro.distances.base import CachedDistance
 from repro.distances.edit import EditDistance, levenshtein
 from repro.distances.kernels.edit import myers_levenshtein
 from repro.distances.tokens import normalize, qgrams
-from repro.index.base import Neighbor, NNIndex
+from repro.index.base import Neighbor, NNIndex, by_proximity
 from repro.index.cache import PagedPostingStore
 from repro.storage.buffer import BufferPool
 
@@ -303,7 +303,7 @@ class QgramInvertedIndex(NNIndex):
             )
             if d is None:
                 continue
-            insort(hits, Neighbor(d, rid))
+            insort(hits, Neighbor(d, rid), key=by_proximity)
             if len(hits) >= k:
                 # Ties at the k-th distance are still admitted by the
                 # inclusive bound in _verify; the final slice keeps the
@@ -335,5 +335,5 @@ class QgramInvertedIndex(NNIndex):
                 continue
             if d < radius or (inclusive and d == radius):
                 hits.append(Neighbor(d, rid))
-        hits.sort()
+        hits.sort(key=by_proximity)
         return hits

@@ -147,10 +147,6 @@ class MinHashIndex(NNIndex):
         self.exhaustive_fallback = exhaustive_fallback
         self.name = f"minhash{n_hashes}x{n_bands}"
         self._signatures: dict[int, tuple[int, ...]] = {}
-        #: rid -> its ``n_bands`` banded sub-signature keys, precomputed
-        #: in ``_build`` so lookups never re-slice (let alone re-hash)
-        #: a signature.
-        self._band_keys: dict[int, tuple[tuple[int, tuple[int, ...]], ...]] = {}
         self._buckets: dict[tuple[int, tuple[int, ...]], list[int]] = {}
         #: rid -> relation-order row, plus per-band row -> bucket member
         #: lists (aliases of ``_buckets`` values): the hash-free probe
@@ -206,8 +202,8 @@ class MinHashIndex(NNIndex):
         :func:`~repro.index.signatures.group_band_buckets` buckets them.
         Both are bit-identical to the scalar :func:`minhash_signature`
         / :func:`band_keys` path, and the classic ``_signatures`` /
-        ``_band_keys`` / ``_buckets`` views are kept for compatibility
-        (they alias the grouping's shared key tuples and member lists).
+        ``_buckets`` views are kept for compatibility (they alias the
+        grouping's shared key tuples and member lists).
         Build wall time lands in ``substage_seconds`` under
         ``tokenize`` / ``sign`` / ``bucket``.
         """
@@ -225,7 +221,6 @@ class MinHashIndex(NNIndex):
         grouping = group_band_buckets(signatures, self.n_bands)
         started = time.perf_counter()
         self._signatures = dict(zip(rids, signatures.tuples))
-        self._band_keys = dict(zip(rids, grouping.row_keys))
         self._buckets = grouping.buckets
         self._row_of = {rid: i for i, rid in enumerate(rids)}
         self._row_buckets = grouping.row_buckets

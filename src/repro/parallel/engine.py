@@ -183,17 +183,26 @@ class ParallelNNEngine:
 
     # ------------------------------------------------------------------
 
-    def plan(self, rids: Sequence[int]) -> list[Chunk]:
-        """The chunk plan the engine will execute for a lookup order."""
+    def plan(
+        self, rids: Sequence[int], blocks: Sequence[Sequence[int]] | None = None
+    ) -> list[Chunk]:
+        """The chunk plan the engine will execute for a lookup order.
+
+        ``blocks`` are the index's :attr:`~repro.index.base.NNIndex
+        .blocks`: each stays inside one chunk, so the blocked pass
+        scores every same-block pair once.
+        """
         if self.chunk_size is not None:
-            return plan_chunks(rids, chunk_size=self.chunk_size)
+            return plan_chunks(rids, chunk_size=self.chunk_size, blocks=blocks)
         if self.n_workers == 1:
             # Inline execution has no load imbalance to smooth, and one
             # whole-order chunk maximizes the blocked pass's symmetry
             # savings: every pair is in-batch, none goes through the
             # cache twice.
             return plan_chunks(rids, n_chunks=1)
-        return plan_chunks(rids, n_chunks=self.n_workers * CHUNKS_PER_WORKER)
+        return plan_chunks(
+            rids, n_chunks=self.n_workers * CHUNKS_PER_WORKER, blocks=blocks
+        )
 
     def _resolve_order(
         self, relation: Relation, order: str, order_seed: int
@@ -230,7 +239,7 @@ class ParallelNNEngine:
             raise ValueError("index was not built over the given relation")
 
         rids = self._resolve_order(relation, order, order_seed)
-        chunks = self.plan(rids)
+        chunks = self.plan(rids, index.blocks)
         started = time.perf_counter()
         ev0, hit0, miss0, cand0, pruned0, kern0 = _counters(index)
         substages0 = _substage_snapshot(index)

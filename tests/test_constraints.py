@@ -237,6 +237,22 @@ class TestModes:
         # Each same-block pair is scored exactly once.
         assert evals(pushdown) == plan["n_coresident_pairs"]
 
+    @pytest.mark.parametrize("pool", ["thread", "process"])
+    def test_pushdown_workers_score_each_pair_once(self, claims, pool):
+        # Lookup chunks are cut at block edges, so no same-block pair
+        # straddles two chunks and is scored by both.
+        single = run_claims(claims, constraint_mode="pushdown")
+        parallel = run_claims(
+            claims, constraint_mode="pushdown", n_workers=2, pool=pool
+        )
+        phase1 = parallel.stats.phase1
+        assert phase1.n_chunks > 1
+        assert (
+            phase1.evaluations + phase1.kernel_evaluations
+            == parallel.stats.constraint_plan["n_coresident_pairs"]
+        )
+        assert parallel.partition.checksum() == single.partition.checksum()
+
     def test_pushdown_paths_agree(self, claims):
         reference = run_claims(claims, constraint_mode="pushdown")
         spill = run_claims(

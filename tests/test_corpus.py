@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 import repro.distances.tokens as tokens_module
 from repro.core.formulation import DEParams
+from repro.core.incremental import IncrementalDeduplicator
 from repro.data.loaders import load_dataset
 from repro.data.schema import Record, Relation
 from repro.distances.base import FrozenDistance
@@ -75,6 +76,19 @@ class TestTokenizedOnce:
         _run(relation, distance="fms", index="brute")
         assert len(tokenize_calls) == len(relation)
 
+    def test_serving_arrivals(self, tokenize_calls):
+        # The first arrival prepares the corpus; every later one is
+        # registered with it, and no distance call tokenizes again.
+        relation = load_dataset("org", n_entities=30, seed=0).relation
+        dedup = IncrementalDeduplicator(
+            CosineDistance(), DEParams.size(3, c=4.0), schema=relation.schema
+        )
+        for record in relation:
+            dedup.add(record.fields)
+        dedup.remove(5)
+        dedup.partition()
+        assert len(tokenize_calls) == len(relation)
+
 
 def _reference(relation):
     """Inline IDF statistics of ``relation``: the weight and the
@@ -114,11 +128,20 @@ class TestValues:
         for record in relation:
             assert corpus.vector(record) == vector(record.text())
             assert corpus.tokens(record) == tokenize(record.text())
-        # Outside the corpus: vectorized on the fly, frozen statistics.
+        # Outside the corpus: vectorized on the fly, frozen statistics,
+        # and cached from registration until removal.  A cached entry
+        # answers only a record with the registered fields.
         for i, text in enumerate(strangers):
             stranger = Record(1000 + i, (text + " newtoken",))
             assert corpus.vector(stranger) == vector(stranger.text())
             assert stranger.rid not in corpus.row_of
+            corpus.register(stranger)
+            assert corpus.vector(stranger) == vector(stranger.text())
+            assert corpus.tokens(stranger) == tokenize(stranger.text())
+            namesake = Record(stranger.rid, (text + " othertoken",))
+            assert corpus.vector(namesake) == vector(namesake.text())
+            corpus.remove(stranger.rid)
+            assert stranger.rid not in corpus._live
 
     @needs_numpy
     @settings(max_examples=60, deadline=None)

@@ -222,6 +222,30 @@ class TestBaseWrappers:
         cached.distance(records[0], records[1])
         assert cached.misses == misses + 1  # the oldest was the victim
 
+    def test_row_matches_pairwise_distance(self):
+        # One call per row: canonical direction, one miss per new pair,
+        # cached pairs served without the inner distance.
+        records = [Record(i, (f"w{i}x",)) for i in range(5)]
+        cached = CachedDistance(EditDistance(), max_entries=3)
+        reference = CachedDistance(EditDistance())
+        row = cached.row(records[2], records[:2] + records[3:])
+        assert row == [
+            reference.distance(records[2], other)
+            for other in records[:2] + records[3:]
+        ]
+        assert (cached.calls, cached.misses, cached.evictions) == (4, 4, 1)
+        assert cached.row(records[4], [records[2]]) == [row[3]]
+        assert cached.misses == 4
+
+    def test_invalidate_rid_probes_partners(self):
+        records = [Record(i, (f"w{i}",)) for i in range(4)]
+        for bound in (None, 10):
+            cached = CachedDistance(EditDistance(), max_entries=bound)
+            cached.row(records[1], [records[0], records[2], records[3]])
+            cached.distance(records[0], records[2])
+            assert cached.invalidate_rid(1, [0, 2, 3]) == 3
+            assert list(cached._cache) == [(0, 2)]
+
     def test_cached_distance_rejects_bad_bound(self):
         with pytest.raises(ValueError, match="max_entries"):
             CachedDistance(EditDistance(), max_entries=0)

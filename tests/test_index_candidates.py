@@ -22,6 +22,7 @@ import pytest
 from repro.core.formulation import DEParams
 from repro.core.nn_phase import Phase1Stats, prepare_nn_lists
 from repro.data.loaders import load_dataset
+from repro.data.schema import Record
 from repro.distances.edit import EditDistance
 from repro.eval.bench_phase1 import nn_checksum
 from repro.index.bktree import BKTreeIndex
@@ -180,14 +181,25 @@ class TestPruningAccounting:
 class TestMinHashBuildOnce:
     """Signatures and band buckets are computed in _build, idempotently."""
 
+    @staticmethod
+    def flat_buckets(index):
+        """The flat bucket layout (numpy only) as plain lists."""
+        if index._bucket_rows is None:
+            return None
+        return (
+            index._row_bucket_ids.tolist(),
+            index._bucket_rows.tolist(),
+            index._bucket_bounds.tolist(),
+        )
+
     def test_rebuild_is_idempotent(self, relation):
         index = build(MinHashIndex, relation)
         signatures = dict(index._signatures)
-        band_keys = dict(index._band_keys)
+        flat = self.flat_buckets(index)
         buckets = {key: list(rids) for key, rids in index._buckets.items()}
         index.build(relation, EditDistance())
         assert index._signatures == signatures
-        assert index._band_keys == band_keys
+        assert self.flat_buckets(index) == flat
         # A non-idempotent rebuild would double every bucket's postings.
         assert {k: list(v) for k, v in index._buckets.items()} == buckets
 
@@ -203,15 +215,31 @@ class TestMinHashBuildOnce:
         index.within(record, THETA)
         index.phase1_batch([record], k=K)
 
-    def test_out_of_relation_probe_still_signs(self, relation):
+    def test_out_of_relation_probe_still_signs(self, relation, monkeypatch):
         other = load_dataset(
             "org", n_entities=5, duplicate_fraction=0.0, seed=99
         ).relation
         index = build(MinHashIndex, relation)
-        probe = other.records[0]
-        assert probe.rid not in index._band_keys or True
-        # Must not raise: the probe is signed on the fly.
-        index._candidates(probe)
+        probe = Record(max(relation.ids()) + 1, other.records[0].fields)
+        assert probe.rid not in index._row_of
+        signed = []
+        sign = index._signature
+
+        def counting(record):
+            signed.append(record.rid)
+            return sign(record)
+
+        monkeypatch.setattr(index, "_signature", counting)
+        candidates = index._candidates(probe)
+        # The probe is signed on the fly, once, and its candidates are
+        # the members of its signature's band buckets.
+        assert signed == [probe.rid]
+        expected = {
+            rid
+            for key in index._keys_of(sign(probe))
+            for rid in index._buckets.get(key, ())
+        }
+        assert list(candidates) == sorted(expected)
 
 
 class TestPerQueryCacheConsultation:

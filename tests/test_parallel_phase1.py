@@ -54,6 +54,28 @@ class TestPlanChunks:
     def test_empty_input(self):
         assert plan_chunks([], n_chunks=4) == []
 
+    def test_blocks_stay_whole(self):
+        # Blocks {0, 5, 6}, {1, 2, 3, 4}, {7, 8, 9}: each becomes
+        # contiguous (in order of first appearance) and the balanced
+        # cuts 4 and 7 move forward to the block edges 7 and 10.
+        blocks = [(0, 5, 6), (1, 2, 3, 4), (7, 8, 9)]
+        chunks = plan_chunks(list(range(10)), n_chunks=3, blocks=blocks)
+        assert [list(c.rids) for c in chunks] == [
+            [0, 5, 6, 1, 2, 3, 4],
+            [7, 8, 9],
+        ]
+        sized = plan_chunks(list(range(10)), chunk_size=3, blocks=blocks)
+        assert [list(c.rids) for c in sized] == [
+            [0, 5, 6],
+            [1, 2, 3, 4],
+            [7, 8, 9],
+        ]
+        # A rid in no block stands alone; one chunk keeps the order.
+        alone = plan_chunks([9, 1, 0], n_chunks=3, blocks=[(0, 1)])
+        assert [list(c.rids) for c in alone] == [[9], [1, 0]]
+        single = plan_chunks([2, 1, 0], n_chunks=1, blocks=[(0, 2)])
+        assert [list(c.rids) for c in single] == [[2, 1, 0]]
+
     def test_chunk_is_iterable_sequence(self):
         chunk = Chunk(index=0, rids=(4, 2))
         assert len(chunk) == 2
