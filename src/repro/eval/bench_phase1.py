@@ -170,7 +170,7 @@ def run_build_throughput(
             digest.update(repr((rid, signature)).encode())
         return digest.hexdigest()
 
-    def row(signer, tokenize_seconds, sign_seconds, bucket_seconds, buckets, checksum):
+    def row(signer, tokenize_seconds, sign_seconds, bucket_seconds, n_buckets, checksum):
         seconds = tokenize_seconds + sign_seconds + bucket_seconds
         return {
             "signer": signer,
@@ -179,7 +179,7 @@ def run_build_throughput(
             "tokenize_seconds": tokenize_seconds,
             "sign_seconds": sign_seconds,
             "bucket_seconds": bucket_seconds,
-            "n_buckets": len(buckets),
+            "n_buckets": n_buckets,
             "signature_checksum": checksum,
         }
 
@@ -199,7 +199,7 @@ def run_build_throughput(
             scalar_buckets.setdefault((band, key), []).append(rid)
     scalar = row(
         "scalar", tokenize_seconds, sign_seconds,
-        time.perf_counter() - started, scalar_buckets,
+        time.perf_counter() - started, len(scalar_buckets),
         checksum_of(scalar_signatures),
     )
 
@@ -208,9 +208,11 @@ def run_build_throughput(
     tokenize_seconds = time.perf_counter() - started
     signed = SignatureFactory(n_hashes).sign(corpus, rids)
     grouping = group_band_buckets(signed, n_bands)
+    # Untimed: with numpy the tuples are read off the signature matrix
+    # here, for the checksum only.
     factory = row(
         "factory", tokenize_seconds, signed.timings["sign"], grouping.seconds,
-        grouping.buckets, checksum_of(zip(signed.rids, signed.tuples)),
+        grouping.n_buckets, checksum_of(zip(signed.rids, signed.tuples)),
     )
     occurrences = sum(len(tokens) for tokens in corpus.token_lists)
     return {

@@ -13,10 +13,14 @@ regime fuzzy duplicates live in.
 
 Cost model
 ----------
-Signatures *and* per-record band keys are computed exactly once, in
-``_build``; a lookup for an in-relation record gathers its ``n_bands``
-bucket member lists (no hashing) plus one verification per surfaced
-candidate.
+Signatures and band buckets are computed exactly once, in ``_build``
+(:mod:`repro.index.signatures`: prototype-copied blake2b over the
+vocabulary, and with numpy an array-only grouping that makes no python
+object per record or bucket); a lookup for an in-relation record
+gathers its ``n_bands`` bucket member lists (no hashing) plus one
+verification per surfaced candidate.  An out-of-relation probe is
+signed on the fly and, with numpy, matched against the signature
+matrix's band columns, one vectorized compare per band.
 
 The index only generates and scores candidates; the shared
 :func:`~repro.index.base.read_off` ranks them and reads every cut list,
@@ -146,16 +150,17 @@ class MinHashIndex(NNIndex):
         self.q = q
         self.exhaustive_fallback = exhaustive_fallback
         self.name = f"minhash{n_hashes}x{n_bands}"
-        self._signatures: dict[int, tuple[int, ...]] = {}
-        self._buckets: dict[tuple[int, tuple[int, ...]], list[int]] = {}
-        #: rid -> relation-order row, plus per-band row -> bucket member
-        #: lists (aliases of ``_buckets`` values): the hash-free probe
-        #: path for in-relation lookups.
+        #: rid -> relation-order row.
         self._row_of: dict[int, int] = {}
-        self._row_buckets: list[list[list[int]]] = []
-        #: The grouping's flat bucket layout (with numpy only, see
-        #: ``BandGrouping``): per-band bucket ids of every row, member
-        #: rows bucket after bucket, and bucket bounds.
+        #: Without numpy (see ``BandGrouping``): ``(band, key)`` ->
+        #: member rids for out-of-relation probes, and per band, row ->
+        #: member list for in-relation ones; ``None`` once a numpy build
+        #: has grouped.
+        self._buckets: dict[tuple[int, tuple[int, ...]], list[int]] | None = {}
+        self._row_buckets: list[list[list[int]]] | None = []
+        #: With numpy, the grouping's flat bucket layout instead:
+        #: per-band bucket ids of every row, member rows bucket after
+        #: bucket, and bucket bounds.
         self._row_bucket_ids = None
         self._bucket_rows = None
         self._bucket_bounds = None
@@ -166,14 +171,6 @@ class MinHashIndex(NNIndex):
         #: explicit row pairs: the blocked ``phase1_batch`` runs then.
         self._kernel_rows = None
         self._relation_signatures: RelationSignatures | None = None
-
-    def __getstate__(self) -> dict:
-        # The columnar signature batch (with its (n, n_hashes) matrix)
-        # exists to be shared with shard planning in the parent process;
-        # lookups never touch it, so process-pool workers skip the copy.
-        state = super().__getstate__()
-        state["_relation_signatures"] = None
-        return state
 
     def _elements(self, record: Record) -> list[str]:
         text = record.text()
@@ -199,11 +196,12 @@ class MinHashIndex(NNIndex):
         edit) the index builds its own corpus, timed as ``tokenize``.
         :class:`~repro.index.signatures.SignatureFactory` hashes each
         vocabulary token once and min-gathers the signatures;
-        :func:`~repro.index.signatures.group_band_buckets` buckets them.
-        Both are bit-identical to the scalar :func:`minhash_signature`
-        / :func:`band_keys` path, and the classic ``_signatures`` /
-        ``_buckets`` views are kept for compatibility (they alias the
-        grouping's shared key tuples and member lists).
+        :func:`~repro.index.signatures.group_band_buckets` buckets them
+        (the flat arrays with numpy, the dicts otherwise).  Both are
+        bit-identical to the scalar :func:`minhash_signature` /
+        :func:`band_keys` path.  The signature batch is kept: shard
+        planning shares it, and numpy out-of-relation probes compare
+        against its matrix.
         Build wall time lands in ``substage_seconds`` under
         ``tokenize`` / ``sign`` / ``bucket``.
         """
@@ -220,7 +218,6 @@ class MinHashIndex(NNIndex):
         signatures = SignatureFactory(self.n_hashes).sign(corpus, rids)
         grouping = group_band_buckets(signatures, self.n_bands)
         started = time.perf_counter()
-        self._signatures = dict(zip(rids, signatures.tuples))
         self._buckets = grouping.buckets
         self._row_of = {rid: i for i, rid in enumerate(rids)}
         self._row_buckets = grouping.row_buckets
@@ -295,12 +292,23 @@ class MinHashIndex(NNIndex):
             for band_rows in self._row_buckets:
                 seen.update(band_rows[row])
             seen.discard(record.rid)
-        else:
-            # Out-of-relation probe: sign on the fly (the only case
-            # where a signature is ever computed outside _build).
-            for key in self._keys_of(self._signature(record)):
-                seen.update(self._buckets.get(key, ()))
-            seen.discard(record.rid)
+            return sorted(seen)
+        # Out-of-relation probe: sign on the fly (the only case where a
+        # signature is ever computed outside _build).
+        signature = self._signature(record)
+        if self._buckets is None:
+            np = numpy_or_none()
+            matrix = self._relation_signatures.matrix
+            probe = np.asarray(signature, dtype=np.uint64)
+            hit = np.zeros(len(matrix), dtype=bool)
+            for lo in range(0, self.n_hashes, self.rows_per_band):
+                hi = lo + self.rows_per_band
+                hit |= (matrix[:, lo:hi] == probe[lo:hi]).all(axis=1)
+            found = self._rid_array[hit]
+            return np.sort(found[found != record.rid])
+        for key in self._keys_of(signature):
+            seen.update(self._buckets.get(key, ()))
+        seen.discard(record.rid)
         return sorted(seen)
 
     def _has_candidates(self, record: Record) -> bool:

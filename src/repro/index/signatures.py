@@ -9,8 +9,16 @@ and the gap widens with n.  :class:`SignatureFactory` exploits that,
 signing a :class:`~repro.distances.corpus.Corpus` (whose vocabulary and
 CSR of distinct token ids per record are already interned):
 
-1. **Hash each vocabulary token once per salt** with the *same* keyed
-   blake2b the scalar path uses, into a ``(V, n_hashes)`` table ``H``.
+1. **Hash each vocabulary token once per salt** into one ``(V,
+   n_hashes)`` table ``H``.  Each salt gets one
+   ``blake2b(digest_size=8, salt=...)`` prototype; a token's hash under
+   that salt is ``proto.copy()`` updated with the token's utf-8 bytes —
+   the very digest the scalar ``blake2b(token, digest_size=8,
+   salt=...)`` returns, without a keyword-parsed constructor per
+   (token, salt).  All ``V * n_hashes`` 8-byte digests are joined into
+   one bytes object, read as little-endian uint64 by
+   ``np.frombuffer`` or, without numpy, by ``struct`` — the scalar
+   ``int.from_bytes(digest, "little")`` decode.
 2. **Gather + column-min**: record ``r``'s signature is the
    element-wise minimum of the rows ``H[ids(r)]`` — a vectorized
    ``np.minimum.reduceat`` over CSR segments when numpy can be
@@ -22,19 +30,23 @@ construction: the per-(token, salt) hashes are the very same blake2b
 values, min over uint64 equals min over the non-negative python ints,
 and empty element sets sign as all-``_PRIME`` exactly like the scalar
 path.  Persistent-postings warm restarts, shard plans, and every parity
-checksum therefore stay valid whichever gather signed.
+checksum therefore stay valid whichever gather signed.  With numpy the
+signatures live only in the ``(n, n_hashes)`` matrix; the per-record
+python tuple view is built the first time a caller reads it.
 
-:func:`group_band_buckets` is the companion bucketing step: instead of
-``n * n_bands`` per-record tuple-keyed dict inserts it packs each band's
-sub-signature rows and groups equal rows via a stable lexsort, emitting
-one shared key tuple (and one shared member list) per *bucket*.  Bucket
-membership order equals relation order — identical to the scalar
-append order.
+:func:`group_band_buckets` is the companion bucketing step.  With a
+signature matrix it is array-only: one stable lexsort per band groups
+equal sub-signature rows into a flat layout of bucket ids, member rows
+and bucket bounds, and no python object is made per record or per
+bucket.  Without numpy it is the classic dict-``setdefault`` loop over
+the tuples.  Either way bucket membership order equals relation order —
+the scalar append order.
 """
 
 from __future__ import annotations
 
 import hashlib
+import struct
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -57,23 +69,29 @@ _GATHER_BUDGET = 1 << 18
 
 @dataclass
 class RelationSignatures:
-    """Signatures of one relation, columnar plus scalar views.
+    """Signatures of one relation, aligned with ``rids``.
 
     ``matrix`` is the ``(n, n_hashes)`` uint64 signature matrix (``None``
     without numpy); ``tuples`` is the per-record python-int tuple view —
-    byte-for-byte what :func:`minhash_signature` returns — aligned with
-    ``rids``.
+    byte-for-byte what :func:`minhash_signature` returns.  With numpy the
+    tuples are made from the matrix the first time they are read.
     """
 
     rids: list[int]
-    tuples: list[tuple[int, ...]]
     n_hashes: int
     matrix: object | None = None
     #: Sub-stage wall time: ``sign`` (hashing + min-gather).
     timings: dict[str, float] = field(default_factory=dict)
+    _tuples: list[tuple[int, ...]] | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.rids)
+
+    @property
+    def tuples(self) -> list[tuple[int, ...]]:
+        if self._tuples is None:
+            self._tuples = [tuple(row) for row in self.matrix.tolist()]
+        return self._tuples
 
     def matches(self, rids: Sequence[int], n_hashes: int) -> bool:
         """Whether these signatures cover exactly ``rids`` at ``n_hashes``."""
@@ -82,22 +100,10 @@ class RelationSignatures:
 
 @dataclass
 class BandGrouping:
-    """The vectorized LSH bucketing of a signature batch.
+    """The LSH bucketing of a signature batch, in one of two layouts.
 
-    All three views alias the *same* key tuples and member lists, so a
-    relation-sized index pays one tuple per bucket, not one per
-    (record, band) insert:
-
-    - ``buckets``: ``(band, sub-signature) -> member rids`` in relation
-      order — exactly the scalar ``setdefault``/``append`` result;
-    - ``row_keys``: per record its ``n_bands`` keys (the scalar
-      ``band_keys`` output), sharing key tuples across records;
-    - ``row_buckets``: per band, row -> member list, the hash-free probe
-      path for in-relation candidate lookups.
-
-    With a signature matrix the same buckets are also kept as three flat
-    int64 arrays (``None`` otherwise), numbering the buckets of all
-    bands consecutively (band 0's first):
+    With a signature matrix, three flat int64 arrays number the buckets
+    of all bands consecutively (band 0's first):
 
     - ``row_bucket_ids``: ``(n_bands, n)``, the bucket of each row in
       each band;
@@ -108,15 +114,44 @@ class BandGrouping:
 
     Probes then gather a row's bands as array slices, and a blocked
     pass gathers a whole batch's candidate pairs in one step.
+
+    Otherwise (no numpy, or an empty batch) ``buckets`` maps
+    ``(band, sub-signature)`` to member rids in relation order — exactly
+    the scalar ``setdefault``/``append`` result — and ``row_buckets``
+    holds per band, row -> member list (aliases of the ``buckets``
+    values), the hash-free probe path for in-relation lookups.
+
+    The fields of the other layout are ``None``;
+    :meth:`shared_buckets` reads either.
     """
 
-    buckets: dict[tuple[int, tuple[int, ...]], list[int]]
-    row_keys: list[tuple[tuple[int, tuple[int, ...]], ...]]
-    row_buckets: list[list[list[int]]]
+    rids: list[int]
     seconds: float = 0.0
+    buckets: dict[tuple[int, tuple[int, ...]], list[int]] | None = None
+    row_buckets: list[list[list[int]]] | None = None
     row_bucket_ids: object | None = None
     bucket_rows: object | None = None
     bucket_bounds: object | None = None
+
+    @property
+    def n_buckets(self) -> int:
+        if self.buckets is not None:
+            return len(self.buckets)
+        return len(self.bucket_bounds) - 1
+
+    def shared_buckets(self) -> list[list[int]]:
+        """Member rids, in relation order, of every bucket holding two
+        or more records."""
+        if self.buckets is not None:
+            return [members for members in self.buckets.values() if len(members) > 1]
+        np = numpy_or_none()
+        bounds = self.bucket_bounds
+        multi = np.diff(bounds) > 1
+        members = np.asarray(self.rids, dtype=np.int64)[self.bucket_rows].tolist()
+        return [
+            members[lo:hi]
+            for lo, hi in zip(bounds[:-1][multi].tolist(), bounds[1:][multi].tolist())
+        ]
 
 
 class SignatureFactory:
@@ -128,21 +163,32 @@ class SignatureFactory:
         self.n_hashes = n_hashes
         self._salts = [salt.to_bytes(8, "little") for salt in range(n_hashes)]
 
-    def _hash_token(self, token: str) -> list[int]:
-        """All ``n_hashes`` keyed blake2b values of one distinct token.
+    def vocabulary_table(self, vocab: Sequence[str]):
+        """The hashes of every token of ``vocab`` under every salt.
 
-        The per-(token, salt) value is exactly ``_stable_hash(token,
-        salt)`` — same digest size, same little-endian decode — which is
-        the whole bit-identity argument.
+        A ``(len(vocab), n_hashes)`` uint64 array with numpy, else one
+        ``n_hashes``-tuple of python ints per token.  Entry ``(t, s)``
+        is exactly ``_stable_hash(vocab[t], s)``: salt ``s``'s
+        prototype, copied and updated with the token's utf-8 bytes,
+        yields the digest ``blake2b(token, digest_size=8, salt=...)``
+        does, and both decodes read it as little-endian — which is the
+        whole bit-identity argument.
         """
-        encoded = token.encode("utf-8")
-        blake2b = hashlib.blake2b
-        return [
-            int.from_bytes(
-                blake2b(encoded, digest_size=8, salt=salt).digest(), "little"
-            )
-            for salt in self._salts
+        prototypes = [
+            hashlib.blake2b(digest_size=8, salt=salt) for salt in self._salts
         ]
+        digests: list[bytes] = []
+        for token in vocab:
+            encoded = token.encode("utf-8")
+            hashes = [prototype.copy() for prototype in prototypes]
+            for h in hashes:
+                h.update(encoded)
+            digests.extend([h.digest() for h in hashes])
+        table = b"".join(digests)
+        np = numpy_or_none()
+        if np is None:
+            return list(struct.iter_unpack(f"<{self.n_hashes}Q", table))
+        return np.frombuffer(table, dtype="<u8").reshape(-1, self.n_hashes)
 
     def sign(self, corpus, rids: Sequence[int] | None = None) -> RelationSignatures:
         """Sign the element sets of ``corpus``'s records ``rids`` (all of
@@ -151,26 +197,24 @@ class SignatureFactory:
         rids = list(corpus.rids if rids is None else rids)
         row_of = corpus.row_of
         rows = [row_of[rid] for rid in rids]
-        hashes = [self._hash_token(token) for token in corpus.vocab]
+        table = self.vocabulary_table(corpus.vocab)
         np = numpy_or_none()
         if np is None:
-            matrix, tuples = None, self._gather_python(hashes, corpus, rows)
+            matrix, tuples = None, self._gather_python(table, corpus, rows)
         else:
-            matrix = self._gather_numpy(np, hashes, corpus, rows)
-            tuples = [tuple(row) for row in matrix.tolist()]
+            matrix, tuples = self._gather_numpy(np, table, corpus, rows), None
         return RelationSignatures(
             rids=rids,
-            tuples=tuples,
             n_hashes=self.n_hashes,
             matrix=matrix,
             timings={"sign": time.perf_counter() - started},
+            _tuples=tuples,
         )
 
-    def _gather_numpy(self, np, hashes, corpus, rows):
+    def _gather_numpy(self, np, table, corpus, rows):
         bounds, flat = corpus.gather(np.asarray(rows, dtype=np.int64))
         ids = corpus.arrays()[1][flat]
         sizes = np.diff(bounds)
-        table = np.array(hashes, dtype=np.uint64).reshape(-1, self.n_hashes)
         signatures = np.full((len(rows), self.n_hashes), _PRIME, dtype=np.uint64)
         row = 0
         while row < len(rows):
@@ -201,7 +245,7 @@ class SignatureFactory:
             if not token_rows:
                 tuples.append(empty)
             elif len(token_rows) == 1:
-                tuples.append(tuple(token_rows[0]))
+                tuples.append(token_rows[0])
             else:
                 tuples.append(tuple(map(min, zip(*token_rows))))
         return tuples
@@ -210,12 +254,14 @@ class SignatureFactory:
 def group_band_buckets(
     signatures: RelationSignatures, n_bands: int
 ) -> BandGrouping:
-    """Bucket signed records by LSH band, vectorized when possible.
+    """Bucket signed records by LSH band.
 
-    Equal-key grouping runs as one stable lexsort per band over the
-    signature matrix (stable, so members keep relation order — the scalar append
-    order) and as the classic dict-``setdefault`` loop otherwise.  Both
-    produce identical ``buckets`` / ``row_keys`` structures.
+    With a signature matrix, one stable lexsort per band over the
+    band's columns groups equal sub-signatures into the flat layout
+    (stable, so members keep relation order — the scalar append order);
+    otherwise the classic dict-``setdefault`` loop over the tuples
+    builds ``buckets`` and ``row_buckets``.  Both list the same buckets
+    with the same members.
     """
     if signatures.n_hashes % n_bands != 0:
         raise ValueError("n_hashes must be divisible by n_bands")
@@ -225,82 +271,49 @@ def group_band_buckets(
     n = len(rids)
     np = numpy_or_none()
 
-    buckets: dict[tuple[int, tuple[int, ...]], list[int]] = {}
-    per_band_keys: list[list] = []
-    row_buckets: list[list[list[int]]] = []
-    row_bucket_ids = bucket_rows = bucket_bounds = None
-
     if signatures.matrix is not None and np is not None and n:
         matrix = signatures.matrix
-        rid_array = np.asarray(rids, dtype=np.int64)
         band_ids: list = []
         band_rows: list = []
         band_bounds: list = []
         n_buckets = 0
         for band in range(n_bands):
             sub = matrix[:, band * rows_per_band : (band + 1) * rows_per_band]
-            # Stable sort: within an equal-key run, relation order is
-            # preserved — the scalar append order.
-            order = np.lexsort(tuple(sub[:, c] for c in reversed(range(rows_per_band))))
+            # lexsort's last key is the primary one: column 0 leads.
+            order = np.lexsort(sub.T[::-1])
             sorted_sub = sub[order]
-            if n > 1:
-                changed = np.any(sorted_sub[1:] != sorted_sub[:-1], axis=1)
-                heads = np.concatenate(([0], np.flatnonzero(changed) + 1))
-            else:
-                heads = np.zeros(1, dtype=np.int64)
-            starts = np.concatenate((heads, [n]))
-            counts = np.diff(starts)
+            changed = np.any(sorted_sub[1:] != sorted_sub[:-1], axis=1)
             # row -> bucket ordinal, inverted from the sort positions.
             inverse = np.empty(n, dtype=np.int64)
-            inverse[order] = np.repeat(np.arange(len(heads)), counts)
-            ordered_rids = rid_array[order].tolist()
-            bounds = starts.tolist()
-            # One python tuple per *bucket*, not per (record, band), and
-            # one C-speed slice per bucket for its member list.
-            keys = [
-                (band, tuple(key_row))
-                for key_row in sorted_sub[heads].tolist()
-            ]
-            bucket_lists = [
-                ordered_rids[bounds[g] : bounds[g + 1]]
-                for g in range(len(keys))
-            ]
-            buckets.update(zip(keys, bucket_lists))
-            inverse_list = inverse.tolist()
-            per_band_keys.append([keys[g] for g in inverse_list])
-            row_buckets.append([bucket_lists[g] for g in inverse_list])
-            # The flat layout: this band's buckets follow the previous
-            # bands' in the global numbering and in ``bucket_rows``.
+            inverse[order] = np.concatenate(([0], np.cumsum(changed)))
+            # This band's buckets follow the previous bands' in the
+            # global numbering and in ``bucket_rows``.
+            heads = np.concatenate(([0], np.flatnonzero(changed) + 1))
             band_ids.append(inverse + n_buckets)
             band_rows.append(order)
             band_bounds.append(heads + band * n)
             n_buckets += len(heads)
-        row_bucket_ids = np.stack(band_ids)
-        bucket_rows = np.concatenate(band_rows).astype(np.int64, copy=False)
-        bucket_bounds = np.concatenate(band_bounds + [[n_bands * n]]).astype(
-            np.int64, copy=False
+        return BandGrouping(
+            rids=rids,
+            seconds=time.perf_counter() - started,
+            row_bucket_ids=np.stack(band_ids),
+            bucket_rows=np.concatenate(band_rows).astype(np.int64, copy=False),
+            bucket_bounds=np.concatenate(band_bounds + [[n_bands * n]]).astype(
+                np.int64, copy=False
+            ),
         )
-    else:
-        per_band_keys = [[None] * n for _ in range(n_bands)]
-        row_buckets = [[None] * n for _ in range(n_bands)]  # type: ignore[list-item]
-        for i, signature in enumerate(signatures.tuples):
-            for band in range(n_bands):
-                key = (
-                    band,
-                    signature[band * rows_per_band : band * rows_per_band + rows_per_band],
-                )
-                bucket = buckets.setdefault(key, [])
-                bucket.append(rids[i])
-                per_band_keys[band][i] = key
-                row_buckets[band][i] = bucket
 
-    row_keys = [tuple(keys) for keys in zip(*per_band_keys)] if n else []
+    buckets: dict[tuple[int, tuple[int, ...]], list[int]] = {}
+    row_buckets: list[list] = [[None] * n for _ in range(n_bands)]
+    for i, signature in enumerate(signatures.tuples):
+        for band in range(n_bands):
+            lo = band * rows_per_band
+            bucket = buckets.setdefault((band, signature[lo : lo + rows_per_band]), [])
+            bucket.append(rids[i])
+            row_buckets[band][i] = bucket
     return BandGrouping(
-        buckets=buckets,
-        row_keys=row_keys,
-        row_buckets=row_buckets,
+        rids=rids,
         seconds=time.perf_counter() - started,
-        row_bucket_ids=row_bucket_ids,
-        bucket_rows=bucket_rows,
-        bucket_bounds=bucket_bounds,
+        buckets=buckets,
+        row_buckets=row_buckets,
     )

@@ -166,10 +166,12 @@ def _lsh_components(
     hashes nothing at all; otherwise
     :class:`~repro.index.signatures.SignatureFactory` signs ``corpus``
     (the distance's, when it covers the relation) or a corpus of the
-    relation built here, timed as ``sign_seconds``.  The component
-    structure is independent of which route signed: union-find
+    relation built here, timed as ``sign_seconds``.  The buckets are
+    read through :meth:`~repro.index.signatures.BandGrouping.shared_buckets`,
+    which both grouping layouts provide.  The component structure is
+    independent of which route signed or which layout grouped: union-find
     components do not depend on bucket iteration order, and every route
-    produces the very same signatures.
+    produces the very same signatures and buckets.
     """
     ids = relation.ids()
     parent: dict[int, int] = {rid: rid for rid in ids}
@@ -189,13 +191,9 @@ def _lsh_components(
             corpus = Corpus(relation)
         signatures = SignatureFactory(n_hashes).sign(corpus, ids)
         sign_seconds = time.perf_counter() - started
-    buckets = group_band_buckets(signatures, n_bands).buckets
-
     pair_buckets: list[list[int]] = []
     n_skipped = 0
-    for bucket in buckets.values():
-        if len(bucket) < 2:
-            continue
+    for bucket in group_band_buckets(signatures, n_bands).shared_buckets():
         first = bucket[0]
         for other in bucket[1:]:
             ra, rb = find(first), find(other)
@@ -219,7 +217,7 @@ def _lsh_components(
     for bucket in pair_buckets:
         idx = root_to_idx[find(bucket[0])]
         pairs = component_pairs[idx]
-        ordered = sorted(set(bucket))
+        ordered = sorted(bucket)
         for i, a in enumerate(ordered):
             for b in ordered[i + 1 :]:
                 pairs.add((a, b))

@@ -147,7 +147,7 @@ class TestMinHash:
         a.build(relation, TokenJaccardDistance())
         b = MinHashIndex()
         b.build(relation, TokenJaccardDistance())
-        assert a._signatures == b._signatures
+        assert a.relation_signatures().tuples == b.relation_signatures().tuples
 
     def test_rejects_bad_band_config(self):
         with pytest.raises(ValueError):

@@ -2,16 +2,19 @@
 
 The factory's whole contract is *bit-identity*: whichever gather signs
 a corpus — the numpy ``reduceat`` or, with numpy hidden, the
-pure-python ``zip``-min — the signatures, band keys, and LSH buckets
-must be byte-for-byte the ones
+pure-python ``zip``-min — the vocabulary hash table, the signatures,
+and the LSH buckets of either grouping layout must be byte-for-byte
+what :func:`~repro.index.minhash._stable_hash`,
 :func:`~repro.index.minhash.minhash_signature` and
 :func:`~repro.index.minhash.band_keys` produce.  Hypothesis drives
 arbitrary unicode (including astral-plane) token sets through both
 gathers; a divisor matrix covers every ``(n_hashes, n_bands)`` shape
-the index accepts; and the persistent postings' batch loader must
-leave logs indistinguishable from one-at-a-time inserts.
+the index accepts; shard plans must not depend on the layout; and the
+persistent postings' batch loader must leave logs indistinguishable
+from one-at-a-time inserts.
 """
 
+import dataclasses
 from contextlib import contextmanager
 
 import pytest
@@ -19,12 +22,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.distances.kernels.compat as compat
+from repro.data.loaders import load_dataset
 from repro.data.schema import Record, Relation
 from repro.distances.corpus import Corpus
 from repro.distances.kernels.compat import have_numpy
-from repro.index.minhash import _PRIME, band_keys, minhash_signature
+from repro.index.minhash import _PRIME, _stable_hash, band_keys, minhash_signature
 from repro.index.postings import PersistentMinHashPostings
 from repro.index.signatures import SignatureFactory, group_band_buckets
+from repro.shard.plan import plan_shards
 from repro.storage.engine import Engine
 
 #: "numpy": the numpy gather; "python": numpy hidden, the python gather.
@@ -67,6 +72,49 @@ def sign_sets(n_hashes, element_sets, backend="numpy" if have_numpy() else "pyth
         return SignatureFactory(n_hashes).sign(corpus)
 
 
+def table_rows(table):
+    """A vocabulary table of either gather as lists of python ints."""
+    return [[int(value) for value in row] for row in table]
+
+
+class TestVocabularyTable:
+    # ASCII, non-ASCII, astral-plane and the empty string.
+    VOCAB = ["cascade", "café", "naïve", "\U0001f600", "\U00010348x", ""]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_table_matches_stable_hash(self, backend):
+        with gather(backend):
+            table = SignatureFactory(16).vocabulary_table(self.VOCAB)
+        assert table_rows(table) == [
+            [_stable_hash(token, salt) for salt in range(16)]
+            for token in self.VOCAB
+        ]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @settings(max_examples=40, deadline=None)
+    @given(vocab=st.lists(
+        st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=6),
+        max_size=8,
+    ))
+    def test_arbitrary_tokens_match_stable_hash(self, backend, vocab):
+        with gather(backend):
+            table = SignatureFactory(4).vocabulary_table(vocab)
+        assert table_rows(table) == [
+            [_stable_hash(token, salt) for salt in range(4)] for token in vocab
+        ]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_empty_vocabulary(self, backend):
+        with gather(backend):
+            table = SignatureFactory(8).vocabulary_table([])
+            # Records whose element sets are all empty: V = 0.
+            signed = sign_sets(8, [set(), set()], backend)
+        assert table_rows(table) == []
+        if backend == "numpy":
+            assert table.shape == (0, 8)
+        assert signed.tuples == [(_PRIME,) * 8] * 2
+
+
 class TestSignatureParity:
     @pytest.mark.parametrize("backend", BACKENDS)
     @settings(max_examples=60, deadline=None)
@@ -99,6 +147,15 @@ class TestSignatureParity:
         assert python.matrix is None
         assert numpy.matrix.tolist() == [list(t) for t in numpy.tuples]
 
+    def test_numpy_tuples_are_built_on_read(self):
+        if not have_numpy():
+            pytest.skip("numpy unavailable")
+        signed = sign_sets(8, [{"a", "b"}, set()], "numpy")
+        assert signed._tuples is None
+        assert signed.tuples == [
+            minhash_signature({"a", "b"}, 8), minhash_signature(set(), 8)
+        ]
+
     def test_auto_resolution(self):
         # The gather follows numpy's importability; there is no knob.
         signed = sign_sets(8, [{"a"}])
@@ -128,6 +185,24 @@ class TestBandGroupingParity:
         {"cascade", "systems"},  # exact duplicate: must share buckets
     ]
 
+    @staticmethod
+    def listed_buckets(grouping, signatures, n_bands):
+        """``(band, key) -> member rids`` of either layout; a flat
+        bucket is keyed by its first member's scalar band key."""
+        if grouping.buckets is not None:
+            return dict(grouping.buckets)
+        bounds = grouping.bucket_bounds.tolist()
+        rows = grouping.bucket_rows.tolist()
+        n = len(grouping.rids)
+        listed = {}
+        for g in range(len(bounds) - 1):
+            members = rows[bounds[g] : bounds[g + 1]]
+            band = bounds[g] // n
+            key = band_keys(signatures[members[0]], n_bands)[band]
+            assert key not in listed
+            listed[key] = [grouping.rids[row] for row in members]
+        return listed
+
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize(
         "n_hashes,n_bands",
@@ -138,47 +213,67 @@ class TestBandGroupingParity:
         signed = sign_sets(n_hashes, self.SETS, backend)
         with gather(backend):
             grouping = group_band_buckets(signed, n_bands)
+        scalar = [minhash_signature(tokens, n_hashes) for tokens in self.SETS]
         expected: dict = {}
-        for row, tokens in enumerate(self.SETS):
-            signature = minhash_signature(tokens, n_hashes)
+        for row, signature in enumerate(scalar):
             for band, key in band_keys(signature, n_bands):
                 expected.setdefault((band, key), []).append(row)
-        assert {
-            key: members for key, members in grouping.buckets.items()
-        } == expected
-        for row, keys in enumerate(grouping.row_keys):
-            signature = minhash_signature(self.SETS[row], n_hashes)
-            assert keys == band_keys(signature, n_bands)
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_row_buckets_alias_bucket_lists(self, backend):
-        # row_buckets must share list identity with buckets so the
-        # index's member-probe path never diverges from the key path.
-        with gather(backend):
-            grouping = group_band_buckets(sign_sets(16, self.SETS, backend), 4)
-        for band, per_row in enumerate(grouping.row_buckets):
-            for row, members in enumerate(per_row):
-                key = grouping.row_keys[row][band]
-                assert members is grouping.buckets[key]
+        assert self.listed_buckets(grouping, scalar, n_bands) == expected
+        assert grouping.n_buckets == len(expected)
+        assert sorted(grouping.shared_buckets()) == sorted(
+            members for members in expected.values() if len(members) > 1
+        )
+        if grouping.row_buckets is not None:
+            # The dict layout's per-row probe lists alias its buckets.
+            for row, signature in enumerate(scalar):
+                for band, key in enumerate(band_keys(signature, n_bands)):
+                    assert grouping.row_buckets[band][row] is grouping.buckets[key]
 
     @pytest.mark.skipif("numpy" not in BACKENDS, reason="numpy not installed")
     def test_flat_layout_lists_the_same_members(self):
-        # The flat arrays the blocked Phase-1 pass and the numpy probe
-        # read must describe exactly the buckets of row_buckets.
+        # The numpy grouping is array-only: each row sits in exactly one
+        # bucket per band, and row_bucket_ids names that bucket.
         signed = sign_sets(16, self.SETS, "numpy")
         grouping = group_band_buckets(signed, 4)
+        assert grouping.buckets is None and grouping.row_buckets is None
         ids = grouping.row_bucket_ids
         bounds = grouping.bucket_bounds
-        assert ids.shape == (4, len(self.SETS))
-        assert bounds[-1] == len(grouping.bucket_rows) == 4 * len(self.SETS)
-        for band, per_row in enumerate(grouping.row_buckets):
-            for row, members in enumerate(per_row):
+        n = len(self.SETS)
+        assert ids.shape == (4, n)
+        assert bounds[-1] == len(grouping.bucket_rows) == 4 * n
+        for band in range(4):
+            for row in range(n):
                 g = ids[band, row]
-                rows = grouping.bucket_rows[bounds[g] : bounds[g + 1]]
-                assert [signed.rids[r] for r in rows] == members
+                assert band * n <= bounds[g] < (band + 1) * n
+                assert row in grouping.bucket_rows[bounds[g] : bounds[g + 1]]
         with gather("python"):
             python = group_band_buckets(sign_sets(16, self.SETS, "python"), 4)
         assert python.row_bucket_ids is None and python.bucket_rows is None
+        assert sorted(python.shared_buckets()) == sorted(grouping.shared_buckets())
+
+
+class TestShardPlanLayouts:
+    @pytest.fixture(scope="class")
+    def relation(self):
+        return load_dataset(
+            "org", n_entities=200, duplicate_fraction=0.4, seed=0
+        ).relation
+
+    @pytest.mark.skipif("numpy" not in BACKENDS, reason="numpy not installed")
+    @pytest.mark.parametrize("n_bands", [8, 16])
+    @pytest.mark.parametrize("overlap", [0.0, 0.2])
+    @pytest.mark.parametrize("n_shards", [1, 2, 3, 4])
+    def test_plan_identical_with_numpy_hidden(
+        self, relation, n_shards, overlap, n_bands
+    ):
+        # 16 bands weld a component larger than a 4-shard capacity, so
+        # the split-and-overlap rule runs too.
+        plans = []
+        for backend in ("numpy", "python"):
+            with gather(backend):
+                plan = plan_shards(relation, n_shards, overlap=overlap, n_bands=n_bands)
+            plans.append(dataclasses.replace(plan, sign_seconds=0.0))
+        assert plans[0] == plans[1]
 
 
 class TestSignRecords:
