@@ -30,11 +30,8 @@ path.
 
 from pathlib import Path
 
-from repro.eval.bench_phase1 import (
-    phase1_table,
-    run_phase1_bench,
-    write_phase1_json,
-)
+from repro.eval import bench
+from repro.eval.bench_phase1 import SUITE, phase1_table
 
 from conftest import write_report
 
@@ -47,16 +44,25 @@ WORKERS = (1, 2, 4)
 
 
 def run_matrix():
-    return run_phase1_bench(
-        sizes=SIZES, workers=WORKERS, dataset="org", distance="cosine", k=5
+    return bench.run(
+        SUITE,
+        {
+            "sizes": SIZES,
+            "workers": WORKERS,
+            "dataset": "org",
+            "distance": "cosine",
+            "k": 5,
+        },
     )
 
 
 def test_phase1_parallel(benchmark):
-    payload = benchmark.pedantic(run_matrix, rounds=1, iterations=1)
+    artifact = benchmark.pedantic(run_matrix, rounds=1, iterations=1)
 
-    write_phase1_json(payload, ROOT / "BENCH_phase1.json")
+    bench.write_artifact(artifact, ROOT / "BENCH_phase1.json")
+    payload = artifact["results"]
     write_report("P1_phase1_parallel", phase1_table(payload))
+    assert bench.exit_code(artifact["gates"], check=True) == 0
 
     # Exactness: all modes agreed on the NN relation at every size.
     assert payload["parity"], "no parity data recorded"

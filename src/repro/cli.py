@@ -22,18 +22,21 @@ Ten subcommands cover the adoption path:
   and write ``BENCH_phase1.json`` (see ``docs/performance.md``);
 - ``bench-phase2`` — run the Phase-2 benchmark (the CSPairs builder
   per source — in-memory, engine, spill — and the streaming partition
-  scan, checksum-gated) and write ``BENCH_phase2.json``;
+  scan) and write ``BENCH_phase2.json``;
 - ``bench-scale`` — run the sharded scale-out benchmark (unsharded
-  reference vs. N-shard runs, checksum-gated) and write
-  ``BENCH_scale.json``;
+  reference vs. N-shard runs) and write ``BENCH_scale.json``;
 - ``bench-incremental`` — stream inserts (and optional removes)
   through the online layer, checking batch parity and per-insert cost
   at checkpoints, and write ``BENCH_incremental.json``;
 - ``bench-constraints`` — run every constraint mode on the claims
   workload (postprocess reference vs. join-time filtering vs. full
-  pushdown planning) and write ``BENCH_constraints.json``; ``--check``
-  gates the pushdown evaluation-savings ratio, and constraint
-  violations always fail (see ``docs/constraints.md``).
+  pushdown planning) and write ``BENCH_constraints.json``.
+
+The five ``bench-*`` commands run through one harness
+(:mod:`repro.eval.bench`): one artifact schema and one exit rule — a
+failed checksum gate exits 1, a failed threshold gate exits 1 only
+under ``--check``, a configuration error exits 2 (see
+``docs/benchmarks.md``).
 
 ``dedup`` and ``serve`` share the constraint flags: ``--cannot-link
 FIELD`` / ``--block-key FIELD`` (repeatable), ``--time-window DAYS``
@@ -56,16 +59,8 @@ from repro.data.loaders import (
     load_dataset,
     relation_from_csv,
 )
-from repro.eval.bench_phase1 import (
-    BENCH_DISTANCES,
-    INDEX_FACTORIES,
-    build_throughput_table,
-    index_matrix_table,
-    phase1_table,
-    run_phase1_bench,
-    write_phase1_json,
-)
 from repro.distances.kernels.compat import KernelUnavailable
+from repro.eval import bench
 from repro.run.config import CONSTRAINT_MODES, ConfigError, RunConfig
 from repro.run.registry import DISTANCES, INDEXES
 
@@ -103,6 +98,66 @@ def _add_constraint_flags(parser: argparse.ArgumentParser) -> None:
              "to pairs inside one hard-constraint block (pushdown; every "
              "same-block pair is scored exactly, so --index has no "
              "effect); every mode emits zero constraint-violating groups",
+    )
+
+
+def _bench_parser(
+    sub,
+    name: str,
+    help: str,
+    *,
+    dataset: str = "org",
+    distance: str = "cosine",
+    entities: int | None = None,
+    index: str | None = None,
+    kernel: bool = True,
+) -> argparse.ArgumentParser:
+    """``bench-<name>`` with the flags every bench suite shares."""
+    parser = sub.add_parser(f"bench-{name}", help=help)
+    parser.add_argument("--dataset", choices=dataset_names(), default=dataset)
+    parser.add_argument(
+        "--distance", choices=sorted(DISTANCES), default=distance
+    )
+    if entities is not None:
+        parser.add_argument(
+            "--entities", type=int, default=entities,
+            help="entity count before duplicate injection",
+        )
+    if index is not None:
+        parser.add_argument(
+            "--index", choices=sorted(INDEXES), default=index,
+            help="candidate index of the measured Phase-1 runs",
+        )
+    parser.add_argument("--k", type=int, default=5)
+    parser.add_argument("--seed", type=int, default=0)
+    if kernel:
+        parser.add_argument(
+            "--kernel", choices=("auto", "numpy", "python"), default="auto",
+            help="distance backend for the measured runs",
+        )
+    parser.add_argument(
+        "--output", default=f"BENCH_{name}.json",
+        help="where to write the JSON artifact",
+    )
+    parser.add_argument(
+        "--check", action="store_true",
+        help="also exit 1 on a failed threshold gate (a failed checksum "
+             "gate always exits 1)",
+    )
+    return parser
+
+
+def _add_pipeline_flags(
+    parser: argparse.ArgumentParser, theta: float, parity_entities: int
+) -> None:
+    """The flags of the suites that run the whole pipeline next to a
+    small parity matrix (``bench-scale``, ``bench-constraints``)."""
+    parser.add_argument("--cut", choices=bench.CUTS, default="combined")
+    parser.add_argument("--theta", type=float, default=theta)
+    parser.add_argument("--c", type=float, default=4.0)
+    parser.add_argument(
+        "--parity-entities", type=int, default=parity_entities,
+        help="entity count for the parity matrix riding along",
     )
 
 
@@ -343,93 +398,66 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--pool", choices=("thread", "process"), default="thread")
 
-    bench = sub.add_parser(
-        "bench-phase1",
-        help="run the Phase-1 batch/parallel scalability benchmark",
+    bench1 = _bench_parser(
+        sub, "phase1", "run the Phase-1 batch/parallel scalability benchmark"
     )
-    bench.add_argument("--dataset", choices=dataset_names(), default="org")
-    bench.add_argument(
-        "--distance", choices=sorted(BENCH_DISTANCES), default="cosine"
-    )
-    bench.add_argument(
+    bench1.add_argument(
         "--sizes", default="500,1000,2000",
         help="comma-separated entity counts per run",
     )
-    bench.add_argument(
+    bench1.add_argument(
         "--workers", default="1,2,4",
         help="comma-separated worker counts for the batch runs",
     )
-    bench.add_argument("--pool", choices=("thread", "process"), default="thread")
-    bench.add_argument(
-        "--kernel", choices=("auto", "numpy", "python"), default="auto",
-        help="distance backend for the batch/parallel runs (the "
-             "per-query baseline always runs the scalar python path)",
-    )
-    bench.add_argument("--k", type=int, default=5)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument(
-        "--output", default="BENCH_phase1.json",
-        help="where to write the JSON payload",
-    )
-    bench.add_argument(
+    bench1.add_argument("--pool", choices=("thread", "process"), default="thread")
+    bench1.add_argument(
         "--verify", action="store_true",
         help="additionally run the full pipeline under the invariant "
-             "verifier and record the summary in the payload "
-             "(nonzero exit on violation)",
+             "verifier (the invariants gate)",
     )
-    bench.add_argument(
+    bench1.add_argument(
         "--index", action="append", dest="indexes",
         choices=sorted(INDEXES),
         help="additionally run the candidate-index comparison matrix "
              "over these indexes (repeatable; brute force is always "
              "included as the exact baseline)",
     )
-    bench.add_argument(
+    bench1.add_argument(
         "--min-recall", type=float, default=None,
-        help="fail (nonzero exit, like --verify) when any requested "
-             "matrix index scores a mean sampled NN recall below this "
-             "bound; requires --index",
+        help="min-recall gate: mean sampled NN recall floor for every "
+             "matrix index; requires --index",
     )
-    bench.add_argument(
+    bench1.add_argument(
+        "--min-speedup", type=float, default=None,
+        help="min-speedup gate: floor on the signature factory's "
+             "speedup over the scalar per-occurrence signer (build "
+             "throughput)",
+    )
+    bench1.add_argument(
         "--matrix-entities", type=int, default=None,
         help="entity count for the index matrix (default: largest "
              "value of --sizes)",
     )
-    bench.add_argument(
-        "--matrix-distance", choices=sorted(BENCH_DISTANCES), default=None,
+    bench1.add_argument(
+        "--matrix-distance", choices=sorted(DISTANCES), default=None,
         help="distance for the index matrix (default: --distance)",
     )
-    bench.add_argument(
+    bench1.add_argument(
         "--matrix-theta", type=float, default=0.4,
         help="diameter bound for the matrix workload (the combined "
              "cut: k nearest within theta); pass 0 for a pure k-NN "
              "matrix",
     )
-    bench.add_argument(
+    bench1.add_argument(
         "--recall-sample", type=int, default=50,
         help="records sampled for the matrix NN-recall check",
     )
 
-    bench2 = sub.add_parser(
-        "bench-phase2",
-        help="run the Phase-2 CSPairs join and partition-scan benchmark",
+    bench2 = _bench_parser(
+        sub, "phase2",
+        "run the Phase-2 CSPairs join and partition-scan benchmark",
+        entities=2400, index="brute", kernel=False,
     )
-    bench2.add_argument("--dataset", choices=dataset_names(), default="org")
-    bench2.add_argument(
-        "--distance", choices=sorted(BENCH_DISTANCES), default="cosine"
-    )
-    bench2.add_argument(
-        "--index", choices=sorted(INDEX_FACTORIES), default="brute",
-        help="candidate index for the one-off Phase-1 run whose NN "
-             "relation every Phase-2 mode consumes",
-    )
-    bench2.add_argument(
-        "--entities", type=int, default=2400,
-        help="entity count before duplicate injection (2400 ≈ 3000 "
-             "records)",
-    )
-    bench2.add_argument("--k", type=int, default=5)
-    bench2.add_argument("--seed", type=int, default=0)
     bench2.add_argument(
         "--buffer-pages", type=int, default=256,
         help="buffer-pool pages for the engine source",
@@ -444,34 +472,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench2.add_argument(
         "--repeats", type=int, default=3,
-        help="repeats per timed configuration; best (fastest) counts",
-    )
-    bench2.add_argument(
-        "--output", default="BENCH_phase2.json",
-        help="where to write the JSON payload",
-    )
-    bench2.add_argument(
-        "--check", action="store_true",
-        help="fail (nonzero exit) on any checksum disagreement (such a "
-             "failure is fatal with or without this flag)",
+        help="timed repeats per configuration; the median counts",
     )
 
-    benchs = sub.add_parser(
-        "bench-scale",
-        help="run the sharded scale-out benchmark",
-    )
-    benchs.add_argument("--dataset", choices=dataset_names(), default="org")
-    benchs.add_argument(
-        "--distance", choices=sorted(BENCH_DISTANCES), default="cosine"
-    )
-    benchs.add_argument(
-        "--index", choices=sorted(INDEX_FACTORIES), default="minhash",
-        help="candidate index every run (sharded and reference) uses",
-    )
-    benchs.add_argument(
-        "--entities", type=int, default=2000,
-        help="entity count before duplicate injection (the committed "
-             "BENCH_scale.json uses the n >= 100000 regime)",
+    benchs = _bench_parser(
+        sub, "scale", "run the sharded scale-out benchmark",
+        entities=2000, index="minhash",
     )
     benchs.add_argument(
         "--shards", default="1,4",
@@ -482,21 +488,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards-in-flight", type=int, default=None,
         help="max shards solved concurrently (default: all)",
     )
-    benchs.add_argument(
-        "--cut", choices=("size", "diameter", "combined"),
-        default="combined",
-    )
-    benchs.add_argument("--k", type=int, default=5)
-    benchs.add_argument("--theta", type=float, default=0.4)
-    benchs.add_argument("--c", type=float, default=4.0)
+    _add_pipeline_flags(benchs, theta=0.4, parity_entities=60)
     benchs.add_argument(
         "--overlap", type=float, default=0.2,
         help="shard-plan overlap fraction (in [0, 1])",
     )
     benchs.add_argument("--pool", choices=("thread", "process"), default="thread")
-    benchs.add_argument(
-        "--kernel", choices=("auto", "numpy", "python"), default="auto",
-    )
     benchs.add_argument(
         "--buffer-pages", type=int, default=64,
         help="per-shard buffer-pool pages (0 disables the engine)",
@@ -506,99 +503,37 @@ def build_parser() -> argparse.ArgumentParser:
         help="rows per storage-engine page",
     )
     benchs.add_argument(
-        "--parity-entities", type=int, default=60,
-        help="entity count for the small cross-cut/cross-kernel "
-             "shard-merge-parity matrix",
-    )
-    benchs.add_argument("--seed", type=int, default=0)
-    benchs.add_argument(
-        "--output", default="BENCH_scale.json",
-        help="where to write the JSON payload",
-    )
-    benchs.add_argument(
-        "--check", action="store_true",
-        help="fail (nonzero exit) when the shard-plan recall drops "
-             "below --min-recall or n falls below --min-n (checksum "
-             "mismatches always fail)",
-    )
-    benchs.add_argument(
         "--min-recall", type=float, default=0.9,
-        help="the --check floor on the shard plan's recorded LSH "
+        help="min-recall gate: floor on the shard plan's recorded LSH "
              "co-residency recall",
     )
     benchs.add_argument(
         "--min-n", type=int, default=None,
-        help="the --check floor on the relation size n",
-    )
-    benchs.add_argument(
-        "--min-speedup", type=float, default=None,
-        help="the --check floor on the signature factory's speedup "
-             "over the scalar per-occurrence signer (build throughput)",
+        help="min-n gate: floor on the relation size n",
     )
 
-    benchc = sub.add_parser(
-        "bench-constraints",
-        help="run the constraint-mode benchmark (pushdown vs "
-             "postprocess on the claims workload)",
+    benchc = _bench_parser(
+        sub, "constraints",
+        "run the constraint-mode benchmark (pushdown vs postprocess on "
+        "the claims workload)",
+        dataset="claims", distance="edit", entities=400, index="brute",
+        kernel=False,
     )
-    benchc.add_argument("--dataset", choices=dataset_names(), default="claims")
-    benchc.add_argument(
-        "--distance", choices=sorted(BENCH_DISTANCES), default="edit"
-    )
-    benchc.add_argument(
-        "--index", choices=sorted(INDEX_FACTORIES), default="brute",
-        help="candidate index every mode uses",
-    )
-    benchc.add_argument(
-        "--entities", type=int, default=400,
-        help="entity count before duplicate injection (the committed "
-             "BENCH_constraints.json uses 400)",
-    )
-    benchc.add_argument(
-        "--cut", choices=("size", "diameter", "combined"),
-        default="combined",
-    )
-    benchc.add_argument("--k", type=int, default=5)
-    benchc.add_argument("--theta", type=float, default=0.45)
-    benchc.add_argument("--c", type=float, default=4.0)
+    _add_pipeline_flags(benchc, theta=0.45, parity_entities=80)
     benchc.add_argument(
         "--window-days", type=int, default=30,
         help="the TimeWindow constraint's width on service_date",
     )
     benchc.add_argument("--duplicate-fraction", type=float, default=0.3)
-    benchc.add_argument("--seed", type=int, default=0)
-    benchc.add_argument(
-        "--parity-entities", type=int, default=80,
-        help="entity count for the block-parity matrix riding along",
-    )
-    benchc.add_argument(
-        "--output", default="BENCH_constraints.json",
-        help="where to write the JSON payload",
-    )
-    benchc.add_argument(
-        "--check", action="store_true",
-        help="fail (nonzero exit) when the pushdown evaluation-savings "
-             "ratio drops below --min-ratio (constraint violations and "
-             "block-parity failures always fail)",
-    )
     benchc.add_argument(
         "--min-ratio", type=float, default=5.0,
-        help="the --check floor on postprocess/pushdown distance "
-             "evaluations",
+        help="min-ratio gate: floor on postprocess/pushdown distance "
+             "evaluations (0 disables)",
     )
 
-    benchi = sub.add_parser(
-        "bench-incremental",
-        help="run the online insert/delete serving benchmark",
-    )
-    benchi.add_argument("--dataset", choices=dataset_names(), default="org")
-    benchi.add_argument(
-        "--distance", choices=sorted(BENCH_DISTANCES), default="cosine"
-    )
-    benchi.add_argument(
-        "--entities", type=int, default=1600,
-        help="entity count before duplicate injection (1600 ≈ 2100 "
-             "records, reaching the n >= 2000 regime)",
+    benchi = _bench_parser(
+        sub, "incremental",
+        "run the online insert/delete serving benchmark", entities=1600,
     )
     benchi.add_argument(
         "--remove-every", type=int, default=0, metavar="N",
@@ -607,17 +542,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     benchi.add_argument(
         "--checkpoints", default="500,1000,2000",
-        help="comma-separated live sizes at which to time a batch "
-             "rerun and compare partition checksums",
+        help="comma-separated live sizes at which to time batch reruns "
+             "and compare partition checksums",
     )
-    benchi.add_argument("--k", type=int, default=5)
     benchi.add_argument("--c", type=float, default=4.0)
-    benchi.add_argument("--seed", type=int, default=0)
-    benchi.add_argument(
-        "--kernel", choices=("auto", "numpy", "python"), default="auto",
-        help="distance backend for the batch reruns (the online path "
-             "is scalar by nature: one arrival against the relation)",
-    )
     benchi.add_argument(
         "--window", type=int, default=100,
         help="trailing per-op window summarized at each checkpoint",
@@ -627,24 +555,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="distance pair-cache bound for the streamed session",
     )
     benchi.add_argument(
-        "--output", default="BENCH_incremental.json",
-        help="where to write the JSON payload",
-    )
-    benchi.add_argument(
-        "--check", action="store_true",
-        help="additionally fail (nonzero exit) when the per-op/batch "
-             "cost ratio violates the sublinearity gate at checkpoints "
-             ">= --min-check-n (checksum mismatches always fail)",
-    )
-    benchi.add_argument(
         "--min-check-n", type=int, default=1000,
-        help="smallest checkpoint the --check scaling gate applies to "
-             "(smaller sizes are timing noise)",
+        help="smallest checkpoint the scaling gates apply to (smaller "
+             "sizes are timing noise)",
     )
     benchi.add_argument(
         "--max-op-ratio", type=float, default=0.5,
-        help="scaling gate: trailing per-op cost must stay below this "
-             "fraction of one batch rerun",
+        help="max-op-ratio gate: trailing per-op cost must stay below "
+             "this fraction of one batch rerun",
     )
 
     return parser
@@ -902,110 +820,6 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _cmd_bench_constraints(args: argparse.Namespace, out) -> int:
-    from repro.eval.bench_constraints import (
-        check_constraint_payload,
-        constraint_table,
-        run_constraint_bench,
-        write_constraints_json,
-    )
-
-    try:
-        payload = run_constraint_bench(
-            entities=args.entities,
-            dataset=args.dataset,
-            distance=args.distance,
-            index=args.index,
-            cut=args.cut,
-            k=args.k,
-            theta=args.theta,
-            c=args.c,
-            window_days=args.window_days,
-            duplicate_fraction=args.duplicate_fraction,
-            seed=args.seed,
-            parity_entities=args.parity_entities,
-        )
-    except (ConfigError, ValueError, KernelUnavailable) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    path = write_constraints_json(payload, args.output)
-    print(constraint_table(payload), file=out)
-    print(f"\nwrote {path}", file=out)
-    failures = check_constraint_payload(payload, min_ratio=args.min_ratio)
-    for failure in failures.get("violations", ()):
-        print(f"ERROR: {failure}", file=out)
-    if failures.get("violations"):
-        # Emitting a constraint-forbidden pair is a correctness bug,
-        # not a perf regression: fail regardless of --check.
-        return 1
-    if args.check:
-        for failure in failures.get("ratio", ()):
-            print(f"ERROR: {failure}", file=out)
-        if failures.get("ratio"):
-            return 1
-        print(
-            "zero constraint violations in every mode; pushdown "
-            "savings within bounds",
-            file=out,
-        )
-    return 0
-
-
-def _cmd_bench_incremental(args: argparse.Namespace, out) -> int:
-    from repro.eval.bench_incremental import (
-        check_incremental_payload,
-        incremental_table,
-        run_incremental_bench,
-        write_incremental_json,
-    )
-
-    checkpoints = tuple(
-        int(part) for part in args.checkpoints.split(",") if part
-    )
-    try:
-        payload = run_incremental_bench(
-            entities=args.entities,
-            dataset=args.dataset,
-            distance=args.distance,
-            k=args.k,
-            c=args.c,
-            remove_every=args.remove_every,
-            checkpoints=checkpoints,
-            seed=args.seed,
-            kernel=args.kernel,
-            window=args.window,
-            max_cache_entries=args.max_cache_entries,
-        )
-    except KernelUnavailable as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    path = write_incremental_json(payload, args.output)
-    print(incremental_table(payload), file=out)
-    print(f"\nwrote {path}", file=out)
-    failures = check_incremental_payload(
-        payload,
-        min_check_n=args.min_check_n,
-        max_op_ratio=args.max_op_ratio,
-    )
-    for failure in failures["checksum"]:
-        print(f"ERROR: {failure}", file=out)
-    if failures["checksum"]:
-        # Parity breakage is a correctness bug, not a perf regression:
-        # fail regardless of --check.
-        return 1
-    if args.check:
-        for failure in failures["scaling"]:
-            print(f"ERROR: {failure}", file=out)
-        if failures["scaling"]:
-            return 1
-        print(
-            "checksums agree; per-insert cost within the sublinearity "
-            "gate",
-            file=out,
-        )
-    return 0
-
-
 def _cmd_generate(args: argparse.Namespace, out) -> int:
     dataset = load_dataset(
         args.dataset,
@@ -1114,200 +928,20 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
     return 0 if all_ok else 1
 
 
-def _cmd_bench_phase1(args: argparse.Namespace, out) -> int:
-    if args.min_recall is not None and not args.indexes:
-        print("ERROR: --min-recall requires at least one --index", file=out)
-        return 2
-    sizes = tuple(int(part) for part in args.sizes.split(",") if part)
-    workers = tuple(int(part) for part in args.workers.split(",") if part)
+def _cmd_bench(args: argparse.Namespace, out) -> int:
+    """Every ``bench-*`` command: run its suite, write the artifact, gate."""
+    suite = bench.suite(args.command.removeprefix("bench-"))
+    settings = {
+        key: value
+        for key, value in vars(args).items()
+        if key not in ("command", "output", "check")
+    }
     try:
-        payload = run_phase1_bench(
-            sizes=sizes,
-            workers=workers,
-            dataset=args.dataset,
-            distance=args.distance,
-            k=args.k,
-            pool=args.pool,
-            seed=args.seed,
-            kernel=args.kernel,
-            verify=args.verify,
-            indexes=args.indexes,
-            matrix_distance=args.matrix_distance,
-            matrix_entities=args.matrix_entities,
-            matrix_theta=args.matrix_theta if args.matrix_theta > 0 else None,
-            recall_sample=args.recall_sample,
-        )
-    except KernelUnavailable as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    path = write_phase1_json(payload, args.output)
-    _print_parallelism_warning(payload, out)
-    print(phase1_table(payload), file=out)
-    build = payload.get("build_throughput")
-    if build:
-        print("", file=out)
-        print(build_throughput_table(build), file=out)
-    for matrix in payload.get("index_matrix") or ():
-        print("", file=out)
-        print(index_matrix_table(matrix), file=out)
-    print(f"\nwrote {path}", file=out)
-    if not all(payload["parity"].values()):
-        print("ERROR: execution modes disagreed on the NN relation", file=out)
-        return 1
-    if build and not build.get("parity", True):
-        print(
-            "ERROR: signers disagreed on MinHash signatures",
-            file=out,
-        )
-        return 1
-    verification = payload.get("verification")
-    if verification is not None:
-        status = "OK" if verification["ok"] else "FAILED"
-        print(f"invariant verification: {status}", file=out)
-        buffer = (verification.get("stats") or {}).get("buffer")
-        if buffer is not None:
-            print(
-                f"engine buffer hit ratio: {buffer['hit_ratio']:.2f} "
-                f"({buffer['hits']} hits / {buffer['misses']} misses)",
-                file=out,
-            )
-        if not verification["ok"]:
-            print(
-                "ERROR: invariant violations in "
-                + ", ".join(verification["failed"]),
-                file=out,
-            )
-            return 1
-    if args.min_recall is not None:
-        # Same exit convention as --verify: a published bench artifact
-        # must meet its own quality bar or the run fails loudly.
-        failed = [
-            f"{row['index']} ({row['recall']['mean_recall']:.3f})"
-            for matrix in payload.get("index_matrix") or ()
-            for row in matrix["rows"]
-            if "skipped" not in row
-            and row["index"] in set(args.indexes)
-            and row["recall"]["mean_recall"] < args.min_recall
-        ]
-        if failed:
-            print(
-                f"ERROR: sampled NN recall below {args.min_recall:g} for "
-                + ", ".join(failed),
-                file=out,
-            )
-            return 1
-        print(f"sampled NN recall >= {args.min_recall:g} for all indexes",
-              file=out)
-    return 0
-
-
-def _cmd_bench_phase2(args: argparse.Namespace, out) -> int:
-    from repro.eval.bench_phase2 import (
-        check_phase2_payload,
-        phase2_table,
-        run_phase2_bench,
-        write_phase2_json,
-    )
-
-    payload = run_phase2_bench(
-        entities=args.entities,
-        dataset=args.dataset,
-        distance=args.distance,
-        index=args.index,
-        k=args.k,
-        seed=args.seed,
-        buffer_pages=args.buffer_pages,
-        page_capacity=args.page_capacity,
-        spill_buffer_pages=args.spill_buffer_pages,
-        repeats=args.repeats,
-    )
-    path = write_phase2_json(payload, args.output)
-    print(phase2_table(payload), file=out)
-    print(f"\nwrote {path}", file=out)
-    failures = check_phase2_payload(payload)
-    for failure in failures:
-        print(f"ERROR: {failure}", file=out)
-    if failures:
-        # Checksum disagreement is a correctness bug: fail regardless
-        # of --check.
-        return 1
-    if args.check:
-        print("checksums agree across sources and the partition scan",
-              file=out)
-    return 0
-
-
-def _cmd_bench_scale(args: argparse.Namespace, out) -> int:
-    from repro.eval.bench_scale import (
-        check_scale_payload,
-        run_scale_bench,
-        scale_table,
-        write_scale_json,
-    )
-
-    shard_counts = tuple(int(part) for part in args.shards.split(",") if part)
-    try:
-        payload = run_scale_bench(
-            entities=args.entities,
-            shard_counts=shard_counts,
-            dataset=args.dataset,
-            distance=args.distance,
-            index=args.index,
-            cut=args.cut,
-            k=args.k,
-            theta=args.theta,
-            c=args.c,
-            overlap=args.overlap,
-            shards_in_flight=args.shards_in_flight,
-            pool=args.pool,
-            kernel=args.kernel,
-            buffer_pages=args.buffer_pages if args.buffer_pages > 0 else None,
-            page_capacity=args.page_capacity,
-            seed=args.seed,
-            parity_entities=args.parity_entities,
-        )
+        payload = bench.run(suite, settings)
     except (ConfigError, ValueError, KernelUnavailable) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    path = write_scale_json(payload, args.output)
-    print(scale_table(payload), file=out)
-    print(f"\nwrote {path}", file=out)
-    _print_parallelism_warning(payload, out)
-    failures = check_scale_payload(
-        payload,
-        min_recall=args.min_recall,
-        min_n=args.min_n,
-        min_speedup=args.min_speedup,
-    )
-    for failure in failures.get("checksum", ()):
-        print(f"ERROR: {failure}", file=out)
-    if failures.get("checksum"):
-        # Checksum disagreement is a correctness bug, not a perf
-        # regression: fail regardless of --check.
-        return 1
-    if args.check:
-        gated = (
-            failures.get("recall", [])
-            + failures.get("scale", [])
-            + failures.get("speedup", [])
-        )
-        for failure in gated:
-            print(f"ERROR: {failure}", file=out)
-        if gated:
-            return 1
-        print(
-            "checksums agree across shard counts; plan recall, size, "
-            "and build speedup within bounds",
-            file=out,
-        )
-    return 0
-
-
-def _print_parallelism_warning(payload: dict, out) -> None:
-    """Surface a payload's honest-parallelism advisory, if any."""
-    advisory = payload.get("effective_parallelism") or {}
-    if advisory.get("warning"):
-        print(f"WARNING: {advisory['warning']}", file=out)
+    return bench.publish(suite, payload, args.output, args.check, out)
 
 
 def main(argv: Sequence[str] | None = None, out=None) -> int:
@@ -1318,20 +952,12 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
         return _cmd_dedup(args, out)
     if args.command == "serve":
         return _cmd_serve(args, out)
-    if args.command == "bench-incremental":
-        return _cmd_bench_incremental(args, out)
     if args.command == "generate":
         return _cmd_generate(args, out)
     if args.command == "estimate-c":
         return _cmd_estimate(args, out)
     if args.command == "verify":
         return _cmd_verify(args, out)
-    if args.command == "bench-phase1":
-        return _cmd_bench_phase1(args, out)
-    if args.command == "bench-phase2":
-        return _cmd_bench_phase2(args, out)
-    if args.command == "bench-scale":
-        return _cmd_bench_scale(args, out)
-    if args.command == "bench-constraints":
-        return _cmd_bench_constraints(args, out)
+    if args.command.startswith("bench-"):
+        return _cmd_bench(args, out)
     raise AssertionError(f"unhandled command {args.command!r}")

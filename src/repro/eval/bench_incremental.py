@@ -1,43 +1,26 @@
 """Online-serving benchmark: per-insert cost vs. from-scratch reruns.
 
-Produces the ``BENCH_incremental.json`` artifact.  Records of a
-generated dataset are streamed one by one through an
-:class:`~repro.core.incremental.IncrementalDeduplicator` (optionally
-interleaving removals of the oldest live record), and after **every**
-operation the maintained partition is refreshed — exactly the serving
-pattern, where each arrival gets a decision.  At each checkpoint size
-the harness
+The ``bench-incremental`` suite (``BENCH_incremental.json``) of the
+harness in :mod:`repro.eval.bench`.  Records are streamed one by one
+through an :class:`~repro.core.incremental.IncrementalDeduplicator`
+(optionally interleaving removals of the oldest live record), and the
+maintained partition is refreshed after **every** operation — the
+serving pattern, where each arrival gets a decision.  At each
+checkpoint size a from-scratch batch run over the live relation is
+timed and checksummed against the maintained partition.
 
-- times a from-scratch batch :class:`~repro.core.pipeline
-  .DuplicateEliminator` run over the live relation,
-- compares its partition checksum against the maintained one (must be
-  bit-identical — the incremental layer's contract), and
-- records the mean/median per-operation serving cost over the trailing
-  window next to the batch cost.
-
-The point of the artifact is the scaling *shape*: one batch rerun costs
-Θ(n²) distance evaluations while one insert costs Θ(n), so the
-per-insert / batch-rerun ratio must shrink as n grows — serving an
-arrival is asymptotically free relative to recomputing.  The corpus
-statistics are prepared once on the full dataset and frozen
-(:class:`~repro.verify.incremental.FrozenDistance` on both sides), so
-both paths score the same distance and the checksums are comparable.
-
-:func:`check_incremental_payload` turns the payload into gate failures:
-checksum mismatches always fail; the scaling gate (ratio bound +
-non-increasing ratio across checkpoints) applies only to checkpoints at
-or above ``min_check_n``, so smoke-sized CI runs check correctness
-without flaking on timing noise.
+One batch rerun costs Θ(n²) distance evaluations while one insert
+costs Θ(n), so the per-op / batch-rerun ratio should shrink as n
+grows.  The corpus statistics are prepared once on the full dataset and
+frozen (:class:`~repro.verify.incremental.FrozenDistance` on both
+sides), so both paths score the same distance.  The gates are listed
+in ``docs/benchmarks.md``.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import platform
 import statistics
 import time
-from pathlib import Path
 from typing import Mapping, Sequence
 
 from repro.core.formulation import DEParams
@@ -45,33 +28,47 @@ from repro.core.incremental import IncrementalDeduplicator
 from repro.core.pipeline import DuplicateEliminator
 from repro.data.loaders import load_dataset
 from repro.data.schema import Record, Relation
-from repro.eval.bench_phase1 import BENCH_DISTANCES
+from repro.eval.bench import CHECKSUM, THRESHOLD, Gate, Suite, int_list, timed
 from repro.eval.report import format_table
 from repro.run.config import RunConfig
+from repro.run.registry import DISTANCES
 from repro.verify.incremental import FrozenDistance
 
-__all__ = [
-    "run_incremental_bench",
-    "check_incremental_payload",
-    "incremental_table",
-    "write_incremental_json",
-]
+__all__ = ["SUITE", "run_incremental_bench", "incremental_table"]
+
+#: Timed batch reruns per checkpoint; the median is the denominator of
+#: the per-op/batch ratio.
+BATCH_REPEATS = 3
+
+#: ``ratio-growth`` gate: the per-op/batch ratio may grow at most this
+#: much from the first to the last gated checkpoint.
+RATIO_GROWTH_TOLERANCE = 1.5
 
 
 def _batch_rerun(
     dedup: IncrementalDeduplicator, inner, params: DEParams, kernel: str
-) -> tuple[float, str]:
-    """Time one from-scratch batch run over the live relation."""
-    relation = Relation(name="live", schema=dedup.relation.schema)
-    for record in dedup.relation:
-        relation.add(Record(record.rid, record.fields))
-    solver = DuplicateEliminator(
-        FrozenDistance(inner), config=RunConfig(kernel=kernel)
+) -> tuple[dict, list[str]]:
+    """Time from-scratch batch runs over the live relation.
+
+    Returns the timing and every run's partition checksum.  The live
+    relation and the solver are rebuilt per sample, outside the clock.
+    """
+
+    def setup() -> tuple[DuplicateEliminator, Relation]:
+        relation = Relation(name="live", schema=dedup.relation.schema)
+        for record in dedup.relation:
+            relation.add(Record(record.rid, record.fields))
+        solver = DuplicateEliminator(
+            FrozenDistance(inner), config=RunConfig(kernel=kernel)
+        )
+        return solver, relation
+
+    results, timing = timed(
+        lambda state: state[0].run(state[1], params),
+        BATCH_REPEATS,
+        setup=setup,
     )
-    started = time.perf_counter()
-    result = solver.run(relation, params)
-    seconds = time.perf_counter() - started
-    return seconds, result.partition.checksum()
+    return timing, [result.partition.checksum() for result in results]
 
 
 def run_incremental_bench(
@@ -81,21 +78,26 @@ def run_incremental_bench(
     k: int = 5,
     c: float = 4.0,
     remove_every: int = 0,
-    checkpoints: Sequence[int] = (500, 1000, 2000),
+    checkpoints: str | Sequence[int] = (500, 1000, 2000),
     duplicate_fraction: float = 0.3,
     seed: int = 0,
     kernel: str = "auto",
     window: int = 100,
     max_cache_entries: int | None = 200_000,
 ) -> dict:
-    """Stream the dataset through the online layer; return the payload.
+    """Stream the dataset through the online layer; return the results.
 
     ``entities`` counts entities before duplicate injection (1600 →
     n ≈ 2100 records, so the default checkpoints reach the n ≥ 2000
     regime).  ``remove_every`` interleaves a removal of the oldest live
     record after every that-many inserts (0 disables), exercising the
     bounded-recomputation delete path inside the measured stream.  A
-    checkpoint fires the first time the live size reaches its value.
+    checkpoint fires the first time the live size reaches its value;
+    ``checkpoints`` takes a sequence or a comma-separated string.
+
+    Per-op costs are the stream's own clock (``perf_counter`` around
+    each mutation + partition refresh): a collection that lands inside
+    an op is part of what serving that op cost.
     """
     params = DEParams.size(k, c=c)
     relation = load_dataset(
@@ -107,7 +109,7 @@ def run_incremental_bench(
     # Corpus statistics are prepared once, up front, and frozen on both
     # the online and the batch side: parity is defined under one
     # distance, and a serving deployment knows its corpus the same way.
-    inner = BENCH_DISTANCES[distance]()
+    inner = DISTANCES[distance]()
     inner.prepare(relation)
     dedup = IncrementalDeduplicator(
         FrozenDistance(inner),
@@ -116,7 +118,7 @@ def run_incremental_bench(
         max_cache_entries=max_cache_entries,
     )
 
-    pending = sorted(set(checkpoints))
+    pending = sorted(set(int_list(checkpoints)))
     checkpoint_rows: list[dict] = []
     op_seconds: list[float] = []  # serving cost: mutation + partition
     insert_seconds: list[float] = []
@@ -127,8 +129,8 @@ def run_incremental_bench(
     def serve_checkpoint() -> None:
         n = len(dedup)
         recent = op_seconds[-window:]
-        batch_seconds, batch_sum = _batch_rerun(dedup, inner, params, kernel)
-        ours = dedup.partition().checksum()
+        batch, batch_checksums = _batch_rerun(dedup, inner, params, kernel)
+        batch_seconds = batch["seconds"]
         repair = dedup.last_repair
         mean_op = statistics.fmean(recent) if recent else 0.0
         checkpoint_rows.append(
@@ -140,12 +142,12 @@ def run_incremental_bench(
                     statistics.median(recent) if recent else 0.0
                 ),
                 "batch_seconds": batch_seconds,
+                "batch_samples": batch["samples"],
                 "ratio_op_vs_batch": (
                     mean_op / batch_seconds if batch_seconds > 0 else 0.0
                 ),
-                "incremental_checksum": ours,
-                "batch_checksum": batch_sum,
-                "checksum_match": ours == batch_sum,
+                "incremental_checksum": dedup.partition().checksum(),
+                "batch_checksums": batch_checksums,
                 "components": (
                     repair.n_components if repair is not None else 0
                 ),
@@ -177,23 +179,9 @@ def run_incremental_bench(
             pending.pop(0)
 
     return {
-        "benchmark": "incremental_serving",
-        "dataset": dataset,
-        "distance": distance,
-        "k": k,
-        "c": c,
-        "kernel": kernel,
-        "duplicate_fraction": duplicate_fraction,
-        "seed": seed,
-        "python": platform.python_version(),
-        "cpu_count": os.cpu_count(),
-        "entities": entities,
         "n_streamed": len(relation),
         "n_final": len(dedup),
-        "remove_every": remove_every,
         "n_removes": n_removes,
-        "window": window,
-        "max_cache_entries": max_cache_entries,
         "total_insert_seconds": sum(insert_seconds),
         "total_remove_seconds": sum(remove_seconds),
         "mean_insert_seconds": (
@@ -206,62 +194,76 @@ def run_incremental_bench(
     }
 
 
-def check_incremental_payload(
-    payload: Mapping,
-    min_check_n: int = 1000,
-    max_op_ratio: float = 0.5,
-    ratio_growth_tolerance: float = 1.5,
-) -> dict[str, list[str]]:
-    """The bench gates: failures in a payload, keyed by severity.
-
-    ``"checksum"`` failures — the maintained partition disagreeing with
-    the from-scratch batch rerun at *any* checkpoint — are correctness
-    violations; the CLI always fails on them.  ``"scaling"`` failures
-    flag the sublinearity contract at checkpoints with
-    ``n >= min_check_n`` (smaller checkpoints are pure timing noise):
-    the trailing-window per-operation cost must stay below
-    ``max_op_ratio`` of one batch rerun, and the per-op/batch ratio
-    must not grow across gated checkpoints beyond
-    ``ratio_growth_tolerance`` — per-insert Θ(n) against batch Θ(n²)
-    means the ratio should *shrink* as n grows.
-    """
-    checksum_failures: list[str] = []
-    scaling_failures: list[str] = []
-    for row in payload["checkpoints"]:
-        if not row["checksum_match"]:
-            checksum_failures.append(
-                f"n={row['n']}: maintained partition "
-                f"{row['incremental_checksum'][:12]} != batch "
-                f"{row['batch_checksum'][:12]}"
-            )
-    gated = [
-        row for row in payload["checkpoints"] if row["n"] >= min_check_n
+def _parity_failures(results: Mapping) -> list[str]:
+    return [
+        f"n={row['n']}: maintained partition "
+        f"{row['incremental_checksum'][:12]} != batch "
+        f"{', '.join(sorted({c[:12] for c in row['batch_checksums']}))}"
+        for row in results["checkpoints"]
+        if set(row["batch_checksums"]) != {row["incremental_checksum"]}
     ]
-    for row in gated:
-        if row["ratio_op_vs_batch"] >= max_op_ratio:
-            scaling_failures.append(
+
+
+def _gates(settings: Mapping) -> list[Gate]:
+    """The parity gate at every checkpoint; the sublinearity contract
+    at checkpoints with ``n >= min_check_n`` (smaller ones are timing
+    noise): per-insert Θ(n) against batch Θ(n²) means the per-op/batch
+    ratio should stay small and *shrink* as n grows."""
+    min_check_n = settings.get("min_check_n", 1000)
+    max_op_ratio = settings.get("max_op_ratio", 0.5)
+
+    def gated(results: Mapping) -> list[Mapping]:
+        return [row for row in results["checkpoints"] if row["n"] >= min_check_n]
+
+    def growth_failures(results: Mapping) -> list[str]:
+        rows = gated(results)
+        if len(rows) < 2 or rows[0]["ratio_op_vs_batch"] <= 0:
+            return []
+        first, last = rows[0], rows[-1]
+        if (
+            last["ratio_op_vs_batch"]
+            <= first["ratio_op_vs_batch"] * RATIO_GROWTH_TOLERANCE
+        ):
+            return []
+        return [
+            f"per-op/batch ratio grew from {first['ratio_op_vs_batch']:.3f} "
+            f"(n={first['n']}) to {last['ratio_op_vs_batch']:.3f} "
+            f"(n={last['n']}): per-insert cost is not sublinear vs. the "
+            f"batch rerun"
+        ]
+
+    return [
+        Gate(
+            "checkpoint-parity", CHECKSUM, None,
+            "checksums agree: the maintained partition equals every batch "
+            "rerun at every checkpoint",
+            _parity_failures,
+        ),
+        Gate(
+            "max-op-ratio", THRESHOLD, max_op_ratio,
+            f"the trailing per-op cost stays below {max_op_ratio:g}x one "
+            f"batch rerun at n >= {min_check_n}",
+            lambda results: [
                 f"n={row['n']}: per-op cost {row['mean_op_seconds']:.4f}s is "
                 f"{row['ratio_op_vs_batch']:.2f}x one batch rerun "
                 f"({row['batch_seconds']:.4f}s), >= {max_op_ratio:g}x"
-            )
-    if len(gated) >= 2:
-        first, last = gated[0], gated[-1]
-        if (
-            first["ratio_op_vs_batch"] > 0
-            and last["ratio_op_vs_batch"]
-            > first["ratio_op_vs_batch"] * ratio_growth_tolerance
-        ):
-            scaling_failures.append(
-                f"per-op/batch ratio grew from "
-                f"{first['ratio_op_vs_batch']:.3f} (n={first['n']}) to "
-                f"{last['ratio_op_vs_batch']:.3f} (n={last['n']}): "
-                f"per-insert cost is not sublinear vs. the batch rerun"
-            )
-    return {"checksum": checksum_failures, "scaling": scaling_failures}
+                for row in gated(results)
+                if row["ratio_op_vs_batch"] >= max_op_ratio
+            ],
+        ),
+        Gate(
+            "ratio-growth", THRESHOLD, RATIO_GROWTH_TOLERANCE,
+            f"the per-op/batch ratio grows at most "
+            f"{RATIO_GROWTH_TOLERANCE:g}x across checkpoints at "
+            f"n >= {min_check_n}",
+            growth_failures,
+        ),
+    ]
 
 
 def incremental_table(payload: Mapping) -> str:
-    """Render a payload as the repo's standard text table."""
+    """Render an artifact as the repo's standard text table."""
+    settings, results = payload["settings"], payload["results"]
     rows = [
         (
             row["n"],
@@ -270,10 +272,14 @@ def incremental_table(payload: Mapping) -> str:
             f"{row['median_op_seconds'] * 1e3:.1f}ms",
             f"{row['batch_seconds']:.2f}s",
             f"{row['ratio_op_vs_batch']:.4f}",
-            "ok" if row["checksum_match"] else "MISMATCH",
+            (
+                "ok"
+                if set(row["batch_checksums"]) == {row["incremental_checksum"]}
+                else "MISMATCH"
+            ),
             f"{row['components_reused']}/{row['components']}",
         )
-        for row in payload["checkpoints"]
+        for row in results["checkpoints"]
     ]
     table = format_table(
         (
@@ -283,22 +289,24 @@ def incremental_table(payload: Mapping) -> str:
         rows,
     )
     head = (
-        f"incremental serving over {payload['n_streamed']} streamed "
-        f"records ({payload['distance']}, k={payload['k']}, "
-        f"remove_every={payload['remove_every']}, "
-        f"{payload['n_removes']} removes): "
-        f"mean insert {payload['mean_insert_seconds'] * 1e3:.1f}ms"
+        f"incremental serving over {results['n_streamed']} streamed "
+        f"records ({settings['distance']}, k={settings['k']}, "
+        f"remove_every={settings['remove_every']}, "
+        f"{results['n_removes']} removes): "
+        f"mean insert {results['mean_insert_seconds'] * 1e3:.1f}ms"
         + (
-            f", mean remove {payload['mean_remove_seconds'] * 1e3:.1f}ms"
-            if payload["n_removes"]
+            f", mean remove {results['mean_remove_seconds'] * 1e3:.1f}ms"
+            if results["n_removes"]
             else ""
         )
     )
     return f"{head}\n{table}"
 
 
-def write_incremental_json(payload: Mapping, path: str | Path) -> Path:
-    """Write the payload (stable key order) and return the path."""
-    target = Path(path)
-    target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return target
+SUITE = Suite(
+    benchmark="incremental_serving",
+    run=run_incremental_bench,
+    table=incremental_table,
+    gates=_gates,
+    gate_settings=("min_check_n", "max_op_ratio"),
+)

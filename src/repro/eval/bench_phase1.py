@@ -1,7 +1,7 @@
 """Phase-1 scalability benchmark: throughput vs. workers vs. size.
 
-Produces the ``BENCH_phase1.json`` artifact the performance roadmap
-regresses against.  Three execution modes of the same NN-list
+The ``bench-phase1`` suite (``BENCH_phase1.json``) of the harness in
+:mod:`repro.eval.bench`.  Three execution modes of the same NN-list
 computation are timed on brute-force indexes over a generated dataset:
 
 - ``per-query`` — the sequential baseline: one full relation scan per
@@ -14,31 +14,30 @@ computation are timed on brute-force indexes over a generated dataset:
 - ``batch`` with N workers — the chunked
   :class:`~repro.parallel.engine.ParallelNNEngine` executor.
 
-Every run's NN relation is checksummed; the payload records whether all
-modes agreed (they must — the parallel path is defined to be
-result-identical).  See ``docs/performance.md`` for how to read the
-output.
+The results also carry the isolated index-build throughput, an optional
+candidate-index matrix and an optional invariant-verifier summary.  The
+gates are listed in ``docs/benchmarks.md``; ``docs/performance.md``
+explains how to read the numbers.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import os
-import platform
-import time
-from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from repro.core.formulation import DEParams
-from repro.core.neighborhood import NNRelation
 from repro.core.nn_phase import Phase1Stats, prepare_nn_lists
 from repro.data.loaders import load_dataset
 from repro.distances.base import CachedDistance, DistanceFunction
-from repro.distances.cosine import CosineDistance
-from repro.distances.edit import EditDistance
-from repro.distances.fms import FuzzyMatchDistance
-from repro.distances.jaccard import TokenJaccardDistance
+from repro.eval.bench import (
+    CHECKSUM,
+    THRESHOLD,
+    Gate,
+    Suite,
+    int_list,
+    nn_checksum,
+    timed,
+)
 from repro.eval.report import format_table
 from repro.index.base import NNIndex
 from repro.index.bktree import BKTreeIndex
@@ -46,27 +45,19 @@ from repro.index.bruteforce import BruteForceIndex
 from repro.index.inverted import QgramInvertedIndex
 from repro.index.minhash import MinHashIndex
 from repro.parallel.engine import ParallelNNEngine
+from repro.run.config import ConfigError
+from repro.run.registry import DISTANCES
 
 __all__ = [
-    "BENCH_DISTANCES",
     "INDEX_FACTORIES",
-    "nn_checksum",
-    "parallelism_advisory",
+    "SUITE",
     "run_build_throughput",
     "run_phase1_bench",
     "run_index_matrix",
     "phase1_table",
     "build_throughput_table",
     "index_matrix_table",
-    "write_phase1_json",
 ]
-
-BENCH_DISTANCES: dict[str, type[DistanceFunction]] = {
-    "cosine": CosineDistance,
-    "edit": EditDistance,
-    "fms": FuzzyMatchDistance,
-    "jaccard": TokenJaccardDistance,
-}
 
 #: Candidate-generation strategies the index matrix compares.  Brute
 #: force is the exact baseline every approximate row is scored against.
@@ -80,45 +71,6 @@ INDEX_FACTORIES: dict[str, Callable[[], NNIndex]] = {
     "qgram": lambda: QgramInvertedIndex(max_df=64, within_budget=128),
     "minhash": MinHashIndex,
 }
-
-
-def parallelism_advisory(workers: Sequence[int] | int) -> dict:
-    """Honest parallelism metadata for a benchmark payload.
-
-    Worker counts above ``os.cpu_count()`` cannot speed anything up —
-    they only add scheduling overhead — yet a payload that records
-    ``workers: [1, 2, 4]`` on a 1-core box silently reads as a failed
-    scaling experiment.  This stamps every payload with the
-    *effective* parallelism (``min(max(workers), cpu_count)``) and a
-    human-readable warning when the requested fan-out exceeds the
-    machine, so speedup columns can be read honestly.
-    """
-    requested = max(workers) if not isinstance(workers, int) else workers
-    cpu_count = os.cpu_count() or 1
-    effective = min(requested, cpu_count)
-    warning = None
-    if cpu_count < requested:
-        warning = (
-            f"requested {requested} workers on a {cpu_count}-core machine; "
-            f"speedups beyond {cpu_count}x reflect overlap of waiting, not "
-            f"parallel compute"
-        )
-    return {
-        "cpu_count": cpu_count,
-        "requested_workers": requested,
-        "effective_parallelism": effective,
-        "warning": warning,
-    }
-
-
-def nn_checksum(nn_relation: NNRelation) -> str:
-    """A deterministic digest of an NN relation (lists, distances, NG)."""
-    digest = hashlib.sha256()
-    for entry in nn_relation:
-        digest.update(repr((entry.rid, entry.ng)).encode())
-        for neighbor in entry.neighbors:
-            digest.update(repr((neighbor.rid, neighbor.distance)).encode())
-    return digest.hexdigest()
 
 
 def run_build_throughput(
@@ -143,13 +95,13 @@ def run_build_throughput(
       *distinct* token once per salt, ``sign``) and bucketed by
       :func:`~repro.index.signatures.group_band_buckets` (``bucket``).
 
-    The payload records per-signer wall time, records/sec, the
+    The results record per-signer wall time, records/sec, the
     tokenize/sign/bucket split, the vocabulary compression ratio
     (occurrences / distinct tokens — the quantity vocabulary hashing
     exploits, and the reason the factory wins), a signature checksum,
-    ``parity`` (checksums byte-identical across both signers) and
-    ``speedup_vectorized_vs_scalar`` (factory vs scalar — what
-    ``bench-scale --min-speedup`` gates).
+    ``parity`` (checksums byte-identical across both signers; the
+    ``signature-parity`` gate) and ``speedup_vectorized_vs_scalar``
+    (factory vs scalar; the ``min-speedup`` gate).
     """
     from repro.distances.corpus import Corpus
     from repro.distances.tokens import tokenize
@@ -183,29 +135,32 @@ def run_build_throughput(
             "signature_checksum": checksum,
         }
 
+    def bucket(signatures) -> dict:
+        buckets: dict = {}
+        for rid, signature in signatures:
+            for band, key in band_keys(signature, n_bands):
+                buckets.setdefault((band, key), []).append(rid)
+        return buckets
+
     # Scalar reference: per-occurrence hashing, per-record bucketing.
-    started = time.perf_counter()
-    element_sets = {rid: set(tokenize(relation.get(rid).text())) for rid in rids}
-    tokenize_seconds = time.perf_counter() - started
-    started = time.perf_counter()
-    scalar_signatures = [
-        (rid, minhash_signature(element_sets[rid], n_hashes)) for rid in rids
-    ]
-    sign_seconds = time.perf_counter() - started
-    started = time.perf_counter()
-    scalar_buckets: dict = {}
-    for rid, signature in scalar_signatures:
-        for band, key in band_keys(signature, n_bands):
-            scalar_buckets.setdefault((band, key), []).append(rid)
+    (element_sets,), tokenizing = timed(
+        lambda: {rid: set(tokenize(relation.get(rid).text())) for rid in rids}
+    )
+    (scalar_signatures,), signing = timed(
+        lambda: [
+            (rid, minhash_signature(element_sets[rid], n_hashes))
+            for rid in rids
+        ]
+    )
+    (scalar_buckets,), bucketing = timed(lambda: bucket(scalar_signatures))
     scalar = row(
-        "scalar", tokenize_seconds, sign_seconds,
-        time.perf_counter() - started, len(scalar_buckets),
+        "scalar", tokenizing["seconds"], signing["seconds"],
+        bucketing["seconds"], len(scalar_buckets),
         checksum_of(scalar_signatures),
     )
 
-    started = time.perf_counter()
-    corpus = Corpus(relation)
-    tokenize_seconds = time.perf_counter() - started
+    (corpus,), tokenizing = timed(lambda: Corpus(relation))
+    tokenize_seconds = tokenizing["seconds"]
     signed = SignatureFactory(n_hashes).sign(corpus, rids)
     grouping = group_band_buckets(signed, n_bands)
     # Untimed: with numpy the tuples are read off the signature matrix
@@ -237,13 +192,8 @@ def run_build_throughput(
 
 
 def _run_mode(
-    relation,
-    distance_cls: type[DistanceFunction],
-    params: DEParams,
-    mode: str,
-    n_workers: int,
-    pool: str,
-    kernel: str = "python",
+    relation, distance_cls: type[DistanceFunction], params: DEParams,
+    mode: str, n_workers: int, pool: str, kernel: str,
 ) -> dict:
     """Time one Phase-1 execution mode on a fresh index and distance."""
     index = BruteForceIndex()
@@ -259,6 +209,14 @@ def _run_mode(
         "n": len(relation),
         "mode": mode,
         "workers": n_workers,
+        **_cost_row(stats, index, nn),
+        "n_chunks": stats.n_chunks,
+    }
+
+
+def _cost_row(stats: Phase1Stats, index: NNIndex, nn) -> dict:
+    """The Phase-1 cost fields every run and matrix row records."""
+    return {
         "seconds": stats.seconds,
         "lookups": stats.lookups,
         "throughput": stats.throughput,
@@ -272,7 +230,6 @@ def _run_mode(
         ),
         "cache_bypassed": stats.cache_bypassed,
         "substages": dict(stats.substage_seconds),
-        "n_chunks": stats.n_chunks,
         "checksum": nn_checksum(nn),
     }
 
@@ -316,7 +273,7 @@ def run_index_matrix(
     # Imported lazily: repro.verify sits above the eval layer.
     from repro.verify.parity import sampled_nn_recall
 
-    distance_cls = BENCH_DISTANCES[distance]
+    distance_cls = DISTANCES[distance]
     if theta is not None:
         params = DEParams.combined(k, theta, c=4.0)
     else:
@@ -353,25 +310,15 @@ def run_index_matrix(
         )
         if name == "brute":
             brute_total = total
-        row = {
+        rows.append({
             "index": name,
             "index_name": index.name,
-            "seconds": stats.seconds,
-            "lookups": stats.lookups,
-            "throughput": stats.throughput,
-            "evaluations": stats.evaluations,
-            "kernel_evaluations": stats.kernel_evaluations,
-            "backend": index.kernel_backend,
+            **_cost_row(stats, index, nn),
             "build_evaluations": index.build_evaluations,
             "total_evaluations": total,
             "candidates_generated": stats.candidates_generated,
             "evaluations_pruned": stats.evaluations_pruned,
             "prune_rate": stats.prune_rate,
-            "cache_hit_rate": (
-                None if stats.cache_bypassed else stats.cache_hit_rate
-            ),
-            "cache_bypassed": stats.cache_bypassed,
-            "substages": dict(stats.substage_seconds),
             "evaluations_ratio_vs_brute": (
                 brute_total / total if brute_total and total else None
             ),
@@ -383,30 +330,30 @@ def run_index_matrix(
                 sample=recall_sample,
                 seed=seed,
             ),
-            "checksum": nn_checksum(nn),
-        }
-        rows.append(row)
+        })
     return {
-        "dataset": dataset,
         "distance": distance,
         "n": len(relation),
         "n_entities": n_entities,
         "k": k,
         "theta": theta,
         "workers": n_workers,
-        "pool": pool,
-        "duplicate_fraction": duplicate_fraction,
-        "seed": seed,
         "recall_sample": recall_sample,
-        "kernel": kernel,
-        "effective_parallelism": parallelism_advisory(n_workers),
         "rows": rows,
     }
 
 
+def _parity(runs: Sequence[Mapping]) -> dict[str, bool]:
+    """Per relation size: did every execution mode give one checksum?"""
+    checksums: dict[str, set[str]] = {}
+    for run in runs:
+        checksums.setdefault(str(run["n"]), set()).add(run["checksum"])
+    return {n: len(seen) == 1 for n, seen in checksums.items()}
+
+
 def run_phase1_bench(
-    sizes: Sequence[int] = (500, 1000, 2000),
-    workers: Sequence[int] = (1, 2, 4),
+    sizes: str | Sequence[int] = (500, 1000, 2000),
+    workers: str | Sequence[int] = (1, 2, 4),
     dataset: str = "org",
     distance: str = "cosine",
     k: int = 5,
@@ -421,9 +368,11 @@ def run_phase1_bench(
     matrix_theta: float | None = 0.4,
     recall_sample: int = 50,
 ) -> dict:
-    """Run the Phase-1 scalability matrix and return the JSON payload.
+    """Run the Phase-1 scalability matrix and return its results.
 
-    ``sizes`` counts entities before duplicate injection; each row
+    ``sizes`` and ``workers`` take a sequence or a comma-separated
+    string (the CLI flags' form).  ``sizes`` counts entities before
+    duplicate injection; each row
     reports the actual relation size ``n``.  For every size the
     per-query baseline runs once and the batch path runs once per
     worker count.  ``kernel`` selects the distance backend for the
@@ -434,21 +383,21 @@ def run_phase1_bench(
 
     With ``verify=True`` the smallest size additionally runs the full
     DE pipeline under the invariant verifier (``repro.verify``) and
-    the payload records the per-check summary under ``"verification"``
-    — a bench artifact produced from an invariant-breaking build is
-    flagged rather than silently published.
+    the results record the per-check summary under ``"verification"``
+    (the ``invariants`` gate).
 
     With ``indexes`` given (names from :data:`INDEX_FACTORIES`), the
-    payload additionally carries ``"index_matrix"``: a list of
+    results additionally carry ``"index_matrix"``: a list of
     :func:`run_index_matrix` results — by default one matrix at the
     largest size, overridable via ``matrix_distance`` /
-    ``matrix_entities``.
+    ``matrix_entities``; ``matrix_theta`` ``0`` or ``None`` runs a
+    pure k-NN matrix.
     """
-    distance_cls = BENCH_DISTANCES[distance]
+    sizes, workers = int_list(sizes), int_list(workers)
+    distance_cls = DISTANCES[distance]
     params = DEParams.size(k, c=4.0)
     runs: list[dict] = []
     speedups: dict[str, float] = {}
-    parity: dict[str, bool] = {}
 
     for size in sizes:
         relation = load_dataset(
@@ -462,7 +411,6 @@ def run_phase1_bench(
             kernel="python",
         )
         runs.append(baseline)
-        checksums = {baseline["checksum"]}
         batch_one = None
         for n_workers in workers:
             row = _run_mode(
@@ -470,11 +418,9 @@ def run_phase1_bench(
                 kernel=kernel,
             )
             runs.append(row)
-            checksums.add(row["checksum"])
             if n_workers == 1:
                 batch_one = row
         n_key = str(len(relation))
-        parity[n_key] = len(checksums) == 1
         if batch_one is not None and baseline["throughput"] > 0.0:
             speedups[n_key] = batch_one["throughput"] / baseline["throughput"]
 
@@ -503,7 +449,7 @@ def run_phase1_bench(
                 distance=matrix_distance or distance,
                 n_entities=matrix_entities or max(sizes),
                 k=k,
-                theta=matrix_theta,
+                theta=matrix_theta or None,
                 pool=pool,
                 duplicate_fraction=duplicate_fraction,
                 seed=seed,
@@ -513,22 +459,9 @@ def run_phase1_bench(
         ]
 
     return {
-        "benchmark": "phase1_parallel",
-        "dataset": dataset,
-        "distance": distance,
-        "k": k,
-        "pool": pool,
-        "kernel": kernel,
-        "duplicate_fraction": duplicate_fraction,
-        "seed": seed,
-        "python": platform.python_version(),
-        "cpu_count": os.cpu_count(),
-        "sizes": list(sizes),
-        "workers": list(workers),
-        "effective_parallelism": parallelism_advisory(workers),
         "runs": runs,
         "speedup_batch_vs_per_query": speedups,
-        "parity": parity,
+        "parity": _parity(runs),
         "build_throughput": build_throughput,
         "verification": verification,
         "index_matrix": index_matrix,
@@ -545,7 +478,7 @@ def _self_check(
 ) -> dict:
     """Run the full pipeline under the verifier; return its summary.
 
-    The check runs through the storage engine so the payload also
+    The check runs through the storage engine so the results also
     captures the engine telemetry — notably the buffer hit ratio (the
     paper's Figure 8 quantity) — alongside the invariant summary.
     """
@@ -568,8 +501,8 @@ def _self_check(
     return summary
 
 
-def phase1_table(payload: Mapping) -> str:
-    """Render a payload's run matrix as the repo's standard text table."""
+def phase1_table(results: Mapping) -> str:
+    """Render the run matrix as the repo's standard text table."""
     rows = [
         (
             run["n"],
@@ -586,7 +519,7 @@ def phase1_table(payload: Mapping) -> str:
                 else f"{run['cache_hit_rate']:.2f}"
             ),
         )
-        for run in payload["runs"]
+        for run in results["runs"]
     ]
     table = format_table(
         ("n", "mode", "backend", "workers", "seconds", "throughput",
@@ -596,7 +529,7 @@ def phase1_table(payload: Mapping) -> str:
     )
     speedups = ", ".join(
         f"n={n}: {s:.2f}x"
-        for n, s in sorted(payload["speedup_batch_vs_per_query"].items(), key=lambda kv: int(kv[0]))
+        for n, s in sorted(results["speedup_batch_vs_per_query"].items(), key=lambda kv: int(kv[0]))
     )
     return f"{table}\n\nbatch (1 worker) vs per-query speedup: {speedups}"
 
@@ -678,9 +611,110 @@ def index_matrix_table(matrix: Mapping) -> str:
     )
 
 
-def write_phase1_json(payload: Mapping, path: str | Path) -> Path:
-    """Write the payload to ``path`` (creating parent directories)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    return path
+def _render(payload: Mapping) -> str:
+    """The whole artifact: run matrix, build throughput, index matrices
+    and the verifier summary."""
+    results = payload["results"]
+    parts = [
+        phase1_table(results),
+        build_throughput_table(results["build_throughput"]),
+    ]
+    parts.extend(
+        index_matrix_table(matrix) for matrix in results["index_matrix"] or ()
+    )
+    verification = results["verification"]
+    if verification is not None:
+        lines = [
+            "invariant verification: "
+            + ("OK" if verification["ok"] else "FAILED")
+        ]
+        buffer = (verification.get("stats") or {}).get("buffer")
+        if buffer is not None:
+            lines.append(
+                f"engine buffer hit ratio: {buffer['hit_ratio']:.2f} "
+                f"({buffer['hits']} hits / {buffer['misses']} misses)"
+            )
+        parts.append("\n".join(lines))
+    return "\n\n".join(parts)
+
+
+def _gates(settings: Mapping) -> list[Gate]:
+    gates = [
+        Gate(
+            "nn-parity", CHECKSUM, None,
+            "every execution mode computed one NN relation at every size",
+            lambda results: [
+                f"execution modes disagreed on the NN relation at n={n}"
+                for n, agreed in _parity(results["runs"]).items()
+                if not agreed
+            ],
+        ),
+        Gate(
+            "signature-parity", CHECKSUM, None,
+            "the factory signer reproduced the scalar signatures",
+            lambda results: (
+                ["signers disagreed on MinHash signatures"]
+                if len({
+                    row["signature_checksum"]
+                    for row in results["build_throughput"]["rows"]
+                }) > 1
+                else []
+            ),
+        ),
+    ]
+    if settings.get("verify"):
+        gates.append(Gate(
+            "invariants", CHECKSUM, None,
+            "the full pipeline passed every invariant check",
+            lambda results: [
+                f"invariant violations in {name}"
+                for name in results["verification"]["failed"]
+            ],
+        ))
+    min_recall = settings.get("min_recall")
+    if min_recall is not None:
+        if not settings.get("indexes"):
+            raise ConfigError("--min-recall requires at least one --index")
+        gates.append(Gate(
+            "min-recall", THRESHOLD, min_recall,
+            f"sampled NN recall >= {min_recall:g} for every matrix index",
+            lambda results: [
+                f"sampled NN recall below {min_recall:g} for {row['index']} "
+                f"({row['recall']['mean_recall']:.3f})"
+                for matrix in results["index_matrix"] or ()
+                for row in matrix["rows"]
+                if "skipped" not in row
+                and row["recall"]["mean_recall"] < min_recall
+            ],
+        ))
+    min_speedup = settings.get("min_speedup")
+    if min_speedup is not None:
+        gates.append(Gate(
+            "min-speedup", THRESHOLD, min_speedup,
+            f"the signature factory is >= {min_speedup:g}x the scalar "
+            f"signer",
+            lambda results: _speedup_failures(results, min_speedup),
+        ))
+    return gates
+
+
+def _speedup_failures(results: Mapping, floor: float) -> list[str]:
+    speedup = results["build_throughput"]["speedup_vectorized_vs_scalar"]
+    if speedup is None:
+        return ["no factory-vs-scalar build speedup recorded"]
+    if speedup < floor:
+        return [f"signature factory speedup {speedup:.2f}x below the "
+                f"{floor:.2f}x floor"]
+    return []
+
+
+SUITE = Suite(
+    benchmark="phase1_parallel",
+    run=run_phase1_bench,
+    table=_render,
+    gates=_gates,
+    gate_settings=("min_recall", "min_speedup"),
+    workers=lambda results: max(
+        (run["workers"] for run in results["runs"]), default=1
+    ),
+)

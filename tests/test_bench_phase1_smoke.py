@@ -9,12 +9,13 @@ to stay fast.
 
 import json
 
+from repro.eval import bench
 from repro.eval.bench_phase1 import (
+    SUITE,
     index_matrix_table,
     phase1_table,
     run_index_matrix,
     run_phase1_bench,
-    write_phase1_json,
 )
 
 
@@ -48,7 +49,10 @@ class TestBenchPhase1Smoke:
         batch = payload["runs"][1]["evaluations"]
         assert batch * 3 < per_query
 
-        path = write_phase1_json(payload, tmp_path / "BENCH_phase1.json")
+        path = bench.write_artifact(
+            bench.artifact(SUITE, {"sizes": [30], "workers": [1, 2]}, payload),
+            tmp_path / "BENCH_phase1.json",
+        )
         assert json.loads(path.read_text())["benchmark"] == "phase1_parallel"
 
         table = phase1_table(payload)

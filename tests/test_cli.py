@@ -288,7 +288,7 @@ class TestBenchPhase1Command:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bench-phase1", "--index", "nope"])
 
-    def test_min_recall_requires_index(self, tmp_path):
+    def test_min_recall_requires_index(self, tmp_path, capsys):
         out = io.StringIO()
         code = main(
             [
@@ -301,7 +301,8 @@ class TestBenchPhase1Command:
             out=out,
         )
         assert code == 2
-        assert "--min-recall requires" in out.getvalue()
+        assert "--min-recall requires" in capsys.readouterr().err
+        assert not (tmp_path / "b.json").exists()
 
     def test_index_matrix_and_min_recall(self, tmp_path):
         import json
@@ -326,7 +327,7 @@ class TestBenchPhase1Command:
         assert "index matrix" in out.getvalue()
         assert "sampled NN recall >= 0.5" in out.getvalue()
         payload = json.loads(output.read_text())
-        (matrix,) = payload["index_matrix"]
+        (matrix,) = payload["results"]["index_matrix"]
         assert [row["index"] for row in matrix["rows"]] == ["brute", "qgram"]
         assert all("skipped" not in row for row in matrix["rows"])
 
@@ -344,6 +345,8 @@ class TestBenchPhase1Command:
                 "--min-recall", "1.1",
                 "--recall-sample", "5",
                 "--output", str(tmp_path / "b.json"),
+                # A threshold gate is fatal only under --check.
+                "--check",
             ],
             out=out,
         )
@@ -370,8 +373,11 @@ class TestBenchPhase1Command:
         assert code == 0
         assert "invariant verification: OK" in out.getvalue()
         payload = json.loads(output.read_text())
-        assert payload["verification"]["ok"] is True
-        assert payload["verification"]["failed"] == []
+        verification = payload["results"]["verification"]
+        assert verification["ok"] is True
+        assert verification["failed"] == []
+        gates = {gate["name"]: gate for gate in payload["gates"]}
+        assert gates["invariants"]["passed"] is True
 
 
 class TestServe:
@@ -536,5 +542,9 @@ class TestBenchIncremental:
         assert "checksums agree" in text
         payload = json.loads(output.read_text())
         assert payload["benchmark"] == "incremental_serving"
-        assert payload["n_removes"] > 0
-        assert all(row["checksum_match"] for row in payload["checkpoints"])
+        results = payload["results"]
+        assert results["n_removes"] > 0
+        assert all(
+            row["batch_checksums"] == [row["incremental_checksum"]] * 3
+            for row in results["checkpoints"]
+        )

@@ -27,7 +27,7 @@ from repro.core.nn_phase import Phase1Stats, prepare_nn_lists
 from repro.data.loaders import load_dataset
 from repro.data.schema import Record
 from repro.distances.edit import EditDistance
-from repro.eval.bench_phase1 import nn_checksum
+from repro.eval.bench import nn_checksum
 from repro.index.bktree import BKTreeIndex
 from repro.index.bruteforce import BruteForceIndex
 from repro.index.inverted import QgramInvertedIndex

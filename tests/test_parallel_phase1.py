@@ -14,7 +14,7 @@ from repro.core.formulation import DEParams
 from repro.core.nn_phase import Phase1Stats, prepare_nn_lists
 from repro.data.loaders import dataset_names, load_dataset
 from repro.distances.cosine import CosineDistance
-from repro.eval.bench_phase1 import nn_checksum
+from repro.eval.bench import nn_checksum
 from repro.index.bruteforce import BruteForceIndex
 from repro.parallel import Chunk, ParallelNNEngine, plan_chunks
 

@@ -19,7 +19,6 @@ from repro.data.loaders import load_dataset
 from repro.distances.corpus import Corpus
 from repro.distances.kernels.compat import have_numpy
 from repro.eval.bench_phase1 import build_throughput_table, run_build_throughput
-from repro.eval.bench_scale import check_scale_payload
 from repro.index.signatures import SignatureFactory
 from repro.run.config import RunConfig
 from repro.run.context import RunContext
@@ -122,49 +121,6 @@ class TestBuildThroughput:
         table = build_throughput_table(payload)
         assert "scalar" in table and "factory" in table
         assert "identical" in table
-
-
-class TestScaleSpeedupGate:
-    PAYLOAD = {
-        "runs": [{"checksum": "abc"}],
-        "small_parity": {"ok": True},
-        "parity": True,
-        "min_plan_recall": 1.0,
-        "n": 100,
-        "build_throughput": {
-            "parity": True,
-            "speedup_vectorized_vs_scalar": 3.0,
-        },
-    }
-
-    def test_speedup_above_floor_passes(self):
-        assert "speedup" not in check_scale_payload(
-            self.PAYLOAD, min_speedup=2.0
-        )
-
-    def test_speedup_below_floor_fails(self):
-        failures = check_scale_payload(self.PAYLOAD, min_speedup=5.0)
-        assert failures["speedup"]
-
-    def test_missing_speedup_fails_when_gated(self):
-        payload = dict(self.PAYLOAD, build_throughput={})
-        failures = check_scale_payload(payload, min_speedup=1.0)
-        assert failures["speedup"]
-
-    def test_no_gate_without_min_speedup(self):
-        payload = dict(
-            self.PAYLOAD,
-            build_throughput={
-                "parity": True,
-                "speedup_vectorized_vs_scalar": 0.1,
-            },
-        )
-        assert "speedup" not in check_scale_payload(payload)
-
-    def test_build_parity_failure_is_checksum_class(self):
-        payload = dict(self.PAYLOAD, build_throughput={"parity": False})
-        failures = check_scale_payload(payload)
-        assert any("build-throughput" in f for f in failures["checksum"])
 
 
 class TestPlanSignatureReuse:

@@ -385,43 +385,28 @@ class TestOrderByAutoExternal:
 
 class TestBenchPhase2:
     def test_payload_parity_and_clean_gate(self):
-        from repro.eval.bench_phase2 import (
-            check_phase2_payload,
-            phase2_table,
-            run_phase2_bench,
-        )
+        from repro.eval import bench
+        from repro.eval.bench_phase2 import SUITE, phase2_table
 
-        payload = run_phase2_bench(
-            entities=12, repeats=2, distance="edit",
-            buffer_pages=16, page_capacity=8, spill_buffer_pages=2,
-        )
-        assert payload["repeats"] == 2
-        assert [run["source"] for run in payload["runs"]] == [
+        settings = {
+            "entities": 12, "repeats": 2, "distance": "edit",
+            "buffer_pages": 16, "page_capacity": 8, "spill_buffer_pages": 2,
+        }
+        payload = bench.run(SUITE, settings)
+        results = payload["results"]
+        assert [run["source"] for run in results["runs"]] == [
             "memory", "engine", "spill",
         ]
-        assert len({run["checksum"] for run in payload["runs"]}) == 1
-        assert {run["pairs"] for run in payload["runs"]} == {
-            payload["n_cs_pairs"]
+        assert all(run["n_samples"] == 2 for run in results["runs"])
+        assert len({c for run in results["runs"] for c in run["checksums"]}) == 1
+        assert {run["pairs"] for run in results["runs"]} == {
+            results["n_cs_pairs"]
         }
-        for source in ("memory", "engine", "spill", "cross_source"):
-            assert payload["parity"][source] is True
-        assert payload["partition"]["parity"] is True
-        assert check_phase2_payload(payload) == []
-        assert "phase2 join" in phase2_table(payload)
-
-    def test_gate_reports_every_checksum_mismatch(self):
-        from repro.eval.bench_phase2 import check_phase2_payload
-
-        payload = {
-            "parity": {
-                "memory": True, "engine": False,
-                "spill": True, "cross_source": False,
-            },
-            "partition": {"parity": False},
+        assert set(results["partition"]["checksums"]) == {
+            results["partition"]["streamed_checksum"]
         }
-        assert check_phase2_payload(payload) == [
-            "CSPairs checksum mismatch: engine",
-            "CSPairs checksum mismatch: cross_source",
-            "partition checksum mismatch: streamed spill table vs. "
-            "in-memory rows",
+        assert [gate["name"] for gate in payload["gates"]] == [
+            "cspairs-parity", "partition-parity",
         ]
+        assert all(gate["passed"] for gate in payload["gates"])
+        assert "phase2 join" in phase2_table(payload)
