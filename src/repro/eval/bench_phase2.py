@@ -2,9 +2,10 @@
 partitioning scan.
 
 The ``bench-phase2`` suite (``BENCH_phase2.json``) of the harness in
-:mod:`repro.eval.bench`.  Phase 1 runs **once** (batched); its NN
-relation is then pushed through the production CSPairs builder of each
-source — ``memory`` (:func:`~repro.core.cspairs.build_cs_pairs`),
+:mod:`repro.eval.bench`.  Phase 1 runs **once** (batched, on the
+batch kernel whenever numpy is installed, as ``kernel="auto"`` runs
+do); its NN relation is then pushed through the production CSPairs
+builder of each source — ``memory`` (:func:`~repro.core.cspairs.build_cs_pairs`),
 ``engine`` (:func:`~repro.core.cspairs.build_cs_pairs_engine` over a
 pool that holds the whole join) and ``spill`` (the same plan behind a
 small pool, where the ``ORDER BY`` runs as an external merge sort) —
@@ -67,6 +68,7 @@ def run_phase2_bench(
     ).relation
 
     phase1 = INDEX_FACTORIES[index]()
+    phase1.enable_kernel("auto")
     phase1.build(relation, DISTANCES[distance]())
     stats = Phase1Stats()
     nn = ParallelNNEngine(n_workers=1).run(

@@ -27,7 +27,8 @@ from repro.distances.edit import EditDistance, levenshtein
 from repro.distances.fms import FuzzyMatchDistance
 from repro.distances.jaccard import TokenJaccardDistance
 from repro.distances.kernels import KernelUnavailable, have_numpy
-from repro.distances.kernels.edit import myers_levenshtein
+from repro.distances.kernels import edit as edit_kernel
+from repro.distances.kernels.edit import EditKernel, myers_levenshtein
 from repro.index.bruteforce import BruteForceIndex
 from repro.index.minhash import MinHashIndex
 from repro.run.config import ConfigError, RunConfig
@@ -316,6 +317,125 @@ class TestEditKernelRows:
         kernel.memo_rows = 3
         kernel.block(rids[:5])
         assert len(kernel._memo) == 3
+
+    @staticmethod
+    def lane_texts():
+        """Texts of every word-boundary length over more than 256
+        distinct characters (astral ones too), so codes take four bytes
+        and patterns span one to three 64-bit words."""
+        import random
+
+        rng = random.Random(5)
+        wide = [chr(c) for c in range(0x100, 0x100 + 300)] + [
+            "\U0001f600", "\U0001f601", "\U00010348",
+        ]
+        out = []
+        for length in (0, 1, 63, 64, 65, 127, 128, 129):
+            for alphabet in ("ab", "abc d", wide):
+                out.append("".join(rng.choice(alphabet) for _ in range(length)))
+        return out
+
+    def test_lanes_match_levenshtein_at_word_boundaries(self):
+        import numpy as np
+
+        words = self.lane_texts()
+        kernel = EditKernel(list(range(len(words))), words)
+        assert kernel._codes.itemsize == 4
+        rows_a, rows_b = np.triu_indices(len(words), k=1)
+        assert len(rows_a) >= edit_kernel.LANE_CROSSOVER
+        want = [
+            levenshtein(words[a], words[b]) / (max(len(words[a]), len(words[b])) or 1)
+            for a, b in zip(rows_a.tolist(), rows_b.tolist())
+        ]
+        for a, b in ((rows_a, rows_b), (rows_b, rows_a)):
+            before = kernel.evaluations
+            assert kernel.pair_distances(a, b).tolist() == want
+            assert kernel.evaluations - before == len(want)
+
+    def test_lanes_equal_scalar_around_the_crossover(self, monkeypatch):
+        import numpy as np
+
+        words = self.lane_texts()
+        kernel = EditKernel(list(range(len(words))), words)
+        rows_a, rows_b = np.triu_indices(len(words), k=1)
+        crossover = edit_kernel.LANE_CROSSOVER
+        lane_calls = []
+        lanes = kernel._lanes
+        monkeypatch.setattr(
+            kernel, "_lanes", lambda a, b: lane_calls.append(len(a)) or lanes(a, b)
+        )
+        for size in (crossover - 1, crossover, crossover + 1):
+            a, b = rows_a[-size:], rows_b[-size:]
+            want = [
+                myers_levenshtein(words[i], words[j])
+                / (max(len(words[i]), len(words[j])) or 1)
+                for i, j in zip(a.tolist(), b.tolist())
+            ]
+            before = kernel.evaluations
+            assert kernel.pair_distances(a, b).tolist() == want
+            assert kernel.pair_distances(b, a).tolist() == want
+            assert kernel.evaluations - before == 2 * size
+        assert lane_calls == [crossover, crossover, crossover + 1, crossover + 1]
+
+    def test_lanes_across_chunk_boundaries(self, monkeypatch):
+        import numpy as np
+
+        words = self.lane_texts()
+        kernel = EditKernel(list(range(len(words))), words)
+        rows_a, rows_b = np.triu_indices(len(words), k=1)
+        whole = kernel.pair_distances(rows_a, rows_b).tolist()
+        # A budget of a few lanes splits the call into many chunks,
+        # some of them mixing one-word and three-word patterns.
+        lanes = edit_kernel.chunk_lanes(3, kernel._alphabet, 129)
+        monkeypatch.setattr(
+            edit_kernel, "LANE_BUDGET", 7 * edit_kernel.LANE_BUDGET // lanes
+        )
+        assert 1 < edit_kernel.chunk_lanes(3, kernel._alphabet, 129) < 10
+        assert kernel.pair_distances(rows_a, rows_b).tolist() == whole
+        assert kernel.pair_distances(rows_b, rows_a).tolist() == whole
+
+    def test_row_uses_lanes_and_mirrors(self):
+        words = long_texts(2 * edit_kernel.LANE_CROSSOVER, seed=4)
+        _, _, kernel = self.make(words)
+        rows = kernel.block([0, 1])
+        assert kernel.evaluations == 2 * (len(words) - 1) - 1
+        for q in (0, 1):
+            _, _, fresh = self.make(words)
+            fresh_row = fresh.pair_distances(
+                [q] * len(words), list(range(len(words)))
+            ).tolist()
+            assert rows[q].tolist() == fresh_row
+
+    def test_chunk_lanes_shrink_as_the_alphabet_grows(self):
+        budget = edit_kernel.LANE_BUDGET
+        for words, length in ((1, 64), (2, 85), (3, 192), (40, 2500)):
+            previous = None
+            for alphabet in (1, 40, 300, 70_000, 1_114_112):
+                lanes = edit_kernel.chunk_lanes(words, alphabet, length)
+                # The match-mask table alone, the part an alphabet sizes.
+                assert lanes == 1 or lanes * (alphabet + 1) * words * 8 <= budget
+                assert previous is None or lanes <= previous
+                previous = lanes
+
+    def test_measured_scratch_stays_under_budget(self, monkeypatch):
+        import tracemalloc
+
+        import numpy as np
+
+        words = self.lane_texts()
+        kernel = EditKernel(list(range(len(words))), words)
+        rows_a, rows_b = np.triu_indices(len(words), k=1)
+        monkeypatch.setattr(edit_kernel, "LANE_BUDGET", 64 << 10)
+        assert edit_kernel.chunk_lanes(3, kernel._alphabet, 129) < len(rows_a) // 4
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            kernel.pair_distances(rows_a, rows_b)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # The chunk's scratch plus the call's own per-pair arrays.
+        assert peak <= edit_kernel.LANE_BUDGET + 16 * 8 * len(rows_a)
 
     def test_thread_pool_shared_index_matches_sequential(self):
         import sys
