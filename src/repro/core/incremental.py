@@ -10,28 +10,35 @@ and :meth:`IncrementalDeduplicator.remove`, with the invariant
 the maintained solution equals a from-scratch batch run at every point.
 
 Cost model (n = current size, K = cut-bounded list length): each
-operation costs O(n) cheap steps plus work proportional to what it
-changed.
+operation costs one distance row plus work proportional to the records
+it changes.
 
-- **insert** — one distance row to the existing records, fetched in
-  one call through the pair cache (each unordered pair at most once,
-  pinned in a per-operation memo); the arrival is tokenized and
-  vectorized once, when it is registered with the corpus.  The row is
-  then reused to update each existing record: two comparisons skip a
-  record the newcomer can change nothing of, the others get O(log K)
-  list maintenance and O(1) amortized neighborhood updates.  The exact
-  nearest neighbor is maintained explicitly, so a shrinking radius
-  only *truncates* the stored membership list — no rescans;
-- **remove** — O(n) membership checks, O(n) probes to drop the removed
-  record's cached pairs, plus one distance row per record that
-  *referenced* the removed record (its cut list or its exact NN),
-  which is O(K) records on average;
+- **insert** — one distance row to the existing records.  For IDF
+  cosine with numpy the row is scatter-added over the live records'
+  token postings (:meth:`~repro.distances.base.DistanceFunction
+  .live_rows`), bit-identical to the scalar distance and never through
+  the pair cache; otherwise it is fetched in one call through the pair
+  cache (each unordered pair at most once, pinned in a per-operation
+  memo).  The row is then reused to update each existing record: two
+  comparisons skip a record the newcomer can change nothing of, the
+  others get O(log K) list maintenance and a neighborhood insertion by
+  bisection.  The exact nearest neighbor is maintained explicitly, so
+  a shrinking radius only *truncates* the stored neighborhood — no
+  rescans;
+- **remove** — visits only the records whose entry holds the removed
+  one, through a reverse reference map: those it was a cut-list entry
+  or the exact NN of (O(K) records on average) are rebuilt by one row
+  each, the others lose it from their neighborhood by bisection, and
+  only its own cached pairs are dropped;
 - **partition** — CSPairs rows are rebuilt only for records whose cut
   list changed, and their NG fields patched for records whose NG alone
   changed; group extraction re-runs only for the mutual-NN components
   holding an endpoint of a row that was added, dropped or changed,
   found by walking the rows' adjacency (component independence is the
   sharding argument), so a quiet arrival re-extracts nothing.
+
+Neighborhoods are sorted ``(distance, rid)`` entries; ``Neighbor``
+objects are built only for the cut lists and exact NNs.
 
 Corpus-dependent distances (IDF-weighted cosine, fms) are prepared
 lazily on the first arrival; ``refit_every`` re-prepares them — and
@@ -61,6 +68,7 @@ from repro.core.partitioner import extract_component_groups
 from repro.core.result import Partition
 from repro.data.schema import Record, Relation
 from repro.distances.base import CachedDistance, DistanceFunction
+from repro.distances.kernels.compat import numpy_or_none
 from repro.index.base import Neighbor, by_proximity
 
 __all__ = ["IncrementalDeduplicator", "OpStats", "RepairStats"]
@@ -78,13 +86,16 @@ class OpStats:
     rid: int
     #: Relation size after the operation.
     n: int
-    #: Distinct unordered pairs evaluated (the per-operation memo size);
-    #: no pair is ever evaluated twice within one operation, bounded
-    #: cache or not.
+    #: Distance values the operation's rows fetched.  On the cached
+    #: row path these are distinct unordered pairs (the per-operation
+    #: memo size; no pair is evaluated twice within one operation,
+    #: bounded cache or not); on the live-postings path every row entry
+    #: counts, so a pair read from both ends counts twice.
     pinned_pairs: int
     #: Distance calls forwarded past the per-operation memo.
     distance_calls: int
-    #: Inner (uncached) distance computations during the operation.
+    #: Inner (uncached) distance computations during the operation; 0
+    #: on the live-postings path, which never reads the pair cache.
     cache_misses: int
     #: Entries rebuilt by a full scan (removals only).
     rebuilt: int
@@ -139,10 +150,9 @@ class IncrementalDeduplicator:
         the exact-parity guarantee.
     max_cache_entries:
         Bound for the internally created distance cache (``None`` =
-        unbounded).  Long-lived sessions should bound it: the pair cache
-        otherwise grows O(n²).  A removal drops the removed record's
-        cached pairs from either kind of cache, one probe per live
-        record.
+        unbounded).  Long-lived sessions on the cached row path should
+        bound it: the pair cache otherwise grows O(n²).  A removal drops
+        the removed record's cached pairs from either kind of cache.
     constraints, constraint_mode:
         Constraints (:mod:`repro.core.constraints`) the maintained
         solution must respect.  ``"postprocess"`` splits groups at
@@ -223,10 +233,17 @@ class IncrementalDeduplicator:
         #: maintained beyond the cut so theta-cut records with an empty
         #: list still know their radius (``None`` = no other records).
         self._true_nn: dict[int, Neighbor | None] = {}
-        #: rid -> sorted members of the ``p * nn`` neighborhood (the
-        #: records NG counts); ``ng = len(members) + 1``.
-        self._nbhd: dict[int, list[Neighbor]] = {}
+        #: rid -> the ``p * nn`` neighborhood (the records NG counts) as
+        #: ascending ``(distance, rid)`` entries; ``ng = len(members) +
+        #: 1``.  The exact NN is always a member (``p > 1``).
+        self._nbhd: dict[int, list[tuple[float, int]]] = {}
         self._ng: dict[int, int] = {}
+        #: rid -> {record whose cut list or neighborhood holds rid: the
+        #: distance}: the reverse map a removal visits.
+        self._refs: dict[int, dict[int, float]] = {}
+        #: The distance's live-row index (``DistanceFunction.live_rows``)
+        #: while it offers one; ``None`` scores rows through the cache.
+        self._live = None
         self._next_rid = 0
         # Incrementally maintained Phase-2 state.
         self._pairs: dict[tuple[int, int], CSPair] = {}
@@ -264,7 +281,7 @@ class IncrementalDeduplicator:
         if seed is not None:
             # Collect the statistics under the rids ``add`` assigns, so
             # every corpus row names the record that will carry its rid.
-            self.distance.prepare(
+            self._prepare(
                 Relation(
                     name=seed.name,
                     schema=seed.schema,
@@ -274,7 +291,6 @@ class IncrementalDeduplicator:
                     ],
                 )
             )
-            self._prepared = True
             for record in seed:
                 self.add(record.fields)
 
@@ -300,6 +316,8 @@ class IncrementalDeduplicator:
             corpus = self.distance.corpus
             if corpus is not None:
                 corpus.register(record)
+            if self._live is not None:
+                self._live.add(record)
             self._apply_insert(record)
         self._ops_since_refit += 1
         self._finish_op("add", rid, start)
@@ -308,13 +326,12 @@ class IncrementalDeduplicator:
     def remove(self, rid: int) -> None:
         """Delete a record, with bounded recomputation.
 
-        Only records that *referenced* the removed record — it sat in
-        their cut-bounded NN list, or it was their exact nearest
-        neighbor (the radius-defining record) — are rebuilt by a scan;
-        every other record at most loses the removed record from its
-        neighborhood membership, an O(|neighborhood|) patch with no
-        distance evaluations at all.  Raises :class:`KeyError` for an
-        unknown id.
+        Only the records whose entry holds the removed one are visited.
+        Those it was a cut-list entry or the exact nearest neighbor (the
+        radius-defining record) of are rebuilt by a scan; the others
+        held it as a neighborhood member only and lose it by bisection,
+        with no distance evaluations at all.  Raises :class:`KeyError`
+        for an unknown id.
         """
         start = time.perf_counter()
         self.relation.get(rid)  # KeyError before any state is touched
@@ -325,6 +342,8 @@ class IncrementalDeduplicator:
         corpus = self.distance.corpus
         if corpus is not None:
             corpus.remove(rid)
+        if self._live is not None:
+            self._live.remove(rid)
         rebuilds: list[int] = []
         if self._refit_due():
             self._drop_entry_state(rid)
@@ -334,8 +353,8 @@ class IncrementalDeduplicator:
             self._drop_entry_state(rid)
             # Rids are never reused, so the removed record's cached
             # pairs can never be probed again; dropping them keeps a
-            # long session's cache to live pairs.  Its partners are the
-            # live records, one probe each.
+            # long session's cache to live pairs (rows from the live
+            # index never enter it).
             self.distance.invalidate_rid(rid, self._neighbors)
             for orid in rebuilds:
                 self._rebuild_entry(self.relation.get(orid))
@@ -360,7 +379,11 @@ class IncrementalDeduplicator:
 
     def _apply_insert(self, record: Record) -> None:
         rid = record.rid
-        targets, row = self._scan(record)
+        refs = self._refs
+        mine = refs[rid] = {}
+        rids, row = self._scan(record)
+        if self._live is not None:
+            rids, row = rids.tolist(), row.tolist()
         self._mark_dirty(rid)
 
         p = self.params.p
@@ -368,8 +391,7 @@ class IncrementalDeduplicator:
         neighbors, true_nn, nbhd, ngs = (
             self._neighbors, self._true_nn, self._nbhd, self._ng
         )
-        for other, d in zip(targets, row):
-            orid = other.rid
+        for orid, d in zip(rids, row):
             lst = neighbors[orid]
             t_old = true_nn[orid]
             # Cut-bounded NN list: does the newcomer belong in it?  Ties
@@ -383,130 +405,166 @@ class IncrementalDeduplicator:
                 # Neither a nearer exact NN nor a new neighborhood
                 # member: nothing of this record changes.
                 radius = t_old.distance
-                if d >= radius and (
-                    d > 0.0 if radius == 0.0 else d >= p * radius
-                ):
+                if d >= (p * radius if radius > 0.0 else _ABOVE_ZERO):
                     continue
-            cand = Neighbor(d, rid)
+            held = False
+            # Entries that may have left this record's entry.
+            left: list[tuple[float, int]] = []
             if admitted:
                 at = bisect_right(lst, (d, rid), key=by_proximity)
-                lst.insert(at, cand)
+                lst.insert(at, Neighbor(d, rid))
                 if k is not None and len(lst) > k:
-                    del lst[k:]
+                    left.append(by_proximity(lst.pop()))
                 if at < len(lst):
+                    held = True
                     self._mark_dirty(orid)
             # Exact NN and neighborhood membership.  The radius can only
-            # shrink on insert, so the stored membership list is
-            # re-filtered — never rescanned.
-            old_members = nbhd[orid]
-            if t_old is None or (d, rid) < by_proximity(t_old):
-                t_new = cand
-                if d == 0.0:
-                    members = [m for m in old_members if m.distance == 0.0]
-                else:
-                    cutoff = p * d
-                    members = [m for m in old_members if m.distance < cutoff]
+            # shrink on insert, so the stored members are truncated by
+            # bisection — never rescanned.  Zero radius counts exact
+            # co-locations (``d < _ABOVE_ZERO``).
+            members = nbhd[orid]
+            if t_old is None or d < t_old.distance:
+                true_nn[orid] = Neighbor(d, rid)
+                held = True
+                radius = d
+                cut = bisect_left(
+                    members, (p * d if d > 0.0 else _ABOVE_ZERO,)
+                )
+                left.extend(members[cut:])
+                del members[cut:]
             else:
-                t_new = t_old
-                members = old_members
-            # Does the newcomer itself land in the (possibly shrunk)
-            # neighborhood?  Zero radius counts exact co-locations.
-            radius = t_new.distance
-            if (d == 0.0) if radius == 0.0 else (d < p * radius):
-                if members is old_members:
-                    members = list(old_members)
-                insort(members, cand, key=by_proximity)
-            true_nn[orid] = t_new
-            if members is not old_members:
-                nbhd[orid] = members
+                radius = t_old.distance
+            bound = p * radius if radius > 0.0 else _ABOVE_ZERO
+            if d < bound:
+                insort(members, (d, rid))
+                held = True
+            if held:
+                mine[orid] = d
+            if left:
+                # Still held when still a member or still in the cut
+                # list (a prefix of the record's ranking); an entry can
+                # leave both.
+                tail = by_proximity(lst[-1]) if lst else None
+                for entry in left:
+                    if (
+                        entry[1] != rid
+                        and entry[0] >= bound
+                        and (tail is None or entry > tail)
+                    ):
+                        refs[entry[1]].pop(orid, None)
             ng = len(members) + 1
             if ng != ngs[orid]:
                 ngs[orid] = ng
                 self._mark_ng(orid)
 
     def _unlink(self, rid: int) -> list[int]:
-        """Take a removed record out of every other record's entry.
+        """Take a removed record out of the entries that hold it.
 
-        Returns the records that must be rebuilt by a scan (the removed
-        record was in their cut list or their exact NN); any other
-        record it was a neighborhood member of loses it in place.
+        Visits only its referrers.  Returns those that must be rebuilt
+        by a scan (it was in their cut list, a prefix of their ranking,
+        or their exact NN); the others lose it from their neighborhood
+        by bisection.
         """
         rebuilds: list[int] = []
-        true_nn, nbhd = self._true_nn, self._nbhd
-        for orid, lst in self._neighbors.items():
-            if orid == rid:
-                continue
-            referenced = False
-            for nb in lst:
-                if nb.rid == rid:
-                    referenced = True
-                    break
-            t = true_nn[orid]
-            if referenced or (t is not None and t.rid == rid):
+        neighbors, true_nn, nbhd, ngs = (
+            self._neighbors, self._true_nn, self._nbhd, self._ng
+        )
+        for orid, d in self._refs.pop(rid).items():
+            lst = neighbors[orid]
+            if true_nn[orid].rid == rid or (
+                lst and (d, rid) <= by_proximity(lst[-1])
+            ):
                 rebuilds.append(orid)
                 continue
             members = nbhd[orid]
-            for at, member in enumerate(members):
-                if member.rid == rid:
-                    members = members[:at] + members[at + 1 :]
-                    nbhd[orid] = members
-                    self._ng[orid] = len(members) + 1
-                    self._mark_ng(orid)
-                    break
+            del members[bisect_left(members, (d, rid))]
+            ngs[orid] = len(members) + 1
+            self._mark_ng(orid)
+        rebuilds.sort()
         return rebuilds
 
     # ------------------------------------------------------------------
     # Shared state builders
     # ------------------------------------------------------------------
 
-    def _row(
-        self, record: Record, targets: list[Record]
-    ) -> tuple[list[Record], list[float]]:
-        """Distances from ``record`` to each of ``targets``, fetched
-        through the pair cache in one call.
+    def _row(self, record: Record):
+        """Distances from ``record`` to the records it is compared
+        against, as ``(rids, distances)``: arrays from the live index
+        when the distance offers one, else lists fetched through the
+        pair cache in one call.
 
-        A pair this operation already fetched from its other end is
-        read from that row instead, so each unordered pair is evaluated
-        at most once per operation even when the cache is bounded and
-        has evicted it (the documented free-re-probe promise).  Returns
-        the targets, those reused last, and their distances.
+        On the cache path, a pair this operation already fetched from
+        its other end is read from that row instead, so each unordered
+        pair is evaluated at most once per operation even when the
+        cache is bounded and has evicted it (the documented free
+        re-probe promise); those reused pairs come last.
         """
         rid = record.rid
+        others = None
+        if self.candidates is not None:
+            others = [
+                orid
+                for orid in self.candidates.candidates(record)
+                if orid != rid and orid in self.relation
+            ]
+        if self._live is not None:
+            rids, values = self._live.row(rid, others)
+            self._op_pairs += len(values)
+            return rids, values
+        if others is None:
+            targets = [o for o in self.relation if o.rid != rid]
+        else:
+            targets = [self.relation.get(orid) for orid in others]
         rows = self._op_rows
         reused = []
         if rows:
             for other in [o for o in targets if o.rid in rows]:
                 d = rows[other.rid].get(rid)
                 if d is not None:
-                    reused.append((other, d))
+                    reused.append((other.rid, d))
             if reused:
-                skip = {other.rid for other, _ in reused}
+                skip = {orid for orid, _ in reused}
                 targets = [o for o in targets if o.rid not in skip]
         values = self.distance.row(record, targets)
         self._op_pairs += len(values)
+        rids = [o.rid for o in targets]
         if reused:
-            targets = targets + [other for other, _ in reused]
-            values = values + [d for _, d in reused]
-        rows[rid] = dict(zip([o.rid for o in targets], values))
-        return targets, values
+            rids += [orid for orid, _ in reused]
+            values += [d for _, d in reused]
+        rows[rid] = dict(zip(rids, values))
+        return rids, values
 
-    def _scan_targets(self, record: Record) -> list[Record]:
-        """The records an arrival is compared against."""
-        if self.candidates is None:
-            return [o for o in self.relation if o.rid != record.rid]
-        surfaced = self.candidates.candidates(record)
-        return [
-            self.relation.get(rid)
-            for rid in surfaced
-            if rid != record.rid and rid in self.relation
-        ]
+    def _ranked(self, rids, row) -> list[tuple[float, int]]:
+        """The row as ascending ``(distance, rid)`` entries.
 
-    def _scan(self, record: Record) -> tuple[list[Record], list[float]]:
+        From the live index, only the head a record's entry can hold:
+        every entry inside the neighborhood radius and the first K (or,
+        without K, every one inside θ) — the same prefix of the full
+        ranking.
+        """
+        if self._live is None:
+            return sorted(zip(row, rids))
+        if not len(row):
+            return []
+        np = numpy_or_none()
+        nn = row.min()
+        keep = row < (self.params.p * nn if nn > 0.0 else _ABOVE_ZERO)
+        if self._k is None:
+            keep |= row < self._theta
+        else:
+            kth = min(self._k, len(row)) - 1
+            keep |= row <= np.partition(row, kth)[kth]
+        at = np.flatnonzero(keep)
+        d, r = row[at], rids[at]
+        order = np.lexsort((r, d))
+        return list(zip(d[order].tolist(), r[order].tolist()))
+
+    def _scan(self, record: Record):
         """Set one record's entry — cut list, exact NN, neighborhood
-        members and NG — from its full distance row; returns the row
-        and the targets it is aligned with."""
-        targets, row = self._row(record, self._scan_targets(record))
-        hits = sorted(zip(row, [o.rid for o in targets]))
+        members and NG, and their reverse references — from its full
+        distance row; returns the row as ``(rids, distances)``."""
+        rids, row = self._row(record)
+        hits = self._ranked(rids, row)
         end = len(hits) if self._theta is None else bisect_left(hits, (self._theta,))
         if self._k is not None:
             end = min(end, self._k)
@@ -517,11 +575,28 @@ class IncrementalDeduplicator:
             radius = self.params.p * nn if nn > 0.0 else _ABOVE_ZERO
             inside = bisect_left(hits, (radius,))
         rid = record.rid
+        self._drop_refs(rid)
         self._neighbors[rid] = list(starmap(Neighbor, hits[:end]))
         self._true_nn[rid] = Neighbor(*hits[0]) if hits else None
-        self._nbhd[rid] = list(starmap(Neighbor, hits[:inside]))
+        self._nbhd[rid] = hits[:inside]
         self._ng[rid] = inside + 1
-        return targets, row
+        refs = self._refs
+        for d, orid in hits[: max(end, inside)]:
+            refs[orid][rid] = d
+        return rids, row
+
+    def _drop_refs(self, rid: int) -> None:
+        """Take ``rid`` out of the referrers of every record its entry
+        holds (the exact NN is a neighborhood member)."""
+        refs = self._refs
+        for nb in self._neighbors.get(rid, ()):
+            held = refs.get(nb.rid)
+            if held is not None:
+                held.pop(rid, None)
+        for _, orid in self._nbhd.get(rid, ()):
+            held = refs.get(orid)
+            if held is not None:
+                held.pop(rid, None)
 
     def _rebuild_entry(self, record: Record) -> None:
         """Recompute one record's entry by scan (removal repair path)."""
@@ -543,10 +618,20 @@ class IncrementalDeduplicator:
             and self._ops_since_refit >= self.refit_every
         )
 
+    def _prepare(self, relation: Relation) -> None:
+        """Prepare the distance on ``relation`` and post the live
+        records to a fresh live-row index, when the distance offers
+        one."""
+        self.distance.prepare(relation)
+        self._prepared = True
+        self._live = self.distance.live_rows()
+        if self._live is not None:
+            for record in self.relation:
+                self._live.add(record)
+
     def _refit(self) -> None:
         """Prepare the distance on the live relation, rebuild all state."""
-        self.distance.prepare(self.relation)
-        self._prepared = True
+        self._prepare(self.relation)
         self._ops_since_refit = 0
         self.refits += 1
         self._op_rows.clear()  # stale under the new corpus statistics
@@ -554,6 +639,7 @@ class IncrementalDeduplicator:
         self._true_nn.clear()
         self._nbhd.clear()
         self._ng.clear()
+        self._refs = {rid: {} for rid in self.relation.ids()}
         for record in self.relation:
             self._scan(record)
         # Every pair is potentially stale under the new statistics.
@@ -601,7 +687,10 @@ class IncrementalDeduplicator:
                 dropped[key] = row
 
     def _drop_entry_state(self, rid: int) -> None:
-        """Forget one record's Phase-1 entry and its CSPairs rows."""
+        """Forget one record's Phase-1 entry, its references and its
+        CSPairs rows."""
+        self._drop_refs(rid)
+        self._refs.pop(rid, None)
         self._neighbors.pop(rid, None)
         self._true_nn.pop(rid, None)
         self._nbhd.pop(rid, None)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import abc
 from collections import OrderedDict
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Collection, Sequence
 
 from repro.data.schema import Record, Relation
 
@@ -73,6 +73,17 @@ class DistanceFunction(abc.ABC):
         raise KernelUnavailable(
             f"{type(self).__name__} has no vectorized kernel"
         )
+
+    def live_rows(self):
+        """A fresh, empty index of live records that answers whole
+        distance rows (``add(record)``, ``remove(rid)``, ``row(rid,
+        others=None) -> (rids, distances)``, bit-identical to
+        :meth:`distance`), or ``None``: the serving layer then scores
+        rows pair by pair.  Offered only where numpy is importable, as
+        ``kernel="auto"`` chooses kernels, and only after
+        :meth:`prepare`.
+        """
+        return None
 
     def _register_kernel(self, kernel):
         """Track ``kernel`` so its work shows in ``kernel_evaluations``."""
@@ -191,7 +202,11 @@ class CachedDistance(DistanceFunction):
         # ledgered in ``kernel_evaluations``, not ``calls``).
         return self.inner.make_kernel(relation)
 
-    def invalidate_rid(self, rid: int, partners: Iterable[int]) -> int:
+    def live_rows(self):
+        # Rows from a live index never read or write the pair cache.
+        return self.inner.live_rows()
+
+    def invalidate_rid(self, rid: int, partners: Collection[int]) -> int:
         """Drop every cached pair of ``rid`` with one of ``partners``;
         returns the count.
 
@@ -199,11 +214,15 @@ class CachedDistance(DistanceFunction):
         dropping them keeps the cache from accumulating dead entries
         across a long-lived online session.  The incremental layer
         passes the live records, the only rids a removed record can
-        share a cached pair with, so a removal costs one probe per live
-        record, not a sweep of the cache.
+        share a cached pair with.  The shorter of the two is walked: one
+        probe per partner, or one pass over a smaller cache (an empty
+        one, when rows come from a live index, costs nothing).
         """
         cache = self._cache
         before = len(cache)
+        if before < len(partners):
+            mine = [b if a == rid else a for a, b in cache if rid in (a, b)]
+            partners = [other for other in mine if other in partners]
         for other in partners:
             cache.pop((rid, other) if rid < other else (other, rid), None)
         return before - len(cache)
@@ -293,6 +312,9 @@ class FrozenDistance(DistanceFunction):
 
     def make_kernel(self, relation: Relation):
         return self.inner.make_kernel(relation)
+
+    def live_rows(self):
+        return self.inner.live_rows()
 
     @property
     def kernel_evaluations(self) -> int:

@@ -19,6 +19,7 @@ in ``docs/benchmarks.md``.
 
 from __future__ import annotations
 
+import math
 import statistics
 import time
 from typing import Mapping, Sequence
@@ -43,6 +44,21 @@ BATCH_REPEATS = 3
 #: ``ratio-growth`` gate: the per-op/batch ratio may grow at most this
 #: much from the first to the last gated checkpoint.
 RATIO_GROWTH_TOLERANCE = 1.5
+
+#: Latency percentiles reported per op type at each checkpoint.
+PERCENTILES = (50, 95, 99)
+
+
+def _latency(samples: Sequence[float]) -> dict:
+    """Nearest-rank percentiles of one op type's trailing samples: the
+    ``ceil(q / 100 * m)``-th smallest of the ``m`` samples."""
+    ranked = sorted(samples)
+    row: dict = {"samples": len(ranked)}
+    for q in PERCENTILES:
+        row[f"p{q}_seconds"] = (
+            ranked[max(0, math.ceil(q / 100 * len(ranked)) - 1)] if ranked else 0.0
+        )
+    return row
 
 
 def _batch_rerun(
@@ -97,7 +113,9 @@ def run_incremental_bench(
 
     Per-op costs are the stream's own clock (``perf_counter`` around
     each mutation + partition refresh): a collection that lands inside
-    an op is part of what serving that op cost.
+    an op is part of what serving that op cost.  Each checkpoint
+    reports the mean and median of the trailing ``window`` ops and,
+    per op type, percentiles of that type's trailing ``window`` ops.
     """
     params = DEParams.size(k, c=c)
     relation = load_dataset(
@@ -154,6 +172,8 @@ def run_incremental_bench(
                 "components_reused": (
                     repair.components_reused if repair is not None else 0
                 ),
+                "insert_latency": _latency(insert_seconds[-window:]),
+                "remove_latency": _latency(remove_seconds[-window:]),
             }
         )
 
@@ -261,6 +281,15 @@ def _gates(settings: Mapping) -> list[Gate]:
     ]
 
 
+def _latency_cell(latency: Mapping) -> str:
+    if not latency["samples"]:
+        return "-"
+    quantiles = "/".join(
+        f"{latency[f'p{q}_seconds'] * 1e3:.1f}" for q in PERCENTILES
+    )
+    return f"{quantiles}ms ({latency['samples']})"
+
+
 def incremental_table(payload: Mapping) -> str:
     """Render an artifact as the repo's standard text table."""
     settings, results = payload["settings"], payload["results"]
@@ -278,6 +307,8 @@ def incremental_table(payload: Mapping) -> str:
                 else "MISMATCH"
             ),
             f"{row['components_reused']}/{row['components']}",
+            _latency_cell(row["insert_latency"]),
+            _latency_cell(row["remove_latency"]),
         )
         for row in results["checkpoints"]
     ]
@@ -285,6 +316,7 @@ def incremental_table(payload: Mapping) -> str:
         (
             "n", "ops", "mean op", "median op", "batch rerun",
             "op/batch", "checksum", "reused",
+            "insert p50/p95/p99", "remove p50/p95/p99",
         ),
         rows,
     )

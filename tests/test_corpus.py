@@ -192,3 +192,134 @@ class TestValues:
         assert TokenJaccardDistance().distance(a, b) == 0.5
         with pytest.raises(RuntimeError, match="prepare"):
             CosineDistance().distance(a, b)
+
+
+@needs_numpy
+class TestLivePostingsRows:
+    """The serving layer's cosine rows (``LiveCosineRows``) equal
+    ``CosineDistance.distance`` in canonical direction, bit for bit."""
+
+    BASE = ["acme corp", "acme inc", "north data bank", "data bank", "acme corp"]
+
+    @staticmethod
+    def assert_rows_exact(distance, live, relation):
+        ids = relation.ids()
+        assert sorted(live.slot_of) == sorted(ids)
+        for record in relation:
+            others = [rid for rid in ids if rid != record.rid]
+            rids, values = live.row(record.rid)
+            assert sorted(rids.tolist()) == others
+            reversed_rids, reversed_values = live.row(record.rid, others[::-1])
+            assert reversed_rids.tolist() == others[::-1]
+            for rid, value in [
+                *zip(rids.tolist(), values.tolist()),
+                *zip(reversed_rids.tolist(), reversed_values.tolist()),
+            ]:
+                a, b = sorted((record.rid, rid))
+                expected = distance.distance(relation.get(a), relation.get(b))
+                assert value.hex() == expected.hex(), (record.rid, rid)
+
+    def test_rows_through_arrivals_removals_and_refit(self):
+        relation = Relation.from_strings("live", self.BASE)
+        distance = CosineDistance()
+        distance.prepare(relation)
+        live = distance.live_rows()
+        for record in relation:
+            live.add(record)
+        arrivals = [
+            "zyx acme",  # outside the frozen vocabulary ...
+            "zyx quux",  # ... and sharing the unseen token
+            "",
+            "   ",
+            "acme corp",  # an exact duplicate: d = 0
+            "\U0001d538\U0001d539 acme \U00010400",  # astral letters
+            "\U00010400 bank",
+        ]
+
+        def arrive(rid, text):
+            record = Record(rid, (text,))
+            relation.add(record)
+            distance.corpus.register(record)
+            live.add(record)
+
+        for rid, text in enumerate(arrivals, 100):
+            arrive(rid, text)
+        self.assert_rows_exact(distance, live, relation)
+        zero = live.row(104)
+        assert 0.0 in zero[1].tolist()
+
+        freed = set()
+        for rid in (1, 100, 102, 105):
+            freed.add(live.slot_of[rid])
+            relation.remove(rid)
+            distance.corpus.remove(rid)
+            live.remove(rid)
+        self.assert_rows_exact(distance, live, relation)
+        for rid, text in enumerate(["zyx bank", "acme", "", "quux"], 200):
+            arrive(rid, text)
+        assert {live.slot_of[rid] for rid in range(200, 204)} == freed
+        self.assert_rows_exact(distance, live, relation)
+
+        # A refit: new statistics over the live relation, a new index.
+        distance.prepare(relation)
+        live = distance.live_rows()
+        for record in relation:
+            live.add(record)
+        self.assert_rows_exact(distance, live, relation)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        corpus_texts=st.lists(texts, min_size=1, max_size=6),
+        ops=st.lists(
+            st.one_of(
+                st.tuples(st.just("add"), texts, st.sampled_from(["", " zyx", " qq"])),
+                st.tuples(st.just("remove"), st.integers(0, 10**6), st.just("")),
+            ),
+            max_size=12,
+        ),
+    )
+    def test_rows_under_random_ops(self, corpus_texts, ops):
+        relation = Relation.from_strings("live", corpus_texts)
+        distance = CosineDistance()
+        distance.prepare(relation)
+        live = distance.live_rows()
+        for record in relation:
+            live.add(record)
+        next_rid = 1000
+        for op, arg, extra in ops:
+            if op == "add":
+                record = Record(next_rid, (arg + extra,))
+                next_rid += 1
+                relation.add(record)
+                distance.corpus.register(record)
+                live.add(record)
+            elif len(relation):
+                rid = relation.ids()[arg % len(relation)]
+                relation.remove(rid)
+                distance.corpus.remove(rid)
+                live.remove(rid)
+        self.assert_rows_exact(distance, live, relation)
+
+    def test_serving_rows_skip_the_pair_cache(self):
+        relation = load_dataset("org", n_entities=30, seed=0).relation
+        dedup = IncrementalDeduplicator(
+            CosineDistance(), DEParams.size(3, c=4.0), schema=relation.schema
+        )
+        for record in relation:
+            dedup.add(record.fields)
+        assert dedup.last_op.pinned_pairs == len(relation) - 1
+        dedup.remove(5)
+        assert dedup.last_op.cache_misses == 0
+        assert dedup.distance.calls == 0 and len(dedup.distance) == 0
+
+    def test_no_rows_without_numpy_or_corpus(self, monkeypatch):
+        import repro.distances.cosine as cosine_module
+
+        distance = CosineDistance()
+        assert distance.live_rows() is None  # not prepared
+        distance.prepare(Relation.from_strings("r", self.BASE))
+        assert distance.live_rows() is not None
+        assert FrozenDistance(distance).live_rows() is not None
+        monkeypatch.setattr(cosine_module, "numpy_or_none", lambda: None)
+        assert distance.live_rows() is None
+        assert TokenJaccardDistance().live_rows() is None

@@ -245,6 +245,12 @@ class TestBaseWrappers:
             cached.distance(records[0], records[2])
             assert cached.invalidate_rid(1, [0, 2, 3]) == 3
             assert list(cached._cache) == [(0, 2)]
+            # A cache smaller than the partners is walked instead; pairs
+            # with a rid outside the partners stay.
+            cached.row(records[3], [records[0], records[1], records[2]])
+            partners = dict.fromkeys([0, 1, 5, 6, 7])
+            assert cached.invalidate_rid(3, partners) == 2
+            assert list(cached._cache) == [(0, 2), (2, 3)]
 
     def test_cached_distance_rejects_bad_bound(self):
         with pytest.raises(ValueError, match="max_entries"):

@@ -2,12 +2,17 @@
 
 A hypothesis state machine drives a cosine
 :class:`~repro.core.incremental.IncrementalDeduplicator` over org
-records with insert, remove and refit rules, on bounded and unbounded
-pair caches under the size and the combined cut.  After every step the
+records with insert, remove and refit rules (some arrivals carry a
+token outside the frozen vocabulary), on bounded and unbounded pair
+caches under the size and the combined cut.  After every step the
 maintained solution must pass :func:`~repro.verify.incremental
 .verify_incremental` (NN lists, CSPairs rows and partition checksum
-equal a from-scratch batch run), and no removed record may linger in
-the corpus's live-vector cache or in the pair cache.
+equal a from-scratch batch run), no removed record may linger in the
+corpus's live-vector cache or in the pair cache, the live-row index
+must hold exactly the live records, and the reverse reference map must
+equal one recomputed from the maintained entries.  With numpy the
+session's cosine rows come from the live postings, without it from the
+pair cache: one machine checks both row sources.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from repro.core.incremental import IncrementalDeduplicator
 from repro.data.loaders import load_dataset
 from repro.data.schema import Record, Relation
 from repro.distances.cosine import CosineDistance
+from repro.distances.kernels.compat import have_numpy
 from repro.verify.incremental import verify_incremental
 
 ORG = load_dataset("org", n_entities=20, duplicate_fraction=0.5, seed=7).relation
@@ -37,6 +43,8 @@ CUTS = {
 }
 #: ``None`` is the unbounded cache; 16 entries evict within one scan.
 CACHE_BOUNDS = (None, 16)
+#: Tokens no org record carries, so no corpus statistic covers them.
+FRESH_TOKENS = ("zyxt", "qqvw", "\U0001d538lpha")
 
 
 class ServeMachine(RuleBasedStateMachine):
@@ -67,6 +75,14 @@ class ServeMachine(RuleBasedStateMachine):
     @rule(pick=st.integers(0, len(ORG) - 1))
     def insert(self, pick):
         self.dedup.add(ORG.records[pick].fields)
+
+    @rule(
+        pick=st.integers(0, len(ORG) - 1),
+        token=st.sampled_from(FRESH_TOKENS),
+    )
+    def insert_fresh_token(self, pick, token):
+        first, *rest = ORG.records[pick].fields
+        self.dedup.add((f"{first} {token}", *rest))
 
     @precondition(lambda self: self.dedup is not None and len(self.dedup) > 0)
     @rule(pick=st.integers(0, 10**6))
@@ -99,6 +115,31 @@ class ServeMachine(RuleBasedStateMachine):
             assert not self.removed & set(corpus._vectors)
         for key in self.dedup.distance._cache:
             assert key[0] in live and key[1] in live, key
+
+    @invariant()
+    def live_index_holds_the_live_rids(self):
+        if self.dedup is None or not self.dedup._prepared:
+            return
+        index = self.dedup._live
+        assert (index is not None) == have_numpy()
+        if index is not None:
+            assert set(index.slot_of) == set(self.dedup.relation.ids())
+            assert len(index.slot_of) == len(self.dedup.relation)
+
+    @invariant()
+    def reverse_map_matches_the_entries(self):
+        if self.dedup is None:
+            return
+        dedup = self.dedup
+        expected = {rid: {} for rid in dedup.relation.ids()}
+        for rid, cut in dedup._neighbors.items():
+            held = [(nb.distance, nb.rid) for nb in cut] + dedup._nbhd[rid]
+            nn = dedup._true_nn[rid]
+            if nn is not None:
+                held.append((nn.distance, nn.rid))
+            for d, orid in held:
+                expected[orid][rid] = d
+        assert dedup._refs == expected
 
 
 TestServeMachine = ServeMachine.TestCase
