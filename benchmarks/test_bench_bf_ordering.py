@@ -56,7 +56,7 @@ def run_order(order: str, buffer_pages: int):
     index.build(dataset.relation, CachedDistance(EditDistance()))
     pool.reset_stats()
     disk.reset_stats()
-    index.evaluations = 0
+    index.totals.evaluations = 0
     stats = Phase1Stats()
     prepare_nn_lists(
         dataset.relation,
@@ -65,7 +65,7 @@ def run_order(order: str, buffer_pages: int):
         order=order,  # type: ignore[arg-type]
         stats=stats,
     )
-    cpu = float(index.evaluations)
+    cpu = float(index.totals.evaluations)
     io = IO_WEIGHT * pool.stats.misses
     return {
         "lookups": stats.lookups,

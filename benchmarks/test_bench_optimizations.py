@@ -38,7 +38,7 @@ def run_config(relation, **kwargs):
     started = time.perf_counter()
     nn = prepare_nn_lists(relation, index, DEParams.size(5))
     elapsed = time.perf_counter() - started
-    return nn, index.evaluations, elapsed
+    return nn, index.totals.evaluations, elapsed
 
 
 def run_ablation():

@@ -127,6 +127,21 @@ class DEParams:
             raise AttributeError("size-spec parameters have no theta")
         return self.cut.theta
 
+    @property
+    def bounds(self) -> tuple[int | None, float | None]:
+        """The cut's ``(k, theta)`` pair, ``None`` for an absent bound.
+
+        This is the query shape of :meth:`~repro.index.base.NNIndex
+        .phase1_batch`: ``k`` alone is the size cut, ``theta`` alone the
+        diameter cut, both the combined cut (the k nearest within θ).
+        """
+        cut = self.cut
+        k = cut.k if isinstance(cut, (SizeCut, CombinedCut)) else None
+        theta = (
+            cut.theta if isinstance(cut, (DiameterCut, CombinedCut)) else None
+        )
+        return k, theta
+
     def describe(self) -> str:
         return f"DE({self.cut}, agg={self.agg}, c={self.c}, p={self.p})"
 

@@ -62,7 +62,7 @@ from dataclasses import dataclass
 from itertools import starmap
 
 from repro.core.cspairs import CSPair, max_pair_size, prefix_equal_flags
-from repro.core.formulation import CombinedCut, DEParams, SizeCut
+from repro.core.formulation import DEParams
 from repro.core.neighborhood import NNEntry, NNRelation
 from repro.core.partitioner import extract_component_groups
 from repro.core.result import Partition
@@ -186,11 +186,9 @@ class IncrementalDeduplicator:
                 "'postprocess', 'pushdown', or 'inline'"
             )
         self.params = params
-        cut = params.cut
         #: The cut's size bound K and diameter bound θ (``None`` when
         #: the specification has none).
-        self._k = cut.k if isinstance(cut, (SizeCut, CombinedCut)) else None
-        self._theta = None if isinstance(cut, SizeCut) else cut.theta
+        self._k, self._theta = params.bounds
         self.refit_every = refit_every
         self.candidates = candidates
         if isinstance(distance, CachedDistance):

@@ -24,8 +24,12 @@ back to the scalar path.
 
 from __future__ import annotations
 
+import threading
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
+
+#: Guards every kernel's work counters (one short section per call).
+_COUNT_LOCK = threading.Lock()
 
 
 class DistanceKernel(ABC):
@@ -38,6 +42,9 @@ class DistanceKernel(ABC):
     #: Number of pair distances this kernel has computed (a distance
     #: served from a kernel-side memo is not counted again).
     evaluations: int = 0
+
+    #: ``evaluations`` split by the thread that computed them.
+    _shares: "dict[int, int] | None" = None
 
     #: Smallest candidate-list size worth routing through ``pairs``;
     #: kernels whose per-query cost is O(n) regardless of list length
@@ -61,3 +68,19 @@ class DistanceKernel(ABC):
     @abstractmethod
     def pairs(self, query_rid: int, rids: Sequence[int]) -> list[float]:
         """Distances from one in-relation query to candidate ``rids``."""
+
+    def _count(self, pairs: int) -> None:
+        """Add ``pairs`` computed distances to ``evaluations`` and to the
+        calling thread's share of it."""
+        me = threading.get_ident()
+        with _COUNT_LOCK:
+            self.evaluations += pairs
+            if self._shares is None:
+                self._shares = {}
+            self._shares[me] = self._shares.get(me, 0) + pairs
+
+    def thread_evaluations(self) -> int:
+        """Pairs computed on the calling thread so far: a call's own
+        work is the growth of this over the call, whatever other
+        threads sharing the kernel compute meanwhile."""
+        return (self._shares or {}).get(threading.get_ident(), 0)

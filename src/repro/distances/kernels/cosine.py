@@ -54,7 +54,7 @@ class CosineKernel(DistanceKernel):
         out = np.empty((len(query_rids), n), dtype=np.float64)
         for r, rid in enumerate(query_rids):
             out[r, :] = self._distance_row(self._v.row_of[rid])
-        self.evaluations += len(query_rids) * max(0, n - 1)
+        self._count(len(query_rids) * max(0, n - 1))
         return out
 
     def _subset_distances(self, i: int, rows):
@@ -129,7 +129,7 @@ class CosineKernel(DistanceKernel):
         sim = np.divide(
             dot, denom, out=np.zeros_like(dot), where=denom > 0.0
         )
-        self.evaluations += len(rows_a)
+        self._count(len(rows_a))
         return np.where(dot == 0.0, 1.0, np.clip(1.0 - sim, 0.0, 1.0))
 
     def resolve_rows(self, query_rid: int, rids: Sequence[int]):
@@ -170,7 +170,7 @@ class CosineKernel(DistanceKernel):
             rows = np.fromiter(
                 (row_of[rid] for rid in rids), dtype=np.int64, count=len(rids)
             )
-        self.evaluations += len(rids)
+        self._count(len(rids))
         if len(rids) * 4 >= len(v):
             return self._distance_row(i)[rows]
         return self._subset_distances(i, rows)

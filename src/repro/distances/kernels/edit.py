@@ -183,8 +183,8 @@ class EditKernel(DistanceKernel):
         # and insert under a lock so the bound holds under any
         # interleaving.  Readers need no lock, since a row enters the
         # memo only once it is complete.
+        self._count(computed)
         with self._lock:
-            self.evaluations += computed
             memo = self._memo
             while len(memo) >= self.memo_rows:
                 del memo[next(iter(memo))]
@@ -225,8 +225,7 @@ class EditKernel(DistanceKernel):
         out = self._distances(
             np.asarray(rows_a, dtype=np.intp), np.asarray(rows_b, dtype=np.intp)
         )
-        with self._lock:
-            self.evaluations += len(out)
+        self._count(len(out))
         return out
 
     def pairs(self, query_rid: int, rids: Sequence[int]) -> list[float]:

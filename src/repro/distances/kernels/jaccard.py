@@ -56,7 +56,7 @@ class JaccardKernel(DistanceKernel):
         out = np.empty((len(query_rids), n), dtype=np.float64)
         for r, rid in enumerate(query_rids):
             out[r, :] = self._distance_row(self._v.row_of[rid])
-        self.evaluations += len(query_rids) * max(0, n - 1)
+        self._count(len(query_rids) * max(0, n - 1))
         return out
 
     def _subset_distances(self, i: int, rows):
@@ -116,7 +116,7 @@ class JaccardKernel(DistanceKernel):
         denom = sizes_b + (sizes_a - inter)
         both_empty = denom == 0
         sim = inter / np.where(both_empty, 1, denom)
-        self.evaluations += len(rows_a)
+        self._count(len(rows_a))
         return np.where(both_empty, 0.0, np.clip(1.0 - sim, 0.0, 1.0))
 
     def resolve_rows(self, query_rid: int, rids: Sequence[int]):
@@ -157,7 +157,7 @@ class JaccardKernel(DistanceKernel):
             rows = np.fromiter(
                 (row_of[rid] for rid in rids), dtype=np.int64, count=len(rids)
             )
-        self.evaluations += len(rids)
+        self._count(len(rids))
         if len(rids) * 4 >= len(v):
             return self._distance_row(i)[rows]
         return self._subset_distances(i, rows)

@@ -41,7 +41,7 @@ import math
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from typing import Callable, Iterator, Sequence
 
@@ -49,6 +49,7 @@ from repro.data.schema import Record, Relation
 from repro.distances.base import DistanceFunction
 
 __all__ = [
+    "COUNTERS",
     "BatchCounts",
     "Neighbor",
     "NNIndex",
@@ -57,17 +58,6 @@ __all__ = [
     "read_off",
     "score_pairs",
 ]
-
-#: The work counters every index keeps, in ``BatchCounts`` field order.
-_COUNTERS = (
-    "evaluations",
-    "cache_hits",
-    "cache_misses",
-    "candidates_generated",
-    "evaluations_pruned",
-    "kernel_evaluations",
-)
-
 
 @dataclass(frozen=True, slots=True, order=True)
 class Neighbor:
@@ -85,23 +75,33 @@ by_proximity = attrgetter("distance", "rid")
 
 @dataclass
 class BatchCounts:
-    """The work one :meth:`NNIndex.phase1_batch` call did itself.
+    """A work ledger: the Phase-1 work done while it was open.
 
-    Drivers that share one index across threads (the shard runner)
-    cannot read a call's work off the index's counters, which move with
-    every concurrent call.  A blocked pass that tallies its own work
-    (``MinHashIndex``) fills this exactly; the per-record fallback fills
-    it with the index-counter delta over the call, exact whenever no
-    other call on the same index overlaps it.
+    This is the one declaration of the six work counters and the
+    sub-stage timers.  :class:`NNIndex` charges every unit of work to
+    the ledger the calling thread opened (:meth:`NNIndex.ledger`), so
+    threads that share one index never see each other's work, and a
+    driver's counts are the sum of the ledgers it opened.
+    :class:`~repro.core.nn_phase.Phase1Stats` extends it with a run's
+    lookups, wall clock and chunk timings.
     """
 
+    #: Scalar ``distance()`` calls.
     evaluations: int = 0
+    #: Pair-cache traffic of the scalar path.
     cache_hits: int = 0
     cache_misses: int = 0
+    #: Candidate (query, record) pairs surfaced for verification.
     candidates_generated: int = 0
+    #: Pairs excluded without any distance computation (bucket misses,
+    #: count-filter rejects, triangle-inequality prunes, memo hits).
     evaluations_pruned: int = 0
+    #: Pair distances computed by a vectorized batch kernel; disjoint
+    #: from ``evaluations``, so their sum is the total distance work.
     kernel_evaluations: int = 0
-    #: Sub-stage wall times (``candidates`` / ``verify``) of the call.
+    #: Sub-stage wall times: build-side ``tokenize`` / ``sign`` /
+    #: ``bucket``, lookup-side ``candidates`` / ``verify``, and the
+    #: driver's own ``drive``.  Summed over threads, so busy time.
     substage_seconds: dict[str, float] = field(default_factory=dict)
 
     def add_seconds(self, name: str, seconds: float) -> None:
@@ -109,12 +109,22 @@ class BatchCounts:
             self.substage_seconds.get(name, 0.0) + seconds
         )
 
+    def add_substages(self, seconds: "dict[str, float] | None") -> None:
+        """Accumulate a sub-stage wall-time mapping into this ledger."""
+        for name, value in (seconds or {}).items():
+            self.add_seconds(name, value)
+
     def add(self, other: "BatchCounts") -> None:
-        """Accumulate ``other``'s work into this object."""
-        for name in _COUNTERS:
+        """Accumulate ``other``'s work into this ledger."""
+        for name in COUNTERS:
             setattr(self, name, getattr(self, name) + getattr(other, name))
-        for name, seconds in other.substage_seconds.items():
-            self.add_seconds(name, seconds)
+        self.add_substages(other.substage_seconds)
+
+
+#: The six work counters, in declaration order.
+COUNTERS = tuple(
+    f.name for f in fields(BatchCounts) if f.name != "substage_seconds"
+)
 
 
 class NNIndex(abc.ABC):
@@ -132,37 +142,24 @@ class NNIndex(abc.ABC):
     def __init__(self) -> None:
         self.relation: Relation | None = None
         self.distance: DistanceFunction | None = None
-        #: Number of candidate distance evaluations performed (for cost
-        #: accounting in benchmarks).
-        self.evaluations = 0
         #: Distance computations spent constructing the index itself
         #: (BK-tree inserts); zero for structure-free
         #: indexes.  Reported separately so the bench matrix can charge
         #: each index its honest total cost.
         self.build_evaluations = 0
-        #: Candidate (query, record) pairs surfaced for verification.
-        self.candidates_generated = 0
-        #: Pairs excluded without any distance computation (bucket
-        #: misses, count-filter rejects, triangle-inequality prunes,
-        #: memo/cache hits that replaced an evaluation).
-        self.evaluations_pruned = 0
-        #: Shared pair-cache accounting, mirrored by ``Phase1Stats``.
-        self.cache_hits = 0
-        self.cache_misses = 0
-        #: Pair distances served by a vectorized batch kernel.  Kernel
-        #: batches bypass both ``evaluations`` and the pair cache, so
-        #: this is the separate ledger that keeps totals reconcilable.
-        self.kernel_evaluations = 0
+        #: The index's running work totals: every closed top-level
+        #: ledger folds in here, and work done with no ledger open (a
+        #: bare ``knn``/``within`` call) is charged here directly.  Like
+        #: the pair cache, the totals live for one build.
+        self.totals = BatchCounts()
+        #: Per-thread open ledgers (see :meth:`ledger`), created by the
+        #: first ledger opened so that constructing an index stays cheap.
+        self._open: threading.local | None = None
         #: Kernel selection: "python" (never), "auto" (numpy kernels
         #: when available), "numpy" (required).  Scalar by default so a
         #: bare ``build()`` keeps exact historical counter behavior;
         #: the run layer opts in via :meth:`enable_kernel`.
         self.kernel_mode = "python"
-        #: Phase-1 sub-stage wall times, accumulated by implementations:
-        #: build-side ``tokenize`` / ``sign`` / ``bucket`` and lookup-side
-        #: ``candidates`` / ``verify``.  Mirrored (as deltas) into
-        #: ``Phase1Stats.substage_seconds`` by the Phase-1 drivers.
-        self.substage_seconds: dict[str, float] = {}
         self._kernel = None
         #: The mode the current build's kernel was resolved under.
         self._resolved_mode: str | None = None
@@ -179,6 +176,7 @@ class NNIndex(abc.ABC):
         # dropped too and re-resolved from ``kernel_mode`` on restore.
         state = self.__dict__.copy()
         state["_batch_lock"] = None
+        state["_open"] = None
         state["_kernel"] = None
         return state
 
@@ -197,9 +195,10 @@ class NNIndex(abc.ABC):
         ``tokenize`` sub-stage alongside the index's own token-set
         extraction.
         """
+        self.totals = BatchCounts()
         started = time.perf_counter()
         distance.prepare(relation)
-        self._credit_substage("tokenize", time.perf_counter() - started)
+        self._work.add_seconds("tokenize", time.perf_counter() - started)
         self.relation = relation
         self.distance = distance
         self._resolved_mode = None
@@ -210,7 +209,7 @@ class NNIndex(abc.ABC):
         self._build()
         started = time.perf_counter()
         self._resolve_kernel()
-        self._credit_substage("tokenize", time.perf_counter() - started)
+        self._work.add_seconds("tokenize", time.perf_counter() - started)
 
     def enable_kernel(self, mode: str) -> None:
         """Select the batch-kernel mode (``python``/``auto``/``numpy``).
@@ -283,7 +282,6 @@ class NNIndex(abc.ABC):
         theta: float | None = None,
         p: float = 2.0,
         radius_fn: "Callable[[float], float] | None" = None,
-        counts: BatchCounts | None = None,
     ) -> list[tuple[list[Neighbor], int]]:
         """Batched Phase-1 kernel: each record's cut neighbor list and NG.
 
@@ -294,13 +292,13 @@ class NNIndex(abc.ABC):
         aligned with ``records`` and identical to the per-record
         ``knn``/``within`` + :meth:`neighborhood_growth` sequence.  The
         default implementation is exactly that sequence; indexes with a
-        blocked evaluation override it.  ``counts``, when given,
-        receives the call's own work (see :class:`BatchCounts`).
+        blocked evaluation override it.  The call's work is charged to
+        the calling thread's open ledger (see :meth:`ledger`).
         """
         if k is None and theta is None:
             raise ValueError("phase1_batch needs k, theta, or both")
         results: list[tuple[list[Neighbor], int]] = []
-        with self._counting(counts), self._batch_scope():
+        with self._batch_scope():
             for record in records:
                 if theta is not None:
                     neighbors = self.within(record, theta)
@@ -366,10 +364,42 @@ class NNIndex(abc.ABC):
             raise RuntimeError(f"{type(self).__name__}.build() has not been called")
         return self.relation, self.distance
 
-    def _evaluate(self, a: Record, b: Record) -> float:
-        self.evaluations += 1
-        assert self.distance is not None
-        return self.distance.distance(a, b)
+    # ------------------------------------------------------------------
+    # Work ledgers
+    # ------------------------------------------------------------------
+
+    @property
+    def _work(self) -> BatchCounts:
+        """The ledger the calling thread charges work to: its innermost
+        open ledger, else :attr:`totals`."""
+        ledger = getattr(self._open, "ledger", None)
+        return self.totals if ledger is None else ledger
+
+    @contextmanager
+    def ledger(self) -> Iterator[BatchCounts]:
+        """Charge the calling thread's work on this index to a fresh
+        :class:`BatchCounts` while the block runs.
+
+        Ledgers nest: a closed ledger folds into the one it was opened
+        inside, or else into :attr:`totals`.  Every unit of work thus
+        lands in exactly one ledger however many threads share the
+        index, and a driver's counts are the sum of the ledgers it
+        opened, never a difference of shared counters.
+        """
+        with self._batch_lock:
+            if self._open is None:
+                self._open = threading.local()
+        outer = getattr(self._open, "ledger", None)
+        work = self._open.ledger = BatchCounts()
+        try:
+            yield work
+        finally:
+            self._open.ledger = outer
+            if outer is not None:
+                outer.add(work)
+            else:
+                with self._batch_lock:
+                    self.totals.add(work)
 
     # ------------------------------------------------------------------
     # Batch scope and the shared canonical pair cache
@@ -396,44 +426,15 @@ class NNIndex(abc.ABC):
                 if self._batch_depth == 0:
                     self._on_batch_exit()
 
-    @contextmanager
-    def _counting(self, counts: BatchCounts | None) -> Iterator[None]:
-        """Add the index-counter delta over the block into ``counts``."""
-        if counts is None:
-            yield
-            return
-        before = [getattr(self, name) for name in _COUNTERS]
-        seconds_before = dict(self.substage_seconds)
-        try:
-            yield
-        finally:
-            for name, value in zip(_COUNTERS, before):
-                setattr(
-                    counts, name,
-                    getattr(counts, name) + getattr(self, name) - value,
-                )
-            for name, seconds in self.substage_seconds.items():
-                delta = seconds - seconds_before.get(name, 0.0)
-                if delta > 0.0:
-                    counts.add_seconds(name, delta)
-
-    def _record_counts(
-        self, own: BatchCounts, counts: BatchCounts | None
-    ) -> None:
-        """Credit a self-tallied batch to the index and to ``counts``."""
-        with self._batch_lock:
-            for name in _COUNTERS:
-                setattr(self, name, getattr(self, name) + getattr(own, name))
-            for name, seconds in own.substage_seconds.items():
-                self._credit_substage(name, seconds)
-        if counts is not None:
-            counts.add(own)
-
     def _on_batch_exit(self) -> None:
         """Hook: drop per-batch scratch state (see ``BKTreeIndex``)."""
 
-    def _pair_distance(self, record: Record, other: Record) -> float:
-        """Evaluate ``d(record, other)`` through the shared pair cache.
+    def _pair_distance(
+        self, record: Record, other: Record, work: BatchCounts
+    ) -> float:
+        """Evaluate ``d(record, other)`` through the shared pair cache,
+        charging ``work`` (the caller's :attr:`_work`, looked up once per
+        candidate list rather than once per pair).
 
         The pair is always evaluated in canonical (lower rid first)
         direction: the distance protocol is symmetric, but float
@@ -445,23 +446,20 @@ class NNIndex(abc.ABC):
         key = (rid, oid) if rid <= oid else (oid, rid)
         cached = self._pair_cache.get(key)
         if cached is not None:
-            self.cache_hits += 1
+            work.cache_hits += 1
             return cached
-        self.cache_misses += 1
+        work.cache_misses += 1
+        work.evaluations += 1
+        distance = self.distance
+        assert distance is not None
         d = (
-            self._evaluate(record, other)
+            distance.distance(record, other)
             if rid <= oid
-            else self._evaluate(other, record)
+            else distance.distance(other, record)
         )
         if self._batch_depth:
             self._pair_cache[key] = d
         return d
-
-    def _credit_substage(self, name: str, seconds: float) -> None:
-        """Accumulate wall time under one Phase-1 sub-stage."""
-        self.substage_seconds[name] = (
-            self.substage_seconds.get(name, 0.0) + seconds
-        )
 
     def _verify_cut(
         self,
@@ -496,7 +494,7 @@ class NNIndex(abc.ABC):
                 resolved = kernel.resolve_rows(record.rid, candidates)
                 if resolved is not None:
                     query_row, rows = resolved
-                    self.kernel_evaluations += len(candidates)
+                    self._work.kernel_evaluations += len(candidates)
                     distances = kernel.pairs_array(
                         record.rid, candidates, rows=rows, query_row=query_row
                     )
@@ -515,17 +513,18 @@ class NNIndex(abc.ABC):
                 and record.rid in kernel
                 and all(rid in kernel for rid in rids)
             ):
-                self.kernel_evaluations += len(rids)
+                self._work.kernel_evaluations += len(rids)
                 distances = kernel.pairs(record.rid, rids)
             else:
                 relation, _ = self._checked()
+                work = self._work
                 distances = [
-                    self._pair_distance(record, relation.get(rid))
+                    self._pair_distance(record, relation.get(rid), work)
                     for rid in rids
                 ]
             return cut_neighbors(distances, rids, k, radius, inclusive)
         finally:
-            self._credit_substage("verify", time.perf_counter() - started)
+            self._work.add_seconds("verify", time.perf_counter() - started)
 
 
 def cut_neighbors(
@@ -547,6 +546,13 @@ def cut_neighbors(
     return [Neighbor(d, rid) for d, rid in ranked]
 
 
+#: Pairs per ``kernel.pair_distances`` call in :func:`score_pairs`.  A
+#: call's scratch grows with its pairs' token counts (a few MB per
+#: 4,096 org pairs under cosine), so a batch of any size is scored in
+#: pieces; each pair's distance does not depend on the others in its call.
+_SCORE_PAIRS = 1 << 12
+
+
 def score_pairs(np, kernel, kernel_rows, query, other, n: int):
     """Distances of the entries ``(query[i], other[i])`` (relation rows,
     ``n`` in all), each unordered pair scored once: pairs listed from
@@ -558,9 +564,15 @@ def score_pairs(np, kernel, kernel_rows, query, other, n: int):
         return_inverse=True,
     )
     low = pairs // n
-    distances = kernel.pair_distances(
-        kernel_rows[low], kernel_rows[pairs - low * n]
-    )
+    rows_a = kernel_rows[low]
+    rows_b = kernel_rows[pairs - low * n]
+    distances = np.concatenate([
+        kernel.pair_distances(
+            rows_a[start : start + _SCORE_PAIRS],
+            rows_b[start : start + _SCORE_PAIRS],
+        )
+        for start in range(0, max(len(pairs), 1), _SCORE_PAIRS)
+    ])
     return distances[inverse], len(pairs)
 
 

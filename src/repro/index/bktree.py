@@ -158,6 +158,7 @@ class BKTreeIndex(NNIndex):
         if qrid is not None and self._batch_depth:
             memo = self._query_memos.setdefault(qrid, {})
         pair_cache = self._node_pair_cache
+        work = self._work
         qrep = self._rep_of.get(qrid, -1) if qrid is not None else -1
         hits: list[tuple[int, _Node]] = []
         stack = [self._root]
@@ -174,27 +175,27 @@ class BKTreeIndex(NNIndex):
                     key = (qrep, nrep) if qrep <= nrep else (nrep, qrep)
                     raw = pair_cache.get(key)
                 if raw is None:
-                    self.cache_misses += 1
+                    work.cache_misses += 1
                     # The exact raw distance is needed to decide which
                     # child edges stay inside [raw - radius, raw + radius].
                     raw = self._raw_distance(query, node.text)
-                    self.evaluations += 1
+                    work.evaluations += 1
                     if key is not None and self._batch_depth:
                         pair_cache[key] = raw
                 else:
-                    self.cache_hits += 1
+                    work.cache_hits += 1
                 if memo is not None:
                     memo[nid] = raw
             else:
-                self.cache_hits += 1
+                work.cache_hits += 1
             if raw <= radius:
                 hits.append((raw, node))
             lo, hi = raw - radius, raw + radius
             for edge, child in node.children.items():
                 if lo <= edge <= hi:
                     stack.append(child)
-        self.candidates_generated += visited
-        self.evaluations_pruned += self._n_nodes - visited
+        work.candidates_generated += visited
+        work.evaluations_pruned += self._n_nodes - visited
         return hits
 
     # ------------------------------------------------------------------

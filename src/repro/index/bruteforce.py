@@ -28,12 +28,7 @@ import time
 from typing import Sequence
 
 from repro.data.schema import Record
-from repro.index.base import (
-    BatchCounts,
-    Neighbor,
-    NNIndex,
-    read_off,
-)
+from repro.index.base import Neighbor, NNIndex, read_off
 
 __all__ = ["BruteForceIndex"]
 
@@ -48,40 +43,20 @@ class BruteForceIndex(NNIndex):
 
     def __init__(self) -> None:
         super().__init__()
-        #: How much of the current kernel's ``evaluations`` counter has
-        #: been credited to ``kernel_evaluations`` (see _credit_kernel).
-        self._kernel_credited = 0
         #: The kernel's rids as an int64 array (its column order).
         self._kernel_rids = None
 
     def _build(self) -> None:
-        self.cache_hits = 0
-        self.cache_misses = 0
+        """Nothing to build: every query scans the relation."""
 
     def _resolve_kernel(self) -> None:
         super()._resolve_kernel()
-        self._kernel_credited = 0
         self._kernel_rids = None
         if self._kernel is not None:
             from repro.distances.kernels.compat import require_numpy
 
             np = require_numpy()
             self._kernel_rids = np.asarray(self._kernel.rids, dtype=np.int64)
-
-    def _credit_kernel(self, kernel) -> None:
-        """Ledger the pairs the kernel computed since the last credit.
-
-        The kernel's own ``evaluations`` counter is the authority: a
-        kernel may serve a pair without computing it (the edit kernel
-        mirrors symmetric pairs from recent rows).  Crediting the
-        counter's advance since the previous credit, under the index
-        lock, stays exact when thread-pool workers share this index and
-        their kernel calls overlap.
-        """
-        with self._batch_lock:
-            done = kernel.evaluations
-            self.kernel_evaluations += done - self._kernel_credited
-            self._kernel_credited = done
 
     def _usable_kernel(self, records: Sequence[Record]):
         kernel = self._kernel
@@ -102,8 +77,13 @@ class BruteForceIndex(NNIndex):
         from repro.distances.kernels.compat import require_numpy
 
         np = require_numpy()
+        # The kernel's own count is the authority (the edit kernel
+        # mirrors recent rows without computing them); its growth on
+        # this thread is this block's work, whatever other threads do.
+        before = kernel.thread_evaluations()
         dense = kernel.block(rids)
-        self._credit_kernel(kernel)
+        work = self._work
+        work.kernel_evaluations += kernel.thread_evaluations() - before
         started = time.perf_counter()
         columns = self._kernel_rids
         n_queries, n = dense.shape
@@ -121,7 +101,7 @@ class BruteForceIndex(NNIndex):
             np, query, columns[column], dense[query, column], n_queries,
             k=k, theta=theta, p=p, radius_fn=radius_fn, rows=dense,
         )
-        self._credit_substage("verify", time.perf_counter() - started)
+        work.add_seconds("verify", time.perf_counter() - started)
         return answers
 
     def _others(self, record: Record) -> list[int]:
@@ -158,29 +138,24 @@ class BruteForceIndex(NNIndex):
         theta: float | None = None,
         p: float = 2.0,
         radius_fn=None,
-        counts: BatchCounts | None = None,
     ) -> list[tuple[list[Neighbor], int]]:
         """Phase-1 answers for ``records``, a kernel block at a time.
 
         Without a usable kernel this is the generic per-record sequence
-        of :meth:`NNIndex.phase1_batch`.  ``counts`` receives the
-        index-counter delta over the call (see
-        :class:`~repro.index.base.BatchCounts`).
+        of :meth:`NNIndex.phase1_batch`.
         """
         if k is None and theta is None:
             raise ValueError("phase1_batch needs k, theta, or both")
         kernel = self._usable_kernel(records)
         if kernel is None:
             return super().phase1_batch(
-                records, k=k, theta=theta, p=p, radius_fn=radius_fn,
-                counts=counts,
+                records, k=k, theta=theta, p=p, radius_fn=radius_fn
             )
         results: list[tuple[list[Neighbor], int]] = []
-        with self._counting(counts):
-            block = self._KERNEL_BLOCK
-            for start in range(0, len(records), block):
-                rids = [record.rid for record in records[start : start + block]]
-                results.extend(
-                    self._read_block(kernel, rids, k, theta, p, radius_fn)
-                )
+        block = self._KERNEL_BLOCK
+        for start in range(0, len(records), block):
+            rids = [record.rid for record in records[start : start + block]]
+            results.extend(
+                self._read_block(kernel, rids, k, theta, p, radius_fn)
+            )
         return results

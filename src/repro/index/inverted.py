@@ -207,8 +207,9 @@ class QgramInvertedIndex(NNIndex):
         """
         relation, _ = self._checked()
         n_others = len(relation) - (1 if record.rid in relation else 0)
-        self.candidates_generated += n_candidates
-        self.evaluations_pruned += max(0, n_others - n_candidates)
+        work = self._work
+        work.candidates_generated += n_candidates
+        work.evaluations_pruned += max(0, n_others - n_candidates)
 
     def _verify(
         self,
@@ -231,14 +232,15 @@ class QgramInvertedIndex(NNIndex):
           exact Myers scan instead; see :meth:`_bounded_raw`).
         """
         relation, _ = self._checked()
+        work = self._work
         if not self._edit_fast_path or cutoff is None or cutoff >= 1.0:
-            return self._pair_distance(record, relation.get(rid))
+            return self._pair_distance(record, relation.get(rid), work)
         key = (record.rid, rid) if record.rid <= rid else (rid, record.rid)
         cached = self._pair_cache.get(key)
         if cached is not None:
-            self.cache_hits += 1
+            work.cache_hits += 1
             return cached if cached <= cutoff else None
-        self.cache_misses += 1
+        work.cache_misses += 1
         query = self._texts.get(record.rid)
         if query is None:
             query = normalize(record.text())
@@ -252,9 +254,9 @@ class QgramInvertedIndex(NNIndex):
             lower = (grams - shared) / self.q
             if lower > bound:
                 # Count filter: ed provably exceeds the band, no DP run.
-                self.evaluations_pruned += 1
+                work.evaluations_pruned += 1
                 return None
-        self.evaluations += 1
+        work.evaluations += 1
         raw = self._bounded_raw(query, other, bound)
         if raw > bound:
             return None

@@ -62,7 +62,7 @@ from repro.data.schema import Record
 from repro.distances.corpus import Corpus
 from repro.distances.kernels.compat import numpy_or_none
 from repro.distances.tokens import qgrams, tokenize
-from repro.index.base import BatchCounts, Neighbor, NNIndex, read_off, score_pairs
+from repro.index.base import Neighbor, NNIndex, read_off, score_pairs
 from repro.index.signatures import (
     RelationSignatures,
     SignatureFactory,
@@ -214,7 +214,8 @@ class MinHashIndex(NNIndex):
                 relation,
                 elements=partial(qgrams, q=self.q) if self.use_qgrams else None,
             )
-        self._credit_substage("tokenize", time.perf_counter() - started)
+        work = self._work
+        work.add_seconds("tokenize", time.perf_counter() - started)
         signatures = SignatureFactory(self.n_hashes).sign(corpus, rids)
         grouping = group_band_buckets(signatures, self.n_bands)
         started = time.perf_counter()
@@ -229,8 +230,8 @@ class MinHashIndex(NNIndex):
             np.asarray(rids, dtype=np.int64) if np is not None else None
         )
         self._relation_signatures = signatures
-        self._credit_substage("sign", signatures.timings["sign"])
-        self._credit_substage(
+        work.add_seconds("sign", signatures.timings["sign"])
+        work.add_seconds(
             "bucket", grouping.seconds + (time.perf_counter() - started)
         )
 
@@ -360,11 +361,12 @@ class MinHashIndex(NNIndex):
                     record, candidates
                 )
             n_others = len(relation) - (1 if record.rid in relation else 0)
-            self.candidates_generated += len(candidates)
-            self.evaluations_pruned += n_others - len(candidates)
+            work = self._work
+            work.candidates_generated += len(candidates)
+            work.evaluations_pruned += n_others - len(candidates)
             return candidates
         finally:
-            self._credit_substage(
+            self._work.add_seconds(
                 "candidates", time.perf_counter() - started
             )
 
@@ -413,25 +415,23 @@ class MinHashIndex(NNIndex):
         theta: float | None = None,
         p: float = 2.0,
         radius_fn=None,
-        counts: BatchCounts | None = None,
     ) -> list[tuple[list[Neighbor], int]]:
         """Phase-1 answers for ``records`` in one blocked pass.
 
         See the module docstring's cost model.  Falls back to the
         per-record sequence when the kernel cannot score row pairs, numpy
-        is missing, or a record is not in the relation.  ``counts``
-        receives exactly this call's work.
+        is missing, or a record is not in the relation.  The pass tallies
+        its own work into the calling thread's ledger.
         """
         if k is None and theta is None:
             raise ValueError("phase1_batch needs k, theta, or both")
         rows = self._blocked_rows(records, k)
         if rows is None:
             return super().phase1_batch(
-                records, k=k, theta=theta, p=p, radius_fn=radius_fn,
-                counts=counts,
+                records, k=k, theta=theta, p=p, radius_fn=radius_fn
             )
         np = numpy_or_none()
-        own = BatchCounts()
+        work = self._work
         started = time.perf_counter()
         ids = self._row_bucket_ids[:, rows]
         bounds = self._bucket_bounds
@@ -439,7 +439,7 @@ class MinHashIndex(NNIndex):
         # Pairs each query gathers (itself included once per band):
         # slice boundaries keep every slice within the pair budget.
         gathered = np.cumsum(widths.sum(axis=0))
-        own.add_seconds("candidates", time.perf_counter() - started)
+        work.add_seconds("candidates", time.perf_counter() - started)
         results: list[tuple[list[Neighbor], int]] = []
         start = 0
         while start < len(rows):
@@ -451,11 +451,10 @@ class MinHashIndex(NNIndex):
             results.extend(
                 self._blocked_slice(
                     np, rows[start:end], ids[:, start:end],
-                    widths[:, start:end], k, theta, p, radius_fn, own,
+                    widths[:, start:end], k, theta, p, radius_fn, work,
                 )
             )
             start = end
-        self._record_counts(own, counts)
         return results
 
     def _blocked_rows(self, records, k: int | None):
@@ -473,7 +472,7 @@ class MinHashIndex(NNIndex):
         return np.asarray(rows, dtype=np.int64)
 
     def _blocked_slice(
-        self, np, rows, ids, widths, k, theta, p, radius_fn, own
+        self, np, rows, ids, widths, k, theta, p, radius_fn, work
     ) -> list[tuple[list[Neighbor], int]]:
         """One slice of the blocked pass (see the module docstring)."""
         started = time.perf_counter()
@@ -496,7 +495,7 @@ class MinHashIndex(NNIndex):
         slot = keys // n
         other = keys - slot * n
         verify_started = time.perf_counter()
-        own.add_seconds("candidates", verify_started - started)
+        work.add_seconds("candidates", verify_started - started)
 
         # 2. Score each unordered pair once, even when both endpoints
         #    are queries.
@@ -538,10 +537,10 @@ class MinHashIndex(NNIndex):
             p=p, radius_fn=radius_fn, counted=counted,
         )
         generated = len(keys) + fallback_pairs
-        own.candidates_generated += generated
-        own.evaluations_pruned += n_queries * (n - 1) - generated
-        own.kernel_evaluations += n_pairs + fallback_pairs
-        own.add_seconds("verify", time.perf_counter() - verify_started)
+        work.candidates_generated += generated
+        work.evaluations_pruned += n_queries * (n - 1) - generated
+        work.kernel_evaluations += n_pairs + fallback_pairs
+        work.add_seconds("verify", time.perf_counter() - verify_started)
         return answers
 
     def _rest(self, np, row: int, i: int, candidates):

@@ -4,14 +4,22 @@
 a pool of workers.  The lookup order is resolved up front and split
 into contiguous chunks (:func:`repro.parallel.chunking.plan_chunks`);
 each worker answers its chunk through the index's *batch* API — for
-:class:`~repro.index.bruteforce.BruteForceIndex` a blocked all-pairs
-evaluation that halves evaluations via distance symmetry and fills the
-shared pair cache the NG range counts are then served from — and the
-per-chunk :class:`~repro.core.neighborhood.NNEntry` lists merge in
-chunk order.  Every entry is a pure function of (relation, distance,
-params), so the merged result is identical to the sequential
-``prepare_nn_lists`` output for any worker count, pool kind, or chunk
-size.
+:class:`~repro.index.minhash.MinHashIndex` one blocked pass over the
+chunk's LSH candidate pairs, for
+:class:`~repro.index.bruteforce.BruteForceIndex` dense kernel blocks,
+and without a kernel the per-record sequence inside one batch scope,
+which fills the shared pair cache so each pair probed from both
+endpoints is evaluated once — and the per-chunk
+:class:`~repro.core.neighborhood.NNEntry` lists merge in chunk order.
+Every entry is a pure function of (relation, distance, params), so the
+merged result is identical to the sequential ``prepare_nn_lists``
+output for any worker count, pool kind, or chunk size.  A shard's
+lookups are one more order: its member rids, ascending.
+
+Each chunk opens a work ledger on the index
+(:meth:`~repro.index.base.NNIndex.ledger`) in the thread or process
+that answers it, and the run's counts are the sum of the chunks'
+ledgers, exact under any interleaving.
 
 Breadth-first order under chunking
 ----------------------------------
@@ -36,13 +44,12 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal, Sequence
 
 from repro.core.bforder import random_order
-from repro.core.formulation import CombinedCut, DEParams, SizeCut
+from repro.core.formulation import DEParams
 from repro.core.neighborhood import NNEntry, NNRelation
-from repro.core.nn_phase import _substage_delta, _substage_snapshot
 from repro.data.schema import Relation
 from repro.index.base import BatchCounts, NNIndex
 from repro.parallel.chunking import Chunk, plan_chunks
@@ -63,41 +70,9 @@ class ChunkResult:
 
     chunk_index: int
     entries: list[NNEntry]
-    lookups: int
     seconds: float
-    evaluations: int
-    cache_hits: int
-    cache_misses: int
-    candidates_generated: int = 0
-    evaluations_pruned: int = 0
-    kernel_evaluations: int = 0
-    #: Sub-stage wall times of this chunk (``candidates`` / ``verify``)
-    #: as the index's batch call reported them (``BatchCounts``): exact
-    #: for a self-tallying blocked pass and on process pools, indicative
-    #: only for other indexes under thread interleaving (the engine then
-    #: uses the global delta instead).
-    substage_seconds: dict[str, float] = field(default_factory=dict)
-
-
-def _cut_shape(params: DEParams) -> tuple[int | None, float | None]:
-    """Translate a cut specification into the ``phase1_batch`` query shape."""
-    if isinstance(params.cut, SizeCut):
-        return params.cut.k, None
-    if isinstance(params.cut, CombinedCut):
-        # The K nearest neighbors within radius theta: both bounds hold.
-        return params.cut.k, params.theta
-    return None, params.theta
-
-
-def _counters(index: NNIndex) -> tuple[int, int, int, int, int, int]:
-    return (
-        index.evaluations,
-        getattr(index, "cache_hits", 0),
-        getattr(index, "cache_misses", 0),
-        getattr(index, "candidates_generated", 0),
-        getattr(index, "evaluations_pruned", 0),
-        getattr(index, "kernel_evaluations", 0),
-    )
+    #: The chunk's work ledger (see :meth:`NNIndex.ledger`).
+    work: BatchCounts
 
 
 def _run_chunk(
@@ -107,13 +82,15 @@ def _run_chunk(
     relation = index.relation
     assert relation is not None
     started = time.perf_counter()
-    counts = BatchCounts()
-    records = [relation.get(rid) for rid in chunk.rids]
-    k, theta = _cut_shape(params)
-    answers = index.phase1_batch(
-        records, k=k, theta=theta, p=params.p, radius_fn=radius_fn,
-        counts=counts,
-    )
+    k, theta = params.bounds
+    with index.ledger() as work:
+        # Materializing the query records (possibly buffer-pool page
+        # reads) is the probes' input prep — credited to ``candidates``.
+        records = [relation.get(rid) for rid in chunk.rids]
+        work.add_seconds("candidates", time.perf_counter() - started)
+        answers = index.phase1_batch(
+            records, k=k, theta=theta, p=params.p, radius_fn=radius_fn
+        )
     entries = [
         NNEntry(rid=record.rid, neighbors=tuple(neighbors), ng=ng)
         for record, (neighbors, ng) in zip(records, answers)
@@ -121,15 +98,8 @@ def _run_chunk(
     return ChunkResult(
         chunk_index=chunk.index,
         entries=entries,
-        lookups=len(records),
         seconds=time.perf_counter() - started,
-        evaluations=counts.evaluations,
-        cache_hits=counts.cache_hits,
-        cache_misses=counts.cache_misses,
-        candidates_generated=counts.candidates_generated,
-        evaluations_pruned=counts.evaluations_pruned,
-        kernel_evaluations=counts.kernel_evaluations,
-        substage_seconds=counts.substage_seconds,
+        work=work,
     )
 
 
@@ -205,8 +175,14 @@ class ParallelNNEngine:
         )
 
     def _resolve_order(
-        self, relation: Relation, order: str, order_seed: int
+        self,
+        relation: Relation,
+        order: str,
+        order_seed: int,
+        rids: Sequence[int] | None = None,
     ) -> list[int]:
+        if rids is not None:
+            return sorted(rids)
         if order == "random":
             return random_order(relation, seed=order_seed)
         if order in ("bf", "sequential"):
@@ -225,81 +201,28 @@ class ParallelNNEngine:
         order_seed: int = 0,
         stats=None,
         radius_fn=None,
+        rids: Sequence[int] | None = None,
     ):
         """Yield :class:`ChunkResult` objects in chunk order.
 
         The streaming core of :meth:`run`: results are yielded as soon
         as each chunk (in plan order) completes, so a consumer can
         spill entries out of core without the whole NN relation ever
-        being resident.  ``stats`` accounting (lookups, wall time,
-        counter deltas) is finalized when the iterator is exhausted;
-        an abandoned iterator records nothing.
+        being resident.  ``rids`` restricts the lookups to a subset,
+        in ascending order (``order`` does not apply).  ``stats``
+        accounting (lookups, wall time, the chunks' ledgers) is
+        finalized when the iterator is exhausted; an abandoned iterator
+        records nothing.
         """
         if index.relation is not relation:
             raise ValueError("index was not built over the given relation")
 
-        rids = self._resolve_order(relation, order, order_seed)
-        chunks = self.plan(rids, index.blocks)
+        chunks = self.plan(
+            self._resolve_order(relation, order, order_seed, rids),
+            index.blocks,
+        )
         started = time.perf_counter()
-        ev0, hit0, miss0, cand0, pruned0, kern0 = _counters(index)
-        substages0 = _substage_snapshot(index)
         results: list[ChunkResult] = []
-
-        def finalize() -> None:
-            if stats is None:
-                return
-            lookups = sum(r.lookups for r in results)
-            stats.lookups += lookups
-            seconds = time.perf_counter() - started
-            stats.seconds += seconds
-            stats.n_chunks += len(results)
-            stats.chunk_seconds.extend(r.seconds for r in results)
-            if self.pool == "process" and self.n_workers > 1 and len(chunks) > 1:
-                # Worker processes own private index copies; the parent's
-                # counters never move, so sum the per-chunk deltas.
-                evaluations = sum(r.evaluations for r in results)
-                cache_hits = sum(r.cache_hits for r in results)
-                cache_misses = sum(r.cache_misses for r in results)
-                candidates = sum(r.candidates_generated for r in results)
-                pruned = sum(r.evaluations_pruned for r in results)
-                kernel = sum(r.kernel_evaluations for r in results)
-                substages: dict[str, float] = {}
-                for r in results:
-                    for name, seconds in r.substage_seconds.items():
-                        substages[name] = substages.get(name, 0.0) + seconds
-            else:
-                # Shared index: per-chunk deltas interleave across
-                # threads, but the global delta is exact.
-                ev1, hit1, miss1, cand1, pruned1, kern1 = _counters(index)
-                evaluations = ev1 - ev0
-                cache_hits = hit1 - hit0
-                cache_misses = miss1 - miss0
-                candidates = cand1 - cand0
-                pruned = pruned1 - pruned0
-                kernel = kern1 - kern0
-                substages = _substage_delta(index, substages0)
-            # Chunk planning and entry assembly, attributed explicitly
-            # (skipped when concurrent workers' sub-stage time exceeds
-            # the wall clock).
-            drive = seconds - sum(substages.values())
-            if drive > 0.0:
-                substages = {**substages, "drive": drive}
-            stats.evaluations += evaluations
-            stats.cache_hits += cache_hits
-            stats.cache_misses += cache_misses
-            stats.candidates_generated += candidates
-            stats.evaluations_pruned += pruned
-            stats.kernel_evaluations += kernel
-            stats.add_substages(substages)
-            stats.credit_index(
-                index.name,
-                lookups=lookups,
-                evaluations=evaluations,
-                candidates_generated=candidates,
-                evaluations_pruned=pruned,
-                kernel_evaluations=kernel,
-            )
-
         # ``Executor.map`` yields in submission order — chunk order —
         # regardless of completion order, so no sort is needed.
         if self.n_workers == 1 or len(chunks) <= 1:
@@ -324,7 +247,17 @@ class ParallelNNEngine:
                 for result in executor.map(_run_chunk_in_process, chunks):
                     results.append(result)
                     yield result
-        finalize()
+        if stats is not None:
+            work = BatchCounts()
+            for result in results:
+                work.add(result.work)
+            stats.record(
+                index.name,
+                sum(len(result.entries) for result in results),
+                time.perf_counter() - started,
+                work,
+                chunk_seconds=[result.seconds for result in results],
+            )
 
     def run(
         self,
@@ -335,12 +268,13 @@ class ParallelNNEngine:
         order_seed: int = 0,
         stats=None,
         radius_fn=None,
+        rids: Sequence[int] | None = None,
     ) -> NNRelation:
         """Materialize the NN relation, identically to ``prepare_nn_lists``.
 
         ``stats`` (a :class:`~repro.core.nn_phase.Phase1Stats`) is
-        extended with per-chunk timings and pair-cache hit counts on top
-        of the sequential path's lookup/second accounting.
+        extended with per-chunk timings on top of the sequential path's
+        lookup, wall-time and work accounting.
         """
         nn_relation = NNRelation()
         for result in self.iter_chunk_results(
@@ -351,6 +285,7 @@ class ParallelNNEngine:
             order_seed=order_seed,
             stats=stats,
             radius_fn=radius_fn,
+            rids=rids,
         ):
             for entry in result.entries:
                 nn_relation.add(entry)

@@ -39,11 +39,7 @@ from repro.core.cspairs import (
 from repro.core.formulation import DEParams
 from repro.core.minimality import enforce_minimality
 from repro.core.neighborhood import NNRelation, entry_to_row
-from repro.core.nn_phase import (
-    _substage_delta,
-    _substage_snapshot,
-    prepare_nn_lists,
-)
+from repro.core.nn_phase import prepare_nn_lists
 from repro.core.partitioner import partition_records
 from repro.core.predicates import apply_constraining_predicate
 from repro.core.result import Partition
@@ -126,13 +122,12 @@ class Phase1Stage:
 
     def run(self, ctx: RunContext, state: RunState) -> None:
         config = ctx.config
-        # Build-side sub-stage timers (tokenize/sign/bucket) accrue on
-        # the index during build; lookup drivers capture their own
-        # deltas afterwards, so harvesting here never double-counts.
+        # The build's sub-stage timers (tokenize/sign/bucket) land in
+        # the ledger opened around it; lookup drivers open their own.
         index = state.index
-        before = _substage_snapshot(index)
-        index.build(state.relation, ctx.distance)
-        state.stats.phase1.add_substages(_substage_delta(index, before))
+        with index.ledger() as work:
+            index.build(state.relation, ctx.distance)
+        state.stats.phase1.add(work)
         if config.spill:
             return
         state.nn_relation = prepare_nn_lists(
@@ -354,9 +349,9 @@ class ShardStage:
         from repro.shard.runner import ShardRunner
 
         config = ctx.config
-        before = _substage_snapshot(ctx.index)
-        ctx.index.build(state.relation, ctx.distance)
-        state.stats.phase1.add_substages(_substage_delta(ctx.index, before))
+        with ctx.index.ledger() as work:
+            ctx.index.build(state.relation, ctx.distance)
+        state.stats.phase1.add(work)
         signatures = getattr(ctx.index, "relation_signatures", lambda: None)()
         plan = plan_shards(
             state.relation,
@@ -380,16 +375,23 @@ class ShardStage:
         }
         stats.shard_runs = [outcome.summary() for outcome in outcomes]
         stats.spilled = config.spill
-        _aggregate_phase1(stats.phase1, outcomes)
+        for outcome in outcomes:
+            stats.phase1.add(outcome.phase1)
+        # Shards in flight overlap: Phase 1 took the union of their
+        # intervals, while the work and sub-stage sums stay busy time.
+        stats.phase1.seconds += _union_seconds(
+            outcome.phase1_interval for outcome in outcomes
+        )
 
 
-def _aggregate_phase1(phase1, outcomes) -> None:
-    """Sum per-shard Phase-1 counters into ``phase1``."""
-    for outcome in outcomes:
-        counters = dict(outcome.phase1)
-        phase1.add_substages(counters.pop("substage_seconds", None))
-        for name, value in counters.items():
-            setattr(phase1, name, getattr(phase1, name) + value)
+def _union_seconds(intervals) -> float:
+    """Length of the union of ``(start, end)`` intervals."""
+    total, reach = 0.0, float("-inf")
+    for start, end in sorted(intervals):
+        if end > reach:
+            total += end - max(start, reach)
+            reach = end
+    return total
 
 
 class ConstraintStage:

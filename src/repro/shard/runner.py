@@ -6,10 +6,13 @@ per-shard :class:`ShardOutcome` payloads by running the existing
 
 - **Phase 1 queries the global index.**  The coordinator builds the NN
   index once over the *full* relation; each shard computes entries only
-  for its member rids via ``prepare_nn_lists(rids=...)``.  Every entry
-  is therefore exactly what an unsharded run would produce — the
-  invariant :func:`~repro.shard.merge.merge_partitions` turns into a
-  checksum-identical merged partition.
+  for its member rids via ``prepare_nn_lists(rids=...)``, which answers
+  them as one chunk of the chunk engine.  Every entry is therefore
+  exactly what an unsharded run would produce — the invariant
+  :func:`~repro.shard.merge.merge_partitions` turns into a
+  checksum-identical merged partition.  The shard's work is the sum of
+  the ledgers its own thread opened on the shared index, so it is exact
+  however many shards are in flight.
 - **Phase 2 runs per shard.**  Each worker executes ``run_from_nn``
   over ``relation.subset(members)`` with its *own* storage engine sized
   by the config's ``buffer_pages``/``page_capacity`` (when the engine
@@ -52,19 +55,6 @@ from repro.storage.engine import Engine
 
 __all__ = ["ShardOutcome", "ShardRunner"]
 
-#: Phase-1 counters a shard reports back to the coordinator.
-_PHASE1_COUNTERS = (
-    "lookups",
-    "seconds",
-    "evaluations",
-    "cache_hits",
-    "cache_misses",
-    "candidates_generated",
-    "evaluations_pruned",
-    "kernel_evaluations",
-)
-
-
 @dataclass
 class ShardOutcome:
     """Everything one shard's pipeline run sends back for the merge."""
@@ -81,7 +71,10 @@ class ShardOutcome:
     groups: list[list[int]]
     seconds: float
     stage_seconds: dict[str, float]
-    phase1: dict[str, Any]
+    phase1: Phase1Stats
+    #: The shard's Phase-1 ``(start, end)`` on the monotonic clock, so
+    #: the coordinator can measure the wall time of overlapping shards.
+    phase1_interval: tuple[float, float]
     #: Buffer-pool counters of the shard's private engine (engine runs).
     buffer: dict[str, Any] | None
     n_cs_pairs: int
@@ -95,7 +88,7 @@ class ShardOutcome:
             "n_groups": len(self.groups),
             "seconds": self.seconds,
             "stage_seconds": dict(self.stage_seconds),
-            "phase1_lookups": self.phase1.get("lookups", 0),
+            "phase1_lookups": self.phase1.lookups,
             "buffer": dict(self.buffer) if self.buffer else None,
         }
 
@@ -112,6 +105,7 @@ def _run_shard(task) -> ShardOutcome:
 
     started = time.perf_counter()
     phase1 = Phase1Stats()
+    phase1_started = time.monotonic()
     nn_relation = prepare_nn_lists(
         relation,
         index,
@@ -121,6 +115,7 @@ def _run_shard(task) -> ShardOutcome:
         chunk_size=config.chunk_size,
         rids=members,
     )
+    phase1_interval = (phase1_started, time.monotonic())
 
     # The shard's private pipeline: Phase 2 only, over the member
     # sub-relation, sequential inside the worker (the pool is the
@@ -177,10 +172,8 @@ def _run_shard(task) -> ShardOutcome:
             timing.stage: stats.stage_seconds(timing.stage)
             for timing in stats.timings
         },
-        phase1={
-            **{name: getattr(phase1, name) for name in _PHASE1_COUNTERS},
-            "substage_seconds": dict(phase1.substage_seconds),
-        },
+        phase1=phase1,
+        phase1_interval=phase1_interval,
         buffer=buffer,
         n_cs_pairs=stats.n_cs_pairs,
     )

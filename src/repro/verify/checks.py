@@ -42,7 +42,7 @@ from repro.core.cspairs import (
     build_cs_pairs,
     nn_list_limit,
 )
-from repro.core.formulation import CombinedCut, DEParams, DiameterCut, SizeCut
+from repro.core.formulation import DEParams
 from repro.core.partitioner import partition_records, rows_by_anchor
 from repro.core.pipeline import DEResult
 from repro.data.schema import Relation
@@ -115,17 +115,6 @@ class VerificationContext:
     @property
     def nn_relation(self):
         return self.result.nn_relation
-
-
-def _cut_bounds(params: DEParams) -> tuple[int | None, float | None]:
-    """The (K, θ) bounds a cut specification imposes (None = unbounded)."""
-    if isinstance(params.cut, SizeCut):
-        return params.cut.k, None
-    if isinstance(params.cut, DiameterCut):
-        return None, params.cut.theta
-    if isinstance(params.cut, CombinedCut):
-        return params.cut.k, params.cut.theta
-    raise TypeError(f"unknown cut specification {params.cut!r}")
 
 
 # ----------------------------------------------------------------------
@@ -277,7 +266,7 @@ def check_sn_bound(ctx: VerificationContext) -> CheckResult:
 def check_cut_spec(ctx: VerificationContext) -> CheckResult:
     """Every group honors the size and/or diameter bound."""
     params = ctx.params
-    k, theta = _cut_bounds(params)
+    k, theta = params.bounds
     if theta is not None and ctx.distance is None:
         return CheckResult.skip(
             "cut-spec", "diameter bound needs a distance function"
@@ -447,7 +436,7 @@ def check_maximality(ctx: VerificationContext) -> CheckResult:
     if ctx.distance is None:
         return CheckResult.skip("maximality", "no distance function supplied")
     params = ctx.params
-    k, theta = _cut_bounds(params)
+    k, theta = params.bounds
     violations: list[Violation] = []
     checked = 0
     for group_a, group_b in _adjacent_group_pairs(ctx):
@@ -498,7 +487,7 @@ def check_nn_parity(ctx: VerificationContext) -> CheckResult:
     sampled = sorted(random.Random(ctx.seed).sample(ids, size))
 
     params = ctx.params
-    k, theta = _cut_bounds(params)
+    k, theta = params.bounds
     index = BruteForceIndex()
     index.build(ctx.relation, ctx.distance)
     records = [ctx.relation.get(rid) for rid in sampled]

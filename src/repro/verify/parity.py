@@ -186,8 +186,6 @@ def sampled_nn_recall(
     Returns a dict with ``n_sampled``, ``mean_recall``, ``min_recall``,
     and ``exact_lists`` (how many sampled lists matched id-for-id).
     """
-    from repro.verify.checks import _cut_bounds
-
     ids = [rid for rid in relation.ids() if rid in nn_relation]
     if not ids:
         return {
@@ -199,7 +197,7 @@ def sampled_nn_recall(
     size = min(sample, len(ids))
     sampled = sorted(random.Random(seed).sample(ids, size))
 
-    k, theta = _cut_bounds(params)
+    k, theta = params.bounds
     reference = BruteForceIndex()
     reference.build(relation, distance)
     records = [relation.get(rid) for rid in sampled]

@@ -115,7 +115,7 @@ class TestBatchPerQueryParity:
         index = build(factory, relation)
         index.phase1_batch(relation.records, k=K, theta=THETA)
         n = len(relation)
-        assert index.evaluations <= n * (n - 1) // 2 + index.build_evaluations
+        assert index.totals.evaluations <= n * (n - 1) // 2 + index.build_evaluations
 
 
 class TestEngineParity:
@@ -322,5 +322,5 @@ class TestPerQueryCacheConsultation:
     def test_cold_per_query_path_never_fills(self, relation):
         index = build(BruteForceIndex, relation)
         prepare_nn_lists(relation, index, PARAMS, order="sequential")
-        assert index.cache_hits == 0
+        assert index.totals.cache_hits == 0
         assert not index._pair_cache

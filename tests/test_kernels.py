@@ -463,7 +463,7 @@ class TestEditKernelRows:
                 signatures.append(nn_signature(nn))
                 # The index credits exactly what the shared kernel
                 # computed; a lost update on either counter breaks this.
-                assert index.kernel_evaluations == kernel.evaluations
+                assert index.totals.kernel_evaluations == kernel.evaluations
                 assert len(kernel._memo) <= kernel.memo_rows
         finally:
             sys.setswitchinterval(switch)
@@ -487,7 +487,7 @@ class TestAccounting:
         assert stats.kernel_evaluations > 0
         # Every pair went through the kernel, none through scalar calls.
         assert stats.evaluations == 0
-        assert index.kernel_evaluations == stats.kernel_evaluations
+        assert index.totals.kernel_evaluations == stats.kernel_evaluations
 
     def test_scalar_runs_report_zero_kernel_evaluations(self):
         relation = Relation.from_strings(

@@ -102,7 +102,7 @@ class TestBatchQueries:
         index = build_brute(self.relation)
         index.phase1_batch(self.records, k=3)
         n = len(self.records)
-        assert index.evaluations == n * (n - 1) // 2
+        assert index.totals.evaluations == n * (n - 1) // 2
 
     def test_per_query_path_reads_cache_but_never_fills(self):
         index = build_brute(self.relation)
@@ -113,7 +113,7 @@ class TestBatchQueries:
         assert filled > 0
         index.knn(self.records[0], 3)  # served from cache
         assert len(index._pair_cache) == filled
-        assert index.cache_hits > 0
+        assert index.totals.cache_hits > 0
 
 
 class TestPhase1Batch:
@@ -295,9 +295,9 @@ class TestEngineStats:
         assert stats.lookups == 30
         assert stats.seconds > 0.0
         assert stats.n_chunks == len(stats.chunk_seconds) > 1
-        assert stats.evaluations == index.evaluations
-        assert stats.cache_hits == index.cache_hits
-        assert stats.cache_misses == index.cache_misses
+        assert stats.evaluations == index.totals.evaluations
+        assert stats.cache_hits == index.totals.cache_hits
+        assert stats.cache_misses == index.totals.cache_misses
         assert 0.0 < stats.cache_hit_rate < 1.0
 
     def test_process_pool_stats_sum_worker_deltas(self):
@@ -310,7 +310,7 @@ class TestEngineStats:
         assert stats.lookups == 20
         assert stats.evaluations > 0
         # The parent-process index never ran a query itself.
-        assert index.evaluations == 0
+        assert index.totals.evaluations == 0
 
 
 class TestPrepareNNListsDelegation:
@@ -354,7 +354,7 @@ class TestBoundedPairCache:
         relation = numbers_relation([1, 2, 3, 4])
         index = build_brute(relation)
         index.phase1_batch(relation.records, k=2)
-        assert index.cache_misses > 0
+        assert index.totals.cache_misses > 0
         index.build(relation, absdiff_distance())
         assert len(index._pair_cache) == 0
-        assert (index.cache_hits, index.cache_misses) == (0, 0)
+        assert (index.totals.cache_hits, index.totals.cache_misses) == (0, 0)
