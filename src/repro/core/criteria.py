@@ -21,6 +21,8 @@ distinct-distances assumption.
 
 from __future__ import annotations
 
+import operator
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from repro.data.schema import Relation
@@ -29,6 +31,7 @@ from repro.distances.base import DistanceFunction
 __all__ = [
     "AGGREGATIONS",
     "aggregate",
+    "verdict_class",
     "agg_max",
     "agg_avg",
     "agg_max2",
@@ -80,6 +83,16 @@ def aggregate(name: str, values: Sequence[float]) -> float:
             f"unknown aggregation {name!r}; expected one of {sorted(AGGREGATIONS)}"
         ) from None
     return func(values)
+
+
+def verdict_class(name: str, c: float) -> Callable[[float], object]:
+    """The map from a growth to its class under ``aggregate(name,
+    growths) >= c``: a change within one class flips no SN verdict.
+    ``max`` and ``max2`` are order statistics, so only ``growth >= c``
+    matters to them; ``avg`` reads the value itself."""
+    if name in ("max", "max2"):
+        return partial(operator.le, c)  # c <= growth
+    return float
 
 
 def nn_distance_brute(

@@ -30,11 +30,12 @@ it changes.
   or the exact NN of (O(K) records on average) are rebuilt by one row
   each, the others lose it from their neighborhood by bisection, and
   only its own cached pairs are dropped;
-- **partition** — CSPairs rows are rebuilt only for records whose cut
-  list changed, and their NG fields patched for records whose NG alone
-  changed; group extraction re-runs only for the mutual-NN components
-  holding an endpoint of a row that was added, dropped or changed,
-  found by walking the rows' adjacency (component independence is the
+- **partition** — CSPairs flags are rebuilt only for records whose cut
+  list changed; group extraction re-runs only for the mutual-NN
+  components holding an endpoint of a row that was added, dropped or
+  changed, or a record whose NG changed its verdict class (crossed
+  ``c`` under ``max``/``max2``; any change under ``avg``), found by
+  walking the rows' adjacency (component independence is the
   sharding argument), so a quiet arrival re-extracts nothing.
 
 Neighborhoods are sorted ``(distance, rid)`` entries; ``Neighbor``
@@ -61,6 +62,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from itertools import starmap
 
+from repro.core.criteria import verdict_class
 from repro.core.cspairs import CSPair, max_pair_size, prefix_equal_flags
 from repro.core.formulation import DEParams
 from repro.core.neighborhood import NNEntry, NNRelation
@@ -111,7 +113,7 @@ class RepairStats:
     n_pairs: int
     n_components: int
     #: Components re-extracted because a CSPairs row of theirs was
-    #: added, dropped or changed.
+    #: added, dropped or changed, or a member's NG changed class.
     components_repaired: int
     #: Components whose cached group extraction was reused verbatim.
     components_reused: int
@@ -189,6 +191,8 @@ class IncrementalDeduplicator:
         #: The cut's size bound K and diameter bound θ (``None`` when
         #: the specification has none).
         self._k, self._theta = params.bounds
+        #: An NG's class under the SN verdict (``verdict_class``).
+        self._ng_class = verdict_class(params.agg, params.c)
         self.refit_every = refit_every
         self.candidates = candidates
         if isinstance(distance, CachedDistance):
@@ -243,17 +247,16 @@ class IncrementalDeduplicator:
         #: while it offers one; ``None`` scores rows through the cache.
         self._live = None
         self._next_rid = 0
-        # Incrementally maintained Phase-2 state.
-        self._pairs: dict[tuple[int, int], CSPair] = {}
+        # Incrementally maintained Phase-2 state: CSPairs flags by key.
+        self._pairs: dict[tuple[int, int], tuple[bool, ...]] = {}
         #: rid -> keys of the CSPairs rows it is an endpoint of: the
         #: adjacency of the mutual-NN graph.
         self._pair_keys: dict[int, set[tuple[int, int]]] = {}
-        #: Records whose cut list changed (their rows are rebuilt) and
-        #: records whose NG alone changed (their rows' NGs are patched).
+        #: Records whose cut list changed (their rows are rebuilt).
         self._dirty: set[int] = set()
-        self._ng_dirty: set[int] = set()
-        #: Endpoints of CSPairs rows added, dropped or changed since the
-        #: last :meth:`partition`.
+        #: Endpoints of CSPairs rows added, dropped or changed, and
+        #: records whose NG changed verdict class, since the last
+        #: :meth:`partition`.
         self._touched: set[int] = set()
         #: Each mutual-NN component as ``min rid -> (members, groups)``,
         #: and the component key of every record with a CSPairs row.
@@ -452,8 +455,8 @@ class IncrementalDeduplicator:
                         refs[entry[1]].pop(orid, None)
             ng = len(members) + 1
             if ng != ngs[orid]:
-                ngs[orid] = ng
-                self._mark_ng(orid)
+                old, ngs[orid] = ngs[orid], ng
+                self._mark_ng(orid, old)
 
     def _unlink(self, rid: int) -> list[int]:
         """Take a removed record out of the entries that hold it.
@@ -476,8 +479,8 @@ class IncrementalDeduplicator:
                 continue
             members = nbhd[orid]
             del members[bisect_left(members, (d, rid))]
-            ngs[orid] = len(members) + 1
-            self._mark_ng(orid)
+            old, ngs[orid] = ngs[orid], len(members) + 1
+            self._mark_ng(orid, old)
         rebuilds.sort()
         return rebuilds
 
@@ -603,8 +606,9 @@ class IncrementalDeduplicator:
         self._scan(record)
         if self._neighbors[rid] != old_list:
             self._mark_dirty(rid)
-        elif self._ng[rid] != old_ng:
-            self._mark_ng(rid)
+        # Not ``elif``: rows rebuilt with the same flags touch no one.
+        if self._ng[rid] != old_ng:
+            self._mark_ng(rid, old_ng)
 
     # ------------------------------------------------------------------
     # Refit / lazy preparation
@@ -646,7 +650,6 @@ class IncrementalDeduplicator:
         self._components.clear()
         self._component_of.clear()
         self._touched.clear()
-        self._ng_dirty.clear()
         self._dirty = set(self._neighbors)
         self._op_marked.update(self._neighbors)
         self._partition_cache = None
@@ -660,10 +663,13 @@ class IncrementalDeduplicator:
         self._op_marked.add(rid)
         self._partition_cache = None
 
-    def _mark_ng(self, rid: int) -> None:
-        self._ng_dirty.add(rid)
+    def _mark_ng(self, rid: int, old: int) -> None:
+        """Note that ``rid``'s NG moved from ``old``; touch it (and so
+        re-extract its component) only when its verdict class moved."""
         self._op_marked.add(rid)
-        self._partition_cache = None
+        if self._ng_class(old) != self._ng_class(self._ng[rid]):
+            self._touched.add(rid)
+            self._partition_cache = None
 
     def _drop_rows(self, rid: int, dropped: dict | None = None) -> None:
         """Drop every CSPairs row ``rid`` is an endpoint of.
@@ -694,22 +700,19 @@ class IncrementalDeduplicator:
         self._nbhd.pop(rid, None)
         self._ng.pop(rid, None)
         self._dirty.discard(rid)
-        self._ng_dirty.discard(rid)
         self._drop_rows(rid)
         self._partition_cache = None
 
     def _refresh_pairs(self) -> None:
-        """Patch the maintained CSPairs relation for all dirty entries.
+        """Patch the maintained CSPairs flags for all dirty entries.
 
-        A CSPairs row depends only on its two endpoints' cut lists and
-        NGs, so rows with no dirty endpoint are reused verbatim.  For a
-        dirty record, every row it anchors or partners is dropped and
-        rebuilt from its (new) cut list with the same mutuality /
+        A row's mutuality and flags depend only on its two endpoints'
+        cut lists, so rows with no dirty endpoint are reused verbatim.
+        For a dirty record, every row it anchors or partners is dropped
+        and rebuilt from its (new) cut list with the same mutuality /
         flag-prefix logic as the batch builder — bit-identical rows by
-        construction.  A record whose NG alone changed keeps its rows'
-        mutuality and flags, so only their NG fields are patched.  The
-        endpoints of every row that did not come back identical are
-        touched.
+        construction.  The endpoints of every row whose flags did not
+        come back identical are touched.
         """
         params = self.params
         # The online analogue of the batch inline mode: forbidden pairs
@@ -721,8 +724,8 @@ class IncrementalDeduplicator:
             else None
         )
         pairs, pair_keys, touched = self._pairs, self._pair_keys, self._touched
-        neighbors, ngs = self._neighbors, self._ng
-        dropped: dict[tuple[int, int], CSPair] = {}
+        neighbors = self._neighbors
+        dropped: dict[tuple[int, int], tuple[bool, ...]] = {}
         for rid in self._dirty:
             self._drop_rows(rid, dropped)
         # The neighbour-id tuple of each entry read, once per refresh.
@@ -753,44 +756,28 @@ class IncrementalDeduplicator:
                 ):
                     continue
                 ids1, ids2 = ids_of(id1), ids_of(id2)
-                row = CSPair(
-                    id1=id1,
-                    id2=id2,
-                    ng1=ngs[id1],
-                    ng2=ngs[id2],
-                    flags=prefix_equal_flags(
-                        id1, ids1, id2, ids2,
-                        max_pair_size(len(ids1), len(ids2), params),
-                    ),
+                flags = pairs[key] = prefix_equal_flags(
+                    id1, ids1, id2, ids2,
+                    max_pair_size(len(ids1), len(ids2), params),
                 )
-                pairs[key] = row
                 pair_keys.setdefault(id1, set()).add(key)
                 pair_keys.setdefault(id2, set()).add(key)
-                if dropped.pop(key, None) != row:
+                if dropped.pop(key, None) != flags:
                     touched.update(key)
         for key in dropped:
             touched.update(key)
-        # A record whose cut list is unchanged keeps its rows' mutuality
-        # and flags; only the NGs it carries need patching.
-        for rid in self._ng_dirty:
-            for key in pair_keys.get(rid, ()):
-                row = pairs[key]
-                ng1, ng2 = ngs[row.id1], ngs[row.id2]
-                if row.ng1 != ng1 or row.ng2 != ng2:
-                    pairs[key] = CSPair(
-                        id1=row.id1, id2=row.id2, ng1=ng1, ng2=ng2,
-                        flags=row.flags,
-                    )
-                    touched.update(key)
         self._dirty.clear()
-        self._ng_dirty.clear()
+
+    def _row_of(self, key: tuple[int, int]) -> CSPair:
+        """The CSPairs row under ``key``: its flags and the live NGs."""
+        return CSPair(*key, self._ng[key[0]], self._ng[key[1]], self._pairs[key])
 
     def _repair_components(self) -> int:
         """Re-extract the mutual-NN components that hold a touched
         record; returns how many.
 
-        Every other component's rows are unchanged, and extraction is a
-        pure function of a component's rows, so its groups are reused.
+        Every other component's flags and NG classes are unchanged, and
+        extraction is a pure function of them, so its groups are reused.
         A component all of whose records are untouched is also a
         component of the old graph, so the walks from the touched
         records reach every record of every invalidated component.
@@ -802,7 +789,7 @@ class IncrementalDeduplicator:
             if key is not None and key in components:
                 for member in components.pop(key)[0]:
                     del component_of[member]
-        pair_keys, pairs = self._pair_keys, self._pairs
+        pair_keys, row_of = self._pair_keys, self._row_of
         repaired = 0
         for rid in touched:
             if rid in component_of or not pair_keys.get(rid):
@@ -820,7 +807,7 @@ class IncrementalDeduplicator:
                     if other not in members:
                         members.add(other)
                         stack.append(other)
-            rows = [pairs[key] for key in sorted(keys)]
+            rows = [row_of(key) for key in sorted(keys)]
             groups = tuple(
                 tuple(sorted(group))
                 for group in extract_component_groups(rows, self.params)
@@ -853,16 +840,16 @@ class IncrementalDeduplicator:
     def cs_pairs(self) -> list[CSPair]:
         """The maintained CSPairs relation, sorted by ``(id1, id2)``."""
         self._refresh_pairs()
-        return [self._pairs[key] for key in sorted(self._pairs)]
+        return [self._row_of(key) for key in sorted(self._pairs)]
 
     def partition(self) -> Partition:
         """The DE solution over the live relation.
 
         Incremental: CSPairs rows are patched for dirty entries only,
         and group extraction re-runs only for the mutual-NN components
-        holding a record whose rows changed; every other component
-        reuses its groups (exact — extraction is a pure function of a
-        component's rows).
+        holding a record whose rows or NG class changed; every other
+        component reuses its groups (exact — extraction is a pure
+        function of a component's flags and NG classes).
         """
         if self._partition_cache is not None:
             return self._partition_cache

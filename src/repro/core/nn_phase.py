@@ -21,7 +21,7 @@ from repro.core.bforder import breadth_first_order, random_order, sequential_ord
 from repro.core.formulation import DEParams
 from repro.core.neighborhood import NNEntry, NNRelation
 from repro.data.schema import Relation
-from repro.index.base import COUNTERS, BatchCounts, Neighbor, NNIndex
+from repro.index.base import BatchCounts, Neighbor, NNIndex
 
 __all__ = ["Phase1Stats", "prepare_nn_lists"]
 
@@ -48,13 +48,10 @@ class Phase1Stats(BatchCounts):
     seconds: float = 0.0
     n_chunks: int = 0
     chunk_seconds: list[float] = field(default_factory=list)
-    #: Per-index-name accumulation of the lookups and work counters —
-    #: one stats object can aggregate runs over several indexes.
-    by_index: dict[str, dict[str, int]] = field(default_factory=dict)
 
     def add(self, other: BatchCounts) -> None:
         """Accumulate ``other``'s work; from another ``Phase1Stats``
-        also its lookups, chunks and per-index rows.
+        also its lookups and chunks.
 
         ``seconds`` is a wall clock and is not added: drivers that may
         overlap in time account their wall time themselves.
@@ -64,14 +61,9 @@ class Phase1Stats(BatchCounts):
             self.lookups += other.lookups
             self.n_chunks += other.n_chunks
             self.chunk_seconds.extend(other.chunk_seconds)
-            for name, row in other.by_index.items():
-                mine = self.by_index.setdefault(name, dict.fromkeys(row, 0))
-                for key, value in row.items():
-                    mine[key] += value
 
     def record(
         self,
-        index_name: str,
         lookups: int,
         seconds: float,
         work: BatchCounts,
@@ -92,12 +84,6 @@ class Phase1Stats(BatchCounts):
         if chunk_seconds is not None:
             self.n_chunks += len(chunk_seconds)
             self.chunk_seconds.extend(chunk_seconds)
-        row = self.by_index.setdefault(
-            index_name, dict.fromkeys(("lookups", *COUNTERS), 0)
-        )
-        row["lookups"] += lookups
-        for name in COUNTERS:
-            row[name] += getattr(work, name)
 
     @property
     def cache_bypassed(self) -> bool:
@@ -273,7 +259,5 @@ def prepare_nn_lists(
                 lookup(rid)
 
     if stats is not None:
-        stats.record(
-            index.name, len(nn_relation), time.perf_counter() - started, work
-        )
+        stats.record(len(nn_relation), time.perf_counter() - started, work)
     return nn_relation

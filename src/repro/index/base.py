@@ -557,8 +557,7 @@ def score_pairs(np, kernel, kernel_rows, query, other, n: int):
     """Distances of the entries ``(query[i], other[i])`` (relation rows,
     ``n`` in all), each unordered pair scored once: pairs listed from
     both endpoints share one ``kernel.pair_distances`` evaluation,
-    mirrored back onto every entry.  Returns the distances and the
-    number of pairs scored."""
+    mirrored back onto every entry."""
     pairs, inverse = np.unique(
         np.minimum(query, other) * n + np.maximum(query, other),
         return_inverse=True,
@@ -573,7 +572,7 @@ def score_pairs(np, kernel, kernel_rows, query, other, n: int):
         )
         for start in range(0, max(len(pairs), 1), _SCORE_PAIRS)
     ])
-    return distances[inverse], len(pairs)
+    return distances[inverse]
 
 
 def read_off(

@@ -498,8 +498,10 @@ class MinHashIndex(NNIndex):
         work.add_seconds("candidates", verify_started - started)
 
         # 2. Score each unordered pair once, even when both endpoints
-        #    are queries.
-        distance, n_pairs = score_pairs(
+        #    are queries.  The slice is charged what the kernel computed
+        #    on this thread, fallback rows included.
+        computed = self._kernel.thread_evaluations()
+        distance = score_pairs(
             np, self._kernel, self._kernel_rows, rows[slot], other, n
         )
         other_rid = self._rid_array[other]
@@ -539,7 +541,7 @@ class MinHashIndex(NNIndex):
         generated = len(keys) + fallback_pairs
         work.candidates_generated += generated
         work.evaluations_pruned += n_queries * (n - 1) - generated
-        work.kernel_evaluations += n_pairs + fallback_pairs
+        work.kernel_evaluations += self._kernel.thread_evaluations() - computed
         work.add_seconds("verify", time.perf_counter() - verify_started)
         return answers
 

@@ -252,7 +252,6 @@ class ParallelNNEngine:
             for result in results:
                 work.add(result.work)
             stats.record(
-                index.name,
                 sum(len(result.entries) for result in results),
                 time.perf_counter() - started,
                 work,

@@ -271,6 +271,21 @@ class TestBlockedParity:
         assert counts.evaluations_pruned == 0
         assert answers[-1][1] == 1
 
+    def test_fallback_charges_the_kernel_rows_it_computes(self):
+        # A short query's fallback computes its whole kernel row, the
+        # candidates already scored included: every computed pair is
+        # reported.
+        relation = load_dataset("org", n_entities=300, seed=0).relation
+        distance = CosineDistance()
+        result = StagedPipeline(
+            RunContext.create(
+                RunConfig(distance="cosine", index="minhash", kernel="auto"),
+                distance,
+            )
+        ).run(relation, DEParams.size(5, c=4.0))
+        assert distance.kernel_evaluations == 118_172
+        assert result.stats.phase1.kernel_evaluations == 118_172
+
     def test_fallback_disabled_keeps_short_lists(self):
         relation = Relation.from_strings(
             "r", ["acme corp", "acme corp inc", "north labs", "solo0 only0"]

@@ -131,6 +131,95 @@ class TestBehaviour:
         assert inc.partition().non_trivial_groups() == []
 
 
+class TestVerdictGatedRepair:
+    """Phase-2 repair moves only when an SN verdict can: under ``max``
+    and ``max2`` an NG change re-extracts its component only when it
+    crosses ``c``; under ``avg`` every NG change does."""
+
+    def pair_and_bystander(self, agg, c):
+        # 100 and 110 are a mutual pair (θ = 11); 85 lies inside 100's
+        # neighbourhood (radius 20) but outside every cut list, so its
+        # insertion and removal only move 100's NG between 2 and 3.
+        inc = IncrementalDeduplicator(
+            absdiff_distance(), DEParams.diameter(0.011, agg=agg, c=c)
+        )
+        inc.add(("100",))
+        inc.add(("110",))
+        assert inc.partition().non_trivial_groups() == [(0, 1)]
+        return inc
+
+    def repair(self, inc):
+        partition = inc.partition()
+        assert partition.checksum() == batch_reference(inc).partition.checksum()
+        return partition
+
+    @pytest.mark.parametrize("agg", ["max", "max2"])
+    def test_same_class_ng_change_reextracts_nothing(self, agg):
+        inc = self.pair_and_bystander(agg, c=4.0)
+        x = inc.add(("85",))
+        assert inc._ng[0] == 3 and inc.last_op.dirty == 2
+        self.repair(inc)
+        assert inc.last_repair.components_repaired == 0
+        assert inc.last_repair.components_reused == 1
+        inc.remove(x)
+        self.repair(inc)
+        assert inc._ng[0] == 2
+        assert inc.last_repair.components_repaired == 0
+
+    @pytest.mark.parametrize(
+        "agg, grouped", [("max", []), ("max2", [(0, 1)])]
+    )
+    def test_ng_crossing_c_reextracts_its_component(self, agg, grouped):
+        inc = self.pair_and_bystander(agg, c=3.0)
+        x = inc.add(("85",))
+        partition = self.repair(inc)
+        assert inc.last_repair.components_repaired == 1
+        # max sees NG 3 >= c; max2 needs two members at or above c.
+        assert partition.non_trivial_groups() == grouped
+        inc.remove(x)
+        partition = self.repair(inc)
+        assert inc.last_repair.components_repaired == 1
+        assert partition.non_trivial_groups() == [(0, 1)]
+
+    def test_avg_reextracts_on_every_ng_change(self):
+        inc = self.pair_and_bystander("avg", c=4.0)
+        x = inc.add(("85",))
+        self.repair(inc)
+        assert inc.last_repair.components_repaired == 1
+        inc.remove(x)
+        self.repair(inc)
+        assert inc.last_repair.components_repaired == 1
+
+    def test_avg_verdict_flips_without_an_ng_crossing_c(self):
+        # 110's neighbourhood (radius 20) also holds 122, 125 and 128,
+        # outside θ, so its NG is 5 and avg(2, 5) = 3.5 < 4 groups the
+        # pair.  85 lifts 100's NG from 2 to 3 — below c both times —
+        # and avg(3, 5) = 4 dissolves it.
+        inc = self.pair_and_bystander("avg", c=4.0)
+        for value in ("122", "125", "128"):
+            inc.add((value,))
+        partition = self.repair(inc)
+        assert inc._ng[1] == 5 and (0, 1) in partition.non_trivial_groups()
+        inc.add(("85",))
+        partition = self.repair(inc)
+        assert (0, 1) not in partition.non_trivial_groups()
+
+    def test_rebuild_touches_a_class_change_its_flags_hide(self):
+        # Removing 50 rebuilds 31: its cut list drops 50 and its NG falls
+        # from 3 to 2, below c, while the rebuilt (20, 31) row's flags
+        # come back identical, so only the NG change can re-extract the
+        # component that now groups 20 and 31.
+        inc = IncrementalDeduplicator(
+            absdiff_distance(), DEParams.combined(2, 0.02, c=3.0)
+        )
+        for value in (59, 55, 31, 50, 20):
+            inc.add((str(value),))
+        assert inc.partition().non_trivial_groups() == []
+        inc.remove(3)
+        partition = self.repair(inc)
+        assert partition.non_trivial_groups() == [(0, 1), (2, 4)]
+
+
 class TestZeroDistanceDuplicates:
     """Regression: a third exact duplicate must mark the first two as
     NG-affected.

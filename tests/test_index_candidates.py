@@ -175,11 +175,10 @@ class TestPruningAccounting:
         assert stats.candidates_generated > 0
         assert stats.evaluations_pruned > 0
         assert 0.0 < stats.prune_rate <= 1.0
-        row = stats.by_index[index.name]
-        assert row["lookups"] == len(relation)
-        assert row["evaluations"] == stats.evaluations
-        assert row["candidates_generated"] == stats.candidates_generated
-        assert row["evaluations_pruned"] == stats.evaluations_pruned
+        assert stats.lookups == len(relation)
+        assert stats.evaluations == index.totals.evaluations
+        assert stats.candidates_generated == index.totals.candidates_generated
+        assert stats.evaluations_pruned == index.totals.evaluations_pruned
 
     def test_brute_force_never_prunes(self, relation):
         _, stats = self.run_stats(BruteForceIndex, relation)
@@ -190,9 +189,8 @@ class TestPruningAccounting:
         stats = Phase1Stats()
         index = build(QgramInvertedIndex, relation)
         prepare_nn_lists(relation, index, PARAMS, order="sequential", stats=stats)
-        row = stats.by_index[index.name]
-        assert row["lookups"] == len(relation)
-        assert row["evaluations_pruned"] == stats.evaluations_pruned > 0
+        assert stats.lookups == len(relation)
+        assert stats.evaluations_pruned == index.totals.evaluations_pruned > 0
 
 
 class TestMinHashBuildOnce:

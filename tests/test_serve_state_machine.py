@@ -4,7 +4,9 @@ A hypothesis state machine drives a cosine
 :class:`~repro.core.incremental.IncrementalDeduplicator` over org
 records with insert, remove and refit rules (some arrivals carry a
 token outside the frozen vocabulary), on bounded and unbounded pair
-caches under the size and the combined cut.  After every step the
+caches under the size and the combined cut, each SN aggregation and
+two thresholds ``c`` that the org NGs straddle (so NG changes both
+keep and cross their verdict class).  After every step the
 maintained solution must pass :func:`~repro.verify.incremental
 .verify_incremental` (NN lists, CSPairs rows and partition checksum
 equal a from-scratch batch run), no removed record may linger in the
@@ -16,6 +18,8 @@ pair cache: one machine checks both row sources.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -41,6 +45,10 @@ CUTS = {
     "size": DEParams.size(3, c=4.0),
     "combined": DEParams.combined(3, 0.4, c=4.0),
 }
+#: The paper's three SN aggregations.
+AGGS = ("max", "max2", "avg")
+#: Org NGs here run 2, 3, 4, … 12: both thresholds split them.
+THRESHOLDS = (4.0, 3.0)
 #: ``None`` is the unbounded cache; 16 entries evict within one scan.
 CACHE_BOUNDS = (None, 16)
 #: Tokens no org record carries, so no corpus statistic covers them.
@@ -55,10 +63,12 @@ class ServeMachine(RuleBasedStateMachine):
 
     @initialize(
         cut=st.sampled_from(sorted(CUTS)),
+        agg=st.sampled_from(AGGS),
+        c=st.sampled_from(THRESHOLDS),
         max_entries=st.sampled_from(CACHE_BOUNDS),
         n_seed=st.integers(0, 6),
     )
-    def open(self, cut, max_entries, n_seed):
+    def open(self, cut, agg, c, max_entries, n_seed):
         seed = None
         if n_seed:
             seed = Relation(name="seed", schema=ORG.schema)
@@ -66,7 +76,7 @@ class ServeMachine(RuleBasedStateMachine):
                 seed.add(Record(record.rid, record.fields))
         self.dedup = IncrementalDeduplicator(
             CosineDistance(),
-            CUTS[cut],
+            replace(CUTS[cut], agg=agg, c=c),
             seed=seed,
             schema=ORG.schema,
             max_cache_entries=max_entries,
@@ -144,5 +154,5 @@ class ServeMachine(RuleBasedStateMachine):
 
 TestServeMachine = ServeMachine.TestCase
 TestServeMachine.settings = settings(
-    max_examples=25, stateful_step_count=12, deadline=None
+    max_examples=50, stateful_step_count=16, deadline=None
 )
