@@ -243,6 +243,36 @@ class PairFilter:
                     return False
         return True
 
+    def allowed(self, np, records: Sequence[Record], a, b):
+        """The vectorized :meth:`__call__`: a bool mask saying whether
+        each pair ``(records[a[i]], records[b[i]])`` is allowed.
+
+        Each check's per-record column is computed once: block-key and
+        cannot-link values as integer codes, dates as day ordinals
+        (``nan`` when they do not parse, so every window compare fails).
+        """
+        ok = np.ones(len(a), dtype=bool)
+        for kind, idx, days in self._checks:
+            values = [record.fields[idx] for record in records]
+            if kind == "time-window":
+                day = np.array(
+                    [self._day(value) for value in values], dtype=float
+                )
+                ok &= np.abs(day[a] - day[b]) <= days
+                continue
+            codes: dict[str, int] = {}
+            code = np.array(
+                [codes.setdefault(value, len(codes)) for value in values],
+                dtype=np.int64,
+            )
+            same = code[a] == code[b]
+            if kind == "cannot-link":
+                # Empty values forbid nothing.
+                empty = np.array([not value for value in values], dtype=bool)
+                same |= empty[a] | empty[b]
+            ok &= same
+        return ok
+
     def forbids(self, a: Record, b: Record) -> bool:
         """The cannot-link view of the conjunction (postprocess split)."""
         return not self(a, b)
@@ -270,6 +300,17 @@ class RelationPairFilter:
     def __call__(self, rid1: int, rid2: int) -> bool:
         return self.pair_filter(
             self.relation.get(rid1), self.relation.get(rid2)
+        )
+
+    def allowed(self, np, rids1, rids2):
+        """The vectorized :meth:`__call__` over rid arrays: each distinct
+        record is resolved and encoded once (:meth:`PairFilter.allowed`)."""
+        rids, inverse = np.unique(
+            np.concatenate((rids1, rids2)), return_inverse=True
+        )
+        records = [self.relation.get(rid) for rid in rids.tolist()]
+        return self.pair_filter.allowed(
+            np, records, inverse[: len(rids1)], inverse[len(rids1) :]
         )
 
 

@@ -7,6 +7,13 @@ The paper materializes this as a SQL *select into* over a self-join of
 ``NN_Reln``; we provide both a direct in-memory builder and an
 engine-backed builder that issues the same logical plan against the
 storage layer (self-join via an id hash index, then ``ORDER BY ID1``).
+
+The in-memory builder is the same set-oriented join over arrays: it
+reads the NN relation's columns (ascending rids, a CSR of neighbour
+rids, NGs), finds the mutual pairs with one sorted-key lookup and
+computes every flag from ranks and a running maximum, without a
+per-pair Python loop.  :func:`prefix_equal_flags` stays the scalar
+reference; serving and ``explain`` use it per pair.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from typing import Callable, Iterator
 
 from repro.core.formulation import CombinedCut, DEParams, SizeCut
 from repro.core.neighborhood import NNRelation, entry_from_row
+from repro.distances.kernels.compat import numpy_or_none
 from repro.storage.engine import Engine
 from repro.storage.table import HeapTable
 
@@ -25,6 +33,7 @@ __all__ = [
     "nn_list_limit",
     "prefix_equal_flags",
     "build_cs_pairs",
+    "scalar_cs_pairs",
     "materialize_nn_reln",
     "nn_relation_from_table",
     "build_cs_pairs_engine",
@@ -115,26 +124,47 @@ def build_cs_pairs(
 ) -> list[CSPair]:
     """Direct (in-memory) CSPairs construction, sorted by ``(id1, id2)``.
 
-    Each entry's neighbour-id tuple is read once up front; probes then
-    cost one dict lookup.  NN lists may name rids outside the relation
-    (a shard's sub-relation): such partners have no row and yield no
-    pair.  ``pair_filter`` (a rid-pair predicate, e.g.
+    With numpy this is one array join over the relation's columns
+    (:meth:`~repro.core.neighborhood.NNRelation.columns`, see
+    :func:`_join_columns`); without it, the same join pair by pair
+    through :func:`prefix_equal_flags`.  NN lists may name rids outside
+    the relation (a shard's sub-relation): such partners have no row
+    and yield no pair.  ``pair_filter`` (a rid-pair predicate, e.g.
     :class:`repro.core.constraints.RelationPairFilter`) drops mutual
     pairs the constraints forbid — the inline constraint mode's
-    join-time discharge; ``stats`` (a :class:`~repro.run.stats
-    .Phase2Stats`, duck-typed) accumulates how many it dropped.
+    join-time discharge; the array join asks its ``allowed(np, ids1,
+    ids2)`` method about all mutual pairs in one call.  ``stats`` (a
+    :class:`~repro.run.stats.Phase2Stats`, duck-typed) accumulates how
+    many pairs the filter dropped.
     """
-    lists = {
-        entry.rid: (entry.neighbor_ids, entry.ng) for entry in nn_relation
-    }
+    np = numpy_or_none()
+    if np is None:
+        pairs, filtered = _join_rows(nn_relation.as_rows(), params, pair_filter)
+    else:
+        pairs, filtered = _join_columns(
+            np, *nn_relation.columns(), params, pair_filter
+        )
+    if stats is not None:
+        stats.pairs_filtered += filtered
+    return pairs
+
+
+def scalar_cs_pairs(nn_relation: NNRelation, params: DEParams) -> list[CSPair]:
+    """CSPairs pair by pair through :func:`prefix_equal_flags`, sorted
+    by ``(id1, id2)``: the scalar reference for the array join, which
+    the runtime verifier re-derives the pipeline's rows from."""
+    return _join_rows(nn_relation.as_rows(), params, None)[0]
+
+
+def _join_rows(rows, params: DEParams, pair_filter) -> tuple[list[CSPair], int]:
+    """The join pair by pair over ``(ID, NN-List, Distances, NG)`` rows."""
+    lists = {row[0]: (row[1], row[3]) for row in rows}
     pairs: list[CSPair] = []
     filtered = 0
     for rid, (ids, ng) in lists.items():
         for other_id in ids[: nn_list_limit(params, len(ids))]:
-            if other_id <= rid:
-                continue
             other = lists.get(other_id)
-            if other is None:
+            if other_id <= rid or other is None:
                 continue
             other_ids, other_ng = other
             if rid not in other_ids[: nn_list_limit(params, len(other_ids))]:
@@ -143,21 +173,126 @@ def build_cs_pairs(
                 filtered += 1
                 continue
             max_m = max_pair_size(len(ids), len(other_ids), params)
-            pairs.append(
-                CSPair(
-                    id1=rid,
-                    id2=other_id,
-                    ng1=ng,
-                    ng2=other_ng,
-                    flags=prefix_equal_flags(
-                        rid, ids, other_id, other_ids, max_m
-                    ),
-                )
-            )
+            flags = prefix_equal_flags(rid, ids, other_id, other_ids, max_m)
+            pairs.append(CSPair(rid, other_id, ng, other_ng, flags))
     pairs.sort(key=lambda pair: (pair.id1, pair.id2))
-    if stats is not None:
-        stats.pairs_filtered += filtered
-    return pairs
+    return pairs, filtered
+
+
+def _join_columns(
+    np, rids, batch, params: DEParams, pair_filter
+) -> tuple[list[CSPair], int]:
+    """The CSPairs self-join over the NN relation's columns.
+
+    1. The directed edges ``a -> x`` within each list's limit, with the
+       rank of ``x`` in ``a``'s list, keyed by ``(row of a, code of x)``
+       and sorted once: every "where is ``x`` in ``b``'s list" question
+       is one ``searchsorted`` on those keys.  A rid with a row codes as
+       its row, any other rid (a partner outside a shard's relation) as
+       a code above every row.
+    2. The mutual pairs: edges with ``a < b``, ``b`` a row of the
+       relation, and the key ``(b, a)`` present.
+    3. For ``m = 2..max_m`` with ``t = m - 2``, the m-neighbor sets of
+       duplicate-free lists ``A`` and ``B`` are equal iff every member
+       of ``{a} ∪ A[:t+1]`` lies in ``{b} ∪ B[:t+1]``: iff
+       ``max(rank of a in B, max over p <= t of need(A[p])) <= t``,
+       where ``need(b) = -1`` and ``need(x)`` is ``x``'s rank in ``B``.
+       A running maximum over each pair's ``max_m - 1`` members gives
+       every flag, so scratch is ``O(Σ max_m)`` however long the lists.
+       Pairs touching a list that repeats a rid or names its own record
+       take :func:`prefix_equal_flags`.
+    """
+    indptr, neighbors, ng = batch.indptr, batch.rids, batch.ng
+    n = len(rids)
+    lengths = np.diff(indptr)
+    k = params.cut.k if isinstance(params.cut, (SizeCut, CombinedCut)) else None
+    limit = lengths if k is None else np.minimum(lengths, k)
+
+    # 1. Directed edges within the limits, their codes and sorted keys.
+    first_edge = np.cumsum(limit) - limit
+    src = np.repeat(np.arange(n, dtype=np.int64), limit)
+    rank = np.arange(len(src), dtype=np.int64) - first_edge[src]
+    partner = neighbors[indptr[:-1][src] + rank]
+    universe = np.concatenate((rids, partner))
+    lo = int(universe.min()) if len(universe) else 0
+    span = int(universe.max()) - lo + 1 if len(universe) else 0
+    if span > 8 * len(universe) + 1024:
+        # Sparse rids: rank them first so the code table stays small.
+        universe = np.unique(universe, return_inverse=True)[1]
+        lo, span = 0, int(universe.max()) + 1
+    offset = universe - lo
+    code = np.full(span, -1, dtype=np.int64)
+    code[offset[:n]] = np.arange(n, dtype=np.int64)
+    code = code[offset[n:]]
+    outside = code < 0
+    code[outside] = n + offset[n:][outside]
+    width = n + span
+    keys = src * width + code
+    key_order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[key_order]
+
+    def rank_in(probe):
+        """Rank of each probed ``(row, code)`` edge, or -1."""
+        at = np.minimum(np.searchsorted(sorted_keys, probe), len(keys) - 1)
+        return np.where(sorted_keys[at] == probe, rank[key_order[at]], -1)
+
+    # 2. Mutual pairs a < b, ``b`` a row of the relation.
+    forward = np.flatnonzero(~outside & (partner > rids[src]))
+    back = rank_in(code[forward] * width + src[forward])
+    edges = forward[back >= 0]
+    back = back[back >= 0]
+    row_a, row_b = src[edges], code[edges]
+    filtered = 0
+    if pair_filter is not None and len(edges):
+        keep = pair_filter.allowed(np, rids[row_a], rids[row_b])
+        filtered = len(edges) - int(keep.sum())
+        row_a, row_b, back = row_a[keep], row_b[keep], back[keep]
+    order = np.lexsort((row_b, row_a))
+    row_a, row_b, back = row_a[order], row_b[order], back[order]
+
+    # 3. Flags from each member's rank in the partner's list.
+    flag_count = np.minimum(lengths[row_a], lengths[row_b])
+    if k is not None:
+        flag_count = np.minimum(flag_count, max(k - 1, 0))
+    cap = int(flag_count.max()) if len(flag_count) else 0
+    pair = np.repeat(np.arange(len(row_a), dtype=np.int64), flag_count)
+    t = np.arange(len(pair), dtype=np.int64) - np.repeat(
+        np.cumsum(flag_count) - flag_count, flag_count
+    )
+    member = code[first_edge[row_a][pair] + t]
+    partner_row = row_b[pair]
+    need = rank_in(partner_row * width + member)
+    need = np.where(need < 0, cap, np.minimum(need, cap))
+    need[member == partner_row] = -1
+    need = np.maximum(need, np.minimum(back, cap)[pair])
+    stride = cap + 2
+    flags = (
+        np.maximum.accumulate(need + pair * stride) - pair * stride <= t
+    ).tolist()
+
+    # Lists that repeat a rid or name their own record.
+    irregular = np.zeros(n, dtype=bool)
+    irregular[src[code == src]] = True
+    irregular[src[key_order[1:][sorted_keys[1:] == sorted_keys[:-1]]]] = True
+
+    id_a, id_b = rids[row_a].tolist(), rids[row_b].tolist()
+    ng_a, ng_b = ng[row_a].tolist(), ng[row_b].tolist()
+    ends = np.cumsum(flag_count).tolist()
+    flag_rows = [
+        tuple(flags[end - count : end])
+        for end, count in zip(ends, flag_count.tolist())
+    ]
+    pairs = list(map(CSPair, id_a, id_b, ng_a, ng_b, flag_rows))
+    for i in np.flatnonzero(irregular[row_a] | irregular[row_b]).tolist():
+        a, b = int(row_a[i]), int(row_b[i])
+        list_a = tuple(neighbors[indptr[a] : indptr[a + 1]].tolist())
+        list_b = tuple(neighbors[indptr[b] : indptr[b + 1]].tolist())
+        max_m = max_pair_size(len(list_a), len(list_b), params)
+        pairs[i] = CSPair(
+            id_a[i], id_b[i], ng_a[i], ng_b[i],
+            prefix_equal_flags(id_a[i], list_a, id_b[i], list_b, max_m),
+        )
+    return pairs, filtered
 
 
 # ----------------------------------------------------------------------

@@ -17,13 +17,17 @@ plus :meth:`NNIndex.neighborhood_growth`, the paper's ``ng(v)``: the
 number of tuples (including ``v`` itself) within a sphere of radius
 ``p * nn(v)``, with ``p = 2`` fixed in the paper.
 
-Phase 1 asks for all three at once through :meth:`NNIndex.phase1_batch`.
+Phase 1 asks for all three at once through :meth:`NNIndex.phase1_batch`,
+which answers with one columnar :class:`Phase1Batch` (``indptr``,
+neighbour rids and distances, ``ng``) rather than per-record objects.
 An index with a batch kernel only generates and scores candidates
 (MinHash: LSH candidate pairs; brute force: dense kernel rows) and
-hands them to :func:`read_off`, the one routine that ranks, cuts and
-reads ``nn(v)`` and ``ng(v)``.  Per-record kernel queries answer
-through it as one-query batches; the scalar per-record path, the
-reference every batch answer must equal, cuts with
+hands them to :func:`read_off`, the one routine that cuts and reads
+``nn(v)`` and ``ng(v)``: ``nn(v)`` is a per-query minimum, ``ng(v)`` a
+``bincount``, and only each query's head (the entries within θ, or
+every entry under the pure size cut) is ranked.  Per-record kernel
+queries answer through it as one-query batches; the scalar per-record
+path, the reference every batch answer must equal, cuts with
 :func:`cut_neighbors`.
 
 Ordering and ties
@@ -40,19 +44,22 @@ import heapq
 import math
 import threading
 import time
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.data.schema import Record, Relation
 from repro.distances.base import DistanceFunction
+from repro.distances.kernels.compat import numpy_or_none
 
 __all__ = [
     "COUNTERS",
     "BatchCounts",
     "Neighbor",
     "NNIndex",
+    "Phase1Batch",
     "by_proximity",
     "cut_neighbors",
     "read_off",
@@ -71,6 +78,127 @@ class Neighbor:
 #: in C.  Sorting, ``bisect`` and ``insort`` by it compare plain tuples
 #: instead of calling the dataclass ``__lt__`` per comparison.
 by_proximity = attrgetter("distance", "rid")
+
+
+def _columns(indptr, rids, distances, ng) -> tuple:
+    """Typed columns of a :class:`Phase1Batch`: numpy arrays, or
+    :mod:`array` arrays when numpy is missing."""
+    np = numpy_or_none()
+    if np is None:
+        return (
+            array("q", indptr), array("q", rids),
+            array("d", distances), array("q", ng),
+        )
+    return (
+        np.asarray(indptr, dtype=np.int64),
+        np.asarray(rids, dtype=np.int64),
+        np.asarray(distances, dtype=np.float64),
+        np.asarray(ng, dtype=np.int64),
+    )
+
+
+class Phase1Batch:
+    """Phase 1's answers to a batch of queries, held as columns.
+
+    Query ``i``'s cut list is ``rids[indptr[i] : indptr[i + 1]]`` with
+    the matching ``distances``, ranked by ``(distance, rid)``, and
+    ``ng[i]`` is its neighborhood growth.  The columns are numpy arrays
+    (:mod:`array` arrays where numpy is missing).
+
+    Iterated, the batch is the object view: one ``(list[Neighbor],
+    ng)`` per query, built only when asked for and equal to the
+    per-record ``knn``/``within`` + :meth:`NNIndex.neighborhood_growth`
+    answer.
+    """
+
+    __slots__ = ("indptr", "rids", "distances", "ng")
+
+    def __init__(self, indptr, rids, distances, ng) -> None:
+        self.indptr = indptr
+        self.rids = rids
+        self.distances = distances
+        self.ng = ng
+
+    @classmethod
+    def from_answers(
+        cls, answers: "Iterable[tuple[Sequence[Neighbor], int]]"
+    ) -> "Phase1Batch":
+        """The columns of per-record ``(neighbors, ng)`` answers."""
+        indptr = [0]
+        rids: list[int] = []
+        distances: list[float] = []
+        ng: list[int] = []
+        for neighbors, growth in answers:
+            rids.extend(neighbor.rid for neighbor in neighbors)
+            distances.extend(neighbor.distance for neighbor in neighbors)
+            indptr.append(len(rids))
+            ng.append(growth)
+        return cls(*_columns(indptr, rids, distances, ng))
+
+    @classmethod
+    def concat(cls, batches: "Sequence[Phase1Batch]") -> "Phase1Batch":
+        """One batch holding ``batches``' queries in order."""
+        if len(batches) == 1:
+            return batches[0]
+        np = numpy_or_none()
+        if np is None or not batches:
+            return cls.from_answers(
+                answer for batch in batches for answer in batch
+            )
+        lengths = np.concatenate([np.diff(b.indptr) for b in batches])
+        indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        return cls(
+            indptr,
+            np.concatenate([b.rids for b in batches]),
+            np.concatenate([b.distances for b in batches]),
+            np.concatenate([b.ng for b in batches]),
+        )
+
+    def take(self, queries) -> "Phase1Batch":
+        """The batch of queries ``queries`` (positions, an int array), in
+        that order."""
+        np = numpy_or_none()
+        lengths = np.diff(self.indptr)[queries]
+        indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        flat = np.repeat(self.indptr[queries] - indptr[:-1], lengths)
+        flat += np.arange(indptr[-1], dtype=np.int64)
+        return Phase1Batch(
+            indptr, self.rids[flat], self.distances[flat], self.ng[queries]
+        )
+
+    def __len__(self) -> int:
+        return len(self.ng)
+
+    def neighbors(self, i: int) -> list[Neighbor]:
+        """Query ``i``'s cut list as :class:`Neighbor` objects."""
+        lo, hi = int(self.indptr[i]), int(self.indptr[i + 1])
+        return list(map(
+            Neighbor,
+            self.distances[lo:hi].tolist(),
+            self.rids[lo:hi].tolist(),
+        ))
+
+    def __iter__(self) -> "Iterator[tuple[list[Neighbor], int]]":
+        bounds = self.indptr.tolist()
+        distances = self.distances.tolist()
+        rids = self.rids.tolist()
+        for i, growth in enumerate(self.ng.tolist()):
+            lo, hi = bounds[i], bounds[i + 1]
+            yield list(map(Neighbor, distances[lo:hi], rids[lo:hi])), growth
+
+    def rows(
+        self, queries: "Sequence[int]"
+    ) -> "Iterator[tuple[int, tuple[int, ...], tuple[float, ...], int]]":
+        """``(ID, NN-List, Distances, NG)`` engine rows, query ``i``
+        being record ``queries[i]``; no :class:`Neighbor` is built."""
+        bounds = self.indptr.tolist()
+        distances = self.distances.tolist()
+        rids = self.rids.tolist()
+        for i, (rid, growth) in enumerate(zip(queries, self.ng.tolist())):
+            lo, hi = bounds[i], bounds[i + 1]
+            yield rid, tuple(rids[lo:hi]), tuple(distances[lo:hi]), growth
 
 
 @dataclass
@@ -282,18 +410,19 @@ class NNIndex(abc.ABC):
         theta: float | None = None,
         p: float = 2.0,
         radius_fn: "Callable[[float], float] | None" = None,
-    ) -> list[tuple[list[Neighbor], int]]:
+    ) -> Phase1Batch:
         """Batched Phase-1 kernel: each record's cut neighbor list and NG.
 
         The query shape mirrors the DE cut specifications: ``k`` alone
         is the size cut (k nearest), ``theta`` alone the diameter cut
         (all within θ), both together the combined cut (the k nearest
-        within θ).  Returns ``(neighbors, ng)`` per record, positionally
-        aligned with ``records`` and identical to the per-record
-        ``knn``/``within`` + :meth:`neighborhood_growth` sequence.  The
-        default implementation is exactly that sequence; indexes with a
-        blocked evaluation override it.  The call's work is charged to
-        the calling thread's open ledger (see :meth:`ledger`).
+        within θ).  Returns one :class:`Phase1Batch`, positionally
+        aligned with ``records``, whose answers are identical to the
+        per-record ``knn``/``within`` + :meth:`neighborhood_growth`
+        sequence.  The default implementation is exactly that sequence;
+        indexes with a blocked evaluation override it.  The call's work
+        is charged to the calling thread's open ledger (see
+        :meth:`ledger`).
         """
         if k is None and theta is None:
             raise ValueError("phase1_batch needs k, theta, or both")
@@ -312,7 +441,7 @@ class NNIndex(abc.ABC):
                     record, p=p, nn_distance=nn_distance, radius_fn=radius_fn
                 )
                 results.append((neighbors, ng))
-        return results
+        return Phase1Batch.from_answers(results)
 
     # ------------------------------------------------------------------
     # Derived queries
@@ -501,11 +630,10 @@ class NNIndex(abc.ABC):
                     if radius is not None and inclusive:
                         # ``d <= r`` is ``d < nextafter(r, inf)`` on floats.
                         radius = math.nextafter(radius, math.inf)
-                    (hits, _), = read_off(
+                    return read_off(
                         np, np.zeros(len(candidates), dtype=np.int64),
                         candidates, distances, 1, k=k, theta=radius,
-                    )
-                    return hits
+                    ).neighbors(0)
             if not isinstance(rids, list):
                 rids = rids.tolist()
             if (
@@ -587,62 +715,53 @@ def read_off(
     radius_fn: "Callable[[float], float] | None" = None,
     rows=None,
     counted=None,
-) -> list[tuple[list[Neighbor], int]]:
-    """Phase 1's read-off: each query's cut list and ``ng(v)``.
+) -> Phase1Batch:
+    """Phase 1's read-off: each query's cut list and ``ng(v)``, as columns.
 
     The entries ``(slot[i], rids[i], distances[i])`` are the scored
     candidates of query ``slot[i]`` (any order, each rid at most once
-    per query).  Each query's entries are ranked by ``(distance, rid)``
-    and cut to the ``k`` nearest, to all with ``d < theta``, or to the
-    ``k`` nearest of those.  ``nn(v)`` is the query's smallest
-    distance, and ``ng(v)`` counts itself plus the records inside the
-    NG sphere: ``d < radius_fn(nn)`` (``p * nn`` by default), or
-    ``d == 0`` when ``nn = 0`` (exact duplicates, see
+    per query).  Each query's list is cut to the ``k`` nearest, to all
+    with ``d < theta``, or to the ``k`` nearest of those, and ranked by
+    ``(distance, rid)``.  ``nn(v)`` is the query's smallest distance,
+    and ``ng(v)`` counts itself plus the records inside the NG sphere:
+    ``d < radius_fn(nn)`` (``p * nn`` by default), or ``d == 0`` when
+    ``nn = 0`` (exact duplicates, see
     :meth:`NNIndex.neighborhood_growth`); a query without entries has
     ``ng = 1``.
+
+    Only the head is sorted: ``nn(v)`` is a per-query minimum and the
+    NG count a ``bincount``, and under ``theta`` only the entries with
+    ``d < theta`` are ranked; the pure size cut ranks every entry.
 
     ``rows``, when given, is a dense block with one row per query
     holding its distance to every record (itself as ``inf``):
     ``nn(v)`` and the NG count are read off it, so the entries need
     only hold each query's possible cut entries.  Otherwise both are
     read off the entries, and ``counted`` (a mask over them) limits
-    the NG count to a subset.  Returns ``(neighbors, ng)`` per query.
+    the NG count to a subset.
     """
-    order = np.lexsort((rids, distances, slot))
-    slot = slot[order]
-    rids = rids[order]
-    distances = distances[order]
-    per_query = np.bincount(slot, minlength=n_queries)
-    first = np.cumsum(per_query) - per_query
-    if theta is not None:
-        kept = np.bincount(
-            slot, weights=distances < theta, minlength=n_queries
-        ).astype(np.int64)
-    else:
-        kept = per_query
-    if k is not None:
-        kept = np.minimum(kept, k)
-    keep = np.arange(len(slot)) - first[slot] < kept[slot]
-    kept_distances = distances[keep].tolist()
-    kept_rids = rids[keep].tolist()
-    neighbors: list[list[Neighbor]] = []
-    at = 0
-    for count in kept.tolist():
-        neighbors.append(
-            list(map(
-                Neighbor,
-                kept_distances[at : at + count],
-                kept_rids[at : at + count],
-            ))
-        )
-        at += count
-
     if rows is not None:
         nn = rows.min(axis=1)
     else:
         nn = np.full(n_queries, np.inf)
-        has = per_query > 0
-        nn[has] = distances[first[has]]
+        np.minimum.at(nn, slot, distances)
+
+    if theta is not None:
+        head = np.flatnonzero(distances < theta)
+        order = head[
+            np.lexsort((rids[head], distances[head], slot[head]))
+        ]
+    else:
+        order = np.lexsort((rids, distances, slot))
+    ranked = slot[order]
+    kept = np.bincount(ranked, minlength=n_queries)
+    if k is not None:
+        first = np.cumsum(kept) - kept
+        kept = np.minimum(kept, k)
+        order = order[np.arange(len(order)) - first[ranked] < kept[ranked]]
+    indptr = np.zeros(n_queries + 1, dtype=np.int64)
+    np.cumsum(kept, out=indptr[1:])
+
     if radius_fn is None:
         radius = p * nn
     else:
@@ -656,8 +775,6 @@ def read_off(
     else:
         inside = distances < radius[slot]
         if counted is not None:
-            inside &= counted[order]
-        ng = np.bincount(slot, weights=inside, minlength=n_queries)
-    return [
-        (hits, 1 + int(count)) for hits, count in zip(neighbors, ng.tolist())
-    ]
+            inside &= counted
+        ng = np.bincount(slot[inside], minlength=n_queries)
+    return Phase1Batch(indptr, rids[order], distances[order], 1 + ng)

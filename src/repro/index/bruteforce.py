@@ -28,7 +28,7 @@ import time
 from typing import Sequence
 
 from repro.data.schema import Record
-from repro.index.base import Neighbor, NNIndex, read_off
+from repro.index.base import Neighbor, NNIndex, Phase1Batch, read_off
 
 __all__ = ["BruteForceIndex"]
 
@@ -71,7 +71,7 @@ class BruteForceIndex(NNIndex):
 
     def _read_block(
         self, kernel, rids: Sequence[int], k, theta, p=2.0, radius_fn=None
-    ) -> list[tuple[list[Neighbor], int]]:
+    ) -> Phase1Batch:
         """Score one block of queries against the relation and read off
         each query's cut list and NG."""
         from repro.distances.kernels.compat import require_numpy
@@ -114,7 +114,7 @@ class BruteForceIndex(NNIndex):
             return []
         kernel = self._usable_kernel((record,))
         if kernel is not None:
-            return self._read_block(kernel, [record.rid], k, None)[0][0]
+            return self._read_block(kernel, [record.rid], k, None).neighbors(0)
         return self._verify_cut(record, self._others(record), k=k)
 
     def within(
@@ -126,7 +126,9 @@ class BruteForceIndex(NNIndex):
             if inclusive:
                 # ``d <= r`` is ``d < nextafter(r, inf)`` on floats.
                 radius = math.nextafter(radius, math.inf)
-            return self._read_block(kernel, [record.rid], None, radius)[0][0]
+            return self._read_block(
+                kernel, [record.rid], None, radius
+            ).neighbors(0)
         return self._verify_cut(
             record, self._others(record), radius=radius, inclusive=inclusive
         )
@@ -138,7 +140,7 @@ class BruteForceIndex(NNIndex):
         theta: float | None = None,
         p: float = 2.0,
         radius_fn=None,
-    ) -> list[tuple[list[Neighbor], int]]:
+    ) -> Phase1Batch:
         """Phase-1 answers for ``records``, a kernel block at a time.
 
         Without a usable kernel this is the generic per-record sequence
@@ -151,11 +153,12 @@ class BruteForceIndex(NNIndex):
             return super().phase1_batch(
                 records, k=k, theta=theta, p=p, radius_fn=radius_fn
             )
-        results: list[tuple[list[Neighbor], int]] = []
         block = self._KERNEL_BLOCK
-        for start in range(0, len(records), block):
-            rids = [record.rid for record in records[start : start + block]]
-            results.extend(
-                self._read_block(kernel, rids, k, theta, p, radius_fn)
+        return Phase1Batch.concat([
+            self._read_block(
+                kernel,
+                [record.rid for record in records[start : start + block]],
+                k, theta, p, radius_fn,
             )
-        return results
+            for start in range(0, len(records), block)
+        ])

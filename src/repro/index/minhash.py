@@ -62,7 +62,13 @@ from repro.data.schema import Record
 from repro.distances.corpus import Corpus
 from repro.distances.kernels.compat import numpy_or_none
 from repro.distances.tokens import qgrams, tokenize
-from repro.index.base import Neighbor, NNIndex, read_off, score_pairs
+from repro.index.base import (
+    Neighbor,
+    NNIndex,
+    Phase1Batch,
+    read_off,
+    score_pairs,
+)
 from repro.index.signatures import (
     RelationSignatures,
     SignatureFactory,
@@ -415,7 +421,7 @@ class MinHashIndex(NNIndex):
         theta: float | None = None,
         p: float = 2.0,
         radius_fn=None,
-    ) -> list[tuple[list[Neighbor], int]]:
+    ) -> Phase1Batch:
         """Phase-1 answers for ``records`` in one blocked pass.
 
         See the module docstring's cost model.  Falls back to the
@@ -440,7 +446,7 @@ class MinHashIndex(NNIndex):
         # slice boundaries keep every slice within the pair budget.
         gathered = np.cumsum(widths.sum(axis=0))
         work.add_seconds("candidates", time.perf_counter() - started)
-        results: list[tuple[list[Neighbor], int]] = []
+        results: list[Phase1Batch] = []
         start = 0
         while start < len(rows):
             done = int(gathered[start - 1]) if start else 0
@@ -448,14 +454,14 @@ class MinHashIndex(NNIndex):
                 start + 1,
                 int(np.searchsorted(gathered, done + _PAIR_BUDGET, "right")),
             )
-            results.extend(
+            results.append(
                 self._blocked_slice(
                     np, rows[start:end], ids[:, start:end],
                     widths[:, start:end], k, theta, p, radius_fn, work,
                 )
             )
             start = end
-        return results
+        return Phase1Batch.concat(results)
 
     def _blocked_rows(self, records, k: int | None):
         """Relation rows of ``records`` if the blocked pass can answer
@@ -473,7 +479,7 @@ class MinHashIndex(NNIndex):
 
     def _blocked_slice(
         self, np, rows, ids, widths, k, theta, p, radius_fn, work
-    ) -> list[tuple[list[Neighbor], int]]:
+    ) -> Phase1Batch:
         """One slice of the blocked pass (see the module docstring)."""
         started = time.perf_counter()
         n = len(self._rid_array)

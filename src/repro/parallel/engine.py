@@ -9,8 +9,11 @@ chunk's LSH candidate pairs, for
 :class:`~repro.index.bruteforce.BruteForceIndex` dense kernel blocks,
 and without a kernel the per-record sequence inside one batch scope,
 which fills the shared pair cache so each pair probed from both
-endpoints is evaluated once — and the per-chunk
-:class:`~repro.core.neighborhood.NNEntry` lists merge in chunk order.
+endpoints is evaluated once.  Each chunk's answers stay columns (a
+:class:`~repro.index.base.Phase1Batch`), and :meth:`ParallelNNEngine
+.run` concatenates them into one columnar
+:class:`~repro.core.neighborhood.NNRelation` without building an entry
+object per record.
 Every entry is a pure function of (relation, distance, params), so the
 merged result is identical to the sequential ``prepare_nn_lists``
 output for any worker count, pool kind, or chunk size.  A shard's
@@ -49,9 +52,9 @@ from typing import Literal, Sequence
 
 from repro.core.bforder import random_order
 from repro.core.formulation import DEParams
-from repro.core.neighborhood import NNEntry, NNRelation
+from repro.core.neighborhood import NNRelation
 from repro.data.schema import Relation
-from repro.index.base import BatchCounts, NNIndex
+from repro.index.base import BatchCounts, NNIndex, Phase1Batch
 from repro.parallel.chunking import Chunk, plan_chunks
 
 __all__ = ["ChunkResult", "ParallelNNEngine"]
@@ -69,7 +72,10 @@ class ChunkResult:
     """One worker's output for one chunk, plus its cost accounting."""
 
     chunk_index: int
-    entries: list[NNEntry]
+    #: The chunk's query rids, in lookup order.
+    rids: list[int]
+    #: Their answers, aligned with ``rids``.
+    batch: Phase1Batch
     seconds: float
     #: The chunk's work ledger (see :meth:`NNIndex.ledger`).
     work: BatchCounts
@@ -88,16 +94,13 @@ def _run_chunk(
         # reads) is the probes' input prep — credited to ``candidates``.
         records = [relation.get(rid) for rid in chunk.rids]
         work.add_seconds("candidates", time.perf_counter() - started)
-        answers = index.phase1_batch(
+        batch = index.phase1_batch(
             records, k=k, theta=theta, p=params.p, radius_fn=radius_fn
         )
-    entries = [
-        NNEntry(rid=record.rid, neighbors=tuple(neighbors), ng=ng)
-        for record, (neighbors, ng) in zip(records, answers)
-    ]
     return ChunkResult(
         chunk_index=chunk.index,
-        entries=entries,
+        rids=list(chunk.rids),
+        batch=batch,
         seconds=time.perf_counter() - started,
         work=work,
     )
@@ -207,7 +210,7 @@ class ParallelNNEngine:
 
         The streaming core of :meth:`run`: results are yielded as soon
         as each chunk (in plan order) completes, so a consumer can
-        spill entries out of core without the whole NN relation ever
+        spill rows out of core without the whole NN relation ever
         being resident.  ``rids`` restricts the lookups to a subset,
         in ascending order (``order`` does not apply).  ``stats``
         accounting (lookups, wall time, the chunks' ledgers) is
@@ -252,7 +255,7 @@ class ParallelNNEngine:
             for result in results:
                 work.add(result.work)
             stats.record(
-                sum(len(result.entries) for result in results),
+                sum(len(result.rids) for result in results),
                 time.perf_counter() - started,
                 work,
                 chunk_seconds=[result.seconds for result in results],
@@ -275,17 +278,16 @@ class ParallelNNEngine:
         extended with per-chunk timings on top of the sequential path's
         lookup, wall-time and work accounting.
         """
-        nn_relation = NNRelation()
-        for result in self.iter_chunk_results(
-            relation,
-            index,
-            params,
-            order=order,
-            order_seed=order_seed,
-            stats=stats,
-            radius_fn=radius_fn,
-            rids=rids,
-        ):
-            for entry in result.entries:
-                nn_relation.add(entry)
-        return nn_relation
+        return NNRelation.from_batches(
+            (result.rids, result.batch)
+            for result in self.iter_chunk_results(
+                relation,
+                index,
+                params,
+                order=order,
+                order_seed=order_seed,
+                stats=stats,
+                radius_fn=radius_fn,
+                rids=rids,
+            )
+        )

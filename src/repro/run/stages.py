@@ -38,7 +38,7 @@ from repro.core.cspairs import (
 )
 from repro.core.formulation import DEParams
 from repro.core.minimality import enforce_minimality
-from repro.core.neighborhood import NNRelation, entry_to_row
+from repro.core.neighborhood import NNRelation
 from repro.core.nn_phase import prepare_nn_lists
 from repro.core.partitioner import partition_records
 from repro.core.predicates import apply_constraining_predicate
@@ -192,11 +192,11 @@ class SpillStage:
             stats=state.stats.phase1,
             radius_fn=ctx.radius_fn,
         ):
-            for entry in chunk.entries:
-                if previous is not None and entry.rid <= previous:
+            for row in chunk.batch.rows(chunk.rids):
+                if previous is not None and row[0] <= previous:
                     ascending = False
-                previous = entry.rid
-                table.insert(entry_to_row(entry))
+                previous = row[0]
+                table.insert(row)
         if not ascending:
             # Random lookup order appends out of id order; restore the
             # ascending-rid invariant with a bounded external sort so

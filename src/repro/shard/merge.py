@@ -10,9 +10,11 @@ The merge's correctness argument rests on three facts:
    builder reads only the (global) entries and skips partners outside
    the shard, so every emitted row has the global row's exact values,
    and every mutual pair co-resident on some shard *was* emitted there.
-   The only missing rows are the mutual pairs no shard held together;
-   :func:`merge_partitions` reconstructs them from the merged entries
-   with the same ``prefix_equal_flags`` / ``max_pair_size`` code path.
+   The only missing rows are the mutual pairs no shard held together.
+   :func:`merge_partitions` concatenates the shards' NN columns into
+   the global relation and rebuilds every row with the one array join
+   (:func:`~repro.core.cspairs.build_cs_pairs`); the rows no shard
+   emitted are counted as the cross-shard rows.
 3. **Groups never span mutual-NN components**
    (:func:`~repro.core.partitioner.mutual_components`), so group
    extraction over the merged rows decomposes per component.  A
@@ -40,14 +42,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from repro.core.cspairs import (
-    CSPair,
-    max_pair_size,
-    nn_list_limit,
-    prefix_equal_flags,
-)
+from repro.core.cspairs import CSPair, build_cs_pairs
 from repro.core.formulation import DEParams
-from repro.core.neighborhood import NNRelation, entry_from_row
+from repro.core.neighborhood import NNRelation
 from repro.core.partitioner import (
     _scan_groups,
     _with_singletons,
@@ -77,7 +74,7 @@ class MergeResult:
     n_boundary_components: int
     #: Components whose witness shard's groups were reused verbatim.
     n_reused_components: int
-    #: CSPairs rows reconstructed at the merge (no shard emitted them).
+    #: Global CSPairs rows no shard emitted (the cross-shard rows).
     n_cross_pairs: int
 
     def to_dict(self) -> dict:
@@ -103,61 +100,20 @@ def merge_partitions(
     """
     ordered = sorted(outcomes, key=lambda outcome: outcome.shard_id)
 
-    # 1. The exact global NN relation: first writer wins (duplicates
-    #    across shards are identical by the global-query invariant).
-    nn_relation = NNRelation()
-    for outcome in ordered:
-        for row in outcome.nn_rows:
-            if row[0] not in nn_relation:
-                nn_relation.add(entry_from_row(row))
+    # 1. The exact global NN relation, the shards' columns concatenated:
+    #    first writer wins (duplicates across shards are identical by
+    #    the global-query invariant).
+    nn_relation = NNRelation.union(
+        [outcome.nn_relation for outcome in ordered]
+    )
 
-    # 2. Union the shard rows, deduped by pair key.
-    rows: dict[tuple[int, int], CSPair] = {}
-    for outcome in ordered:
-        for id1, id2, ng1, ng2, flags in outcome.cs_rows:
-            key = (id1, id2)
-            if key not in rows:
-                rows[key] = CSPair(
-                    id1=id1, id2=id2, ng1=ng1, ng2=ng2, flags=tuple(flags)
-                )
+    # 2. Every global row from the one join; the rows no shard emitted
+    #    are the cross-shard ones.
+    merged = build_cs_pairs(nn_relation, params)
+    emitted = set().union(*(outcome.cs_keys for outcome in ordered))
+    n_cross = sum((pair.id1, pair.id2) not in emitted for pair in merged)
 
-    # 3. Reconstruct the cross-shard rows: mutual pairs of the global
-    #    relation that no shard held together.  Same row construction
-    #    as ``build_cs_pairs``, driven by the merged (exact) entries.
-    n_cross = 0
-    for entry in nn_relation:
-        limit = nn_list_limit(params, len(entry.neighbors))
-        for neighbor in entry.neighbors[:limit]:
-            other_id = neighbor.rid
-            if other_id <= entry.rid or (entry.rid, other_id) in rows:
-                continue
-            if other_id not in nn_relation:
-                continue
-            other = nn_relation.get(other_id)
-            other_limit = nn_list_limit(params, len(other.neighbors))
-            if entry.rid not in other.neighbor_ids[:other_limit]:
-                continue
-            max_m = max_pair_size(
-                len(entry.neighbors), len(other.neighbors), params
-            )
-            rows[(entry.rid, other_id)] = CSPair(
-                id1=entry.rid,
-                id2=other_id,
-                ng1=entry.ng,
-                ng2=other.ng,
-                flags=prefix_equal_flags(
-                    entry.rid,
-                    entry.neighbor_ids,
-                    other.rid,
-                    other.neighbor_ids,
-                    max_m,
-                ),
-            )
-            n_cross += 1
-
-    merged = sorted(rows.values(), key=lambda pair: (pair.id1, pair.id2))
-
-    # 4. Per-component extraction: reuse clean components' groups from
+    # 3. Per-component extraction: reuse clean components' groups from
     #    their witness shard, re-scan boundary components.
     member_sets = [frozenset(members) for members in plan.members]
     group_of: dict[int, dict[int, tuple[int, ...]]] = {}

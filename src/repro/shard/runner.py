@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.core.formulation import DEParams
-from repro.core.neighborhood import entry_to_row
+from repro.core.neighborhood import NNRelation
 from repro.core.nn_phase import Phase1Stats, prepare_nn_lists
 from repro.data.schema import Relation
 from repro.index.base import NNIndex
@@ -61,12 +61,12 @@ class ShardOutcome:
 
     shard_id: int
     n_members: int
-    #: NN entries for the shard's members, as ``entry_to_row`` tuples.
+    #: The NN relation of the shard's members (columnar under numpy).
     #: Globally exact (computed against the full index), so replicated
     #: rids carry identical rows on every shard holding them.
-    nn_rows: list
-    #: CSPairs rows as ``(id1, id2, ng1, ng2, flags)`` tuples.
-    cs_rows: list
+    nn_relation: NNRelation
+    #: The ``(id1, id2)`` keys of the shard's CSPairs rows.
+    cs_keys: set[tuple[int, int]]
     #: Non-trivial groups of the shard-local partition.
     groups: list[list[int]]
     seconds: float
@@ -161,11 +161,8 @@ def _run_shard(task) -> ShardOutcome:
     return ShardOutcome(
         shard_id=shard_id,
         n_members=len(members),
-        nn_rows=[entry_to_row(entry) for entry in nn_relation],
-        cs_rows=[
-            (pair.id1, pair.id2, pair.ng1, pair.ng2, pair.flags)
-            for pair in result.cs_pairs
-        ],
+        nn_relation=nn_relation,
+        cs_keys={(pair.id1, pair.id2) for pair in result.cs_pairs},
         groups=[list(group) for group in result.partition.non_trivial_groups()],
         seconds=time.perf_counter() - started,
         stage_seconds={

@@ -39,8 +39,8 @@ from typing import Callable, Iterable
 from repro.core.criteria import aggregate, group_diameter
 from repro.core.cspairs import (
     CSPair,
-    build_cs_pairs,
     nn_list_limit,
+    scalar_cs_pairs,
 )
 from repro.core.formulation import DEParams
 from repro.core.partitioner import partition_records, rows_by_anchor
@@ -99,9 +99,11 @@ class VerificationContext:
 
     @property
     def reference_pairs(self) -> list[CSPair]:
-        """CSPairs re-derived from the NN relation (cached)."""
+        """CSPairs re-derived from the NN relation by the scalar join,
+        independent of the array join that built the run's rows
+        (cached)."""
         if self._reference_pairs is None:
-            self._reference_pairs = build_cs_pairs(
+            self._reference_pairs = scalar_cs_pairs(
                 self.result.nn_relation, self.params
             )
         return self._reference_pairs

@@ -176,9 +176,8 @@ class TestBlockedParity:
             assert blocked._kernel_rows is not None
         reference = _built(relation, distance, "python", factory)
         records = list(relation)
-        assert blocked.phase1_batch(records, k=k, theta=theta) == _per_record(
-            reference, records, k, theta
-        )
+        got = list(blocked.phase1_batch(records, k=k, theta=theta))
+        assert got == _per_record(reference, records, k, theta)
 
     @pytest.mark.parametrize("k,theta", CUTS)
     @settings(max_examples=20, deadline=None)
@@ -189,9 +188,9 @@ class TestBlockedParity:
         for factory in INDEXES:
             blocked = _built(relation, "cosine", "numpy", factory)
             reference = _built(relation, "cosine", "python", factory)
-            assert blocked.phase1_batch(
+            assert list(blocked.phase1_batch(
                 records, k=k, theta=theta, radius_fn=radius_fn
-            ) == _per_record(
+            )) == _per_record(
                 reference, records, k, theta, radius_fn=radius_fn
             )
 
@@ -206,9 +205,9 @@ class TestBlockedParity:
         for factory in INDEXES:
             blocked = _built(relation, "jaccard", "numpy", factory)
             reference = _built(relation, "jaccard", "python", factory)
-            assert blocked.phase1_batch(
+            assert list(blocked.phase1_batch(
                 subset, k=k, theta=theta
-            ) == _per_record(reference, subset, k, theta)
+            )) == _per_record(reference, subset, k, theta)
 
     @pytest.mark.parametrize("k,theta", CUTS)
     def test_batch_larger_than_pair_budget(self, monkeypatch, k, theta):
@@ -217,10 +216,10 @@ class TestBlockedParity:
         ).relation
         records = list(relation)
         blocked = _built(relation, "cosine", "numpy")
-        whole = blocked.phase1_batch(records, k=k, theta=theta)
+        whole = list(blocked.phase1_batch(records, k=k, theta=theta))
         # A budget of a few pairs forces one slice per query or so.
         monkeypatch.setattr(minhash_module, "_PAIR_BUDGET", 40)
-        sliced = blocked.phase1_batch(records, k=k, theta=theta)
+        sliced = list(blocked.phase1_batch(records, k=k, theta=theta))
         reference = _built(relation, "cosine", "python")
         assert sliced == whole == _per_record(reference, records, k, theta)
 
@@ -239,7 +238,7 @@ class TestBlockedParity:
             blocked = _built(relation, "cosine", "numpy", factory)
             reference = _built(relation, "cosine", "python", factory)
             for k, theta in CUTS + [(5, None)]:
-                answers = blocked.phase1_batch(records, k=k, theta=theta)
+                answers = list(blocked.phase1_batch(records, k=k, theta=theta))
                 assert answers == _per_record(reference, records, k, theta)
                 by_rid = dict(zip((r.rid for r in records), answers))
                 # nn = 0 between the exact duplicates: both counted.
@@ -263,7 +262,7 @@ class TestBlockedParity:
         reference = _built(relation, "cosine", "python")
         records = list(relation)
         with blocked.ledger() as counts:
-            answers = blocked.phase1_batch(records, k=4)
+            answers = list(blocked.phase1_batch(records, k=4))
         assert answers == _per_record(reference, records, 4, None)
         # Every list is filled to k from the whole relation ...
         assert all(len(neighbors) == 4 for neighbors, _ in answers)
@@ -296,7 +295,7 @@ class TestBlockedParity:
         reference = MinHashIndex(exhaustive_fallback=False)
         reference.build(relation, CosineDistance())
         records = list(relation)
-        assert blocked.phase1_batch(records, k=3) == _per_record(
+        assert list(blocked.phase1_batch(records, k=3)) == _per_record(
             reference, records, 3, None
         )
 
@@ -376,7 +375,7 @@ class TestBlockIndex:
         blocked = _built(relation, distance, "numpy", factory)
         reference = _built(relation, distance, "python", factory)
         records = list(relation)
-        answers = blocked.phase1_batch(records, k=k, theta=theta)
+        answers = list(blocked.phase1_batch(records, k=k, theta=theta))
         assert answers == _per_record(reference, records, k, theta)
         # Each unordered same-block pair is scored once.
         assert blocked.totals.kernel_evaluations == sum(

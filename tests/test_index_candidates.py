@@ -83,7 +83,9 @@ class TestBatchPerQueryParity:
     )
     def test_phase1_batch(self, name, factory, relation, k, theta):
         records = relation.records
-        got = build(factory, relation).phase1_batch(records, k=k, theta=theta)
+        got = list(
+            build(factory, relation).phase1_batch(records, k=k, theta=theta)
+        )
         plain = build(factory, relation)
         want = []
         for record in records:

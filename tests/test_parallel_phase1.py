@@ -92,7 +92,7 @@ class TestBatchQueries:
     def test_batch_on_subset_of_relation(self):
         index = build_brute(self.relation)
         subset = self.records[2:5]
-        assert index.phase1_batch(subset, k=2) == [
+        assert list(index.phase1_batch(subset, k=2)) == [
             (index.knn(r, 2), index.neighborhood_growth(r)) for r in subset
         ]
 
@@ -145,7 +145,9 @@ class TestPhase1Batch:
         ids=["size", "diameter", "combined"],
     )
     def test_matches_per_record_sequence(self, shape):
-        fused = build_brute(self.relation).phase1_batch(self.records, **shape)
+        fused = list(
+            build_brute(self.relation).phase1_batch(self.records, **shape)
+        )
         want = self.reference(build_brute(self.relation), **shape)
         assert fused == want
 
@@ -166,9 +168,9 @@ class TestPhase1Batch:
 
     def test_radius_fn_falls_back_to_generic(self):
         radius_fn = lambda nn: 3.0 * nn  # noqa: E731
-        fused = build_brute(self.relation).phase1_batch(
+        fused = list(build_brute(self.relation).phase1_batch(
             self.records, k=3, radius_fn=radius_fn
-        )
+        ))
         want = self.reference(build_brute(self.relation), k=3, radius_fn=radius_fn)
         assert fused == want
 
