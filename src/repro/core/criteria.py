@@ -89,10 +89,11 @@ def verdict_class(name: str, c: float) -> Callable[[float], object]:
     """The map from a growth to its class under ``aggregate(name,
     growths) >= c``: a change within one class flips no SN verdict.
     ``max`` and ``max2`` are order statistics, so only ``growth >= c``
-    matters to them; ``avg`` reads the value itself."""
+    matters to them; ``avg`` reads the value itself.  Either map
+    applies elementwise to a numpy array of growths too."""
     if name in ("max", "max2"):
         return partial(operator.le, c)  # c <= growth
-    return float
+    return operator.pos
 
 
 def nn_distance_brute(

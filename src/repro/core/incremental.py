@@ -3,15 +3,18 @@
 The paper solves DE as a batch problem; a serving system answers "which
 group does this record join?" per arrival.  This module maintains the
 full DE state — NN lists, exact nearest neighbors, neighborhood
-memberships, the CSPairs relation, and memoized per-component group
+growths, the CSPairs relation, and memoized per-component group
 extractions — under single-record :meth:`IncrementalDeduplicator.add`
 and :meth:`IncrementalDeduplicator.remove`, with the invariant
 (enforced by property tests and the ``incremental`` verify checks) that
 the maintained solution equals a from-scratch batch run at every point.
 
-Cost model (n = current size, K = cut-bounded list length): each
-operation costs one distance row plus work proportional to the records
-it changes.
+Cost model (n = current size, K = cut-bounded list length): the state
+is O(n·K) — each record's cut list and, in arrays aligned with the row
+source's slots (numpy's, or lists without it), its exact NN, its
+radius ``p * nn`` (``d == 0`` when ``nn = 0``) and its NG as a count:
+the SN verdict reads no neighborhood member.  Each operation costs one
+distance row plus work proportional to the records it changes.
 
 - **insert** — one distance row to the existing records.  For IDF
   cosine with numpy the row is scatter-added over the live records'
@@ -19,27 +22,25 @@ it changes.
   .live_rows`), bit-identical to the scalar distance and never through
   the pair cache; otherwise it is fetched in one call through the pair
   cache (each unordered pair at most once, pinned in a per-operation
-  memo).  The row is then reused to update each existing record: two
-  comparisons skip a record the newcomer can change nothing of, the
-  others get O(log K) list maintenance and a neighborhood insertion by
-  bisection.  The exact nearest neighbor is maintained explicitly, so
-  a shrinking radius only *truncates* the stored neighborhood — no
-  rescans;
-- **remove** — visits only the records whose entry holds the removed
-  one, through a reverse reference map: those it was a cut-list entry
-  or the exact NN of (O(K) records on average) are rebuilt by one row
-  each, the others lose it from their neighborhood by bisection, and
-  only its own cached pairs are dropped;
+  memo).  One vectorized step over the row adds 1 to the NG of every
+  record holding the newcomer inside its radius and finds the records
+  whose cut list admits it or whose exact NN it becomes: only those get
+  Python work, O(log K) each, and a new exact NN (about one per insert)
+  recounts its NG at the smaller radius, from the cut list when the
+  list covers that radius, else from its own row;
+- **remove** — the removed record's row, read before it is unposted,
+  takes 1 from the NG of every record holding it inside its radius in
+  one vectorized step; the records whose cut list or exact NN held it
+  (O(K) on average, through a reverse reference map) are rebuilt by one
+  row each, and only its own cached pairs are dropped;
 - **partition** — CSPairs flags are rebuilt only for records whose cut
-  list changed; group extraction re-runs only for the mutual-NN
-  components holding an endpoint of a row that was added, dropped or
-  changed, or a record whose NG changed its verdict class (crossed
-  ``c`` under ``max``/``max2``; any change under ``avg``), found by
-  walking the rows' adjacency (component independence is the
-  sharding argument), so a quiet arrival re-extracts nothing.
-
-Neighborhoods are sorted ``(distance, rid)`` entries; ``Neighbor``
-objects are built only for the cut lists and exact NNs.
+  list changed; group extraction re-runs only for the components (of
+  the rows that support some group size) holding an endpoint of a row
+  that was added, dropped or changed, or a record whose NG changed its
+  verdict class (crossed ``c`` under ``max``/``max2``; any change under
+  ``avg``), found by walking the rows' adjacency (component
+  independence is the sharding argument), so a quiet arrival
+  re-extracts nothing.
 
 Corpus-dependent distances (IDF-weighted cosine, fms) are prepared
 lazily on the first arrival; ``refit_every`` re-prepares them — and
@@ -50,7 +51,8 @@ be delegated to a persistent MinHash postings index
 (:class:`repro.index.postings.PersistentMinHashPostings`) via
 ``candidates=``; that trades the exactness guarantee for per-insert
 cost proportional to the candidate set, exactly like the approximate
-batch indexes.
+batch indexes; NG counts stay exact over the candidates because LSH
+candidacy is symmetric.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import starmap
 
@@ -78,6 +80,19 @@ __all__ = ["IncrementalDeduplicator", "OpStats", "RepairStats"]
 #: The smallest positive float: on distances, ``d < _ABOVE_ZERO`` is
 #: ``d == 0``.
 _ABOVE_ZERO = math.nextafter(0.0, 1.0)
+
+#: The slot-aligned Phase-1 state: attribute, value of a free slot and
+#: numpy dtype.  ``_kth`` is the largest distance a cut list admits:
+#: its K-th entry's once it holds K, else the largest float below θ (or
+#: infinity); every record nearer than it is in the list.
+_STATE = (
+    ("_rid_at", -1, "int64"),
+    ("_nn", math.inf, "float64"),
+    ("_nn_rid", -1, "int64"),
+    ("_radius", 0.0, "float64"),
+    ("_kth", math.inf, "float64"),
+    ("_ng", 0, "int64"),
+)
 
 
 @dataclass(frozen=True)
@@ -149,7 +164,8 @@ class IncrementalDeduplicator:
         from a postings log, are not re-added).  When
         given, arrivals only evaluate distances to surfaced candidates —
         approximate, like the batch MinHash index; leave ``None`` for
-        the exact-parity guarantee.
+        the exact-parity guarantee.  Candidacy must be symmetric (it is
+        for LSH buckets): NG counts rely on it.
     max_cache_entries:
         Bound for the internally created distance cache (``None`` =
         unbounded).  Long-lived sessions on the cached row path should
@@ -191,6 +207,11 @@ class IncrementalDeduplicator:
         #: The cut's size bound K and diameter bound θ (``None`` when
         #: the specification has none).
         self._k, self._theta = params.bounds
+        #: ``_kth`` of a list short of K: ``d < θ`` is ``d <= _open``.
+        self._open = (
+            math.inf if self._theta is None
+            else math.nextafter(self._theta, -math.inf)
+        )
         #: An NG's class under the SN verdict (``verdict_class``).
         self._ng_class = verdict_class(params.agg, params.c)
         self.refit_every = refit_every
@@ -231,21 +252,19 @@ class IncrementalDeduplicator:
         )
         #: rid -> cut-bounded NN list, exactly as Phase 1 would store it.
         self._neighbors: dict[int, list[Neighbor]] = {}
-        #: rid -> exact nearest neighbor over *all* other records —
-        #: maintained beyond the cut so theta-cut records with an empty
-        #: list still know their radius (``None`` = no other records).
-        self._true_nn: dict[int, Neighbor | None] = {}
-        #: rid -> the ``p * nn`` neighborhood (the records NG counts) as
-        #: ascending ``(distance, rid)`` entries; ``ng = len(members) +
-        #: 1``.  The exact NN is always a member (``p > 1``).
-        self._nbhd: dict[int, list[tuple[float, int]]] = {}
-        self._ng: dict[int, int] = {}
-        #: rid -> {record whose cut list or neighborhood holds rid: the
-        #: distance}: the reverse map a removal visits.
-        self._refs: dict[int, dict[int, float]] = {}
+        #: rid -> the records whose cut list holds it or whose exact NN
+        #: it is: the entries a removal rebuilds.
+        self._refs: dict[int, set[int]] = {}
+        self._np = numpy_or_none()
         #: The distance's live-row index (``DistanceFunction.live_rows``)
         #: while it offers one; ``None`` scores rows through the cache.
         self._live = None
+        #: rid -> slot of each live record: the live index's slots, else
+        #: slots handed out here (``_free`` first).  Slots index the state
+        #: arrays of ``_STATE``.
+        self._slot_of: dict[int, int] = {}
+        self._free: list[int] = []
+        self._reset_state()
         self._next_rid = 0
         # Incrementally maintained Phase-2 state: CSPairs flags by key.
         self._pairs: dict[tuple[int, int], tuple[bool, ...]] = {}
@@ -258,8 +277,9 @@ class IncrementalDeduplicator:
         #: records whose NG changed verdict class, since the last
         #: :meth:`partition`.
         self._touched: set[int] = set()
-        #: Each mutual-NN component as ``min rid -> (members, groups)``,
-        #: and the component key of every record with a CSPairs row.
+        #: Each component of the rows that support a group size as ``min
+        #: rid -> (members, groups)``, and the component key of each of
+        #: their records.
         self._components: dict[int, tuple[tuple[int, ...], tuple]] = {}
         self._component_of: dict[int, int] = {}
         self._partition_cache: Partition | None = None
@@ -273,10 +293,9 @@ class IncrementalDeduplicator:
         #: Telemetry of the latest operation / partition repair.
         self.last_op: OpStats | None = None
         self.last_repair: RepairStats | None = None
-        # Per-operation memo: rid -> {other rid: distance} of every
-        # distance row fetched during the operation, and the number of
-        # distinct pairs those rows evaluated.
-        self._op_rows: dict[int, dict[int, float]] = {}
+        # Per-operation memo: every pair a cached row fetched during the
+        # operation, and the number of pairs the operation's rows fetched.
+        self._op_memo: dict[tuple[int, int], float] = {}
         self._op_pairs = 0
         self._op_marked: set[int] = set()
         if seed is not None:
@@ -317,8 +336,7 @@ class IncrementalDeduplicator:
             corpus = self.distance.corpus
             if corpus is not None:
                 corpus.register(record)
-            if self._live is not None:
-                self._live.add(record)
+            self._post(record)
             self._apply_insert(record)
         self._ops_since_refit += 1
         self._finish_op("add", rid, start)
@@ -327,16 +345,36 @@ class IncrementalDeduplicator:
     def remove(self, rid: int) -> None:
         """Delete a record, with bounded recomputation.
 
-        Only the records whose entry holds the removed one are visited.
-        Those it was a cut-list entry or the exact nearest neighbor (the
-        radius-defining record) of are rebuilt by a scan; the others
-        held it as a neighborhood member only and lose it by bisection,
-        with no distance evaluations at all.  Raises :class:`KeyError`
-        for an unknown id.
+        Its row takes it out of the NG count of every record holding it
+        inside its radius.  The records whose cut list or exact nearest
+        neighbor (the radius-defining record) it was are rebuilt by a
+        scan; no other record's entry is visited.  Raises
+        :class:`KeyError` for an unknown id.
         """
         start = time.perf_counter()
-        self.relation.get(rid)  # KeyError before any state is touched
+        record = self.relation.get(rid)  # KeyError before any state is touched
         self._begin_op()
+        refit = self._refit_due()
+        rebuilds = [] if refit else sorted(self._refs[rid])
+        inside = ()
+        if not refit:
+            slot_of, radius = self._slot_of, self._radius
+            # The rebuilt records recount from their own rows below, and
+            # the removed record leaves: neither takes a decrement.
+            for orid in rebuilds:
+                radius[slot_of[orid]] = 0.0
+            slot = slot_of[rid]
+            radius[slot] = 0.0
+            # Every d(rid, v) >= nn(rid): unless some radius passes it,
+            # no record counts the removed one and no row is read.
+            reach = max(radius) if self._np is None else radius.max()
+            if self._nn[slot] < reach:
+                slots, row = self._row(record)
+                if self._np is None:
+                    inside = [s for s, d in zip(slots, row) if d < radius[s]]
+                else:
+                    inside = slots[row < radius[slots]]
+        self._drop_entry_state(rid)
         self.relation.remove(rid)
         if self.candidates is not None:
             self.candidates.remove(rid)
@@ -345,20 +383,19 @@ class IncrementalDeduplicator:
             corpus.remove(rid)
         if self._live is not None:
             self._live.remove(rid)
-        rebuilds: list[int] = []
-        if self._refit_due():
-            self._drop_entry_state(rid)
+        else:
+            self._free.append(self._slot_of.pop(rid))
+        if refit:
             self._refit()
         else:
-            rebuilds = self._unlink(rid)
-            self._drop_entry_state(rid)
+            self._bump(inside, -1)
             # Rids are never reused, so the removed record's cached
             # pairs can never be probed again; dropping them keeps a
             # long session's cache to live pairs (rows from the live
             # index never enter it).
             self.distance.invalidate_rid(rid, self._neighbors)
             for orid in rebuilds:
-                self._rebuild_entry(self.relation.get(orid))
+                self._scan(self.relation.get(orid))
         self._ops_since_refit += 1
         self._finish_op("remove", rid, start, rebuilt=len(rebuilds))
 
@@ -380,109 +417,111 @@ class IncrementalDeduplicator:
 
     def _apply_insert(self, record: Record) -> None:
         rid = record.rid
-        refs = self._refs
-        mine = refs[rid] = {}
-        rids, row = self._scan(record)
-        if self._live is not None:
-            rids, row = rids.tolist(), row.tolist()
-        self._mark_dirty(rid)
-
-        p = self.params.p
-        k, theta = self._k, self._theta
-        neighbors, true_nn, nbhd, ngs = (
-            self._neighbors, self._true_nn, self._nbhd, self._ng
-        )
-        for orid, d in zip(rids, row):
-            lst = neighbors[orid]
-            t_old = true_nn[orid]
-            # Cut-bounded NN list: does the newcomer belong in it?  Ties
-            # with a full size-cut list's last entry are admitted and
-            # then cut again: the newcomer's id is the largest, so it
-            # sorts last.
-            admitted = (theta is None or d < theta) and (
-                k is None or len(lst) < k or d <= lst[-1].distance
+        self._refs[rid] = set()
+        slots, row = self._scan(record)
+        np, nn, kth, radius = self._np, self._nn, self._kth, self._radius
+        # Records whose cut list admits the newcomer (ties with a full
+        # size-cut list's last entry are admitted and then cut again:
+        # the newcomer's id is the largest, so it sorts last), records
+        # it is nearer to than their exact NN (their NG is recounted at
+        # the smaller radius), and the others holding it inside their
+        # radius (their NG gains one).
+        if np is None:
+            hits = [
+                (slot, d, d <= kth[slot], d < nn[slot])
+                for slot, d in zip(slots, row)
+            ]
+            bumped = [hit[0] for hit in hits if not hit[3] and hit[1] < radius[hit[0]]]
+            hits = [hit for hit in hits if hit[2] or hit[3]]
+        else:
+            nearer = row < nn[slots]
+            admitted = row <= kth[slots]
+            bumped = slots[(row < radius[slots]) & ~nearer]
+            at = np.flatnonzero(admitted | nearer)
+            hits = zip(
+                slots[at].tolist(), row[at].tolist(),
+                admitted[at].tolist(), nearer[at].tolist(),
             )
-            if not admitted and t_old is not None:
-                # Neither a nearer exact NN nor a new neighborhood
-                # member: nothing of this record changes.
-                radius = t_old.distance
-                if d >= (p * radius if radius > 0.0 else _ABOVE_ZERO):
-                    continue
-            held = False
-            # Entries that may have left this record's entry.
-            left: list[tuple[float, int]] = []
-            if admitted:
-                at = bisect_right(lst, (d, rid), key=by_proximity)
-                lst.insert(at, Neighbor(d, rid))
-                if k is not None and len(lst) > k:
-                    left.append(by_proximity(lst.pop()))
-                if at < len(lst):
-                    held = True
-                    self._mark_dirty(orid)
-            # Exact NN and neighborhood membership.  The radius can only
-            # shrink on insert, so the stored members are truncated by
-            # bisection — never rescanned.  Zero radius counts exact
-            # co-locations (``d < _ABOVE_ZERO``).
-            members = nbhd[orid]
-            if t_old is None or d < t_old.distance:
-                true_nn[orid] = Neighbor(d, rid)
-                held = True
-                radius = d
-                cut = bisect_left(
-                    members, (p * d if d > 0.0 else _ABOVE_ZERO,)
-                )
-                left.extend(members[cut:])
-                del members[cut:]
-            else:
-                radius = t_old.distance
-            bound = p * radius if radius > 0.0 else _ABOVE_ZERO
-            if d < bound:
-                insort(members, (d, rid))
-                held = True
-            if held:
-                mine[orid] = d
-            if left:
-                # Still held when still a member or still in the cut
-                # list (a prefix of the record's ranking); an entry can
-                # leave both.
-                tail = by_proximity(lst[-1]) if lst else None
-                for entry in left:
-                    if (
-                        entry[1] != rid
-                        and entry[0] >= bound
-                        and (tail is None or entry > tail)
-                    ):
-                        refs[entry[1]].pop(orid, None)
-            ng = len(members) + 1
-            if ng != ngs[orid]:
-                old, ngs[orid] = ngs[orid], ng
-                self._mark_ng(orid, old)
+        self._bump(bumped, 1)
+        for slot, d, admitted, nearer in hits:
+            self._enter(slot, rid, d, admitted, nearer)
 
-    def _unlink(self, rid: int) -> list[int]:
-        """Take a removed record out of the entries that hold it.
+    def _enter(
+        self, slot: int, rid: int, d: float, admitted: bool, nearer: bool
+    ) -> None:
+        """Enter arrival ``rid`` at distance ``d`` into the entry at
+        ``slot``: into its cut list when admitted, as its exact NN (a
+        smaller radius, so a recounted NG) when nearer."""
+        orid = int(self._rid_at[slot])
+        lst = self._neighbors[orid]
+        k = self._k
+        held = nearer
+        # Entries that may have left this record's entry.
+        left: list[tuple[float, int]] = []
+        if admitted:
+            at = bisect_right(lst, (d, rid), key=by_proximity)
+            lst.insert(at, Neighbor(d, rid))
+            if k is not None and len(lst) > k:
+                left.append(by_proximity(lst.pop()))
+            if at < len(lst):
+                held = True
+                self._mark_dirty(orid)
+            if k is not None and len(lst) == k:
+                self._kth[slot] = lst[-1].distance
+        if nearer:
+            if self._nn_rid[slot] >= 0:
+                left.append((float(self._nn[slot]), int(self._nn_rid[slot])))
+            self._nn[slot], self._nn_rid[slot] = d, rid
+            radius = self.params.p * d if d > 0.0 else _ABOVE_ZERO
+            self._radius[slot] = radius
+            old, new = self._ng[slot], self._recount(orid, slot, radius)
+            if new != old:
+                self._ng[slot] = new
+                self._mark_ng(orid, old, new)
+        refs = self._refs
+        if held:
+            refs[rid].add(orid)
+        if left:
+            # Still held when still the exact NN or still in the cut
+            # list (a prefix of the record's ranking); an entry can
+            # leave both.
+            tail = by_proximity(lst[-1]) if lst else None
+            for entry in left:
+                if entry[1] != self._nn_rid[slot] and (tail is None or entry > tail):
+                    refs[entry[1]].discard(orid)
 
-        Visits only its referrers.  Returns those that must be rebuilt
-        by a scan (it was in their cut list, a prefix of their ranking,
-        or their exact NN); the others lose it from their neighborhood
-        by bisection.
-        """
-        rebuilds: list[int] = []
-        neighbors, true_nn, nbhd, ngs = (
-            self._neighbors, self._true_nn, self._nbhd, self._ng
-        )
-        for orid, d in self._refs.pop(rid).items():
-            lst = neighbors[orid]
-            if true_nn[orid].rid == rid or (
-                lst and (d, rid) <= by_proximity(lst[-1])
-            ):
-                rebuilds.append(orid)
-                continue
-            members = nbhd[orid]
-            del members[bisect_left(members, (d, rid))]
-            old, ngs[orid] = ngs[orid], len(members) + 1
-            self._mark_ng(orid, old)
-        rebuilds.sort()
-        return rebuilds
+    def _recount(self, rid: int, slot: int, radius: float) -> int:
+        """``rid``'s NG at a shrunken ``radius``: from its cut list when
+        the list holds every record inside the radius, else from the
+        record's own row."""
+        if radius <= self._kth[slot]:
+            lst = self._neighbors[rid]
+            return 1 + bisect_left(lst, (radius,), key=by_proximity)
+        _, row = self._row(self.relation.get(rid))
+        if self._np is None:
+            return 1 + sum(d < radius for d in row)
+        return 1 + int(self._np.count_nonzero(row < radius))
+
+    def _bump(self, slots, step: int) -> None:
+        """``ng += step`` for the records at ``slots`` (each gained or
+        lost one neighborhood member), noting class changes."""
+        if not len(slots):
+            return
+        ng, rid_at = self._ng, self._rid_at
+        if self._np is None:
+            for slot in slots:
+                old = ng[slot]
+                ng[slot] = old + step
+                self._mark_ng(rid_at[slot], old, old + step)
+            return
+        old = ng[slots]
+        new = ng[slots] = old + step
+        rids = rid_at[slots]
+        self._op_marked.update(rids.tolist())
+        flips = self._ng_class(old) != self._ng_class(new)
+        if flips.any():
+            self._touched.update(rids[flips].tolist())
+            self._partition_cache = None
 
     # ------------------------------------------------------------------
     # Shared state builders
@@ -490,16 +529,9 @@ class IncrementalDeduplicator:
 
     def _row(self, record: Record):
         """Distances from ``record`` to the records it is compared
-        against, as ``(rids, distances)``: arrays from the live index
-        when the distance offers one, else lists fetched through the
-        pair cache in one call.
-
-        On the cache path, a pair this operation already fetched from
-        its other end is read from that row instead, so each unordered
-        pair is evaluated at most once per operation even when the
-        cache is bounded and has evicted it (the documented free
-        re-probe promise); those reused pairs come last.
-        """
+        against, as ``(slots, distances)`` — arrays with numpy, lists
+        without — from the live index when the distance offers one,
+        else fetched through the pair cache in one call."""
         rid = record.rid
         others = None
         if self.candidates is not None:
@@ -509,106 +541,118 @@ class IncrementalDeduplicator:
                 if orid != rid and orid in self.relation
             ]
         if self._live is not None:
-            rids, values = self._live.row(rid, others)
-            self._op_pairs += len(values)
-            return rids, values
+            slots, row = self._live.row(rid, others)
+            self._op_pairs += len(row)
+            return slots, row
         if others is None:
-            targets = [o for o in self.relation if o.rid != rid]
+            targets = [other for other in self.relation if other.rid != rid]
         else:
             targets = [self.relation.get(orid) for orid in others]
-        rows = self._op_rows
-        reused = []
-        if rows:
-            for other in [o for o in targets if o.rid in rows]:
-                d = rows[other.rid].get(rid)
-                if d is not None:
-                    reused.append((other.rid, d))
-            if reused:
-                skip = {orid for orid, _ in reused}
-                targets = [o for o in targets if o.rid not in skip]
-        values = self.distance.row(record, targets)
+        memo = self._op_memo
+        keys = [(rid, o.rid) if rid < o.rid else (o.rid, rid) for o in targets]
+        missing = [at for at, key in enumerate(keys) if key not in memo]
+        values = self.distance.row(record, [targets[at] for at in missing])
+        memo.update(zip([keys[at] for at in missing], values))
         self._op_pairs += len(values)
-        rids = [o.rid for o in targets]
-        if reused:
-            rids += [orid for orid, _ in reused]
-            values += [d for _, d in reused]
-        rows[rid] = dict(zip(rids, values))
-        return rids, values
-
-    def _ranked(self, rids, row) -> list[tuple[float, int]]:
-        """The row as ascending ``(distance, rid)`` entries.
-
-        From the live index, only the head a record's entry can hold:
-        every entry inside the neighborhood radius and the first K (or,
-        without K, every one inside θ) — the same prefix of the full
-        ranking.
-        """
-        if self._live is None:
-            return sorted(zip(row, rids))
-        if not len(row):
-            return []
-        np = numpy_or_none()
-        nn = row.min()
-        keep = row < (self.params.p * nn if nn > 0.0 else _ABOVE_ZERO)
-        if self._k is None:
-            keep |= row < self._theta
-        else:
-            kth = min(self._k, len(row)) - 1
-            keep |= row <= np.partition(row, kth)[kth]
-        at = np.flatnonzero(keep)
-        d, r = row[at], rids[at]
-        order = np.lexsort((r, d))
-        return list(zip(d[order].tolist(), r[order].tolist()))
+        slot_of = self._slot_of
+        slots = [slot_of[other.rid] for other in targets]
+        row = [memo[key] for key in keys]
+        np = self._np
+        if np is None:
+            return slots, row
+        return np.asarray(slots, dtype=np.int64), np.asarray(row)
 
     def _scan(self, record: Record):
-        """Set one record's entry — cut list, exact NN, neighborhood
-        members and NG, and their reverse references — from its full
-        distance row; returns the row as ``(rids, distances)``."""
-        rids, row = self._row(record)
-        hits = self._ranked(rids, row)
-        end = len(hits) if self._theta is None else bisect_left(hits, (self._theta,))
-        if self._k is not None:
-            end = min(end, self._k)
-        inside = 0
-        if hits:
-            nn = hits[0][0]
-            # ``d < radius``; for ``nn = 0`` that is ``d == 0``.
-            radius = self.params.p * nn if nn > 0.0 else _ABOVE_ZERO
-            inside = bisect_left(hits, (radius,))
+        """Set one record's entry — cut list, exact NN, radius and NG,
+        and the reverse references of the first two — from its full
+        distance row, marking what changed; returns the row as
+        ``(slots, distances)``."""
         rid = record.rid
-        self._drop_refs(rid)
-        self._neighbors[rid] = list(starmap(Neighbor, hits[:end]))
-        self._true_nn[rid] = Neighbor(*hits[0]) if hits else None
-        self._nbhd[rid] = hits[:inside]
-        self._ng[rid] = inside + 1
+        slot = self._slot_of[rid]
+        old_list, old_ng = self._neighbors.get(rid), self._ng[slot]
+        slots, row = self._row(record)
+        self._drop_refs(rid, slot)
+        p, k, theta, np = self.params.p, self._k, self._theta, self._np
+        nn, nn_rid, head = math.inf, -1, []
+        if np is None:
+            head = sorted(zip(row, [self._rid_at[s] for s in slots]))
+            nn, nn_rid = head[0] if head else (nn, nn_rid)
+        elif len(row):
+            rids = self._rid_at[slots]
+            nn = float(row.min())
+            nn_rid = int(rids[row == nn].min())
+            # Only the part of the row a cut list can hold is ranked.
+            if k is None:
+                keep = row < theta
+            else:
+                kth = min(k, len(row)) - 1
+                keep = row <= np.partition(row, kth)[kth]
+            at = np.flatnonzero(keep)
+            head = sorted(zip(row[at].tolist(), rids[at].tolist()))
+        # ``d < radius``; for ``nn = 0`` that is ``d == 0``.
+        radius = p * nn if nn > 0.0 else _ABOVE_ZERO
+        if np is None:
+            ng = 1 + bisect_left(head, (radius,))
+        else:
+            ng = 1 + int(np.count_nonzero(row < radius))
+        end = len(head) if theta is None else bisect_left(head, (theta,))
+        hits = head[: end if k is None else min(end, k)]
+        self._neighbors[rid] = list(starmap(Neighbor, hits))
+        self._nn[slot], self._nn_rid[slot] = nn, nn_rid
+        self._radius[slot], self._ng[slot] = radius, ng
+        self._kth[slot] = hits[-1][0] if k is not None and len(hits) == k else self._open
         refs = self._refs
-        for d, orid in hits[: max(end, inside)]:
-            refs[orid][rid] = d
-        return rids, row
-
-    def _drop_refs(self, rid: int) -> None:
-        """Take ``rid`` out of the referrers of every record its entry
-        holds (the exact NN is a neighborhood member)."""
-        refs = self._refs
-        for nb in self._neighbors.get(rid, ()):
-            held = refs.get(nb.rid)
-            if held is not None:
-                held.pop(rid, None)
-        for _, orid in self._nbhd.get(rid, ()):
-            held = refs.get(orid)
-            if held is not None:
-                held.pop(rid, None)
-
-    def _rebuild_entry(self, record: Record) -> None:
-        """Recompute one record's entry by scan (removal repair path)."""
-        rid = record.rid
-        old_list, old_ng = self._neighbors[rid], self._ng[rid]
-        self._scan(record)
+        for _, orid in hits:
+            refs[orid].add(rid)
+        if nn_rid >= 0:
+            refs[nn_rid].add(rid)
         if self._neighbors[rid] != old_list:
             self._mark_dirty(rid)
         # Not ``elif``: rows rebuilt with the same flags touch no one.
-        if self._ng[rid] != old_ng:
-            self._mark_ng(rid, old_ng)
+        if ng != old_ng:
+            self._mark_ng(rid, old_ng, ng)
+        return slots, row
+
+    def _drop_refs(self, rid: int, slot: int) -> None:
+        """Take ``rid`` out of the referrers of every record its cut
+        list holds and of its exact NN."""
+        held = [nb.rid for nb in self._neighbors.get(rid, ())]
+        for orid in (*held, int(self._nn_rid[slot])):
+            self._refs.get(orid, set()).discard(rid)
+
+    # ------------------------------------------------------------------
+    # Slot-aligned state
+    # ------------------------------------------------------------------
+
+    def _reset_state(self) -> None:
+        np = self._np
+        for name, _, dtype in _STATE:
+            setattr(self, name, [] if np is None else np.empty(0, dtype=dtype))
+
+    def _post(self, record: Record) -> None:
+        """Give a new live record a slot (its live-index slot, if any)
+        and size the state arrays to it, doubling them when short."""
+        if self._live is not None:
+            self._live.add(record)
+            slot = self._slot_of[record.rid]
+        else:
+            slot = self._free.pop() if self._free else len(self._slot_of)
+            self._slot_of[record.rid] = slot
+        size = len(self._ng)
+        if slot >= size:
+            grow = max(16, size, slot + 1 - size)
+            np = self._np
+            for name, fill, dtype in _STATE:
+                if np is None:
+                    getattr(self, name).extend([fill] * grow)
+                else:
+                    setattr(self, name, np.concatenate(
+                        [getattr(self, name), np.full(grow, fill, dtype=dtype)]
+                    ))
+        self._rid_at[slot] = record.rid
+
+    def _ng_of(self, rid: int) -> int:
+        return int(self._ng[self._slot_of[rid]])
 
     # ------------------------------------------------------------------
     # Refit / lazy preparation
@@ -622,26 +666,25 @@ class IncrementalDeduplicator:
 
     def _prepare(self, relation: Relation) -> None:
         """Prepare the distance on ``relation`` and post the live
-        records to a fresh live-row index, when the distance offers
-        one."""
+        records to a fresh row source: a live-row index when the
+        distance offers one, else the pair cache."""
         self.distance.prepare(relation)
         self._prepared = True
         self._live = self.distance.live_rows()
-        if self._live is not None:
-            for record in self.relation:
-                self._live.add(record)
+        self._slot_of = {} if self._live is None else self._live.slot_of
+        self._free = []
+        self._reset_state()
+        for record in self.relation:
+            self._post(record)
 
     def _refit(self) -> None:
         """Prepare the distance on the live relation, rebuild all state."""
         self._prepare(self.relation)
         self._ops_since_refit = 0
         self.refits += 1
-        self._op_rows.clear()  # stale under the new corpus statistics
+        self._op_memo.clear()  # stale under the new corpus statistics
         self._neighbors.clear()
-        self._true_nn.clear()
-        self._nbhd.clear()
-        self._ng.clear()
-        self._refs = {rid: {} for rid in self.relation.ids()}
+        self._refs = {rid: set() for rid in self.relation.ids()}
         for record in self.relation:
             self._scan(record)
         # Every pair is potentially stale under the new statistics.
@@ -650,9 +693,6 @@ class IncrementalDeduplicator:
         self._components.clear()
         self._component_of.clear()
         self._touched.clear()
-        self._dirty = set(self._neighbors)
-        self._op_marked.update(self._neighbors)
-        self._partition_cache = None
 
     # ------------------------------------------------------------------
     # Incremental Phase 2
@@ -663,11 +703,12 @@ class IncrementalDeduplicator:
         self._op_marked.add(rid)
         self._partition_cache = None
 
-    def _mark_ng(self, rid: int, old: int) -> None:
-        """Note that ``rid``'s NG moved from ``old``; touch it (and so
-        re-extract its component) only when its verdict class moved."""
+    def _mark_ng(self, rid: int, old: int, new: int) -> None:
+        """Note that ``rid``'s NG moved from ``old`` to ``new``; touch it
+        (and so re-extract its component) only when its verdict class
+        moved."""
         self._op_marked.add(rid)
-        if self._ng_class(old) != self._ng_class(self._ng[rid]):
+        if self._ng_class(old) != self._ng_class(new):
             self._touched.add(rid)
             self._partition_cache = None
 
@@ -693,12 +734,12 @@ class IncrementalDeduplicator:
     def _drop_entry_state(self, rid: int) -> None:
         """Forget one record's Phase-1 entry, its references and its
         CSPairs rows."""
-        self._drop_refs(rid)
+        slot = self._slot_of[rid]
+        self._drop_refs(rid, slot)
         self._refs.pop(rid, None)
         self._neighbors.pop(rid, None)
-        self._true_nn.pop(rid, None)
-        self._nbhd.pop(rid, None)
-        self._ng.pop(rid, None)
+        for name, fill, _ in _STATE:
+            getattr(self, name)[slot] = fill
         self._dirty.discard(rid)
         self._drop_rows(rid)
         self._partition_cache = None
@@ -768,19 +809,27 @@ class IncrementalDeduplicator:
             touched.update(key)
         self._dirty.clear()
 
-    def _row_of(self, key: tuple[int, int]) -> CSPair:
-        """The CSPairs row under ``key``: its flags and the live NGs."""
-        return CSPair(*key, self._ng[key[0]], self._ng[key[1]], self._pairs[key])
+    def _rows_of(self, keys) -> list[CSPair]:
+        """The CSPairs rows under ``keys``: their flags and the live
+        NGs."""
+        ng = {rid: self._ng_of(rid) for key in keys for rid in key}
+        pairs = self._pairs
+        return [CSPair(a, b, ng[a], ng[b], pairs[a, b]) for a, b in keys]
 
     def _repair_components(self) -> int:
-        """Re-extract the mutual-NN components that hold a touched
-        record; returns how many.
+        """Re-extract the components that hold a touched record;
+        returns how many.
 
-        Every other component's flags and NG classes are unchanged, and
-        extraction is a pure function of them, so its groups are reused.
-        A component all of whose records are untouched is also a
-        component of the old graph, so the walks from the touched
-        records reach every record of every invalidated component.
+        A component is one of the graph of CSPairs rows that support
+        some group size: a row whose flags are all false never joins a
+        group, so extraction over each such component equals the scan
+        over the whole relation, and the mutual-NN graph splits much
+        finer.  Every other component's flags and NG classes are
+        unchanged, and extraction is a pure function of them, so its
+        groups are reused.  A component all of whose records are
+        untouched is also a component of the old graph, so the walks
+        from the touched records reach every record of every
+        invalidated component.
         """
         touched = self._touched
         components, component_of = self._components, self._component_of
@@ -789,25 +838,27 @@ class IncrementalDeduplicator:
             if key is not None and key in components:
                 for member in components.pop(key)[0]:
                     del component_of[member]
-        pair_keys, row_of = self._pair_keys, self._row_of
+        pairs, pair_keys = self._pairs, self._pair_keys
         repaired = 0
         for rid in touched:
-            if rid in component_of or not pair_keys.get(rid):
+            if rid in component_of:
                 continue
             members = {rid}
             keys: set[tuple[int, int]] = set()
             stack = [rid]
             while stack:
                 at = stack.pop()
-                for key in pair_keys[at]:
-                    if key in keys:
+                for key in pair_keys.get(at, ()):
+                    if key in keys or not any(pairs[key]):
                         continue
                     keys.add(key)
                     other = key[0] if key[1] == at else key[1]
                     if other not in members:
                         members.add(other)
                         stack.append(other)
-            rows = [row_of(key) for key in sorted(keys)]
+            if not keys:
+                continue
+            rows = self._rows_of(sorted(keys))
             groups = tuple(
                 tuple(sorted(group))
                 for group in extract_component_groups(rows, self.params)
@@ -832,7 +883,7 @@ class IncrementalDeduplicator:
                 NNEntry(
                     rid=rid,
                     neighbors=tuple(self._neighbors[rid]),
-                    ng=self._ng[rid],
+                    ng=self._ng_of(rid),
                 )
             )
         return nn
@@ -840,14 +891,15 @@ class IncrementalDeduplicator:
     def cs_pairs(self) -> list[CSPair]:
         """The maintained CSPairs relation, sorted by ``(id1, id2)``."""
         self._refresh_pairs()
-        return [self._row_of(key) for key in sorted(self._pairs)]
+        return self._rows_of(sorted(self._pairs))
 
     def partition(self) -> Partition:
         """The DE solution over the live relation.
 
         Incremental: CSPairs rows are patched for dirty entries only,
-        and group extraction re-runs only for the mutual-NN components
-        holding a record whose rows or NG class changed; every other
+        and group extraction re-runs only for the components (of rows
+        that support a group size) holding a record whose rows or NG
+        class changed; every other
         component reuses its groups (exact — extraction is a pure
         function of a component's flags and NG classes).
         """
@@ -891,7 +943,7 @@ class IncrementalDeduplicator:
     # ------------------------------------------------------------------
 
     def _begin_op(self) -> None:
-        self._op_rows = {}
+        self._op_memo = {}
         self._op_pairs = 0
         self._op_marked = set()
         self._op_miss_base = self.distance.misses

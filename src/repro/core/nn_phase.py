@@ -181,9 +181,11 @@ def prepare_nn_lists(
         identical to this sequential path for any worker count.  An
         index with an active batch kernel is delegated at one worker
         too: the engine answers the relation inline, as one chunk,
-        through the index's blocked ``phase1_batch``.  The per-record
-        breadth-first traversal stays the scalar reference (kernel
-        ``"python"``, or an index built without ``enable_kernel``).
+        through the index's blocked ``phase1_batch``.  So is a
+        constraint :class:`~repro.index.blocks.BlockIndex` under any
+        kernel.  The per-record breadth-first traversal stays the
+        scalar reference (kernel ``"python"``, or an index built
+        without ``enable_kernel``).
     pool:
         Worker pool kind for the parallel path: ``"thread"`` or
         ``"process"``.
@@ -202,7 +204,10 @@ def prepare_nn_lists(
     if n_workers < 1:
         raise ValueError("n_workers must be at least 1")
 
-    if rids is not None or n_workers > 1 or index.kernel_backend != "python":
+    # Constraint blocks take the engine under any kernel: its batch scope
+    # scores each same-block pair once, for the list and the NG count.
+    batched = index.kernel_backend != "python" or index.blocks is not None
+    if rids is not None or n_workers > 1 or batched:
         # Imported lazily: repro.parallel depends on repro.core modules.
         from repro.parallel.engine import ParallelNNEngine
 

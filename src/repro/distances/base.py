@@ -77,9 +77,10 @@ class DistanceFunction(abc.ABC):
     def live_rows(self):
         """A fresh, empty index of live records that answers whole
         distance rows (``add(record)``, ``remove(rid)``, ``row(rid,
-        others=None) -> (rids, distances)``, bit-identical to
-        :meth:`distance`), or ``None``: the serving layer then scores
-        rows pair by pair.  Offered only where numpy is importable, as
+        others=None) -> (slots, distances)``, bit-identical to
+        :meth:`distance`, with ``slot_of`` and ``rids`` mapping rids and
+        slots), or ``None``: the serving layer then scores rows pair by
+        pair.  Offered only where numpy is importable, as
         ``kernel="auto"`` chooses kernels, and only after
         :meth:`prepare`.
         """

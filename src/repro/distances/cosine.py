@@ -179,8 +179,9 @@ class LiveCosineRows:
         self._free.append(slot)
 
     def row(self, rid: int, others=None):
-        """``(rids, distances)`` from live record ``rid`` to every other
-        live record, or to the rids of ``others`` in that order."""
+        """``(slots, distances)`` from live record ``rid`` to every
+        other live record, or to the rids of ``others`` in that order;
+        ``rids[slots]`` names them."""
         np = self._np
         slot = self.slot_of[rid]
         if others is None:
@@ -203,4 +204,4 @@ class LiveCosineRows:
         if len(hit):
             norms = self.norms[slot] * self.norms[slots[hit]]
             out[hit] = np.clip(1.0 - dot[hit] / norms, 0.0, 1.0)
-        return self.rids[slots], out
+        return slots, out

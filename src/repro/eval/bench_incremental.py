@@ -7,7 +7,8 @@ through an :class:`~repro.core.incremental.IncrementalDeduplicator`
 maintained partition is refreshed after **every** operation — the
 serving pattern, where each arrival gets a decision.  At each
 checkpoint size a from-scratch batch run over the live relation is
-timed and checksummed against the maintained partition.
+timed and checksummed against the maintained partition, and the
+process's peak resident set so far (``ru_maxrss``) is recorded.
 
 One batch rerun costs Θ(n²) distance evaluations while one insert
 costs Θ(n), so the per-op / batch-rerun ratio should shrink as n
@@ -20,6 +21,7 @@ in ``docs/benchmarks.md``.
 from __future__ import annotations
 
 import math
+import resource
 import statistics
 import time
 from typing import Mapping, Sequence
@@ -37,9 +39,9 @@ from repro.verify.incremental import FrozenDistance
 
 __all__ = ["SUITE", "run_incremental_bench", "incremental_table"]
 
-#: Timed batch reruns per checkpoint; the median is the denominator of
-#: the per-op/batch ratio.
-BATCH_REPEATS = 3
+#: Timed batch reruns per checkpoint; the fastest is the denominator
+#: of the per-op/batch ratio (host noise only ever adds time).
+BATCH_REPEATS = 5
 
 #: ``ratio-growth`` gate: the per-op/batch ratio may grow at most this
 #: much from the first to the last gated checkpoint.
@@ -67,7 +69,8 @@ def _batch_rerun(
     """Time from-scratch batch runs over the live relation.
 
     Returns the timing and every run's partition checksum.  The live
-    relation and the solver are rebuilt per sample, outside the clock.
+    relation and the solver are rebuilt per sample, outside the clock;
+    ``seconds`` is the fastest sample.
     """
 
     def setup() -> tuple[DuplicateEliminator, Relation]:
@@ -84,6 +87,7 @@ def _batch_rerun(
         BATCH_REPEATS,
         setup=setup,
     )
+    timing["seconds"] = min(timing["samples"])
     return timing, [result.partition.checksum() for result in results]
 
 
@@ -174,6 +178,9 @@ def run_incremental_bench(
                 ),
                 "insert_latency": _latency(insert_seconds[-window:]),
                 "remove_latency": _latency(remove_seconds[-window:]),
+                # ru_maxrss is in KiB on Linux.
+                "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+                / 1024.0,
             }
         )
 
@@ -309,6 +316,7 @@ def incremental_table(payload: Mapping) -> str:
             f"{row['components_reused']}/{row['components']}",
             _latency_cell(row["insert_latency"]),
             _latency_cell(row["remove_latency"]),
+            f"{row['peak_rss_mb']:.0f}MB",
         )
         for row in results["checkpoints"]
     ]
@@ -316,7 +324,7 @@ def incremental_table(payload: Mapping) -> str:
         (
             "n", "ops", "mean op", "median op", "batch rerun",
             "op/batch", "checksum", "reused",
-            "insert p50/p95/p99", "remove p50/p95/p99",
+            "insert p50/p95/p99", "remove p50/p95/p99", "peak RSS",
         ),
         rows,
     )

@@ -545,6 +545,8 @@ class TestBenchIncremental:
         results = payload["results"]
         assert results["n_removes"] > 0
         assert all(
-            row["batch_checksums"] == [row["incremental_checksum"]] * 3
+            row["batch_checksums"] == [row["incremental_checksum"]] * 5
+            and row["batch_seconds"] == min(row["batch_samples"])
+            and row["peak_rss_mb"] > 0
             for row in results["checkpoints"]
         )

@@ -1,5 +1,7 @@
 """Property tests: incremental DE equals batch DE at every prefix."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -157,13 +159,13 @@ class TestVerdictGatedRepair:
     def test_same_class_ng_change_reextracts_nothing(self, agg):
         inc = self.pair_and_bystander(agg, c=4.0)
         x = inc.add(("85",))
-        assert inc._ng[0] == 3 and inc.last_op.dirty == 2
+        assert inc.nn_relation().get(0).ng == 3 and inc.last_op.dirty == 2
         self.repair(inc)
         assert inc.last_repair.components_repaired == 0
         assert inc.last_repair.components_reused == 1
         inc.remove(x)
         self.repair(inc)
-        assert inc._ng[0] == 2
+        assert inc.nn_relation().get(0).ng == 2
         assert inc.last_repair.components_repaired == 0
 
     @pytest.mark.parametrize(
@@ -199,7 +201,7 @@ class TestVerdictGatedRepair:
         for value in ("122", "125", "128"):
             inc.add((value,))
         partition = self.repair(inc)
-        assert inc._ng[1] == 5 and (0, 1) in partition.non_trivial_groups()
+        assert inc.nn_relation().get(1).ng == 5 and (0, 1) in partition.non_trivial_groups()
         inc.add(("85",))
         partition = self.repair(inc)
         assert (0, 1) not in partition.non_trivial_groups()
@@ -592,3 +594,45 @@ class TestInterleavedMatchesBatch:
             FrozenDistance(EditDistance()), config=RunConfig(kernel=kernel)
         ).run(relation, params)
         assert inc.partition().checksum() == batch.partition.checksum()
+
+
+class TestMinHashCandidateCounts:
+    """Under MinHash candidates every row runs over LSH candidates only.
+    Candidacy is symmetric (a shared band), so a removed record's row
+    reaches every record that counted it: after each insert or removal,
+    every NG equals a recount over that record's current candidates."""
+
+    @pytest.mark.parametrize(
+        "params", [DEParams.size(3, c=4.0), DEParams.combined(3, 0.4, c=4.0)]
+    )
+    def test_ng_equals_a_recount_over_the_candidates(self, params):
+        from repro.data.loaders import load_dataset
+        from repro.index.postings import PersistentMinHashPostings
+        from repro.storage.engine import Engine
+
+        relation = load_dataset(
+            "org", n_entities=30, duplicate_fraction=0.5, seed=3
+        ).relation
+        postings = PersistentMinHashPostings(Engine())
+        inc = IncrementalDeduplicator(
+            EditDistance(), params, schema=relation.schema, candidates=postings
+        )
+        inner = inc.distance.inner
+        removed = 0
+        for step, record in enumerate(relation):
+            inc.add(record.fields)
+            if step % 3 == 2:
+                live = inc.relation.ids()
+                inc.remove(live[(7 * step) % len(live)])
+                removed += 1
+            maintained = inc.nn_relation()
+            for query in inc.relation:
+                row = [
+                    inner.distance(*sorted((query, other), key=lambda r: r.rid))
+                    for other in map(inc.relation.get, postings.candidates(query))
+                ]
+                nn = min(row, default=float("inf"))
+                radius = inc.params.p * nn if nn > 0.0 else math.nextafter(0.0, 1.0)
+                expected = 1 + sum(d < radius for d in row)
+                assert maintained.get(query.rid).ng == expected, (step, query.rid)
+        assert removed >= 10

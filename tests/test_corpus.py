@@ -207,9 +207,11 @@ class TestLivePostingsRows:
         assert sorted(live.slot_of) == sorted(ids)
         for record in relation:
             others = [rid for rid in ids if rid != record.rid]
-            rids, values = live.row(record.rid)
+            slots, values = live.row(record.rid)
+            rids = live.rids[slots]
             assert sorted(rids.tolist()) == others
-            reversed_rids, reversed_values = live.row(record.rid, others[::-1])
+            slots, reversed_values = live.row(record.rid, others[::-1])
+            reversed_rids = live.rids[slots]
             assert reversed_rids.tolist() == others[::-1]
             for rid, value in [
                 *zip(rids.tolist(), values.tolist()),

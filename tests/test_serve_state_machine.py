@@ -11,14 +11,19 @@ maintained solution must pass :func:`~repro.verify.incremental
 .verify_incremental` (NN lists, CSPairs rows and partition checksum
 equal a from-scratch batch run), no removed record may linger in the
 corpus's live-vector cache or in the pair cache, the live-row index
-must hold exactly the live records, and the reverse reference map must
-equal one recomputed from the maintained entries.  With numpy the
+must hold exactly the live records, the reverse reference map must
+equal one recomputed from the maintained cut lists and exact nearest
+neighbors (and so name each record at most once per entry of its cut
+list plus once for its NN), and every maintained NG must equal a
+brute-force count of the live records inside its radius.  With numpy the
 session's cosine rows come from the live postings, without it from the
 pair cache: one machine checks both row sources.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import replace
 
 from hypothesis import settings
@@ -138,19 +143,48 @@ class ServeMachine(RuleBasedStateMachine):
 
     @invariant()
     def reverse_map_matches_the_entries(self):
+        # The map holds cut-list and exact-NN referrers, nothing else.
         if self.dedup is None:
             return
         dedup = self.dedup
-        expected = {rid: {} for rid in dedup.relation.ids()}
+        expected = {rid: set() for rid in dedup.relation.ids()}
         for rid, cut in dedup._neighbors.items():
-            held = [(nb.distance, nb.rid) for nb in cut] + dedup._nbhd[rid]
-            nn = dedup._true_nn[rid]
-            if nn is not None:
-                held.append((nn.distance, nn.rid))
-            for d, orid in held:
-                expected[orid][rid] = d
+            held = {nb.rid for nb in cut}
+            nn = int(dedup._nn_rid[dedup._slot_of[rid]])
+            if nn >= 0:
+                held.add(nn)
+            for orid in held:
+                expected[orid].add(rid)
         assert dedup._refs == expected
 
+    @invariant()
+    def references_are_one_cut_list_plus_one_nn(self):
+        if self.dedup is None:
+            return
+        dedup = self.dedup
+        named = Counter(rid for held in dedup._refs.values() for rid in held)
+        for rid, count in named.items():
+            assert count <= len(dedup._neighbors[rid]) + 1, rid
+
+    @invariant()
+    def ng_matches_a_brute_force_count(self):
+        if self.dedup is None:
+            return
+        dedup = self.dedup
+        inner, p = dedup.distance.inner, dedup.params.p
+        records = list(dedup.relation)
+        maintained = dedup.nn_relation()
+        for record in records:
+            row = [
+                inner.distance(*sorted((record, other), key=lambda r: r.rid))
+                for other in records
+                if other.rid != record.rid
+            ]
+            nn = min(row, default=math.inf)
+            # ``d < radius``; for ``nn = 0`` that is ``d == 0``.
+            radius = p * nn if nn > 0.0 else math.nextafter(0.0, 1.0)
+            expected = 1 + sum(d < radius for d in row)
+            assert maintained.get(record.rid).ng == expected, record.rid
 
 TestServeMachine = ServeMachine.TestCase
 TestServeMachine.settings = settings(
