@@ -21,7 +21,7 @@ reduced matrix is not the committed ``BENCH_phase1.json`` at the
 repository root, which only the ``bench-phase1`` command listed in
 ``docs/benchmarks.md`` regenerates.
 
-With numpy installed the batch rows run the vectorized distance
+The batch rows run the vectorized distance
 kernels (``run_phase1_bench``'s default ``kernel="auto"``): their
 pairs are counted in ``kernel_evaluations`` rather than
 ``evaluations``, so the evaluation-count assertion below is trivially

@@ -59,10 +59,10 @@ from repro.data.loaders import (
     load_dataset,
     relation_from_csv,
 )
-from repro.distances.kernels.compat import KernelUnavailable
 from repro.eval import bench
 from repro.run.config import CONSTRAINT_MODES, ConfigError, RunConfig
 from repro.run.registry import DISTANCES, INDEXES
+from repro.storage.buffer import BufferStats
 
 __all__ = ["main", "build_parser"]
 
@@ -132,7 +132,7 @@ def _bench_parser(
     parser.add_argument("--seed", type=int, default=0)
     if kernel:
         parser.add_argument(
-            "--kernel", choices=("auto", "numpy", "python"), default="auto",
+            "--kernel", choices=("auto", "python"), default="auto",
             help="distance backend for the measured runs",
         )
     parser.add_argument(
@@ -234,10 +234,10 @@ def build_parser() -> argparse.ArgumentParser:
              "in-flight x --buffer-pages pages; default: all)",
     )
     dedup.add_argument(
-        "--kernel", choices=("auto", "numpy", "python"), default="auto",
-        help="Phase-1 distance backend: vectorized numpy batch kernels "
-             "when available (auto), required (numpy), or the scalar "
-             "per-pair baseline (python); results are bit-identical",
+        "--kernel", choices=("auto", "python"), default="auto",
+        help="Phase-1 distance backend: the distance's vectorized batch "
+             "kernel when it has one (auto), or the scalar per-pair "
+             "baseline (python); results are bit-identical",
     )
     dedup.add_argument(
         "--verify", action="store_true",
@@ -588,13 +588,25 @@ def _params_from_args(args: argparse.Namespace) -> DEParams:
     return DEParams.size(args.k, agg=args.agg, c=args.c)
 
 
+def _read_input(path: str):
+    """The relation in CSV file ``path``, or ``None`` once the reason
+    it cannot be read (missing, empty, ragged) is on stderr."""
+    try:
+        return relation_from_csv(path)
+    except (OSError, ValueError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return None
+
+
 def _cmd_dedup(args: argparse.Namespace, out) -> int:
     try:
         config = RunConfig.from_cli_args(args)
     except ConfigError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    relation = relation_from_csv(args.input)
+    relation = _read_input(args.input)
+    if relation is None:
+        return 2
     if config.constraints:
         from repro.core.constraints import ConstraintError, validate_constraints
 
@@ -609,11 +621,7 @@ def _cmd_dedup(args: argparse.Namespace, out) -> int:
         index=INDEXES[args.index](),
         config=config,
     )
-    try:
-        result = solver.run(relation, params)
-    except KernelUnavailable as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    result = solver.run(relation, params)
 
     if args.output:
         with Path(args.output).open("w", newline="", encoding="utf-8") as handle:
@@ -683,13 +691,21 @@ def _cmd_dedup(args: argparse.Namespace, out) -> int:
             f"hit rate {run_stats.distance_cache_hit_rate:.2f}",
             file=out,
         )
-        if run_stats.buffer is not None:
+        # A sharded run's pages go through each shard's private pool.
+        pools = [run["buffer"] for run in run_stats.shard_runs if run["buffer"]]
+        buffer, pool_note = run_stats.buffer, ""
+        if pools:
+            buffer = BufferStats(*(
+                sum(pool[key] for pool in pools)
+                for key in ("hits", "misses", "evictions")
+            ))
+            pool_note = f", summed over {len(pools)} shard pools"
+        if buffer is not None:
             spill_note = " (NN relation spilled)" if run_stats.spilled else ""
             print(
-                f"buffer pool: {run_stats.buffer.hits} hits / "
-                f"{run_stats.buffer.misses} misses / "
-                f"{run_stats.buffer.evictions} evictions, "
-                f"hit ratio {run_stats.buffer.hit_ratio:.2f}{spill_note}",
+                f"buffer pool: {buffer.hits} hits / {buffer.misses} misses / "
+                f"{buffer.evictions} evictions, "
+                f"hit ratio {buffer.hit_ratio:.2f}{pool_note}{spill_note}",
                 file=out,
             )
     if result.verification is not None:
@@ -747,7 +763,7 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
     try:
         config = ServeConfig.from_cli_args(args)
         trace, schema = _serve_trace(args)
-    except (ConfigError, ValueError) as error:
+    except (ConfigError, OSError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     if config.constraints:
@@ -855,7 +871,9 @@ def _cmd_estimate(args: argparse.Namespace, out) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    relation = relation_from_csv(args.input)
+    relation = _read_input(args.input)
+    if relation is None:
+        return 2
     solver = _make_solver(args.distance, "brute")
     result = solver.run(relation, DEParams.size(args.k, c=4.0))
     estimate = estimate_sn_threshold(
@@ -875,7 +893,8 @@ def _cmd_estimate(args: argparse.Namespace, out) -> int:
 
 
 def _verify_targets(args: argparse.Namespace) -> list[tuple[str, object, object]]:
-    """Resolve the verify subcommand's (label, relation, distance) list."""
+    """Resolve the verify subcommand's (label, relation, distance) list;
+    empty when the input CSV cannot be read (reported on stderr)."""
     from repro.data.embedded import (
         integer_distance,
         integers_example,
@@ -883,8 +902,10 @@ def _verify_targets(args: argparse.Namespace) -> list[tuple[str, object, object]
     )
 
     if args.input is not None:
-        return [(args.input, relation_from_csv(args.input),
-                 DISTANCES[args.distance]())]
+        relation = _read_input(args.input)
+        if relation is None:
+            return []
+        return [(args.input, relation, DISTANCES[args.distance]())]
     if args.dataset == "table1":
         return [("table1", table1_relation(), DISTANCES[args.distance]())]
     if args.dataset == "integers":
@@ -908,8 +929,11 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
     from repro.verify import verify_paths
 
     params = _params_from_args(args)
+    targets = _verify_targets(args)
+    if not targets:
+        return 2
     all_ok = True
-    for label, relation, distance in _verify_targets(args):
+    for label, relation, distance in targets:
         report = verify_paths(
             relation,
             distance,
@@ -938,7 +962,7 @@ def _cmd_bench(args: argparse.Namespace, out) -> int:
     }
     try:
         payload = bench.run(suite, settings)
-    except (ConfigError, ValueError, KernelUnavailable) as error:
+    except (ConfigError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     return bench.publish(suite, payload, args.output, args.check, out)

@@ -42,6 +42,8 @@ import datetime
 from dataclasses import dataclass, fields
 from typing import Any, ClassVar, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from repro.data.schema import Record, Relation
 
 __all__ = [
@@ -243,7 +245,7 @@ class PairFilter:
                     return False
         return True
 
-    def allowed(self, np, records: Sequence[Record], a, b):
+    def allowed(self, records: Sequence[Record], a, b):
         """The vectorized :meth:`__call__`: a bool mask saying whether
         each pair ``(records[a[i]], records[b[i]])`` is allowed.
 
@@ -302,7 +304,7 @@ class RelationPairFilter:
             self.relation.get(rid1), self.relation.get(rid2)
         )
 
-    def allowed(self, np, rids1, rids2):
+    def allowed(self, rids1, rids2):
         """The vectorized :meth:`__call__` over rid arrays: each distinct
         record is resolved and encoded once (:meth:`PairFilter.allowed`)."""
         rids, inverse = np.unique(
@@ -310,7 +312,7 @@ class RelationPairFilter:
         )
         records = [self.relation.get(rid) for rid in rids.tolist()]
         return self.pair_filter.allowed(
-            np, records, inverse[: len(rids1)], inverse[len(rids1) :]
+            records, inverse[: len(rids1)], inverse[len(rids1) :]
         )
 
 

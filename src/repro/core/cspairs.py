@@ -21,9 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
+import numpy as np
+
 from repro.core.formulation import CombinedCut, DEParams, SizeCut
 from repro.core.neighborhood import NNRelation, entry_from_row
-from repro.distances.kernels.compat import numpy_or_none
 from repro.storage.engine import Engine
 from repro.storage.table import HeapTable
 
@@ -122,28 +123,20 @@ def build_cs_pairs(
     pair_filter: Callable[[int, int], bool] | None = None,
     stats=None,
 ) -> list[CSPair]:
-    """Direct (in-memory) CSPairs construction, sorted by ``(id1, id2)``.
-
-    With numpy this is one array join over the relation's columns
+    """Direct (in-memory) CSPairs construction, sorted by ``(id1, id2)``:
+    one array join over the relation's columns
     (:meth:`~repro.core.neighborhood.NNRelation.columns`, see
-    :func:`_join_columns`); without it, the same join pair by pair
-    through :func:`prefix_equal_flags`.  NN lists may name rids outside
-    the relation (a shard's sub-relation): such partners have no row
-    and yield no pair.  ``pair_filter`` (a rid-pair predicate, e.g.
+    :func:`_join_columns`).  NN lists may name rids outside the relation
+    (a shard's sub-relation): such partners have no row and yield no
+    pair.  ``pair_filter`` (e.g.
     :class:`repro.core.constraints.RelationPairFilter`) drops mutual
     pairs the constraints forbid — the inline constraint mode's
-    join-time discharge; the array join asks its ``allowed(np, ids1,
-    ids2)`` method about all mutual pairs in one call.  ``stats`` (a
+    join-time discharge; the join asks its ``allowed(ids1, ids2)``
+    method about all mutual pairs in one call.  ``stats`` (a
     :class:`~repro.run.stats.Phase2Stats`, duck-typed) accumulates how
     many pairs the filter dropped.
     """
-    np = numpy_or_none()
-    if np is None:
-        pairs, filtered = _join_rows(nn_relation.as_rows(), params, pair_filter)
-    else:
-        pairs, filtered = _join_columns(
-            np, *nn_relation.columns(), params, pair_filter
-        )
+    pairs, filtered = _join_columns(*nn_relation.columns(), params, pair_filter)
     if stats is not None:
         stats.pairs_filtered += filtered
     return pairs
@@ -153,14 +146,13 @@ def scalar_cs_pairs(nn_relation: NNRelation, params: DEParams) -> list[CSPair]:
     """CSPairs pair by pair through :func:`prefix_equal_flags`, sorted
     by ``(id1, id2)``: the scalar reference for the array join, which
     the runtime verifier re-derives the pipeline's rows from."""
-    return _join_rows(nn_relation.as_rows(), params, None)[0]
+    return _join_rows(nn_relation.as_rows(), params)
 
 
-def _join_rows(rows, params: DEParams, pair_filter) -> tuple[list[CSPair], int]:
+def _join_rows(rows, params: DEParams) -> list[CSPair]:
     """The join pair by pair over ``(ID, NN-List, Distances, NG)`` rows."""
     lists = {row[0]: (row[1], row[3]) for row in rows}
     pairs: list[CSPair] = []
-    filtered = 0
     for rid, (ids, ng) in lists.items():
         for other_id in ids[: nn_list_limit(params, len(ids))]:
             other = lists.get(other_id)
@@ -169,18 +161,15 @@ def _join_rows(rows, params: DEParams, pair_filter) -> tuple[list[CSPair], int]:
             other_ids, other_ng = other
             if rid not in other_ids[: nn_list_limit(params, len(other_ids))]:
                 continue  # not mutual
-            if pair_filter is not None and not pair_filter(rid, other_id):
-                filtered += 1
-                continue
             max_m = max_pair_size(len(ids), len(other_ids), params)
             flags = prefix_equal_flags(rid, ids, other_id, other_ids, max_m)
             pairs.append(CSPair(rid, other_id, ng, other_ng, flags))
     pairs.sort(key=lambda pair: (pair.id1, pair.id2))
-    return pairs, filtered
+    return pairs
 
 
 def _join_columns(
-    np, rids, batch, params: DEParams, pair_filter
+    rids, batch, params: DEParams, pair_filter
 ) -> tuple[list[CSPair], int]:
     """The CSPairs self-join over the NN relation's columns.
 
@@ -244,7 +233,7 @@ def _join_columns(
     row_a, row_b = src[edges], code[edges]
     filtered = 0
     if pair_filter is not None and len(edges):
-        keep = pair_filter.allowed(np, rids[row_a], rids[row_b])
+        keep = pair_filter.allowed(rids[row_a], rids[row_b])
         filtered = len(edges) - int(keep.sum())
         row_a, row_b, back = row_a[keep], row_b[keep], back[keep]
     order = np.lexsort((row_b, row_a))

@@ -11,15 +11,15 @@ the maintained solution equals a from-scratch batch run at every point.
 
 Cost model (n = current size, K = cut-bounded list length): the state
 is O(n·K) — each record's cut list and, in arrays aligned with the row
-source's slots (numpy's, or lists without it), its exact NN, its
-radius ``p * nn`` (``d == 0`` when ``nn = 0``) and its NG as a count:
-the SN verdict reads no neighborhood member.  Each operation costs one
+source's slots, its exact NN, its radius ``p * nn`` (``d == 0`` when
+``nn = 0``) and its NG as a count: the SN verdict reads no
+neighborhood member.  Each operation costs one
 distance row plus work proportional to the records it changes.
 
 - **insert** — one distance row to the existing records.  For IDF
-  cosine with numpy the row is scatter-added over the live records'
-  token postings (:meth:`~repro.distances.base.DistanceFunction
-  .live_rows`), bit-identical to the scalar distance and never through
+  cosine the row is scatter-added over the live records' token
+  postings (:meth:`~repro.distances.base.DistanceFunction.live_rows`),
+  bit-identical to the scalar distance and never through
   the pair cache; otherwise it is fetched in one call through the pair
   cache (each unordered pair at most once, pinned in a per-operation
   memo).  One vectorized step over the row adds 1 to the NG of every
@@ -64,6 +64,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import starmap
 
+import numpy as np
+
 from repro.core.criteria import verdict_class
 from repro.core.cspairs import CSPair, max_pair_size, prefix_equal_flags
 from repro.core.formulation import DEParams
@@ -72,7 +74,6 @@ from repro.core.partitioner import extract_component_groups
 from repro.core.result import Partition
 from repro.data.schema import Record, Relation
 from repro.distances.base import CachedDistance, DistanceFunction
-from repro.distances.kernels.compat import numpy_or_none
 from repro.index.base import Neighbor, by_proximity
 
 __all__ = ["IncrementalDeduplicator", "OpStats", "RepairStats"]
@@ -255,7 +256,6 @@ class IncrementalDeduplicator:
         #: rid -> the records whose cut list holds it or whose exact NN
         #: it is: the entries a removal rebuilds.
         self._refs: dict[int, set[int]] = {}
-        self._np = numpy_or_none()
         #: The distance's live-row index (``DistanceFunction.live_rows``)
         #: while it offers one; ``None`` scores rows through the cache.
         self._live = None
@@ -367,13 +367,9 @@ class IncrementalDeduplicator:
             radius[slot] = 0.0
             # Every d(rid, v) >= nn(rid): unless some radius passes it,
             # no record counts the removed one and no row is read.
-            reach = max(radius) if self._np is None else radius.max()
-            if self._nn[slot] < reach:
+            if self._nn[slot] < radius.max():
                 slots, row = self._row(record)
-                if self._np is None:
-                    inside = [s for s, d in zip(slots, row) if d < radius[s]]
-                else:
-                    inside = slots[row < radius[slots]]
+                inside = slots[row < radius[slots]]
         self._drop_entry_state(rid)
         self.relation.remove(rid)
         if self.candidates is not None:
@@ -419,30 +415,20 @@ class IncrementalDeduplicator:
         rid = record.rid
         self._refs[rid] = set()
         slots, row = self._scan(record)
-        np, nn, kth, radius = self._np, self._nn, self._kth, self._radius
         # Records whose cut list admits the newcomer (ties with a full
         # size-cut list's last entry are admitted and then cut again:
         # the newcomer's id is the largest, so it sorts last), records
         # it is nearer to than their exact NN (their NG is recounted at
         # the smaller radius), and the others holding it inside their
         # radius (their NG gains one).
-        if np is None:
-            hits = [
-                (slot, d, d <= kth[slot], d < nn[slot])
-                for slot, d in zip(slots, row)
-            ]
-            bumped = [hit[0] for hit in hits if not hit[3] and hit[1] < radius[hit[0]]]
-            hits = [hit for hit in hits if hit[2] or hit[3]]
-        else:
-            nearer = row < nn[slots]
-            admitted = row <= kth[slots]
-            bumped = slots[(row < radius[slots]) & ~nearer]
-            at = np.flatnonzero(admitted | nearer)
-            hits = zip(
-                slots[at].tolist(), row[at].tolist(),
-                admitted[at].tolist(), nearer[at].tolist(),
-            )
-        self._bump(bumped, 1)
+        nearer = row < self._nn[slots]
+        admitted = row <= self._kth[slots]
+        self._bump(slots[(row < self._radius[slots]) & ~nearer], 1)
+        at = np.flatnonzero(admitted | nearer)
+        hits = zip(
+            slots[at].tolist(), row[at].tolist(),
+            admitted[at].tolist(), nearer[at].tolist(),
+        )
         for slot, d, admitted, nearer in hits:
             self._enter(slot, rid, d, admitted, nearer)
 
@@ -498,25 +484,16 @@ class IncrementalDeduplicator:
             lst = self._neighbors[rid]
             return 1 + bisect_left(lst, (radius,), key=by_proximity)
         _, row = self._row(self.relation.get(rid))
-        if self._np is None:
-            return 1 + sum(d < radius for d in row)
-        return 1 + int(self._np.count_nonzero(row < radius))
+        return 1 + int(np.count_nonzero(row < radius))
 
     def _bump(self, slots, step: int) -> None:
         """``ng += step`` for the records at ``slots`` (each gained or
         lost one neighborhood member), noting class changes."""
         if not len(slots):
             return
-        ng, rid_at = self._ng, self._rid_at
-        if self._np is None:
-            for slot in slots:
-                old = ng[slot]
-                ng[slot] = old + step
-                self._mark_ng(rid_at[slot], old, old + step)
-            return
-        old = ng[slots]
-        new = ng[slots] = old + step
-        rids = rid_at[slots]
+        old = self._ng[slots]
+        new = self._ng[slots] = old + step
+        rids = self._rid_at[slots]
         self._op_marked.update(rids.tolist())
         flips = self._ng_class(old) != self._ng_class(new)
         if flips.any():
@@ -529,9 +506,9 @@ class IncrementalDeduplicator:
 
     def _row(self, record: Record):
         """Distances from ``record`` to the records it is compared
-        against, as ``(slots, distances)`` — arrays with numpy, lists
-        without — from the live index when the distance offers one,
-        else fetched through the pair cache in one call."""
+        against, as ``(slots, distances)`` arrays: from the live index
+        when the distance offers one, else fetched through the pair
+        cache in one call."""
         rid = record.rid
         others = None
         if self.candidates is not None:
@@ -556,11 +533,10 @@ class IncrementalDeduplicator:
         self._op_pairs += len(values)
         slot_of = self._slot_of
         slots = [slot_of[other.rid] for other in targets]
-        row = [memo[key] for key in keys]
-        np = self._np
-        if np is None:
-            return slots, row
-        return np.asarray(slots, dtype=np.int64), np.asarray(row)
+        return (
+            np.asarray(slots, dtype=np.int64),
+            np.asarray([memo[key] for key in keys]),
+        )
 
     def _scan(self, record: Record):
         """Set one record's entry — cut list, exact NN, radius and NG,
@@ -572,12 +548,9 @@ class IncrementalDeduplicator:
         old_list, old_ng = self._neighbors.get(rid), self._ng[slot]
         slots, row = self._row(record)
         self._drop_refs(rid, slot)
-        p, k, theta, np = self.params.p, self._k, self._theta, self._np
+        p, k, theta = self.params.p, self._k, self._theta
         nn, nn_rid, head = math.inf, -1, []
-        if np is None:
-            head = sorted(zip(row, [self._rid_at[s] for s in slots]))
-            nn, nn_rid = head[0] if head else (nn, nn_rid)
-        elif len(row):
+        if len(row):
             rids = self._rid_at[slots]
             nn = float(row.min())
             nn_rid = int(rids[row == nn].min())
@@ -591,10 +564,7 @@ class IncrementalDeduplicator:
             head = sorted(zip(row[at].tolist(), rids[at].tolist()))
         # ``d < radius``; for ``nn = 0`` that is ``d == 0``.
         radius = p * nn if nn > 0.0 else _ABOVE_ZERO
-        if np is None:
-            ng = 1 + bisect_left(head, (radius,))
-        else:
-            ng = 1 + int(np.count_nonzero(row < radius))
+        ng = 1 + int(np.count_nonzero(row < radius))
         end = len(head) if theta is None else bisect_left(head, (theta,))
         hits = head[: end if k is None else min(end, k)]
         self._neighbors[rid] = list(starmap(Neighbor, hits))
@@ -625,9 +595,8 @@ class IncrementalDeduplicator:
     # ------------------------------------------------------------------
 
     def _reset_state(self) -> None:
-        np = self._np
         for name, _, dtype in _STATE:
-            setattr(self, name, [] if np is None else np.empty(0, dtype=dtype))
+            setattr(self, name, np.empty(0, dtype=dtype))
 
     def _post(self, record: Record) -> None:
         """Give a new live record a slot (its live-index slot, if any)
@@ -641,14 +610,10 @@ class IncrementalDeduplicator:
         size = len(self._ng)
         if slot >= size:
             grow = max(16, size, slot + 1 - size)
-            np = self._np
             for name, fill, dtype in _STATE:
-                if np is None:
-                    getattr(self, name).extend([fill] * grow)
-                else:
-                    setattr(self, name, np.concatenate(
-                        [getattr(self, name), np.full(grow, fill, dtype=dtype)]
-                    ))
+                setattr(self, name, np.concatenate(
+                    [getattr(self, name), np.full(grow, fill, dtype=dtype)]
+                ))
         self._rid_at[slot] = record.rid
 
     def _ng_of(self, rid: int) -> int:

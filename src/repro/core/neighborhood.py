@@ -27,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from repro.distances.kernels.compat import numpy_or_none, require_numpy
+import numpy as np
+
 from repro.index.base import Neighbor, Phase1Batch
 
 __all__ = ["NNEntry", "NNRelation", "entry_to_row", "entry_from_row"]
@@ -122,29 +123,13 @@ class NNRelation:
     def union(cls, relations: "Sequence[NNRelation]") -> "NNRelation":
         """Every rid of ``relations``, with the first holder's entry
         where several relations hold one."""
-        if numpy_or_none() is not None:
-            parts = [relation.columns() for relation in relations]
-        else:
-            entries = [list(relation) for relation in relations]
-            parts = [
-                ([e.rid for e in part], [(e.neighbors, e.ng) for e in part])
-                for part in entries
-            ]
-        return cls._from_parts(parts, keep_first=True)
+        return cls._from_parts(
+            [relation.columns() for relation in relations], keep_first=True
+        )
 
     @classmethod
     def _from_parts(cls, parts: list, keep_first: bool) -> "NNRelation":
         relation = cls()
-        np = numpy_or_none()
-        if np is None:
-            for rids, batch in parts:
-                for rid, (neighbors, ng) in zip(rids, batch):
-                    if keep_first and rid in relation:
-                        continue
-                    relation.add(
-                        NNEntry(rid=rid, neighbors=tuple(neighbors), ng=ng)
-                    )
-            return relation
         rids = np.concatenate(
             [np.asarray(part[0], dtype=np.int64) for part in parts]
             or [np.zeros(0, dtype=np.int64)]
@@ -168,11 +153,10 @@ class NNRelation:
 
     def columns(self) -> tuple:
         """``(rids, batch)``: the ascending rids (int64) and an aligned
-        :class:`~repro.index.base.Phase1Batch` of their rows (numpy
-        required).  A columnar relation returns its own store."""
+        :class:`~repro.index.base.Phase1Batch` of their rows.  A
+        columnar relation returns its own store."""
         if self._batch is not None:
             return self._rids, self._batch
-        np = require_numpy()
         entries = list(self)
         return (
             np.asarray([entry.rid for entry in entries], dtype=np.int64),

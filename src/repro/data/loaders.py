@@ -94,17 +94,21 @@ def relation_from_csv(
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
-        rows = list(reader)
+        # Each row with the file line it ends on.
+        rows = [(row, reader.line_num) for row in reader]
     if not rows:
         raise ValueError(f"{path} is empty")
     if schema is None:
-        header, rows = rows[0], rows[1:]
+        header, rows = rows[0][0], rows[1:]
     else:
         header = list(schema)
     relation = Relation(name=name or path.stem, schema=tuple(header))
-    for rid, row in enumerate(rows):
+    for rid, (row, line) in enumerate(rows):
         if len(row) != len(header):
-            raise ValueError(f"{path}: row {rid} has arity {len(row)}")
+            raise ValueError(
+                f"{path}: line {line} has {len(row)} fields, "
+                f"expected {len(header)}"
+            )
         relation.add(Record(rid, tuple(row)))
     return relation
 

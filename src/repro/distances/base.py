@@ -80,9 +80,7 @@ class DistanceFunction(abc.ABC):
         others=None) -> (slots, distances)``, bit-identical to
         :meth:`distance`, with ``slot_of`` and ``rids`` mapping rids and
         slots), or ``None``: the serving layer then scores rows pair by
-        pair.  Offered only where numpy is importable, as
-        ``kernel="auto"`` chooses kernels, and only after
-        :meth:`prepare`.
+        pair.  Offered only after :meth:`prepare`.
         """
         return None
 
@@ -96,10 +94,10 @@ class DistanceFunction(abc.ABC):
         return kernel
 
     def __getstate__(self) -> dict:
-        # Registered kernels hold a live numpy module reference and do
-        # not pickle; a process-pool worker rebuilds (and re-registers)
-        # its own kernels when the index re-resolves them, so the
-        # worker-side ledger starts at zero by design.
+        # Registered kernels are not shipped: a process-pool worker
+        # rebuilds (and re-registers) its own kernels when the index
+        # re-resolves them, so the worker-side ledger starts at zero by
+        # design.
         state = self.__dict__.copy()
         state.pop("_kernels", None)
         return state

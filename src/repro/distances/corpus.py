@@ -28,6 +28,8 @@ import math
 from collections import Counter
 from typing import Callable, Iterable
 
+import numpy as np
+
 from repro.data.schema import Record
 from repro.distances.base import DistanceFunction
 from repro.distances.tokens import tokenize
@@ -174,9 +176,6 @@ class Corpus:
         token order like :meth:`vector`.
         """
         if self._arrays is None:
-            from repro.distances.kernels.compat import require_numpy
-
-            np = require_numpy()
             indptr = np.asarray(self.indptr, dtype=np.int64)
             indices = np.asarray(self.indices, dtype=np.int64)
             tfidf = np.asarray(self.counts, dtype=np.float64) * np.asarray(
@@ -195,9 +194,6 @@ class Corpus:
         """The CSR of corpus rows ``rows`` (an int64 array), in that
         order: its ``indptr`` and each entry's position in the
         :meth:`arrays` ``indices`` / ``tfidf``."""
-        from repro.distances.kernels.compat import require_numpy
-
-        np = require_numpy()
         indptr = self.arrays()[0]
         starts = indptr[rows]
         sizes = indptr[rows + 1] - starts

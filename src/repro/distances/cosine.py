@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.data.schema import Record, Relation
 from repro.distances.base import clamp01
 from repro.distances.corpus import Corpus, CorpusDistance
-from repro.distances.kernels.compat import numpy_or_none
 
 __all__ = ["CosineDistance", "LiveCosineRows", "cosine_similarity"]
 
@@ -60,10 +61,9 @@ class CosineDistance(CorpusDistance):
         return self._register_kernel(CosineKernel(vectors))
 
     def live_rows(self):
-        np = numpy_or_none()
-        if np is None or self.corpus is None:
+        if self.corpus is None:
             return None
-        return LiveCosineRows(self.corpus, np)
+        return LiveCosineRows(self.corpus)
 
     def distance(self, a: Record, b: Record) -> float:
         vector = self._corpus().vector
@@ -94,7 +94,7 @@ class _Posting:
 
     __slots__ = ("slots", "weights", "n")
 
-    def __init__(self, np) -> None:
+    def __init__(self) -> None:
         self.slots = np.empty(4, dtype=np.int64)
         self.weights = np.empty(4, dtype=np.float64)
         self.n = 0
@@ -118,9 +118,8 @@ class LiveCosineRows:
     builds one.
     """
 
-    def __init__(self, corpus: Corpus, np) -> None:
+    def __init__(self, corpus: Corpus) -> None:
         self.corpus = corpus
-        self._np = np
         #: rid -> slot of every live record.
         self.slot_of: dict[int, int] = {}
         #: slot -> rid (``-1`` for a free slot) and slot -> norm.
@@ -132,7 +131,6 @@ class LiveCosineRows:
 
     def add(self, record: Record) -> None:
         """Post ``record``'s vector under a free slot."""
-        np = self._np
         if not self._free:
             size = len(self.rids)
             self.rids = np.concatenate([self.rids, np.full(size, -1, np.int64)])
@@ -149,7 +147,7 @@ class LiveCosineRows:
         for token, weight in zip(vector[0], vector[1]):
             posting = postings.get(token)
             if posting is None:
-                posting = postings[token] = _Posting(np)
+                posting = postings[token] = _Posting()
             n = posting.n
             if n == len(posting.slots):
                 posting.slots = np.concatenate([posting.slots, posting.slots])
@@ -160,7 +158,6 @@ class LiveCosineRows:
 
     def remove(self, rid: int) -> None:
         """Take ``rid``'s entries out of its postings and free its slot."""
-        np = self._np
         slot = self.slot_of.pop(rid)
         postings = self._postings
         for token in self._vectors[slot][0]:
@@ -182,7 +179,6 @@ class LiveCosineRows:
         """``(slots, distances)`` from live record ``rid`` to every
         other live record, or to the rids of ``others`` in that order;
         ``rids[slots]`` names them."""
-        np = self._np
         slot = self.slot_of[rid]
         if others is None:
             slots = np.flatnonzero(self.rids >= 0)

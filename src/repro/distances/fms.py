@@ -25,19 +25,16 @@ fallback for environments without scipy.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.data.schema import Record
 from repro.distances.base import clamp01
 from repro.distances.corpus import Corpus, CorpusDistance
 from repro.distances.edit import levenshtein
 
-from repro.distances.kernels.compat import numpy_or_none
-
-_np = numpy_or_none()
 try:  # pragma: no cover - exercised implicitly
     from scipy.optimize import linear_sum_assignment as _lsa
 except ImportError:  # pragma: no cover
-    _lsa = None
-if _np is None:  # scipy without numpy cannot happen, but keep the pair honest
     _lsa = None
 
 __all__ = ["FuzzyMatchDistance", "directed_fuzzy_match_distance"]
@@ -58,7 +55,7 @@ def _assignment(cost: list[list[float]]) -> list[tuple[int, int]]:
     if not cost or not cost[0]:
         return []
     if _lsa is not None:
-        matrix = _np.asarray(cost, dtype=float)
+        matrix = np.asarray(cost, dtype=float)
         rows, cols = _lsa(matrix)
         return list(zip(rows.tolist(), cols.tolist()))
     # Greedy fallback: repeatedly take the globally cheapest pair.

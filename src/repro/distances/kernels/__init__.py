@@ -1,21 +1,15 @@
-"""Vectorized batch distance kernels (optional numpy backend).
+"""Vectorized batch distance kernels over numpy arrays.
 
-Nothing in this package imports numpy at module import time; the
-concrete kernels call :func:`~repro.distances.kernels.compat.require_numpy`
-in their constructors and raise :class:`KernelUnavailable` when the
-``perf`` extra is not installed, letting callers fall back to the
-scalar per-pair path.
+A distance without a kernel implementation raises
+:class:`KernelUnavailable` from ``make_kernel``, letting callers keep
+the scalar per-pair path.
 """
 
-from .base import DistanceKernel
+from .base import DistanceKernel, KernelUnavailable
 from .columnar import ColumnarVectors
-from .compat import KernelUnavailable, have_numpy, numpy_or_none, require_numpy
 
 __all__ = [
     "DistanceKernel",
     "ColumnarVectors",
     "KernelUnavailable",
-    "have_numpy",
-    "numpy_or_none",
-    "require_numpy",
 ]

@@ -32,6 +32,13 @@ from collections.abc import Sequence
 _COUNT_LOCK = threading.Lock()
 
 
+class KernelUnavailable(RuntimeError):
+    """A distance function has no batch kernel implementation.
+
+    ``kernel="auto"`` callers catch it and keep the scalar path.
+    """
+
+
 class DistanceKernel(ABC):
     """Relation-bound batch distance evaluator."""
 

@@ -29,7 +29,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .compat import require_numpy
+import numpy as np
+
 
 __all__ = ["ColumnarVectors"]
 
@@ -44,8 +45,6 @@ class ColumnarVectors:
     """
 
     def __init__(self, corpus, rids: Iterable[int], weighted: bool = False) -> None:
-        np = require_numpy()
-        self._np = np
         row_of = corpus.row_of
         self.rid_list = sorted(int(rid) for rid in rids if rid in row_of)
         self.rids = np.asarray(self.rid_list, dtype=np.int64)
@@ -79,7 +78,6 @@ class ColumnarVectors:
         the ``row_of`` dict).
         """
         if not self._rid_table_built:
-            np = self._np
             if len(self.rid_list):
                 lo = int(self.rids[0])
                 hi = int(self.rids[-1])
@@ -99,7 +97,6 @@ class ColumnarVectors:
         when any rid is not indexed — one bulk table gather instead of
         a python dict lookup per candidate.
         """
-        np = self._np
         arr = np.asarray(rids, dtype=np.int64)
         if len(arr) == 0:
             return arr
@@ -123,7 +120,6 @@ class ColumnarVectors:
     def postings(self):
         """CSC view ``(pindptr, prows, pvals)``; built on first use."""
         if self._pindptr is None:
-            np = self._np
             pindptr = np.zeros(self.n_vocab + 1, dtype=np.int64)
             if len(self.indices):
                 counts = np.bincount(self.indices, minlength=self.n_vocab)
@@ -155,7 +151,6 @@ class ColumnarVectors:
         Row ``rows[p]``'s tokens come out as one run tagged ``p``, in
         ascending vocabulary order, runs in ``rows`` order.
         """
-        np = self._np
         starts = self.indptr[rows]
         lengths = self.indptr[rows + 1] - starts
         owner = np.repeat(np.arange(len(rows), dtype=np.int64), lengths)
@@ -178,7 +173,6 @@ class ColumnarVectors:
         ``(pair, token)`` keys answers every pair at once: the keys of
         ``rows_a`` are strictly ascending by construction.
         """
-        np = self._np
         owner_a, flat_a = self._segments(rows_a)
         owner_b, flat_b = self._segments(rows_b)
         width = max(self.n_vocab, 1)
@@ -202,7 +196,6 @@ class ColumnarVectors:
         land on each target row in the same order the scalar merge-join
         would apply them.
         """
-        np = self._np
         pindptr, prows, pvals = self.postings()
         start, end = int(self.indptr[i]), int(self.indptr[i + 1])
         if start == end:
@@ -224,7 +217,6 @@ class ColumnarVectors:
 
     def intersection_row(self, i: int):
         """Integer set-intersection sizes of row ``i`` vs every row."""
-        np = self._np
         pindptr, prows, _ = self.postings()
         start, end = int(self.indptr[i]), int(self.indptr[i + 1])
         if start == end:

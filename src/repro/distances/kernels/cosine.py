@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+import numpy as np
+
 from .base import DistanceKernel
 from .columnar import ColumnarVectors
-from .compat import require_numpy
 
 __all__ = ["CosineKernel"]
 
@@ -27,7 +28,6 @@ class CosineKernel(DistanceKernel):
     pairs_min = 16  # pairs() computes a full row; skip tiny lists
 
     def __init__(self, vectors: ColumnarVectors) -> None:
-        self._np = require_numpy()
         self.evaluations = 0
         self._v = vectors
         self._norms = vectors.norms
@@ -40,7 +40,6 @@ class CosineKernel(DistanceKernel):
         return rid in self._v
 
     def _distance_row(self, i: int):
-        np = self._np
         dot = self._v.dot_row(i)
         denom = self._norms * float(self._norms[i])
         sim = np.divide(
@@ -49,7 +48,6 @@ class CosineKernel(DistanceKernel):
         return np.where(dot == 0.0, 1.0, np.clip(1.0 - sim, 0.0, 1.0))
 
     def block(self, query_rids: Sequence[int]):
-        np = self._np
         n = len(self._v)
         out = np.empty((len(query_rids), n), dtype=np.float64)
         for r, rid in enumerate(query_rids):
@@ -70,7 +68,6 @@ class CosineKernel(DistanceKernel):
         tf-idf weights are strictly positive (``x + 0.0`` preserves
         bits for non-negative partial sums).
         """
-        np = self._np
         v = self._v
         qs, qe = int(v.indptr[i]), int(v.indptr[i + 1])
         starts = v.indptr[rows]
@@ -115,7 +112,6 @@ class CosineKernel(DistanceKernel):
         the norm product commute.  One call answers any mix of queries,
         so a blocked caller computes each unordered pair once.
         """
-        np = self._np
         v = self._v
         pair, flat_a, flat_b = v.shared_tokens(rows_a, rows_b)
         dot = np.zeros(len(rows_a), dtype=np.float64)
@@ -162,7 +158,6 @@ class CosineKernel(DistanceKernel):
         Both produce bit-identical values.  ``rows``/``query_row`` (from
         :meth:`resolve_rows`) skip the rid → row dict mapping.
         """
-        np = self._np
         v = self._v
         i = v.row_of[query_rid] if query_row is None else query_row
         if rows is None:

@@ -30,6 +30,8 @@ from __future__ import annotations
 import threading
 from collections.abc import Sequence
 
+import numpy as np
+
 from .base import DistanceKernel
 
 #: Batches of fewer pairs keep the scalar :func:`myers_levenshtein`
@@ -142,9 +144,6 @@ class EditKernel(DistanceKernel):
     memo_rows = 64
 
     def __init__(self, rids: Sequence[int], texts: Sequence[str]) -> None:
-        from .compat import require_numpy
-
-        np = self._np = require_numpy()
         self.evaluations = 0
         self._rids = list(rids)
         self._row_of = {rid: i for i, rid in enumerate(self._rids)}
@@ -196,7 +195,6 @@ class EditKernel(DistanceKernel):
         row = memo.get(qi)
         if row is not None:
             return row
-        np = self._np
         row = np.zeros(len(self._texts), dtype=np.float64)
         todo = np.ones(len(self._texts), dtype=bool)
         todo[qi] = False
@@ -211,7 +209,6 @@ class EditKernel(DistanceKernel):
         return row
 
     def block(self, query_rids: Sequence[int]):
-        np = self._np
         out = np.empty((len(query_rids), len(self._rids)), dtype=np.float64)
         for r, rid in enumerate(query_rids):
             out[r, :] = self._row(self._row_of[rid])
@@ -221,7 +218,6 @@ class EditKernel(DistanceKernel):
         """Distances of aligned row pairs ``(rows_a[p], rows_b[p])``,
         equal to ``block`` in both directions (Levenshtein and ``raw /
         max(len)`` are exactly symmetric)."""
-        np = self._np
         out = self._distances(
             np.asarray(rows_a, dtype=np.intp), np.asarray(rows_b, dtype=np.intp)
         )
@@ -239,7 +235,6 @@ class EditKernel(DistanceKernel):
         texts): lanes from :data:`LANE_CROSSOVER` pairs up, else the
         scalar loop, whose runs of pairs sharing ``rows_a[p]`` build
         their match masks once."""
-        np = self._np
         if len(rows_a) >= LANE_CROSSOVER:
             raw, longest = self._lanes(rows_a, rows_b)
             out = np.zeros(len(raw), dtype=np.float64)
@@ -264,7 +259,6 @@ class EditKernel(DistanceKernel):
         column left them.  Chunks of :func:`chunk_lanes` lanes keep the
         scratch under :data:`LANE_BUDGET`.
         """
-        np = self._np
         lengths = self._lengths
         len_a, len_b = lengths[rows_a], lengths[rows_b]
         swap = len_a > len_b
@@ -288,7 +282,6 @@ class EditKernel(DistanceKernel):
         """Indices into ``codes`` of each row's first ``length``
         characters, shape ``(length, len(rows))``; past a row's end they
         point at whatever follows it."""
-        np = self._np
         at = self._starts[rows] + np.arange(length)[:, None]
         np.minimum(at, len(self._codes) - 1, out=at)
         return at
@@ -296,7 +289,6 @@ class EditKernel(DistanceKernel):
     def _chunk(self, pattern, text, m, n):
         """Hyyrö's recurrence over one chunk of lanes (texts sorted by
         length, longest first); returns each lane's distance."""
-        np = self._np
         codes = self._codes
         lanes = len(pattern)
         longest = int(m.max())

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+import numpy as np
+
 from .base import DistanceKernel
 from .columnar import ColumnarVectors
-from .compat import require_numpy
 
 __all__ = ["JaccardKernel"]
 
@@ -25,8 +26,6 @@ class JaccardKernel(DistanceKernel):
     pairs_min = 16  # pairs() computes a full row; skip tiny lists
 
     def __init__(self, vectors: ColumnarVectors) -> None:
-        np = require_numpy()
-        self._np = np
         self.evaluations = 0
         self._v = vectors
         self._sizes = vectors.row_sizes
@@ -39,7 +38,6 @@ class JaccardKernel(DistanceKernel):
         return rid in self._v
 
     def _distance_row(self, i: int):
-        np = self._np
         size_q = int(self._sizes[i])
         if size_q == 0:
             # Scalar semantics: both-empty -> similarity 1.0 (distance
@@ -51,7 +49,6 @@ class JaccardKernel(DistanceKernel):
         return np.clip(1.0 - sim, 0.0, 1.0)
 
     def block(self, query_rids: Sequence[int]):
-        np = self._np
         n = len(self._v)
         out = np.empty((len(query_rids), n), dtype=np.float64)
         for r, rid in enumerate(query_rids):
@@ -69,7 +66,6 @@ class JaccardKernel(DistanceKernel):
         only float ops are the same ``int / int`` divide and ``1 - sim``
         the full row performs.
         """
-        np = self._np
         v = self._v
         size_q = int(self._sizes[i])
         sizes = self._sizes[rows]
@@ -108,7 +104,6 @@ class JaccardKernel(DistanceKernel):
         the same ``int / int`` divide and ``1 - sim``.  Two empty sets
         are at distance 0, an empty and a non-empty one at distance 1.
         """
-        np = self._np
         pair, _, _ = self._v.shared_tokens(rows_a, rows_b)
         inter = np.bincount(pair, minlength=len(rows_a))
         sizes_a = self._sizes[rows_a]
@@ -149,7 +144,6 @@ class JaccardKernel(DistanceKernel):
         ``rows``/``query_row`` (from :meth:`resolve_rows`) skip the
         rid → row dict mapping.
         """
-        np = self._np
         v = self._v
         i = v.row_of[query_rid] if query_row is None else query_row
         if rows is None:

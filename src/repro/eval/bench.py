@@ -35,8 +35,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from repro.core.formulation import DEParams
-from repro.distances.kernels.compat import numpy_or_none
 
 if TYPE_CHECKING:
     from repro.core.cspairs import CSPair
@@ -167,7 +168,6 @@ def environment(requested_workers: int = 1) -> dict:
     exceeds the machine.
     """
     cpu_count = os.cpu_count() or 1
-    numpy = numpy_or_none()
     warning = None
     if requested_workers > cpu_count:
         warning = (
@@ -179,7 +179,7 @@ def environment(requested_workers: int = 1) -> dict:
         "host": platform.node(),
         "cpu_count": cpu_count,
         "python": platform.python_version(),
-        "numpy": numpy.__version__ if numpy is not None else None,
+        "numpy": np.__version__,
         "git_sha": _git_sha(),
         "requested_workers": requested_workers,
         "effective_parallelism": min(requested_workers, cpu_count),

@@ -163,8 +163,8 @@ def run_build_throughput(
     tokenize_seconds = tokenizing["seconds"]
     signed = SignatureFactory(n_hashes).sign(corpus, rids)
     grouping = group_band_buckets(signed, n_bands)
-    # Untimed: with numpy the tuples are read off the signature matrix
-    # here, for the checksum only.
+    # Untimed: the tuples are read off the signature matrix here, for
+    # the checksum only.
     factory = row(
         "factory", tokenize_seconds, signed.timings["sign"], grouping.seconds,
         grouping.n_buckets, checksum_of(zip(signed.rids, signed.tuples)),

@@ -3,8 +3,7 @@ partitioning scan.
 
 The ``bench-phase2`` suite (``BENCH_phase2.json``) of the harness in
 :mod:`repro.eval.bench`.  Phase 1 runs **once** (batched, on the
-batch kernel whenever numpy is installed, as ``kernel="auto"`` runs
-do); its NN relation is then pushed through the production CSPairs
+batch kernel, as ``kernel="auto"`` runs do); its NN relation is then pushed through the production CSPairs
 builder of each source — ``memory`` (:func:`~repro.core.cspairs.build_cs_pairs`),
 ``engine`` (:func:`~repro.core.cspairs.build_cs_pairs_engine` over a
 pool that holds the whole join) and ``spill`` (the same plan behind a

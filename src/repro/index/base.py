@@ -44,15 +44,16 @@ import heapq
 import math
 import threading
 import time
-from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from repro.data.schema import Record, Relation
 from repro.distances.base import DistanceFunction
-from repro.distances.kernels.compat import numpy_or_none
+from repro.distances.kernels import KernelUnavailable
 
 __all__ = [
     "COUNTERS",
@@ -80,30 +81,12 @@ class Neighbor:
 by_proximity = attrgetter("distance", "rid")
 
 
-def _columns(indptr, rids, distances, ng) -> tuple:
-    """Typed columns of a :class:`Phase1Batch`: numpy arrays, or
-    :mod:`array` arrays when numpy is missing."""
-    np = numpy_or_none()
-    if np is None:
-        return (
-            array("q", indptr), array("q", rids),
-            array("d", distances), array("q", ng),
-        )
-    return (
-        np.asarray(indptr, dtype=np.int64),
-        np.asarray(rids, dtype=np.int64),
-        np.asarray(distances, dtype=np.float64),
-        np.asarray(ng, dtype=np.int64),
-    )
-
-
 class Phase1Batch:
     """Phase 1's answers to a batch of queries, held as columns.
 
     Query ``i``'s cut list is ``rids[indptr[i] : indptr[i + 1]]`` with
     the matching ``distances``, ranked by ``(distance, rid)``, and
-    ``ng[i]`` is its neighborhood growth.  The columns are numpy arrays
-    (:mod:`array` arrays where numpy is missing).
+    ``ng[i]`` is its neighborhood growth.  The columns are numpy arrays.
 
     Iterated, the batch is the object view: one ``(list[Neighbor],
     ng)`` per query, built only when asked for and equal to the
@@ -133,18 +116,20 @@ class Phase1Batch:
             distances.extend(neighbor.distance for neighbor in neighbors)
             indptr.append(len(rids))
             ng.append(growth)
-        return cls(*_columns(indptr, rids, distances, ng))
+        return cls(
+            np.asarray(indptr, dtype=np.int64),
+            np.asarray(rids, dtype=np.int64),
+            np.asarray(distances, dtype=np.float64),
+            np.asarray(ng, dtype=np.int64),
+        )
 
     @classmethod
     def concat(cls, batches: "Sequence[Phase1Batch]") -> "Phase1Batch":
         """One batch holding ``batches``' queries in order."""
         if len(batches) == 1:
             return batches[0]
-        np = numpy_or_none()
-        if np is None or not batches:
-            return cls.from_answers(
-                answer for batch in batches for answer in batch
-            )
+        if not batches:
+            return cls.from_answers(())
         lengths = np.concatenate([np.diff(b.indptr) for b in batches])
         indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
         np.cumsum(lengths, out=indptr[1:])
@@ -158,7 +143,6 @@ class Phase1Batch:
     def take(self, queries) -> "Phase1Batch":
         """The batch of queries ``queries`` (positions, an int array), in
         that order."""
-        np = numpy_or_none()
         lengths = np.diff(self.indptr)[queries]
         indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
         np.cumsum(lengths, out=indptr[1:])
@@ -283,8 +267,8 @@ class NNIndex(abc.ABC):
         #: Per-thread open ledgers (see :meth:`ledger`), created by the
         #: first ledger opened so that constructing an index stays cheap.
         self._open: threading.local | None = None
-        #: Kernel selection: "python" (never), "auto" (numpy kernels
-        #: when available), "numpy" (required).  Scalar by default so a
+        #: Kernel selection: "python" (never) or "auto" (the distance's
+        #: batch kernel when it has one).  Scalar by default so a
         #: bare ``build()`` keeps exact historical counter behavior;
         #: the run layer opts in via :meth:`enable_kernel`.
         self.kernel_mode = "python"
@@ -300,8 +284,8 @@ class NNIndex(abc.ABC):
 
     def __getstate__(self) -> dict:
         # Locks do not pickle; process-pool workers re-create their own.
-        # Batch kernels hold a live numpy module reference, so they are
-        # dropped too and re-resolved from ``kernel_mode`` on restore.
+        # Batch kernels are dropped too and re-resolved from
+        # ``kernel_mode`` on restore.
         state = self.__dict__.copy()
         state["_batch_lock"] = None
         state["_open"] = None
@@ -340,13 +324,12 @@ class NNIndex(abc.ABC):
         self._work.add_seconds("tokenize", time.perf_counter() - started)
 
     def enable_kernel(self, mode: str) -> None:
-        """Select the batch-kernel mode (``python``/``auto``/``numpy``).
+        """Select the batch-kernel mode (``python``/``auto``).
 
         Takes effect immediately when the index is already built,
-        otherwise at the next :meth:`build`.  ``numpy`` raises
-        :class:`~repro.distances.kernels.KernelUnavailable` when numpy
-        is missing; a distance function without a kernel implementation
-        keeps the scalar path under every mode.
+        otherwise at the next :meth:`build`.  A distance function
+        without a kernel implementation keeps the scalar path under
+        every mode.
 
         Re-selecting the mode the built index already resolved is a
         no-op: shard pipelines wrap the one shared index in their own
@@ -354,7 +337,7 @@ class NNIndex(abc.ABC):
         would both repeat the kernel construction and briefly leave the
         index without its kernel.
         """
-        if mode not in ("python", "auto", "numpy"):
+        if mode not in ("python", "auto"):
             raise ValueError(f"unknown kernel mode: {mode!r}")
         self.kernel_mode = mode
         if mode == self._resolved_mode:
@@ -371,13 +354,9 @@ class NNIndex(abc.ABC):
         self._resolved_mode = self.kernel_mode
         if self.kernel_mode == "python":
             return
-        from repro.distances.kernels import KernelUnavailable, have_numpy
-
         try:
             self._kernel = self.distance.make_kernel(self.relation)
         except KernelUnavailable:
-            if self.kernel_mode == "numpy" and not have_numpy():
-                raise
             self._kernel = None
 
     @property
@@ -616,9 +595,6 @@ class NNIndex(abc.ABC):
                 kernel, "pairs_min", 1
             )
             if usable and hasattr(kernel, "resolve_rows"):
-                from repro.distances.kernels.compat import require_numpy
-
-                np = require_numpy()
                 candidates = np.asarray(rids, dtype=np.int64)
                 resolved = kernel.resolve_rows(record.rid, candidates)
                 if resolved is not None:
@@ -631,7 +607,7 @@ class NNIndex(abc.ABC):
                         # ``d <= r`` is ``d < nextafter(r, inf)`` on floats.
                         radius = math.nextafter(radius, math.inf)
                     return read_off(
-                        np, np.zeros(len(candidates), dtype=np.int64),
+                        np.zeros(len(candidates), dtype=np.int64),
                         candidates, distances, 1, k=k, theta=radius,
                     ).neighbors(0)
             if not isinstance(rids, list):
@@ -681,7 +657,7 @@ def cut_neighbors(
 _SCORE_PAIRS = 1 << 12
 
 
-def score_pairs(np, kernel, kernel_rows, query, other, n: int):
+def score_pairs(kernel, kernel_rows, query, other, n: int):
     """Distances of the entries ``(query[i], other[i])`` (relation rows,
     ``n`` in all), each unordered pair scored once: pairs listed from
     both endpoints share one ``kernel.pair_distances`` evaluation,
@@ -704,7 +680,6 @@ def score_pairs(np, kernel, kernel_rows, query, other, n: int):
 
 
 def read_off(
-    np,
     slot,
     rids,
     distances,

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.distances.kernels.compat import numpy_or_none
+import numpy as np
+
 from repro.index.minhash import MinHashIndex
 
 __all__ = ["BlockIndex"]
@@ -45,15 +46,15 @@ class BlockIndex(MinHashIndex):
             range(len(members))
         ):
             raise ValueError("blocks must partition the relation's rids")
-        block_of = {rid: block for block in self.blocks for rid in block}
-        self._row_buckets = [[block_of[rid] for rid in self._row_of]]
-        np = numpy_or_none()
-        if np is not None:
-            sizes = [len(block) for block in self.blocks]
-            self._rid_array = np.asarray(list(self._row_of), dtype=np.int64)
-            self._bucket_rows = np.asarray(members, dtype=np.int64)
-            self._bucket_bounds = np.cumsum([0] + sizes, dtype=np.int64)
-            self._row_bucket_ids = np.empty((1, len(members)), dtype=np.int64)
-            self._row_bucket_ids[0, self._bucket_rows] = np.repeat(
-                np.arange(len(sizes)), sizes
-            )
+        sizes = [len(block) for block in self.blocks]
+        self._rid_array = np.asarray(list(self._row_of), dtype=np.int64)
+        self._bucket_rows = np.asarray(members, dtype=np.int64)
+        self._bucket_bounds = np.cumsum([0] + sizes, dtype=np.int64)
+        self._row_bucket_ids = np.empty((1, len(members)), dtype=np.int64)
+        self._row_bucket_ids[0, self._bucket_rows] = np.repeat(
+            np.arange(len(sizes)), sizes
+        )
+
+    def _probe(self, record):
+        """A record outside the relation is in no block: no candidates."""
+        return np.empty(0, dtype=np.int64)

@@ -27,6 +27,8 @@ import math
 import time
 from typing import Sequence
 
+import numpy as np
+
 from repro.data.schema import Record
 from repro.index.base import Neighbor, NNIndex, Phase1Batch, read_off
 
@@ -53,9 +55,6 @@ class BruteForceIndex(NNIndex):
         super()._resolve_kernel()
         self._kernel_rids = None
         if self._kernel is not None:
-            from repro.distances.kernels.compat import require_numpy
-
-            np = require_numpy()
             self._kernel_rids = np.asarray(self._kernel.rids, dtype=np.int64)
 
     def _usable_kernel(self, records: Sequence[Record]):
@@ -74,9 +73,6 @@ class BruteForceIndex(NNIndex):
     ) -> Phase1Batch:
         """Score one block of queries against the relation and read off
         each query's cut list and NG."""
-        from repro.distances.kernels.compat import require_numpy
-
-        np = require_numpy()
         # The kernel's own count is the authority (the edit kernel
         # mirrors recent rows without computing them); its growth on
         # this thread is this block's work, whatever other threads do.
@@ -98,7 +94,7 @@ class BruteForceIndex(NNIndex):
             keep = dense <= np.partition(dense, kth, axis=1)[:, kth : kth + 1]
         query, column = np.divmod(np.flatnonzero(keep), n)
         answers = read_off(
-            np, query, columns[column], dense[query, column], n_queries,
+            query, columns[column], dense[query, column], n_queries,
             k=k, theta=theta, p=p, radius_fn=radius_fn, rows=dense,
         )
         work.add_seconds("verify", time.perf_counter() - started)

@@ -15,12 +15,12 @@ Cost model
 ----------
 Signatures and band buckets are computed exactly once, in ``_build``
 (:mod:`repro.index.signatures`: prototype-copied blake2b over the
-vocabulary, and with numpy an array-only grouping that makes no python
-object per record or bucket); a lookup for an in-relation record
-gathers its ``n_bands`` bucket member lists (no hashing) plus one
-verification per surfaced candidate.  An out-of-relation probe is
-signed on the fly and, with numpy, matched against the signature
-matrix's band columns, one vectorized compare per band.
+vocabulary, and an array-only grouping that makes no python object per
+record or bucket); a lookup for an in-relation record gathers its
+``n_bands`` bucket member slices (no hashing) plus one verification
+per surfaced candidate.  An out-of-relation probe is signed on the fly
+and matched against the signature matrix's band columns, one
+vectorized compare per band.
 
 The index only generates and scores candidates; the shared
 :func:`~repro.index.base.read_off` ranks them and reads every cut list,
@@ -58,9 +58,10 @@ import hashlib
 import time
 from functools import partial
 
+import numpy as np
+
 from repro.data.schema import Record
 from repro.distances.corpus import Corpus
-from repro.distances.kernels.compat import numpy_or_none
 from repro.distances.tokens import qgrams, tokenize
 from repro.index.base import (
     Neighbor,
@@ -158,20 +159,14 @@ class MinHashIndex(NNIndex):
         self.name = f"minhash{n_hashes}x{n_bands}"
         #: rid -> relation-order row.
         self._row_of: dict[int, int] = {}
-        #: Without numpy (see ``BandGrouping``): ``(band, key)`` ->
-        #: member rids for out-of-relation probes, and per band, row ->
-        #: member list for in-relation ones; ``None`` once a numpy build
-        #: has grouped.
-        self._buckets: dict[tuple[int, tuple[int, ...]], list[int]] | None = {}
-        self._row_buckets: list[list[list[int]]] | None = []
-        #: With numpy, the grouping's flat bucket layout instead:
+        #: The grouping's flat bucket layout (see ``BandGrouping``):
         #: per-band bucket ids of every row, member rows bucket after
         #: bucket, and bucket bounds.
         self._row_bucket_ids = None
         self._bucket_rows = None
         self._bucket_bounds = None
-        #: Relation rids in relation order (numpy int64 when available),
-        #: backing the vectorized exhaustive-fallback extension.
+        #: Relation rids in relation order (int64), backing the
+        #: vectorized exhaustive-fallback extension.
         self._rid_array = None
         #: Relation row -> batch-kernel row, set when the kernel scores
         #: explicit row pairs: the blocked ``phase1_batch`` runs then.
@@ -184,9 +179,6 @@ class MinHashIndex(NNIndex):
 
     def _signature(self, record: Record) -> tuple[int, ...]:
         return minhash_signature(set(self._elements(record)), self.n_hashes)
-
-    def _keys_of(self, signature: tuple[int, ...]) -> tuple:
-        return band_keys(signature, self.n_bands)
 
     def _build(self) -> None:
         """Sign every record and bucket it — once, idempotently.
@@ -203,11 +195,10 @@ class MinHashIndex(NNIndex):
         :class:`~repro.index.signatures.SignatureFactory` hashes each
         vocabulary token once and min-gathers the signatures;
         :func:`~repro.index.signatures.group_band_buckets` buckets them
-        (the flat arrays with numpy, the dicts otherwise).  Both are
-        bit-identical to the scalar :func:`minhash_signature` /
-        :func:`band_keys` path.  The signature batch is kept: shard
-        planning shares it, and numpy out-of-relation probes compare
-        against its matrix.
+        into flat arrays.  Both are bit-identical to the scalar
+        :func:`minhash_signature` / :func:`band_keys` path.  The
+        signature batch is kept: shard planning shares it, and
+        out-of-relation probes compare against its matrix.
         Build wall time lands in ``substage_seconds`` under
         ``tokenize`` / ``sign`` / ``bucket``.
         """
@@ -225,16 +216,11 @@ class MinHashIndex(NNIndex):
         signatures = SignatureFactory(self.n_hashes).sign(corpus, rids)
         grouping = group_band_buckets(signatures, self.n_bands)
         started = time.perf_counter()
-        self._buckets = grouping.buckets
         self._row_of = {rid: i for i, rid in enumerate(rids)}
-        self._row_buckets = grouping.row_buckets
         self._row_bucket_ids = grouping.row_bucket_ids
         self._bucket_rows = grouping.bucket_rows
         self._bucket_bounds = grouping.bucket_bounds
-        np = numpy_or_none()
-        self._rid_array = (
-            np.asarray(rids, dtype=np.int64) if np is not None else None
-        )
+        self._rid_array = np.asarray(rids, dtype=np.int64)
         self._relation_signatures = signatures
         work.add_seconds("sign", signatures.timings["sign"])
         work.add_seconds(
@@ -247,9 +233,8 @@ class MinHashIndex(NNIndex):
         kernel = self._kernel
         rids = self._rid_array
         if (
-            self._row_bucket_ids is None
+            rids is None
             or not hasattr(kernel, "pair_distances")
-            or rids is None
             or not len(rids)
         ):
             return
@@ -258,7 +243,7 @@ class MinHashIndex(NNIndex):
         position = {rid: row for row, rid in enumerate(kernel.rids)}
         rows = [position.get(rid) for rid in rids.tolist()]
         if None not in rows:
-            self._kernel_rows = numpy_or_none().asarray(rows, dtype=rids.dtype)
+            self._kernel_rows = np.asarray(rows, dtype=rids.dtype)
 
     def relation_signatures(self) -> RelationSignatures | None:
         """The build's signature batch, shareable with shard planning.
@@ -273,76 +258,50 @@ class MinHashIndex(NNIndex):
         return self._relation_signatures
 
     def _candidates(self, record: Record):
-        """Sorted candidate rids: ``list[int]``, or int64 array on the
-        numpy probe path (same rids in the same ascending order)."""
+        """Candidate rids, an ascending int64 array."""
         row = self._row_of.get(record.rid)
-        seen: set[int] = set()
-        if row is not None:
-            if self._row_bucket_ids is not None:
-                # In-relation numpy probe: union the bands' member
-                # slices with one C-level sort instead of per-member
-                # python set inserts.
-                np = numpy_or_none()
-                bounds = self._bucket_bounds
-                members = self._bucket_rows
-                merged = np.unique(
-                    self._rid_array[
-                        np.concatenate([
-                            members[bounds[g] : bounds[g + 1]]
-                            for g in self._row_bucket_ids[:, row].tolist()
-                        ])
-                    ]
-                )
-                return merged[merged != record.rid]
-            # In-relation probe: no hashing, no key lookups — each
-            # band's bucket member list is already resolved per row.
-            for band_rows in self._row_buckets:
-                seen.update(band_rows[row])
-            seen.discard(record.rid)
-            return sorted(seen)
-        # Out-of-relation probe: sign on the fly (the only case where a
-        # signature is ever computed outside _build).
-        signature = self._signature(record)
-        if self._buckets is None:
-            np = numpy_or_none()
-            matrix = self._relation_signatures.matrix
-            probe = np.asarray(signature, dtype=np.uint64)
-            hit = np.zeros(len(matrix), dtype=bool)
-            for lo in range(0, self.n_hashes, self.rows_per_band):
-                hi = lo + self.rows_per_band
-                hit |= (matrix[:, lo:hi] == probe[lo:hi]).all(axis=1)
-            found = self._rid_array[hit]
-            return np.sort(found[found != record.rid])
-        for key in self._keys_of(signature):
-            seen.update(self._buckets.get(key, ()))
-        seen.discard(record.rid)
-        return sorted(seen)
+        if row is None:
+            return self._probe(record)
+        # In-relation probe: no hashing; union the bands' member slices
+        # with one C-level sort.
+        bounds = self._bucket_bounds
+        members = self._bucket_rows
+        merged = np.unique(
+            self._rid_array[
+                np.concatenate([
+                    members[bounds[g] : bounds[g + 1]]
+                    for g in self._row_bucket_ids[:, row].tolist()
+                ])
+            ]
+        )
+        return merged[merged != record.rid]
+
+    def _probe(self, record: Record):
+        """Candidates of a record outside the relation: signed on the
+        fly (the only case where a signature is ever computed outside
+        ``_build``) and matched band by band against the matrix."""
+        matrix = self._relation_signatures.matrix
+        probe = np.asarray(self._signature(record), dtype=np.uint64)
+        hit = np.zeros(len(matrix), dtype=bool)
+        for lo in range(0, self.n_hashes, self.rows_per_band):
+            hi = lo + self.rows_per_band
+            hit |= (matrix[:, lo:hi] == probe[lo:hi]).all(axis=1)
+        found = self._rid_array[hit]
+        return np.sort(found[found != record.rid])
 
     def _has_candidates(self, record: Record) -> bool:
         """Whether any band bucket of ``record`` holds another record."""
         row = self._row_of.get(record.rid)
         if row is None:
-            return len(self._candidates(record)) > 0
-        if self._row_bucket_ids is not None:
-            ids = self._row_bucket_ids[:, row]
-            bounds = self._bucket_bounds
-            return bool((bounds[ids + 1] - bounds[ids] > 1).any())
-        return any(len(band_rows[row]) > 1 for band_rows in self._row_buckets)
+            return len(self._probe(record)) > 0
+        ids = self._row_bucket_ids[:, row]
+        bounds = self._bucket_bounds
+        return bool((bounds[ids + 1] - bounds[ids] > 1).any())
 
     def _fallback_rest(self, record: Record, candidates: list[int]) -> list[int]:
         """Relation rids not already surfaced, in relation order."""
-        if self._rid_array is not None:
-            np = numpy_or_none()
-            if np is not None:
-                exclude = np.asarray(
-                    candidates + [record.rid], dtype=np.int64
-                )
-                mask = np.isin(self._rid_array, exclude)
-                return self._rid_array[~mask].tolist()
-        relation, _ = self._checked()
-        extra = set(candidates)
-        extra.add(record.rid)
-        return [r.rid for r in relation if r.rid not in extra]
+        exclude = np.asarray(candidates + [record.rid], dtype=np.int64)
+        return self._rid_array[~np.isin(self._rid_array, exclude)].tolist()
 
     def _final_candidates(self, record: Record, k: int | None) -> list[int]:
         """Candidate rids for one query, with pruning accounting.
@@ -361,8 +320,7 @@ class MinHashIndex(NNIndex):
                 and len(candidates) < k
                 and self.exhaustive_fallback
             ):
-                if not isinstance(candidates, list):
-                    candidates = candidates.tolist()
+                candidates = candidates.tolist()
                 candidates = candidates + self._fallback_rest(
                     record, candidates
                 )
@@ -425,8 +383,8 @@ class MinHashIndex(NNIndex):
         """Phase-1 answers for ``records`` in one blocked pass.
 
         See the module docstring's cost model.  Falls back to the
-        per-record sequence when the kernel cannot score row pairs, numpy
-        is missing, or a record is not in the relation.  The pass tallies
+        per-record sequence when the kernel cannot score row pairs or a
+        record is not in the relation.  The pass tallies
         its own work into the calling thread's ledger.
         """
         if k is None and theta is None:
@@ -436,7 +394,6 @@ class MinHashIndex(NNIndex):
             return super().phase1_batch(
                 records, k=k, theta=theta, p=p, radius_fn=radius_fn
             )
-        np = numpy_or_none()
         work = self._work
         started = time.perf_counter()
         ids = self._row_bucket_ids[:, rows]
@@ -456,7 +413,7 @@ class MinHashIndex(NNIndex):
             )
             results.append(
                 self._blocked_slice(
-                    np, rows[start:end], ids[:, start:end],
+                    rows[start:end], ids[:, start:end],
                     widths[:, start:end], k, theta, p, radius_fn, work,
                 )
             )
@@ -474,11 +431,10 @@ class MinHashIndex(NNIndex):
         rows = [row_of.get(record.rid) for record in records]
         if None in rows:
             return None
-        np = numpy_or_none()
         return np.asarray(rows, dtype=np.int64)
 
     def _blocked_slice(
-        self, np, rows, ids, widths, k, theta, p, radius_fn, work
+        self, rows, ids, widths, k, theta, p, radius_fn, work
     ) -> Phase1Batch:
         """One slice of the blocked pass (see the module docstring)."""
         started = time.perf_counter()
@@ -508,7 +464,7 @@ class MinHashIndex(NNIndex):
         #    on this thread, fallback rows included.
         computed = self._kernel.thread_evaluations()
         distance = score_pairs(
-            np, self._kernel, self._kernel_rows, rows[slot], other, n
+            self._kernel, self._kernel_rows, rows[slot], other, n
         )
         other_rid = self._rid_array[other]
         counted = None
@@ -525,7 +481,7 @@ class MinHashIndex(NNIndex):
                 ends = np.cumsum(per_query).tolist()
                 extra = [
                     self._rest(
-                        np, int(rows[i]), i,
+                        int(rows[i]), i,
                         other[ends[i] - int(per_query[i]) : ends[i]],
                     )
                     for i in short
@@ -541,7 +497,7 @@ class MinHashIndex(NNIndex):
 
         # 3. The shared read-off: cut lists, nn(v) and ng(v).
         answers = read_off(
-            np, slot, other_rid, distance, n_queries, k=k, theta=theta,
+            slot, other_rid, distance, n_queries, k=k, theta=theta,
             p=p, radius_fn=radius_fn, counted=counted,
         )
         generated = len(keys) + fallback_pairs
@@ -551,7 +507,7 @@ class MinHashIndex(NNIndex):
         work.add_seconds("verify", time.perf_counter() - verify_started)
         return answers
 
-    def _rest(self, np, row: int, i: int, candidates):
+    def _rest(self, row: int, i: int, candidates):
         """Entries ``(slot, rid, distance)`` of query slot ``i`` (relation
         row ``row``) for the rows outside its candidate set, read off the
         query's full kernel row (``block``, which every kernel has)."""

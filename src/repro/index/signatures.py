@@ -17,41 +17,36 @@ CSR of distinct token ids per record are already interned):
    salt=...)`` returns, without a keyword-parsed constructor per
    (token, salt).  All ``V * n_hashes`` 8-byte digests are joined into
    one bytes object, read as little-endian uint64 by
-   ``np.frombuffer`` or, without numpy, by ``struct`` — the scalar
-   ``int.from_bytes(digest, "little")`` decode.
+   ``np.frombuffer`` — the scalar ``int.from_bytes(digest, "little")``
+   decode.
 2. **Gather + column-min**: record ``r``'s signature is the
-   element-wise minimum of the rows ``H[ids(r)]`` — a vectorized
-   ``np.minimum.reduceat`` over CSR segments when numpy can be
-   imported, a C-speed ``map(min, zip(*rows))`` otherwise (numpy is an
-   optional extra).
+   element-wise minimum of the rows ``H[ids(r)]``, a vectorized
+   ``np.minimum.reduceat`` over CSR segments.
 
-Both gathers are **bit-identical** to the scalar function by
+The gather is **bit-identical** to the scalar function by
 construction: the per-(token, salt) hashes are the very same blake2b
 values, min over uint64 equals min over the non-negative python ints,
 and empty element sets sign as all-``_PRIME`` exactly like the scalar
 path.  Persistent-postings warm restarts, shard plans, and every parity
-checksum therefore stay valid whichever gather signed.  With numpy the
-signatures live only in the ``(n, n_hashes)`` matrix; the per-record
-python tuple view is built the first time a caller reads it.
+checksum therefore hold against the scalar signatures.  The signatures
+live in the ``(n, n_hashes)`` matrix; the per-record python tuple view
+is built the first time a caller reads it.
 
-:func:`group_band_buckets` is the companion bucketing step.  With a
-signature matrix it is array-only: one stable lexsort per band groups
-equal sub-signature rows into a flat layout of bucket ids, member rows
-and bucket bounds, and no python object is made per record or per
-bucket.  Without numpy it is the classic dict-``setdefault`` loop over
-the tuples.  Either way bucket membership order equals relation order —
-the scalar append order.
+:func:`group_band_buckets` is the companion bucketing step, array-only:
+one stable lexsort per band groups equal sub-signature rows into a flat
+layout of bucket ids, member rows and bucket bounds, and no python
+object is made per record or per bucket.  Bucket membership order
+equals relation order — the scalar append order.
 """
 
 from __future__ import annotations
 
 import hashlib
-import struct
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.distances.kernels.compat import numpy_or_none
+import numpy as np
 
 __all__ = [
     "BandGrouping",
@@ -71,15 +66,15 @@ _GATHER_BUDGET = 1 << 18
 class RelationSignatures:
     """Signatures of one relation, aligned with ``rids``.
 
-    ``matrix`` is the ``(n, n_hashes)`` uint64 signature matrix (``None``
-    without numpy); ``tuples`` is the per-record python-int tuple view —
-    byte-for-byte what :func:`minhash_signature` returns.  With numpy the
-    tuples are made from the matrix the first time they are read.
+    ``matrix`` is the ``(n, n_hashes)`` uint64 signature matrix;
+    ``tuples`` is the per-record python-int tuple view — byte-for-byte
+    what :func:`minhash_signature` returns — made from the matrix the
+    first time it is read.
     """
 
     rids: list[int]
     n_hashes: int
-    matrix: object | None = None
+    matrix: object
     #: Sub-stage wall time: ``sign`` (hashing + min-gather).
     timings: dict[str, float] = field(default_factory=dict)
     _tuples: list[tuple[int, ...]] | None = field(default=None, repr=False)
@@ -100,10 +95,10 @@ class RelationSignatures:
 
 @dataclass
 class BandGrouping:
-    """The LSH bucketing of a signature batch, in one of two layouts.
+    """The LSH bucketing of a signature batch.
 
-    With a signature matrix, three flat int64 arrays number the buckets
-    of all bands consecutively (band 0's first):
+    Three flat int64 arrays number the buckets of all bands
+    consecutively (band 0's first):
 
     - ``row_bucket_ids``: ``(n_bands, n)``, the bucket of each row in
       each band;
@@ -113,38 +108,24 @@ class BandGrouping:
       are ``bucket_rows[bucket_bounds[g]:bucket_bounds[g + 1]]``.
 
     Probes then gather a row's bands as array slices, and a blocked
-    pass gathers a whole batch's candidate pairs in one step.
-
-    Otherwise (no numpy, or an empty batch) ``buckets`` maps
-    ``(band, sub-signature)`` to member rids in relation order — exactly
-    the scalar ``setdefault``/``append`` result — and ``row_buckets``
-    holds per band, row -> member list (aliases of the ``buckets``
-    values), the hash-free probe path for in-relation lookups.
-
-    The fields of the other layout are ``None``;
-    :meth:`shared_buckets` reads either.
+    pass gathers a whole batch's candidate pairs in one step.  The
+    buckets are exactly the scalar ``(band, sub-signature)`` keys', with
+    the same members in the same order.
     """
 
     rids: list[int]
+    row_bucket_ids: object
+    bucket_rows: object
+    bucket_bounds: object
     seconds: float = 0.0
-    buckets: dict[tuple[int, tuple[int, ...]], list[int]] | None = None
-    row_buckets: list[list[list[int]]] | None = None
-    row_bucket_ids: object | None = None
-    bucket_rows: object | None = None
-    bucket_bounds: object | None = None
 
     @property
     def n_buckets(self) -> int:
-        if self.buckets is not None:
-            return len(self.buckets)
         return len(self.bucket_bounds) - 1
 
     def shared_buckets(self) -> list[list[int]]:
         """Member rids, in relation order, of every bucket holding two
         or more records."""
-        if self.buckets is not None:
-            return [members for members in self.buckets.values() if len(members) > 1]
-        np = numpy_or_none()
         bounds = self.bucket_bounds
         multi = np.diff(bounds) > 1
         members = np.asarray(self.rids, dtype=np.int64)[self.bucket_rows].tolist()
@@ -166,13 +147,12 @@ class SignatureFactory:
     def vocabulary_table(self, vocab: Sequence[str]):
         """The hashes of every token of ``vocab`` under every salt.
 
-        A ``(len(vocab), n_hashes)`` uint64 array with numpy, else one
-        ``n_hashes``-tuple of python ints per token.  Entry ``(t, s)``
-        is exactly ``_stable_hash(vocab[t], s)``: salt ``s``'s
-        prototype, copied and updated with the token's utf-8 bytes,
-        yields the digest ``blake2b(token, digest_size=8, salt=...)``
-        does, and both decodes read it as little-endian — which is the
-        whole bit-identity argument.
+        A ``(len(vocab), n_hashes)`` uint64 array.  Entry ``(t, s)`` is
+        exactly ``_stable_hash(vocab[t], s)``: salt ``s``'s prototype,
+        copied and updated with the token's utf-8 bytes, yields the
+        digest ``blake2b(token, digest_size=8, salt=...)`` does, and
+        both decodes read it as little-endian — which is the whole
+        bit-identity argument.
         """
         prototypes = [
             hashlib.blake2b(digest_size=8, salt=salt) for salt in self._salts
@@ -185,9 +165,6 @@ class SignatureFactory:
                 h.update(encoded)
             digests.extend([h.digest() for h in hashes])
         table = b"".join(digests)
-        np = numpy_or_none()
-        if np is None:
-            return list(struct.iter_unpack(f"<{self.n_hashes}Q", table))
         return np.frombuffer(table, dtype="<u8").reshape(-1, self.n_hashes)
 
     def sign(self, corpus, rids: Sequence[int] | None = None) -> RelationSignatures:
@@ -197,21 +174,15 @@ class SignatureFactory:
         rids = list(corpus.rids if rids is None else rids)
         row_of = corpus.row_of
         rows = [row_of[rid] for rid in rids]
-        table = self.vocabulary_table(corpus.vocab)
-        np = numpy_or_none()
-        if np is None:
-            matrix, tuples = None, self._gather_python(table, corpus, rows)
-        else:
-            matrix, tuples = self._gather_numpy(np, table, corpus, rows), None
+        matrix = self._gather(self.vocabulary_table(corpus.vocab), corpus, rows)
         return RelationSignatures(
             rids=rids,
             n_hashes=self.n_hashes,
             matrix=matrix,
             timings={"sign": time.perf_counter() - started},
-            _tuples=tuples,
         )
 
-    def _gather_numpy(self, np, table, corpus, rows):
+    def _gather(self, table, corpus, rows):
         bounds, flat = corpus.gather(np.asarray(rows, dtype=np.int64))
         ids = corpus.arrays()[1][flat]
         sizes = np.diff(bounds)
@@ -236,32 +207,16 @@ class SignatureFactory:
             row = end
         return signatures
 
-    def _gather_python(self, hashes, corpus, rows) -> list[tuple[int, ...]]:
-        empty = tuple([_PRIME] * self.n_hashes)
-        indptr, indices = corpus.indptr, corpus.indices
-        tuples: list[tuple[int, ...]] = []
-        for row in rows:
-            token_rows = [hashes[i] for i in indices[indptr[row] : indptr[row + 1]]]
-            if not token_rows:
-                tuples.append(empty)
-            elif len(token_rows) == 1:
-                tuples.append(token_rows[0])
-            else:
-                tuples.append(tuple(map(min, zip(*token_rows))))
-        return tuples
-
 
 def group_band_buckets(
     signatures: RelationSignatures, n_bands: int
 ) -> BandGrouping:
     """Bucket signed records by LSH band.
 
-    With a signature matrix, one stable lexsort per band over the
-    band's columns groups equal sub-signatures into the flat layout
-    (stable, so members keep relation order — the scalar append order);
-    otherwise the classic dict-``setdefault`` loop over the tuples
-    builds ``buckets`` and ``row_buckets``.  Both list the same buckets
-    with the same members.
+    One stable lexsort per band over the band's columns groups equal
+    sub-signatures into the flat layout (stable, so members keep
+    relation order — the scalar append order).  An empty batch has no
+    bucket.
     """
     if signatures.n_hashes % n_bands != 0:
         raise ValueError("n_hashes must be divisible by n_bands")
@@ -269,51 +224,36 @@ def group_band_buckets(
     rows_per_band = signatures.n_hashes // n_bands
     rids = signatures.rids
     n = len(rids)
-    np = numpy_or_none()
-
-    if signatures.matrix is not None and np is not None and n:
-        matrix = signatures.matrix
-        band_ids: list = []
-        band_rows: list = []
-        band_bounds: list = []
-        n_buckets = 0
-        for band in range(n_bands):
-            sub = matrix[:, band * rows_per_band : (band + 1) * rows_per_band]
-            # lexsort's last key is the primary one: column 0 leads.
-            order = np.lexsort(sub.T[::-1])
-            sorted_sub = sub[order]
-            changed = np.any(sorted_sub[1:] != sorted_sub[:-1], axis=1)
-            # row -> bucket ordinal, inverted from the sort positions.
-            inverse = np.empty(n, dtype=np.int64)
-            inverse[order] = np.concatenate(([0], np.cumsum(changed)))
-            # This band's buckets follow the previous bands' in the
-            # global numbering and in ``bucket_rows``.
-            heads = np.concatenate(([0], np.flatnonzero(changed) + 1))
-            band_ids.append(inverse + n_buckets)
-            band_rows.append(order)
-            band_bounds.append(heads + band * n)
-            n_buckets += len(heads)
-        return BandGrouping(
-            rids=rids,
-            seconds=time.perf_counter() - started,
-            row_bucket_ids=np.stack(band_ids),
-            bucket_rows=np.concatenate(band_rows).astype(np.int64, copy=False),
-            bucket_bounds=np.concatenate(band_bounds + [[n_bands * n]]).astype(
-                np.int64, copy=False
-            ),
+    matrix = signatures.matrix
+    band_ids: list = []
+    band_rows: list = []
+    band_bounds: list = []
+    n_buckets = 0
+    for band in range(n_bands):
+        sub = matrix[:, band * rows_per_band : (band + 1) * rows_per_band]
+        # lexsort's last key is the primary one: column 0 leads.
+        order = np.lexsort(sub.T[::-1])
+        sorted_sub = sub[order]
+        # Where each bucket starts in sorted order (none when n == 0).
+        starts = np.concatenate(
+            ([n > 0], np.any(sorted_sub[1:] != sorted_sub[:-1], axis=1))
         )
-
-    buckets: dict[tuple[int, tuple[int, ...]], list[int]] = {}
-    row_buckets: list[list] = [[None] * n for _ in range(n_bands)]
-    for i, signature in enumerate(signatures.tuples):
-        for band in range(n_bands):
-            lo = band * rows_per_band
-            bucket = buckets.setdefault((band, signature[lo : lo + rows_per_band]), [])
-            bucket.append(rids[i])
-            row_buckets[band][i] = bucket
+        # row -> bucket ordinal, inverted from the sort positions.
+        inverse = np.empty(n, dtype=np.int64)
+        inverse[order] = np.cumsum(starts)[:n] - 1
+        # This band's buckets follow the previous bands' in the
+        # global numbering and in ``bucket_rows``.
+        heads = np.flatnonzero(starts)
+        band_ids.append(inverse + n_buckets)
+        band_rows.append(order)
+        band_bounds.append(heads + band * n)
+        n_buckets += len(heads)
     return BandGrouping(
         rids=rids,
+        row_bucket_ids=np.stack(band_ids),
+        bucket_rows=np.concatenate(band_rows).astype(np.int64, copy=False),
+        bucket_bounds=np.concatenate(band_bounds + [[n_bands * n]]).astype(
+            np.int64, copy=False
+        ),
         seconds=time.perf_counter() - started,
-        buckets=buckets,
-        row_buckets=row_buckets,
     )

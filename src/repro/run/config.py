@@ -49,7 +49,7 @@ CONSTRAINT_MODES = ("postprocess", "pushdown", "inline")
 
 _ORDERS = ("bf", "random", "sequential")
 _POOLS = ("thread", "process")
-_KERNELS = ("auto", "numpy", "python")
+_KERNELS = ("auto", "python")
 
 
 class ConfigError(ValueError):
@@ -127,12 +127,10 @@ class RunConfig:
         ``verify`` mode).
     kernel:
         Batch-kernel selection for Phase-1 distance evaluation:
-        ``auto`` (vectorized numpy kernels when numpy is installed and
-        the distance provides one, scalar otherwise), ``numpy``
-        (require numpy; raises
-        :class:`~repro.distances.kernels.KernelUnavailable` without
-        it), ``python`` (always the scalar per-pair baseline).  Kernel
-        and scalar paths produce bit-identical results.
+        ``auto`` (the distance's vectorized numpy kernel when it
+        provides one, scalar otherwise) or ``python`` (always the
+        scalar per-pair baseline).  Kernel and scalar paths produce
+        bit-identical results.
     shards, shard_overlap, shards_in_flight:
         Sharded scale-out (see :mod:`repro.shard`): with ``shards > 1``
         the relation is blocked into that many overlapping LSH-band

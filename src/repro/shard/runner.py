@@ -61,7 +61,8 @@ class ShardOutcome:
 
     shard_id: int
     n_members: int
-    #: The NN relation of the shard's members (columnar under numpy).
+    #: The NN relation of the shard's members (columnar off a batch
+    #: Phase 1).
     #: Globally exact (computed against the full index), so replicated
     #: rids carry identical rows on every shard holding them.
     nn_relation: NNRelation

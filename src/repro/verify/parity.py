@@ -54,8 +54,8 @@ EXECUTION_PATHS: tuple[tuple[str, Mapping | None], ...] = (
     ("spill", {"use_engine": True, "spill": True, "buffer_pages": 8}),
     # Scalar Phase 1: forces the pure-python per-pair distance path
     # while every other path runs under the default ``kernel="auto"``.
-    # With numpy present this asserts the vectorized kernels are
-    # bit-identical to the scalar baseline on every verify run.
+    # This asserts the vectorized kernels are bit-identical to the
+    # scalar baseline on every verify run.
     ("scalar", {"kernel": "python"}),
 )
 

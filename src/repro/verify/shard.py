@@ -5,8 +5,7 @@ partition is *checksum-identical* to a single-shard run.  This harness
 proves it the way :mod:`repro.verify.parity` proves cross-path parity:
 actually run both and compare — across **all three cut specifications**
 (size, diameter, combined) and **both kernel backends** (scalar python
-and, when numpy is available, the vectorized kernels), each at several
-shard counts.
+and the vectorized kernels), each at several shard counts.
 
 Used standalone by the hypothesis property test
 (``tests/test_shard.py``), by ``bench-scale``'s small-size parity gate,
@@ -53,11 +52,8 @@ def verify_shard_merge(
     unsharded staged pipeline and the sharded one from one shared
     :class:`~repro.run.config.RunConfig` and requires partition
     checksums, CSPairs row counts, and NN relations to agree exactly.
-    ``kernels`` entries needing numpy are skipped (reported as SKIP)
-    when numpy is missing.
     """
     # Imported lazily: keeps verify importable without run.pipeline.
-    from repro.distances.kernels import have_numpy
     from repro.run.config import RunConfig
     from repro.run.context import RunContext
     from repro.run.pipeline import StagedPipeline
@@ -67,11 +63,6 @@ def verify_shard_merge(
     checks: list[CheckResult] = []
     for kernel in kernels:
         name = f"shard-merge-parity[{kernel}]"
-        if kernel != "python" and not have_numpy():
-            checks.append(
-                CheckResult.skip(name, "numpy not installed; kernel leg skipped")
-            )
-            continue
         violations: list[Violation] = []
         checked = 0
         combos: list[str] = []

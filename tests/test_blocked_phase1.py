@@ -31,11 +31,10 @@ from repro.core.formulation import DEParams
 from repro.core.nn_phase import Phase1Stats, prepare_nn_lists
 from repro.core.radius import AffineRadius
 from repro.data.loaders import load_dataset
-from repro.data.schema import Relation
+from repro.data.schema import Record, Relation
 from repro.distances.cosine import CosineDistance
 from repro.distances.edit import EditDistance
 from repro.distances.jaccard import TokenJaccardDistance
-from repro.distances.kernels.compat import have_numpy
 from repro.index.base import COUNTERS, NNIndex
 from repro.index.blocks import BlockIndex
 from repro.index.bruteforce import BruteForceIndex
@@ -45,7 +44,6 @@ from repro.run.context import RunContext
 from repro.run.pipeline import StagedPipeline
 from repro.verify.parity import nn_signature
 
-needs_numpy = pytest.mark.skipif(not have_numpy(), reason="numpy not installed")
 
 DISTANCES = {
     "cosine": CosineDistance,
@@ -129,7 +127,6 @@ def _per_record(index, records, k, theta, p=2.0, radius_fn=None, growth=None):
     return answers
 
 
-@needs_numpy
 class TestPairDistances:
     @pytest.mark.parametrize("distance", ["cosine", "jaccard"])
     @settings(max_examples=30, deadline=None)
@@ -137,7 +134,7 @@ class TestPairDistances:
     def test_bit_identical_to_subset_distances(self, distance, relation, data):
         import numpy as np
 
-        index = _built(relation, distance, "numpy")
+        index = _built(relation, distance, "auto")
         kernel = index._kernel
         n = len(relation)
         rows_a = np.asarray(
@@ -161,7 +158,6 @@ class TestPairDistances:
             assert d == forward == mirror
 
 
-@needs_numpy
 class TestBlockedParity:
     @pytest.mark.parametrize("factory,distance", PARITY_CASES)
     @pytest.mark.parametrize("k,theta", CUTS)
@@ -170,7 +166,7 @@ class TestBlockedParity:
     def test_equals_per_record_reference(
         self, factory, distance, k, theta, relation
     ):
-        blocked = _built(relation, distance, "numpy", factory)
+        blocked = _built(relation, distance, "auto", factory)
         assert blocked.kernel_backend == "numpy"  # the blocked pass runs
         if factory is MinHashIndex:
             assert blocked._kernel_rows is not None
@@ -179,6 +175,26 @@ class TestBlockedParity:
         got = list(blocked.phase1_batch(records, k=k, theta=theta))
         assert got == _per_record(reference, records, k, theta)
 
+    @pytest.mark.parametrize("factory,distance", PARITY_CASES)
+    @pytest.mark.parametrize("k,theta", CUTS)
+    @pytest.mark.parametrize("texts", [[], ["acme corp"]], ids=["empty", "single"])
+    def test_edge_sizes_equal_per_record_reference(
+        self, factory, distance, k, theta, texts
+    ):
+        """0- and 1-record relations: the batch, and a probe from
+        outside the relation, answer like the scalar path."""
+        relation = Relation.from_strings("r", texts)
+        blocked = _built(relation, distance, "auto", factory)
+        reference = _built(relation, distance, "python", factory)
+        records = list(relation)
+        got = list(blocked.phase1_batch(records, k=k, theta=theta))
+        assert got == _per_record(reference, records, k, theta)
+        assert got == [([], 1)] * len(texts)
+        probe = [Record(len(texts), ("acme corp",))]
+        assert _per_record(blocked, probe, k, theta) == _per_record(
+            reference, probe, k, theta
+        )
+
     @pytest.mark.parametrize("k,theta", CUTS)
     @settings(max_examples=20, deadline=None)
     @given(relation=relations(), p=st.sampled_from([1.5, 2.0, 3.0]))
@@ -186,7 +202,7 @@ class TestBlockedParity:
         radius_fn = AffineRadius(p=p, delta=0.05)
         records = list(relation)
         for factory in INDEXES:
-            blocked = _built(relation, "cosine", "numpy", factory)
+            blocked = _built(relation, "cosine", "auto", factory)
             reference = _built(relation, "cosine", "python", factory)
             assert list(blocked.phase1_batch(
                 records, k=k, theta=theta, radius_fn=radius_fn
@@ -203,7 +219,7 @@ class TestBlockedParity:
             st.lists(st.sampled_from(records), min_size=1, unique_by=lambda r: r.rid)
         )
         for factory in INDEXES:
-            blocked = _built(relation, "jaccard", "numpy", factory)
+            blocked = _built(relation, "jaccard", "auto", factory)
             reference = _built(relation, "jaccard", "python", factory)
             assert list(blocked.phase1_batch(
                 subset, k=k, theta=theta
@@ -215,7 +231,7 @@ class TestBlockedParity:
             "org", n_entities=60, duplicate_fraction=0.4, seed=5
         ).relation
         records = list(relation)
-        blocked = _built(relation, "cosine", "numpy")
+        blocked = _built(relation, "cosine", "auto")
         whole = list(blocked.phase1_batch(records, k=k, theta=theta))
         # A budget of a few pairs forces one slice per query or so.
         monkeypatch.setattr(minhash_module, "_PAIR_BUDGET", 40)
@@ -235,7 +251,7 @@ class TestBlockedParity:
         records = list(relation)
         isolated = records[-2:]
         for factory in INDEXES:
-            blocked = _built(relation, "cosine", "numpy", factory)
+            blocked = _built(relation, "cosine", "auto", factory)
             reference = _built(relation, "cosine", "python", factory)
             for k, theta in CUTS + [(5, None)]:
                 answers = list(blocked.phase1_batch(records, k=k, theta=theta))
@@ -258,7 +274,7 @@ class TestBlockedParity:
             ["acme corp", "acme corp inc", "north labs", "data bank",
              "first data bank", "solo0 only0"],
         )
-        blocked = _built(relation, "cosine", "numpy")
+        blocked = _built(relation, "cosine", "auto")
         reference = _built(relation, "cosine", "python")
         records = list(relation)
         with blocked.ledger() as counts:
@@ -290,7 +306,7 @@ class TestBlockedParity:
             "r", ["acme corp", "acme corp inc", "north labs", "solo0 only0"]
         )
         blocked = MinHashIndex(exhaustive_fallback=False)
-        blocked.enable_kernel("numpy")
+        blocked.enable_kernel("auto")
         blocked.build(relation, CosineDistance())
         reference = MinHashIndex(exhaustive_fallback=False)
         reference.build(relation, CosineDistance())
@@ -304,7 +320,7 @@ class TestBlockedParity:
             "org", n_entities=60, duplicate_fraction=0.4, seed=5
         ).relation
         records = list(relation)
-        blocked = _built(relation, "cosine", "numpy")
+        blocked = _built(relation, "cosine", "auto")
         with blocked.ledger() as counts:
             blocked.phase1_batch(records, k=2, theta=0.9)
         uses = sum(len(blocked._candidates(record)) for record in records)
@@ -330,7 +346,7 @@ class TestBlockedParity:
             ).run(relation, params)
             for kernel in ("auto", "python")
         }
-        index = _built(relation, "edit", "numpy")
+        index = _built(relation, "edit", "auto")
         assert index._kernel_rows is not None
         pairs = {
             (min(record.rid, other), max(record.rid, other))
@@ -344,7 +360,6 @@ class TestBlockedParity:
         assert results["auto"].partition == results["python"].partition
 
 
-@needs_numpy
 class TestBlockIndex:
     """Pushdown's block index: the same read-off over same-block pairs."""
 
@@ -372,7 +387,7 @@ class TestBlockIndex:
             data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
         )
         factory = functools.partial(BlockIndex, blocks)
-        blocked = _built(relation, distance, "numpy", factory)
+        blocked = _built(relation, distance, "auto", factory)
         reference = _built(relation, distance, "python", factory)
         records = list(relation)
         answers = list(blocked.phase1_batch(records, k=k, theta=theta))
@@ -390,6 +405,25 @@ class TestBlockIndex:
                 alone, list(sub), k, theta
             )
 
+    @pytest.mark.parametrize("distance", sorted(DISTANCES))
+    @pytest.mark.parametrize("k,theta", CUTS)
+    def test_singleton_blocks(self, distance, k, theta):
+        """Every block a single record: no pair is scored, and a record
+        outside the relation is in no block."""
+        relation = Relation.from_strings(
+            "r", ["acme corp", "acme corp", "data labs"]
+        )
+        factory = functools.partial(BlockIndex, [[rid] for rid in relation.ids()])
+        blocked = _built(relation, distance, "auto", factory)
+        reference = _built(relation, distance, "python", factory)
+        records = list(relation)
+        answers = list(blocked.phase1_batch(records, k=k, theta=theta))
+        assert answers == _per_record(reference, records, k, theta)
+        assert answers == [([], 1)] * 3
+        assert blocked.totals.kernel_evaluations == 0
+        probe = [Record(9, ("acme corp",))]
+        assert _per_record(blocked, probe, k, theta) == [([], 1)]
+
     def test_blocks_must_partition_the_relation(self):
         relation = Relation.from_strings("r", ["a", "b", "c"])
         for blocks in ([[0, 1]], [[0, 1], [1, 2]]):
@@ -397,7 +431,6 @@ class TestBlockIndex:
                 BlockIndex(blocks).build(relation, EditDistance())
 
 
-@needs_numpy
 class TestPools:
     @pytest.mark.parametrize("pool", ["thread", "process"])
     @pytest.mark.parametrize("distance", sorted(DISTANCES))
@@ -414,7 +447,7 @@ class TestPools:
         for n_workers in (1, 2):
             got = prepare_nn_lists(
                 relation,
-                _built(relation, distance, "numpy"),
+                _built(relation, distance, "auto"),
                 params,
                 n_workers=n_workers,
                 pool=pool,
@@ -518,7 +551,7 @@ class TestShardedCounters:
         }
 
     @pytest.mark.parametrize(
-        "kernel", ["python", pytest.param("auto", marks=needs_numpy)]
+        "kernel", ["python", "auto"]
     )
     @pytest.mark.parametrize("index", ["brute", "minhash"])
     def test_in_flight_does_not_change_counters(self, index, kernel):

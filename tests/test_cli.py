@@ -64,6 +64,28 @@ class TestDedup:
         assert "pairs pruned" in text
         assert "distance evaluations" in text
 
+    def test_stats_sum_the_shard_buffer_pools(self, org_csv):
+        # A sharded engine run pages through each shard's private pool;
+        # the coordinator's own pool sees no traffic.
+        path, _ = org_csv
+        out = io.StringIO()
+        code = main(
+            [
+                "dedup", str(path), "--distance", "edit",
+                "--shards", "4", "--shards-in-flight", "2",
+                "--engine", "--buffer-pages", "8", "--stats",
+            ],
+            out=out,
+        )
+        assert code == 0
+        line = next(
+            line for line in out.getvalue().splitlines()
+            if line.startswith("buffer pool:")
+        )
+        assert line.endswith("summed over 4 shard pools")
+        hits, misses = (int(word) for word in line.split()[2:6:3])
+        assert hits + misses > 0
+
     def test_writes_assignment_csv(self, org_csv, tmp_path):
         path, _ = org_csv
         output = tmp_path / "groups.csv"
@@ -167,6 +189,45 @@ class TestEstimate:
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestInputErrors:
+    """A missing, empty or ragged input CSV: one ``error:`` line on
+    stderr and exit 2 (exit 1 means a failed ``--verify``)."""
+
+    COMMANDS = {
+        "dedup": ["dedup", "{path}", "--distance", "edit"],
+        "serve": ["serve", "{path}", "--from-csv", "--distance", "edit", "--quiet"],
+        "estimate-c": [
+            "estimate-c", "{path}", "--fraction", "0.4", "--distance", "edit",
+        ],
+        "verify": ["verify", "{path}", "--distance", "edit"],
+    }
+
+    @pytest.mark.parametrize(
+        "kind,message",
+        [
+            ("missing", "No such file"),
+            ("empty", "is empty"),
+            # The second record is the file's third line.
+            ("ragged", "line 3 has 1 fields, expected 2"),
+        ],
+    )
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_exit_2_with_one_error_line(
+        self, tmp_path, capsys, command, kind, message
+    ):
+        path = tmp_path / "input.csv"
+        if kind == "empty":
+            path.write_text("", encoding="utf-8")
+        elif kind == "ragged":
+            path.write_text("name,city\nacme,paris\nglobex\n", encoding="utf-8")
+        argv = [arg.format(path=path) for arg in self.COMMANDS[command]]
+        code = main(argv, out=io.StringIO())
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
 
 
 class TestVerifyCommand:

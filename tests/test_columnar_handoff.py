@@ -34,10 +34,8 @@ from repro.core.cspairs import (
 from repro.core.formulation import DEParams
 from repro.core.neighborhood import NNEntry, NNRelation
 from repro.core.radius import AffineRadius
-from repro.distances.kernels.compat import have_numpy
 from repro.index.base import Neighbor, Phase1Batch, cut_neighbors, read_off
 
-pytestmark = pytest.mark.skipif(not have_numpy(), reason="numpy not installed")
 
 #: Distances on a grid so that ties, zeros and ``d == θ`` all occur.
 GRID = [0.0, 0.1, 0.2, 0.25, 0.3, 0.4, 0.5, 0.75, 1.0]
@@ -121,7 +119,6 @@ def test_read_off_equals_per_record_definition(
     random.Random(seed).shuffle(entries)
     radius_fn = AffineRadius(p=p, delta=0.05) if affine else None
     got = read_off(
-        np,
         np.asarray([e[0] for e in entries], dtype=np.int64),
         np.asarray([e[1] for e in entries], dtype=np.int64),
         np.asarray([e[2] for e in entries], dtype=np.float64),
@@ -157,7 +154,7 @@ def test_read_off_dense_rows(k, theta, data, p):
     keep = np.isfinite(dense)
     slot, column = np.nonzero(keep)
     got = read_off(
-        np, slot, column.astype(np.int64), dense[slot, column],
+        slot, column.astype(np.int64), dense[slot, column],
         len(queries), k=k, theta=theta, p=p, rows=dense,
     )
     assert list(got) == _reference(queries, {}, k, theta, p, None, False)
@@ -167,7 +164,7 @@ def test_read_off_without_entries():
     import numpy as np
 
     empty = np.zeros(0, dtype=np.int64)
-    got = read_off(np, empty, empty, np.zeros(0), 3, k=2, theta=0.5)
+    got = read_off(empty, empty, np.zeros(0), 3, k=2, theta=0.5)
     assert list(got) == [([], 1)] * 3
     assert got.indptr.tolist() == [0, 0, 0, 0]
 
@@ -185,6 +182,14 @@ def test_batch_object_view_round_trips():
         (7, (4, 2), (0.0, 0.25), 3), (8, (), (), 1), (9, (9,), (0.5,), 2),
     ]
     assert list(Phase1Batch.concat([batch, batch])) == answers + answers
+
+
+def test_concat_of_no_batch_is_empty():
+    empty = Phase1Batch.concat([])
+    assert len(empty) == 0 and list(empty) == []
+    assert empty.indptr.tolist() == [0]
+    assert empty.rids.dtype == empty.indptr.dtype == empty.ng.dtype
+    assert empty.distances.dtype.kind == "f"
 
 
 # ----------------------------------------------------------------------
@@ -269,6 +274,13 @@ def test_union_keeps_the_first_holder():
     assert list(union) == [first.get(1), second.get(3)]
 
 
+def test_union_of_no_relation_is_empty():
+    union = NNRelation.union([])
+    assert len(union) == 0 and union.ids() == []
+    assert NNRelation.union([NNRelation(), union]).ids() == []
+    assert build_cs_pairs(union, DEParams.size(3)) == []
+
+
 # ----------------------------------------------------------------------
 # The CSPairs join
 # ----------------------------------------------------------------------
@@ -316,7 +328,7 @@ class _Filter:
     def __call__(self, a: int, b: int) -> bool:
         return (a * 7 + b) % 3 != 0
 
-    def allowed(self, np, ids_a, ids_b):
+    def allowed(self, ids_a, ids_b):
         return (ids_a * 7 + ids_b) % 3 != 0
 
 

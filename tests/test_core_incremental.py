@@ -573,11 +573,10 @@ class TestInterleavedMatchesBatch:
                 == batch_reference(inc).partition.checksum()
             )
 
-    @pytest.mark.parametrize("kernel", ["python", "numpy"])
+    @pytest.mark.parametrize("kernel", ["python", "auto"])
     @settings(max_examples=8, deadline=None)
     @given(ops=interleaved_ops())
     def test_matches_batch_under_both_kernel_backends(self, kernel, ops):
-        pytest.importorskip("numpy") if kernel == "numpy" else None
         params = DEParams.size(3, c=4.0)
         inc = IncrementalDeduplicator(EditDistance(), params)
         for op, payload in ops:

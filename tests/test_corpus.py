@@ -29,13 +29,11 @@ from repro.distances.base import FrozenDistance
 from repro.distances.corpus import Corpus
 from repro.distances.cosine import CosineDistance
 from repro.distances.jaccard import TokenJaccardDistance
-from repro.distances.kernels.compat import have_numpy
 from repro.distances.tokens import tokenize
 from repro.run.config import RunConfig
 from repro.run.context import RunContext
 from repro.run.pipeline import StagedPipeline
 
-needs_numpy = pytest.mark.skipif(not have_numpy(), reason="numpy not installed")
 
 WORDS = ["acme", "corp", "inc", "acme-corp", "data", "bank", "", "north"]
 
@@ -143,7 +141,6 @@ class TestValues:
             corpus.remove(stranger.rid)
             assert stranger.rid not in corpus._live
 
-    @needs_numpy
     @settings(max_examples=60, deadline=None)
     @given(
         corpus_texts=st.lists(texts, min_size=1, max_size=10),
@@ -194,7 +191,6 @@ class TestValues:
             CosineDistance().distance(a, b)
 
 
-@needs_numpy
 class TestLivePostingsRows:
     """The serving layer's cosine rows (``LiveCosineRows``) equal
     ``CosineDistance.distance`` in canonical direction, bit for bit."""
@@ -314,14 +310,10 @@ class TestLivePostingsRows:
         assert dedup.last_op.cache_misses == 0
         assert dedup.distance.calls == 0 and len(dedup.distance) == 0
 
-    def test_no_rows_without_numpy_or_corpus(self, monkeypatch):
-        import repro.distances.cosine as cosine_module
-
+    def test_no_rows_without_corpus(self):
         distance = CosineDistance()
         assert distance.live_rows() is None  # not prepared
         distance.prepare(Relation.from_strings("r", self.BASE))
         assert distance.live_rows() is not None
         assert FrozenDistance(distance).live_rows() is not None
-        monkeypatch.setattr(cosine_module, "numpy_or_none", lambda: None)
-        assert distance.live_rows() is None
         assert TokenJaccardDistance().live_rows() is None

@@ -17,11 +17,8 @@ BK-tree):
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import pytest
 
-import repro.distances.kernels.compat as compat
 from repro.core.formulation import DEParams
 from repro.core.nn_phase import Phase1Stats, prepare_nn_lists
 from repro.data.loaders import load_dataset
@@ -31,7 +28,7 @@ from repro.eval.bench import nn_checksum
 from repro.index.bktree import BKTreeIndex
 from repro.index.bruteforce import BruteForceIndex
 from repro.index.inverted import QgramInvertedIndex
-from repro.index.minhash import MinHashIndex
+from repro.index.minhash import MinHashIndex, band_keys
 from repro.parallel.engine import ParallelNNEngine
 
 APPROX_FACTORIES = [
@@ -52,20 +49,6 @@ def relation():
     return load_dataset(
         "org", n_entities=30, duplicate_fraction=0.4, seed=7
     ).relation
-
-
-@contextmanager
-def layout(monkeypatch, name):
-    """Build with numpy visible (the flat bucket layout) or hidden (the
-    dict layout), the way the compat gate sees a missing import."""
-    with monkeypatch.context() as patch:
-        if name == "python":
-            patch.setattr(compat, "_NUMPY", None)
-            patch.setattr(compat, "_SEARCHED", True)
-        yield
-
-
-LAYOUTS = ["python"] + (["numpy"] if compat.have_numpy() else [])
 
 
 def build(factory, relation):
@@ -200,9 +183,7 @@ class TestMinHashBuildOnce:
 
     @staticmethod
     def flat_buckets(index):
-        """The flat bucket layout (numpy only) as plain lists."""
-        if index._bucket_rows is None:
-            return None
+        """The flat bucket layout as plain lists."""
         return (
             index._row_bucket_ids.tolist(),
             index._bucket_rows.tolist(),
@@ -215,40 +196,34 @@ class TestMinHashBuildOnce:
         record's scalar signature."""
         buckets: dict = {}
         for record in relation:
-            for key in index._keys_of(index._signature(record)):
+            for key in band_keys(index._signature(record), index.n_bands):
                 buckets.setdefault(key, []).append(record.rid)
         return buckets
 
     @staticmethod
     def index_buckets(index):
-        """The index's buckets as sorted member lists, either layout."""
-        if index._buckets is not None:
-            return sorted(index._buckets.values())
+        """The index's buckets as sorted member lists."""
         bounds = index._bucket_bounds.tolist()
         rids = index._rid_array[index._bucket_rows].tolist()
         return sorted(rids[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
 
-    def test_rebuild_is_idempotent(self, relation, monkeypatch):
-        for name in LAYOUTS:
-            with layout(monkeypatch, name):
-                index = build(MinHashIndex, relation)
-                matrix = index.relation_signatures().matrix
-                flat = self.flat_buckets(index)
-                index.build(relation, EditDistance())
-                assert not hasattr(index, "_signatures")
-                signatures = index.relation_signatures()
-                assert signatures.tuples == [
-                    index._signature(record) for record in relation
-                ]
-                if name == "numpy":
-                    assert (signatures.matrix == matrix).all()
-                    assert index._buckets is None and flat is not None
-                assert self.flat_buckets(index) == flat
-                # A non-idempotent rebuild would double every bucket's
-                # postings.
-                assert self.index_buckets(index) == sorted(
-                    self.scalar_buckets(index, relation).values()
-                )
+    def test_rebuild_is_idempotent(self, relation):
+        index = build(MinHashIndex, relation)
+        matrix = index.relation_signatures().matrix
+        flat = self.flat_buckets(index)
+        index.build(relation, EditDistance())
+        assert not hasattr(index, "_signatures")
+        signatures = index.relation_signatures()
+        assert signatures.tuples == [
+            index._signature(record) for record in relation
+        ]
+        assert (signatures.matrix == matrix).all()
+        assert self.flat_buckets(index) == flat
+        # A non-idempotent rebuild would double every bucket's
+        # postings.
+        assert self.index_buckets(index) == sorted(
+            self.scalar_buckets(index, relation).values()
+        )
 
     def test_lookups_never_resign_in_relation_records(self, relation, monkeypatch):
         index = build(MinHashIndex, relation)
@@ -269,35 +244,32 @@ class TestMinHashBuildOnce:
         probe = Record(max(relation.ids()) + 1, other.records[0].fields)
         # A probe sharing a record's text shares all its band keys.
         twin = Record(probe.rid + 1, relation.records[0].fields)
-        for name in LAYOUTS:
-            with layout(monkeypatch, name):
-                index = build(MinHashIndex, relation)
-                assert probe.rid not in index._row_of
-                sign = index._signature
-                buckets = self.scalar_buckets(index, relation)
-                signed = []
+        index = build(MinHashIndex, relation)
+        assert probe.rid not in index._row_of
+        sign = index._signature
+        buckets = self.scalar_buckets(index, relation)
+        signed = []
 
-                def counting(record):
-                    signed.append(record.rid)
-                    return sign(record)
+        def counting(record):
+            signed.append(record.rid)
+            return sign(record)
 
-                monkeypatch.setattr(index, "_signature", counting)
-                for record in (probe, twin):
-                    candidates = index._candidates(record)
-                    # The probe is signed on the fly, once, and its
-                    # candidates are the records sharing a scalar band
-                    # key with it.
-                    assert signed == [record.rid]
-                    signed.clear()
-                    keys = set(index._keys_of(sign(record)))
-                    expected = {
-                        rid
-                        for key, rids in buckets.items()
-                        if key in keys
-                        for rid in rids
-                    }
-                    assert list(candidates) == sorted(expected)
-                assert relation.records[0].rid in list(index._candidates(twin))
+        monkeypatch.setattr(index, "_signature", counting)
+        for record in (probe, twin):
+            candidates = index._candidates(record)
+            # The probe is signed on the fly, once, and its candidates
+            # are the records sharing a scalar band key with it.
+            assert signed == [record.rid]
+            signed.clear()
+            keys = set(band_keys(sign(record), index.n_bands))
+            expected = {
+                rid
+                for key, rids in buckets.items()
+                if key in keys
+                for rid in rids
+            }
+            assert candidates.tolist() == sorted(expected)
+        assert relation.records[0].rid in index._candidates(twin).tolist()
 
 
 class TestPerQueryCacheConsultation:

@@ -7,8 +7,8 @@ scalar per-pair baseline.  These tests drive random relations through
 both backends via ``phase1_batch`` and the per-query ``knn``/``within``
 of the brute-force and MinHash indexes, check the bit-parallel Myers scan against the reference
 Levenshtein at any string length, and pin down the accounting split
-(``kernel_evaluations`` vs. ``evaluations``) and the no-numpy fallback
-contract.
+(``kernel_evaluations`` vs. ``evaluations``) and the fallback of a
+distance without a kernel.
 """
 
 from __future__ import annotations
@@ -26,17 +26,12 @@ from repro.distances.cosine import CosineDistance
 from repro.distances.edit import EditDistance, levenshtein
 from repro.distances.fms import FuzzyMatchDistance
 from repro.distances.jaccard import TokenJaccardDistance
-from repro.distances.kernels import KernelUnavailable, have_numpy
 from repro.distances.kernels import edit as edit_kernel
 from repro.distances.kernels.edit import EditKernel, myers_levenshtein
 from repro.index.bruteforce import BruteForceIndex
 from repro.index.minhash import MinHashIndex
 from repro.run.config import ConfigError, RunConfig
 from repro.verify.parity import nn_signature
-
-needs_numpy = pytest.mark.skipif(
-    not have_numpy(), reason="numpy not installed (the perf extra)"
-)
 
 DISTANCES = {
     "cosine": CosineDistance,
@@ -60,7 +55,7 @@ def build_pair(words, distance_name, factory=BruteForceIndex):
     scalar = factory()
     scalar.build(relation, DISTANCES[distance_name]())
     kernel = factory()
-    kernel.enable_kernel("numpy")
+    kernel.enable_kernel("auto")
     kernel.build(relation, DISTANCES[distance_name]())
     assert kernel.kernel_backend == "numpy"
     # Route even the shortest candidate list through the kernel.
@@ -73,7 +68,6 @@ def exact(neighbor_lists):
     return [[(n.rid, n.distance) for n in row] for row in neighbor_lists]
 
 
-@needs_numpy
 class TestBatchParity:
     @pytest.mark.parametrize("distance_name", sorted(DISTANCES))
     @settings(max_examples=25, deadline=None)
@@ -162,7 +156,6 @@ class TestBatchParity:
                 ) == scalar.neighborhood_growth(record)
 
 
-@needs_numpy
 class TestWorkerParity:
     @pytest.mark.parametrize("distance_name", sorted(DISTANCES))
     @pytest.mark.parametrize("n_workers", [1, 2, 4])
@@ -174,7 +167,7 @@ class TestWorkerParity:
         ).relation
         params = DEParams.size(4, c=4.0)
         signatures = []
-        for mode in ("python", "numpy"):
+        for mode in ("python", "auto"):
             index = BruteForceIndex()
             index.enable_kernel(mode)
             index.build(relation, DISTANCES[distance_name]())
@@ -191,16 +184,16 @@ class TestWorkerParity:
         ).relation
         params = DEParams.size(5, c=4.0)
         results = {}
-        for mode in ("python", "numpy"):
+        for mode in ("python", "auto"):
             solver = DuplicateEliminator(
                 CosineDistance(),
                 index=BruteForceIndex(),
                 config=RunConfig(kernel=mode),
             )
             results[mode] = solver.run(relation, params)
-        assert results["python"].partition == results["numpy"].partition
+        assert results["python"].partition == results["auto"].partition
         assert nn_signature(results["python"].nn_relation) == nn_signature(
-            results["numpy"].nn_relation
+            results["auto"].nn_relation
         )
 
 
@@ -258,7 +251,6 @@ class TestEditKernels:
         assert myers_levenshtein("abc", "") == 3
 
 
-@needs_numpy
 class TestEditKernelRows:
     """``EditKernel`` rows: exact at any length, each pair computed once."""
 
@@ -452,7 +444,7 @@ class TestEditKernelRows:
         try:
             for n_workers, chunk_size in ((1, None), (4, 5)):
                 index = BruteForceIndex()
-                index.enable_kernel("numpy")
+                index.enable_kernel("auto")
                 index.build(relation, EditDistance())
                 kernel = index._kernel
                 nn = prepare_nn_lists(
@@ -470,14 +462,13 @@ class TestEditKernelRows:
         assert signatures[0] == signatures[1]
 
 
-@needs_numpy
 class TestAccounting:
     def test_kernel_runs_count_kernel_evaluations_only(self):
         relation = Relation.from_strings(
             "r", [f"record alpha {i} beta {i % 7}" for i in range(40)]
         )
         index = BruteForceIndex()
-        index.enable_kernel("numpy")
+        index.enable_kernel("auto")
         index.build(relation, CosineDistance())
         stats = Phase1Stats()
         prepare_nn_lists(
@@ -509,7 +500,7 @@ class TestAccounting:
         )
         distance = CosineDistance()
         index = BruteForceIndex()
-        index.enable_kernel("numpy")
+        index.enable_kernel("auto")
         index.build(relation, distance)
         index.phase1_batch(list(relation), k=3)
         assert distance.kernel_evaluations > 0
@@ -521,7 +512,7 @@ class TestAccounting:
         solver = DuplicateEliminator(
             CosineDistance(),
             index=BruteForceIndex(),
-            config=RunConfig(kernel="numpy"),
+            config=RunConfig(kernel="auto"),
         )
         result = solver.run(relation, DEParams.size(4, c=4.0))
         payload = result.stats.to_dict()
@@ -531,10 +522,11 @@ class TestAccounting:
 
 class TestFallbacks:
     def test_unknown_kernel_mode_rejected(self):
-        with pytest.raises(ValueError):
-            BruteForceIndex().enable_kernel("cuda")
-        with pytest.raises(ConfigError):
-            RunConfig(kernel="cuda")
+        for mode in ("cuda", "numpy"):
+            with pytest.raises(ValueError):
+                BruteForceIndex().enable_kernel(mode)
+            with pytest.raises(ConfigError):
+                RunConfig(kernel=mode)
 
     def test_auto_mode_without_kernel_support_stays_scalar(self):
         """fms has no kernel implementation: auto degrades silently."""
@@ -545,42 +537,7 @@ class TestFallbacks:
         assert index.kernel_backend == "python"
         assert len(index.knn(relation.get(0), 1)) == 1
 
-    @needs_numpy
-    def test_forced_numpy_with_unsupported_distance_stays_scalar(self):
-        """kernel='numpy' demands numpy, not that every distance has a
-        kernel: an unsupported distance still answers on the scalar
-        path instead of failing the run."""
-        relation = Relation.from_strings("r", ["alpha beta", "alpha bexa"])
-        index = BruteForceIndex()
-        index.enable_kernel("numpy")
-        index.build(relation, FuzzyMatchDistance())
-        assert index.kernel_backend == "python"
 
-    def test_forced_numpy_without_numpy_raises(self, monkeypatch):
-        import repro.distances.kernels.compat as compat
-
-        monkeypatch.setattr(compat, "_NUMPY", None)
-        monkeypatch.setattr(compat, "_SEARCHED", True)
-        relation = Relation.from_strings("r", ["alpha beta", "alpha bexa"])
-        index = BruteForceIndex()
-        index.enable_kernel("numpy")
-        with pytest.raises(KernelUnavailable):
-            index.build(relation, CosineDistance())
-
-    def test_auto_without_numpy_falls_back(self, monkeypatch):
-        import repro.distances.kernels.compat as compat
-
-        monkeypatch.setattr(compat, "_NUMPY", None)
-        monkeypatch.setattr(compat, "_SEARCHED", True)
-        relation = Relation.from_strings("r", ["alpha beta", "alpha bexa"])
-        index = BruteForceIndex()
-        index.enable_kernel("auto")
-        index.build(relation, CosineDistance())
-        assert index.kernel_backend == "python"
-        assert len(index.knn(relation.get(0), 1)) == 1
-
-
-@needs_numpy
 class TestSubsetPairsParity:
     """``pairs_array`` (the LSH candidate-verification route) must be
     bit-identical to slicing the full distance row, on both the sparse

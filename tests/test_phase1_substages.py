@@ -17,7 +17,6 @@ from repro.core.formulation import DEParams
 from repro.core.nn_phase import Phase1Stats
 from repro.data.loaders import load_dataset
 from repro.distances.corpus import Corpus
-from repro.distances.kernels.compat import have_numpy
 from repro.eval.bench_phase1 import build_throughput_table, run_build_throughput
 from repro.index.signatures import SignatureFactory
 from repro.run.config import RunConfig
@@ -55,9 +54,8 @@ class TestSubstageAccounting:
         assert LOOKUP_SUBSTAGES <= set(substages)
         assert all(seconds > 0.0 for seconds in substages.values())
 
-    @pytest.mark.skipif(not have_numpy(), reason="numpy not installed")
     def test_kernel_run_attributes_verify(self, relation):
-        result = run_staged(relation, kernel="numpy")
+        result = run_staged(relation, kernel="auto")
         substages = result.stats.phase1.substage_seconds
         assert "verify" in substages
         assert BUILD_SUBSTAGES <= set(substages)

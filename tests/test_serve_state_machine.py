@@ -41,7 +41,6 @@ from repro.core.incremental import IncrementalDeduplicator
 from repro.data.loaders import load_dataset
 from repro.data.schema import Record, Relation
 from repro.distances.cosine import CosineDistance
-from repro.distances.kernels.compat import have_numpy
 from repro.verify.incremental import verify_incremental
 
 ORG = load_dataset("org", n_entities=20, duplicate_fraction=0.5, seed=7).relation
@@ -136,10 +135,8 @@ class ServeMachine(RuleBasedStateMachine):
         if self.dedup is None or not self.dedup._prepared:
             return
         index = self.dedup._live
-        assert (index is not None) == have_numpy()
-        if index is not None:
-            assert set(index.slot_of) == set(self.dedup.relation.ids())
-            assert len(index.slot_of) == len(self.dedup.relation)
+        assert set(index.slot_of) == set(self.dedup.relation.ids())
+        assert len(index.slot_of) == len(self.dedup.relation)
 
     @invariant()
     def reverse_map_matches_the_entries(self):
