@@ -48,6 +48,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+import time
 from pathlib import Path
 from typing import Sequence
 
@@ -758,6 +759,7 @@ def _serve_trace(args: argparse.Namespace) -> tuple[list, tuple[str, ...]]:
 
 
 def _cmd_serve(args: argparse.Namespace, out) -> int:
+    from repro.eval.bench_incremental import latency_summary
     from repro.run.serve import ServeConfig, ServeSession
 
     try:
@@ -775,7 +777,15 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
             print(f"error: {error}", file=sys.stderr)
             return 2
     session = ServeSession(config, schema=schema)
-    for decision in session.replay(trace):
+    # Per op kind: each request's wall time (the op and its decision)
+    # and the full distance rows it read.
+    seconds: dict[str, list[float]] = {"add": [], "remove": []}
+    rows: dict[str, list[int]] = {"add": [], "remove": []}
+    for op, payload in trace:
+        started = time.perf_counter()
+        decision = session.apply(op, payload)
+        seconds[op].append(time.perf_counter() - started)
+        rows[op].append(session.dedup.last_op.rows)
         if not args.quiet:
             print(decision.render(), file=out)
 
@@ -806,6 +816,18 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
             f"{cache.evictions} evictions; refits: {dedup.refits}",
             file=out,
         )
+        for op, name in (("add", "insert"), ("remove", "remove")):
+            if seconds[op]:
+                latency = latency_summary(seconds[op])
+                quantiles = "/".join(
+                    f"{latency[f'p{q}_seconds'] * 1e3:.2f}" for q in (50, 95, 99)
+                )
+                print(
+                    f"{name} latency p50/p95/p99: {quantiles} ms over "
+                    f"{len(seconds[op])} op(s); "
+                    f"{sum(rows[op]) / len(rows[op]):.2f} full rows per {name}",
+                    file=out,
+                )
         if repair is not None:
             print(
                 f"partition repair: {repair.n_components} components, "

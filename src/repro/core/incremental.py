@@ -10,11 +10,17 @@ and :meth:`IncrementalDeduplicator.remove`, with the invariant
 the maintained solution equals a from-scratch batch run at every point.
 
 Cost model (n = current size, K = cut-bounded list length): the state
-is O(n·K) — each record's cut list and, in arrays aligned with the row
-source's slots, its exact NN, its radius ``p * nn`` (``d == 0`` when
-``nn = 0``) and its NG as a count: the SN verdict reads no
-neighborhood member.  Each operation costs one
-distance row plus work proportional to the records it changes.
+is O(n·K) — each record's ranking *head*, the first 2K entries of its
+``(distance, rid)`` ranking (only ``d < θ`` under the combined cut; the
+θ-list itself under the diameter cut), whose K-prefix is its cut list,
+and, in arrays aligned with the row source's slots, its exact NN (the
+head's first entry), its radius ``p * nn`` (``d == 0`` when ``nn = 0``),
+its NG as a count (the SN verdict reads no neighborhood member), the
+head's admission bound and whether the ranking runs past the head.  The
+head is the top-k′ buffer of materialized top-k views (Yi et al., ICDE
+2003): removals drain it, and only a drained head goes back to the
+base data.  An insert costs one distance row, a removal at most one,
+plus work proportional to the records they change.
 
 - **insert** — one distance row to the existing records.  For IDF
   cosine the row is scatter-added over the live records' token
@@ -23,16 +29,23 @@ distance row plus work proportional to the records it changes.
   the pair cache; otherwise it is fetched in one call through the pair
   cache (each unordered pair at most once, pinned in a per-operation
   memo).  One vectorized step over the row adds 1 to the NG of every
-  record holding the newcomer inside its radius and finds the records
-  whose cut list admits it or whose exact NN it becomes: only those get
-  Python work, O(log K) each, and a new exact NN (about one per insert)
-  recounts its NG at the smaller radius, from the cut list when the
-  list covers that radius, else from its own row;
-- **remove** — the removed record's row, read before it is unposted,
-  takes 1 from the NG of every record holding it inside its radius in
-  one vectorized step; the records whose cut list or exact NN held it
-  (O(K) on average, through a reverse reference map) are rebuilt by one
-  row each, and only its own cached pairs are dropped;
+  record holding the newcomer inside its radius, marks the full heads it
+  ranks past as truncated, and finds the records whose head admits it
+  or whose exact NN it becomes: only those get Python work, O(K) each
+  (a record is dirty only when its K-prefix changes), and a new exact
+  NN (about one per insert) recounts its NG at the smaller radius, from
+  the head when the head covers that radius, else from its own row;
+- **remove** — the removed record's row, read before it is unposted
+  (and skipped when no radius reaches it), takes 1 from the NG of every
+  record holding it inside its radius in one vectorized step; each
+  record whose head or exact NN held it (O(K) on average, through a
+  reverse reference map) takes it out of its head in O(K): the cut
+  list is the head's new K-prefix, the exact NN its new first entry and
+  the NG a bisect over the head while the new radius stays inside what
+  the head covers.  Only a truncated head that drains below K (a
+  refill) or a radius past the head's coverage (a recount) reads that
+  record's own row.  Only the removed record's cached pairs are
+  dropped;
 - **partition** — CSPairs flags are rebuilt only for records whose cut
   list changed; group extraction re-runs only for the components (of
   the rows that support some group size) holding an endpoint of a row
@@ -40,7 +53,11 @@ distance row plus work proportional to the records it changes.
   verdict class (crossed ``c`` under ``max``/``max2``; any change under
   ``avg``), found by walking the rows' adjacency (component
   independence is the sharding argument), so a quiet arrival
-  re-extracts nothing.
+  re-extracts nothing.  The groups are kept in canonical order with
+  each record's group, patched only for the records of re-extracted
+  components (and arrivals and removals), and each
+  :class:`~repro.core.result.Partition` is built from C-level copies of
+  the two.
 
 Corpus-dependent distances (IDF-weighted cosine, fms) are prepared
 lazily on the first arrival; ``refit_every`` re-prepares them — and
@@ -60,7 +77,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from itertools import starmap
 
@@ -74,7 +91,7 @@ from repro.core.partitioner import extract_component_groups
 from repro.core.result import Partition
 from repro.data.schema import Record, Relation
 from repro.distances.base import CachedDistance, DistanceFunction
-from repro.index.base import Neighbor, by_proximity
+from repro.index.base import Neighbor
 
 __all__ = ["IncrementalDeduplicator", "OpStats", "RepairStats"]
 
@@ -83,17 +100,24 @@ __all__ = ["IncrementalDeduplicator", "OpStats", "RepairStats"]
 _ABOVE_ZERO = math.nextafter(0.0, 1.0)
 
 #: The slot-aligned Phase-1 state: attribute, value of a free slot and
-#: numpy dtype.  ``_kth`` is the largest distance a cut list admits:
-#: its K-th entry's once it holds K, else the largest float below θ (or
-#: infinity); every record nearer than it is in the list.
+#: numpy dtype.  ``_kth`` is a head's admission bound: an arrival nearer
+#: than it enters the head.  It is the head's last distance once the
+#: head is full or truncated, else θ (or infinity).  ``_past`` counts
+#: the records inside θ that rank past the head: the head is truncated
+#: while it is positive.
 _STATE = (
     ("_rid_at", -1, "int64"),
     ("_nn", math.inf, "float64"),
     ("_nn_rid", -1, "int64"),
     ("_radius", 0.0, "float64"),
     ("_kth", math.inf, "float64"),
+    ("_past", 0, "int64"),
     ("_ng", 0, "int64"),
 )
+
+#: A head holds this many times K entries, so that removals drain it
+#: before it needs a full row again.
+_HEAD_DEPTH = 2
 
 
 @dataclass(frozen=True)
@@ -115,8 +139,13 @@ class OpStats:
     #: Inner (uncached) distance computations during the operation; 0
     #: on the live-postings path, which never reads the pair cache.
     cache_misses: int
-    #: Entries rebuilt by a full scan (removals only).
+    #: Referrers of the removed record that read their own full row: a
+    #: drained head's refill or an NG recount past the head (removals
+    #: only).
     rebuilt: int
+    #: Full distance rows the operation read: its own, refills and
+    #: recounts.
+    rows: int
     #: Entries whose maintained Phase-1 state changed.
     dirty: int
     seconds: float
@@ -208,11 +237,11 @@ class IncrementalDeduplicator:
         #: The cut's size bound K and diameter bound θ (``None`` when
         #: the specification has none).
         self._k, self._theta = params.bounds
-        #: ``_kth`` of a list short of K: ``d < θ`` is ``d <= _open``.
-        self._open = (
-            math.inf if self._theta is None
-            else math.nextafter(self._theta, -math.inf)
-        )
+        #: A head holds only records nearer than this: θ, or infinity.
+        self._bound = math.inf if self._theta is None else self._theta
+        #: Entries a head holds; ``None`` under the diameter cut, whose
+        #: head is the whole θ-list.
+        self._depth = None if self._k is None else _HEAD_DEPTH * self._k
         #: An NG's class under the SN verdict (``verdict_class``).
         self._ng_class = verdict_class(params.agg, params.c)
         self.refit_every = refit_every
@@ -251,10 +280,11 @@ class IncrementalDeduplicator:
             if self.constraints
             else None
         )
-        #: rid -> cut-bounded NN list, exactly as Phase 1 would store it.
-        self._neighbors: dict[int, list[Neighbor]] = {}
-        #: rid -> the records whose cut list holds it or whose exact NN
-        #: it is: the entries a removal rebuilds.
+        #: rid -> the head of its ``(distance, rid)`` ranking as plain
+        #: tuples; its K-prefix is the cut list Phase 1 would store.
+        self._heads: dict[int, list[tuple[float, int]]] = {}
+        #: rid -> the records whose head holds it or whose exact NN it
+        #: is: the entries a removal repairs.
         self._refs: dict[int, set[int]] = {}
         #: The distance's live-row index (``DistanceFunction.live_rows``)
         #: while it offers one; ``None`` scores rows through the cache.
@@ -273,15 +303,22 @@ class IncrementalDeduplicator:
         self._pair_keys: dict[int, set[tuple[int, int]]] = {}
         #: Records whose cut list changed (their rows are rebuilt).
         self._dirty: set[int] = set()
-        #: Endpoints of CSPairs rows added, dropped or changed, and
-        #: records whose NG changed verdict class, since the last
-        #: :meth:`partition`.
+        #: rid -> the neighbour ids of its cut list, as of the last
+        #: refresh of the CSPairs rows.
+        self._cut_ids: dict[int, tuple[int, ...]] = {}
+        #: Endpoints of CSPairs rows added, dropped or changed, records
+        #: whose NG changed verdict class, arrivals and removals, since
+        #: the last :meth:`partition`.
         self._touched: set[int] = set()
         #: Each component of the rows that support a group size as ``min
-        #: rid -> (members, groups)``, and the component key of each of
-        #: their records.
-        self._components: dict[int, tuple[tuple[int, ...], tuple]] = {}
+        #: rid -> members``, and the component key of each member.
+        self._components: dict[int, tuple[int, ...]] = {}
         self._component_of: dict[int, int] = {}
+        #: Every group of the partition (before constraint splits),
+        #: singletons included, in canonical order, and each live
+        #: record's group.
+        self._groups: list[tuple[int, ...]] = []
+        self._group_of: dict[int, tuple[int, ...]] = {}
         self._partition_cache: Partition | None = None
         # Lazy-prepare / refit bookkeeping (the no-seed construction
         # used to skip prepare() entirely, scoring IDF metrics against
@@ -297,6 +334,7 @@ class IncrementalDeduplicator:
         # operation, and the number of pairs the operation's rows fetched.
         self._op_memo: dict[tuple[int, int], float] = {}
         self._op_pairs = 0
+        self._op_rows = 0
         self._op_marked: set[int] = set()
         if seed is not None:
             # Collect the statistics under the rids ``add`` assigns, so
@@ -346,30 +384,39 @@ class IncrementalDeduplicator:
         """Delete a record, with bounded recomputation.
 
         Its row takes it out of the NG count of every record holding it
-        inside its radius.  The records whose cut list or exact nearest
-        neighbor (the radius-defining record) it was are rebuilt by a
-        scan; no other record's entry is visited.  Raises
-        :class:`KeyError` for an unknown id.
+        inside its radius.  Each record whose head or exact nearest
+        neighbor (the radius-defining record) it was takes it out of its
+        head in O(K), reading its own row only to refill a drained head
+        or to recount an NG past it; no other record's entry is
+        visited.  Raises :class:`KeyError` for an unknown id.
         """
         start = time.perf_counter()
         record = self.relation.get(rid)  # KeyError before any state is touched
         self._begin_op()
         refit = self._refit_due()
-        rebuilds = [] if refit else sorted(self._refs[rid])
-        inside = ()
+        referrers = [] if refit else sorted(self._refs[rid])
+        inside = ranked = np.empty(0, dtype=np.int64)
         if not refit:
-            slot_of, radius = self._slot_of, self._radius
-            # The rebuilt records recount from their own rows below, and
-            # the removed record leaves: neither takes a decrement.
-            for orid in rebuilds:
-                radius[slot_of[orid]] = 0.0
+            slot_of, radius, nn_rid = self._slot_of, self._radius, self._nn_rid
+            # The records whose exact NN it is recount their NG below,
+            # and the removed record leaves: neither takes a decrement.
+            for orid in referrers:
+                at = slot_of[orid]
+                if nn_rid[at] == rid:
+                    radius[at] = 0.0
             slot = slot_of[rid]
             radius[slot] = 0.0
             # Every d(rid, v) >= nn(rid): unless some radius passes it,
-            # no record counts the removed one and no row is read.
-            if self._nn[slot] < radius.max():
+            # no record counts the removed one, and unless θ (or a size
+            # cut's infinity) passes it, no record ranks it; then no
+            # row is read.
+            reach = radius.max()
+            if self._depth is not None:
+                reach = max(reach, self._bound)
+            if self._nn[slot] < reach:
                 slots, row = self._row(record)
                 inside = slots[row < radius[slots]]
+                ranked = slots[row < self._bound]
         self._drop_entry_state(rid)
         self.relation.remove(rid)
         if self.candidates is not None:
@@ -381,19 +428,28 @@ class IncrementalDeduplicator:
             self._live.remove(rid)
         else:
             self._free.append(self._slot_of.pop(rid))
+        rebuilt = 0
         if refit:
             self._refit()
         else:
             self._bump(inside, -1)
+            if self._depth is not None:
+                # It leaves every ranking it was in; :meth:`_withdraw`
+                # adds it back where a head held it.  A head nothing
+                # ranks past any more admits all of θ again, unless full.
+                past = self._past
+                past[ranked] -= 1
+                for at in ranked[past[ranked] == 0].tolist():
+                    self._set_kth(at, self._heads[int(self._rid_at[at])])
             # Rids are never reused, so the removed record's cached
             # pairs can never be probed again; dropping them keeps a
             # long session's cache to live pairs (rows from the live
             # index never enter it).
-            self.distance.invalidate_rid(rid, self._neighbors)
-            for orid in rebuilds:
-                self._scan(self.relation.get(orid))
+            self.distance.invalidate_rid(rid, self._heads)
+            for orid in referrers:
+                rebuilt += self._withdraw(orid, rid)
         self._ops_since_refit += 1
-        self._finish_op("remove", rid, start, rebuilt=len(rebuilds))
+        self._finish_op("remove", rid, start, rebuilt=rebuilt)
 
     def refit(self) -> None:
         """Re-prepare the distance on the live relation and rebuild.
@@ -414,16 +470,23 @@ class IncrementalDeduplicator:
     def _apply_insert(self, record: Record) -> None:
         rid = record.rid
         self._refs[rid] = set()
+        # A new singleton, unless a CSPairs row joins it to a group.
+        self._touched.add(rid)
         slots, row = self._scan(record)
-        # Records whose cut list admits the newcomer (ties with a full
-        # size-cut list's last entry are admitted and then cut again:
-        # the newcomer's id is the largest, so it sorts last), records
-        # it is nearer to than their exact NN (their NG is recounted at
-        # the smaller radius), and the others holding it inside their
-        # radius (their NG gains one).
+        # Records whose head admits the newcomer (it ranks before the
+        # last entry of a full or truncated head: its id is the largest,
+        # so a tie ranks after), records it is nearer to than their
+        # exact NN (their NG is recounted at the smaller radius), and
+        # the others holding it inside their radius (their NG gains
+        # one).
         nearer = row < self._nn[slots]
-        admitted = row <= self._kth[slots]
+        admitted = row < self._kth[slots]
         self._bump(slots[(row < self._radius[slots]) & ~nearer], 1)
+        if self._depth is not None:
+            # Heads the newcomer ranks past (only full or truncated ones
+            # refuse a record inside θ).
+            past = ~admitted if self._theta is None else ~admitted & (row < self._theta)
+            self._past[slots[past]] += 1
         at = np.flatnonzero(admitted | nearer)
         hits = zip(
             slots[at].tolist(), row[at].tolist(),
@@ -436,53 +499,98 @@ class IncrementalDeduplicator:
         self, slot: int, rid: int, d: float, admitted: bool, nearer: bool
     ) -> None:
         """Enter arrival ``rid`` at distance ``d`` into the entry at
-        ``slot``: into its cut list when admitted, as its exact NN (a
+        ``slot``: into its head when admitted, as its exact NN (a
         smaller radius, so a recounted NG) when nearer."""
         orid = int(self._rid_at[slot])
-        lst = self._neighbors[orid]
-        k = self._k
-        held = nearer
+        head = self._heads[orid]
         # Entries that may have left this record's entry.
         left: list[tuple[float, int]] = []
         if admitted:
-            at = bisect_right(lst, (d, rid), key=by_proximity)
-            lst.insert(at, Neighbor(d, rid))
-            if k is not None and len(lst) > k:
-                left.append(by_proximity(lst.pop()))
-            if at < len(lst):
-                held = True
+            at = bisect_right(head, (d, rid))
+            head.insert(at, (d, rid))
+            if self._depth is not None and len(head) > self._depth:
+                left.append(head.pop())
+                self._past[slot] += 1
+            if self._k is None or at < self._k:
                 self._mark_dirty(orid)
-            if k is not None and len(lst) == k:
-                self._kth[slot] = lst[-1].distance
+            self._set_kth(slot, head)
         if nearer:
             if self._nn_rid[slot] >= 0:
                 left.append((float(self._nn[slot]), int(self._nn_rid[slot])))
             self._nn[slot], self._nn_rid[slot] = d, rid
             radius = self.params.p * d if d > 0.0 else _ABOVE_ZERO
             self._radius[slot] = radius
-            old, new = self._ng[slot], self._recount(orid, slot, radius)
+            old, new = int(self._ng[slot]), self._recount(orid, slot, radius)
             if new != old:
                 self._ng[slot] = new
                 self._mark_ng(orid, old, new)
         refs = self._refs
-        if held:
-            refs[rid].add(orid)
+        refs[rid].add(orid)
         if left:
-            # Still held when still the exact NN or still in the cut
-            # list (a prefix of the record's ranking); an entry can
-            # leave both.
-            tail = by_proximity(lst[-1]) if lst else None
+            # Still held when still the exact NN or still in the head (a
+            # prefix of the record's ranking); an entry can leave both.
+            tail = head[-1] if head else None
             for entry in left:
                 if entry[1] != self._nn_rid[slot] and (tail is None or entry > tail):
                     refs[entry[1]].discard(orid)
 
+    def _withdraw(self, rid: int, gone: int) -> bool:
+        """Take the removed record ``gone`` out of ``rid``'s head and
+        exact NN in O(K).  Returns whether ``rid`` read its own row
+        instead: to refill a truncated head drained below K, to find an
+        exact NN no head holds, or to recount an NG past the head."""
+        slot = self._slot_of[rid]
+        head, k = self._heads[rid], self._k
+        for at, (_, orid) in enumerate(head):
+            if orid == gone:
+                del head[at]
+                if self._depth is not None:
+                    # :meth:`remove` counted it out of the records past
+                    # the head.
+                    self._past[slot] += 1
+                if k is None or at < k:
+                    self._mark_dirty(rid)
+                break
+        if self._past[slot] and len(head) < k:
+            self._scan(self.relation.get(rid))
+            return True
+        self._set_kth(slot, head)
+        if self._nn_rid[slot] != gone:
+            return False
+        if not head:
+            # No other record is inside θ (or left at all): the exact NN
+            # is outside every head.
+            self._scan(self.relation.get(rid))
+            return True
+        d, nn_rid = head[0]
+        self._nn[slot], self._nn_rid[slot] = d, nn_rid
+        radius = self.params.p * d if d > 0.0 else _ABOVE_ZERO
+        self._radius[slot] = radius
+        if radius > self._cover(slot):
+            self._scan(self.relation.get(rid))
+            return True
+        old, new = int(self._ng[slot]), 1 + bisect_left(head, (radius,))
+        if new != old:
+            self._ng[slot] = new
+            self._mark_ng(rid, old, new)
+        return False
+
+    def _cover(self, slot: int) -> float:
+        """Every record nearer than this to the record at ``slot`` is in
+        its head: the head's last distance once truncated, else θ (or
+        infinity)."""
+        return self._kth[slot] if self._past[slot] else self._bound
+
+    def _set_kth(self, slot: int, head: list) -> None:
+        full = self._past[slot] or len(head) == self._depth
+        self._kth[slot] = head[-1][0] if full else self._bound
+
     def _recount(self, rid: int, slot: int, radius: float) -> int:
-        """``rid``'s NG at a shrunken ``radius``: from its cut list when
-        the list holds every record inside the radius, else from the
+        """``rid``'s NG at a shrunken ``radius``: from its head when the
+        head holds every record inside the radius, else from the
         record's own row."""
-        if radius <= self._kth[slot]:
-            lst = self._neighbors[rid]
-            return 1 + bisect_left(lst, (radius,), key=by_proximity)
+        if radius <= self._cover(slot):
+            return 1 + bisect_left(self._heads[rid], (radius,))
         _, row = self._row(self.relation.get(rid))
         return 1 + int(np.count_nonzero(row < radius))
 
@@ -510,6 +618,7 @@ class IncrementalDeduplicator:
         when the distance offers one, else fetched through the pair
         cache in one call."""
         rid = record.rid
+        self._op_rows += 1
         others = None
         if self.candidates is not None:
             others = [
@@ -539,44 +648,44 @@ class IncrementalDeduplicator:
         )
 
     def _scan(self, record: Record):
-        """Set one record's entry — cut list, exact NN, radius and NG,
-        and the reverse references of the first two — from its full
-        distance row, marking what changed; returns the row as
-        ``(slots, distances)``."""
+        """Set one record's entry — head, exact NN, radius and NG, and
+        the reverse references of the first two — from its full distance
+        row, marking what changed; returns the row as ``(slots,
+        distances)``."""
         rid = record.rid
         slot = self._slot_of[rid]
-        old_list, old_ng = self._neighbors.get(rid), self._ng[slot]
+        old_head, old_ng = self._heads.get(rid), int(self._ng[slot])
         slots, row = self._row(record)
         self._drop_refs(rid, slot)
-        p, k, theta = self.params.p, self._k, self._theta
-        nn, nn_rid, head = math.inf, -1, []
+        p, k, depth = self.params.p, self._k, self._depth
+        nn, nn_rid, head, past = math.inf, -1, [], 0
         if len(row):
             rids = self._rid_at[slots]
             nn = float(row.min())
             nn_rid = int(rids[row == nn].min())
-            # Only the part of the row a cut list can hold is ranked.
-            if k is None:
-                keep = row < theta
-            else:
-                kth = min(k, len(row)) - 1
-                keep = row <= np.partition(row, kth)[kth]
-            at = np.flatnonzero(keep)
+            # Only the part of the row a head can hold is ranked.
+            at = np.flatnonzero(row < self._bound)
+            if depth is not None and len(at) > depth:
+                past = len(at) - depth
+                near = row[at]
+                at = at[near <= np.partition(near, depth - 1)[depth - 1]]
             head = sorted(zip(row[at].tolist(), rids[at].tolist()))
+            if past:
+                del head[depth:]
         # ``d < radius``; for ``nn = 0`` that is ``d == 0``.
         radius = p * nn if nn > 0.0 else _ABOVE_ZERO
         ng = 1 + int(np.count_nonzero(row < radius))
-        end = len(head) if theta is None else bisect_left(head, (theta,))
-        hits = head[: end if k is None else min(end, k)]
-        self._neighbors[rid] = list(starmap(Neighbor, hits))
+        self._heads[rid] = head
         self._nn[slot], self._nn_rid[slot] = nn, nn_rid
         self._radius[slot], self._ng[slot] = radius, ng
-        self._kth[slot] = hits[-1][0] if k is not None and len(hits) == k else self._open
+        self._past[slot] = past
+        self._set_kth(slot, head)
         refs = self._refs
-        for _, orid in hits:
+        for _, orid in head:
             refs[orid].add(rid)
         if nn_rid >= 0:
             refs[nn_rid].add(rid)
-        if self._neighbors[rid] != old_list:
+        if old_head is None or head[:k] != old_head[:k]:
             self._mark_dirty(rid)
         # Not ``elif``: rows rebuilt with the same flags touch no one.
         if ng != old_ng:
@@ -584,9 +693,9 @@ class IncrementalDeduplicator:
         return slots, row
 
     def _drop_refs(self, rid: int, slot: int) -> None:
-        """Take ``rid`` out of the referrers of every record its cut
-        list holds and of its exact NN."""
-        held = [nb.rid for nb in self._neighbors.get(rid, ())]
+        """Take ``rid`` out of the referrers of every record its head
+        holds and of its exact NN."""
+        held = [orid for _, orid in self._heads.get(rid, ())]
         for orid in (*held, int(self._nn_rid[slot])):
             self._refs.get(orid, set()).discard(rid)
 
@@ -648,16 +757,20 @@ class IncrementalDeduplicator:
         self._ops_since_refit = 0
         self.refits += 1
         self._op_memo.clear()  # stale under the new corpus statistics
-        self._neighbors.clear()
+        self._heads.clear()
+        self._cut_ids.clear()
         self._refs = {rid: set() for rid in self.relation.ids()}
         for record in self.relation:
             self._scan(record)
-        # Every pair is potentially stale under the new statistics.
+        # Every pair is potentially stale under the new statistics, and
+        # every record's group is rebuilt.
         self._pairs.clear()
         self._pair_keys.clear()
         self._components.clear()
         self._component_of.clear()
-        self._touched.clear()
+        self._groups.clear()
+        self._group_of.clear()
+        self._touched = set(self.relation.ids())
 
     # ------------------------------------------------------------------
     # Incremental Phase 2
@@ -698,15 +811,18 @@ class IncrementalDeduplicator:
 
     def _drop_entry_state(self, rid: int) -> None:
         """Forget one record's Phase-1 entry, its references and its
-        CSPairs rows."""
+        CSPairs rows, and retire its group at the next
+        :meth:`partition`."""
         slot = self._slot_of[rid]
         self._drop_refs(rid, slot)
         self._refs.pop(rid, None)
-        self._neighbors.pop(rid, None)
+        self._heads.pop(rid, None)
+        self._cut_ids.pop(rid, None)
         for name, fill, _ in _STATE:
             getattr(self, name)[slot] = fill
         self._dirty.discard(rid)
         self._drop_rows(rid)
+        self._touched.add(rid)
         self._partition_cache = None
 
     def _refresh_pairs(self) -> None:
@@ -730,28 +846,16 @@ class IncrementalDeduplicator:
             else None
         )
         pairs, pair_keys, touched = self._pairs, self._pair_keys, self._touched
-        neighbors = self._neighbors
+        heads, cut_ids, k = self._heads, self._cut_ids, self._k
         dropped: dict[tuple[int, int], tuple[bool, ...]] = {}
         for rid in self._dirty:
             self._drop_rows(rid, dropped)
-        # The neighbour-id tuple of each entry read, once per refresh.
-        ids: dict[int, tuple[int, ...]] = {}
-
-        def ids_of(rid: int) -> tuple[int, ...]:
-            found = ids.get(rid)
-            if found is None:
-                found = ids[rid] = tuple(nb.rid for nb in neighbors[rid])
-            return found
-
-        for rid in self._dirty:
-            lst = neighbors.get(rid)
-            if lst is None:
-                continue
             # Cut lists are already bounded, so Phase 2 reads all of
             # each (``nn_list_limit`` is the list length).
-            for nb in lst:
-                orid = nb.rid
-                if orid not in neighbors or rid not in ids_of(orid):
+            cut_ids[rid] = tuple([orid for _, orid in heads[rid][:k]])
+        for rid in self._dirty:
+            for orid in cut_ids[rid]:
+                if rid not in cut_ids[orid]:
                     continue  # not mutual
                 key = (rid, orid) if rid < orid else (orid, rid)
                 if key in pairs:
@@ -761,7 +865,7 @@ class IncrementalDeduplicator:
                     self.relation.get(id1), self.relation.get(id2)
                 ):
                     continue
-                ids1, ids2 = ids_of(id1), ids_of(id2)
+                ids1, ids2 = cut_ids[id1], cut_ids[id2]
                 flags = pairs[key] = prefix_equal_flags(
                     id1, ids1, id2, ids2,
                     max_pair_size(len(ids1), len(ids2), params),
@@ -782,8 +886,9 @@ class IncrementalDeduplicator:
         return [CSPair(a, b, ng[a], ng[b], pairs[a, b]) for a, b in keys]
 
     def _repair_components(self) -> int:
-        """Re-extract the components that hold a touched record;
-        returns how many.
+        """Re-extract the components that hold a touched record and
+        patch the groups of their records; returns how many components
+        were re-extracted.
 
         A component is one of the graph of CSPairs rows that support
         some group size: a row whose flags are all false never joins a
@@ -791,18 +896,30 @@ class IncrementalDeduplicator:
         over the whole relation, and the mutual-NN graph splits much
         finer.  Every other component's flags and NG classes are
         unchanged, and extraction is a pure function of them, so its
-        groups are reused.  A component all of whose records are
+        groups are kept.  A component all of whose records are
         untouched is also a component of the old graph, so the walks
         from the touched records reach every record of every
-        invalidated component.
+        invalidated component, and reach no record of a kept one.
         """
         touched = self._touched
         components, component_of = self._components, self._component_of
+        groups, group_of = self._groups, self._group_of
+        stale = set(touched)
         for rid in touched:
             key = component_of.get(rid)
-            if key is not None and key in components:
-                for member in components.pop(key)[0]:
+            if key is not None:
+                members = components.pop(key)
+                for member in members:
                     del component_of[member]
+                stale.update(members)
+        # Each stale group lies inside an invalidated component, or is a
+        # stale record's singleton.
+        for rid in stale:
+            group = group_of.get(rid)
+            if group is not None:
+                for member in group:
+                    del group_of[member]
+                del groups[bisect_left(groups, group)]
         pairs, pair_keys = self._pairs, self._pair_keys
         repaired = 0
         for rid in touched:
@@ -823,16 +940,24 @@ class IncrementalDeduplicator:
                         stack.append(other)
             if not keys:
                 continue
-            rows = self._rows_of(sorted(keys))
-            groups = tuple(
-                tuple(sorted(group))
-                for group in extract_component_groups(rows, self.params)
-            )
             root = min(members)
-            components[root] = (tuple(members), groups)
+            components[root] = tuple(members)
             for member in members:
                 component_of[member] = root
+            for group in extract_component_groups(
+                self._rows_of(sorted(keys)), self.params
+            ):
+                group = tuple(group)  # sorted by the extraction
+                insort(groups, group)
+                for member in group:
+                    group_of[member] = group
             repaired += 1
+        live = self._heads
+        for rid in stale:
+            if rid not in group_of and rid in live:
+                group = (rid,)
+                insort(groups, group)
+                group_of[rid] = group
         touched.clear()
         return repaired
 
@@ -843,11 +968,12 @@ class IncrementalDeduplicator:
     def nn_relation(self) -> NNRelation:
         """Materialize the maintained Phase-1 state as an NN relation."""
         nn = NNRelation()
-        for rid in sorted(self._neighbors):
+        k = self._k
+        for rid in sorted(self._heads):
             nn.add(
                 NNEntry(
                     rid=rid,
-                    neighbors=tuple(self._neighbors[rid]),
+                    neighbors=tuple(starmap(Neighbor, self._heads[rid][:k])),
                     ng=self._ng_of(rid),
                 )
             )
@@ -863,25 +989,18 @@ class IncrementalDeduplicator:
 
         Incremental: CSPairs rows are patched for dirty entries only,
         and group extraction re-runs only for the components (of rows
-        that support a group size) holding a record whose rows or NG
+        that support some group size) holding a record whose rows or NG
         class changed; every other
-        component reuses its groups (exact — extraction is a pure
-        function of a component's flags and NG classes).
+        component keeps its groups (exact — extraction is a pure
+        function of a component's flags and NG classes).  The partition
+        is built from copies of the maintained canonical groups.
         """
         if self._partition_cache is not None:
             return self._partition_cache
         start = time.perf_counter()
         self._refresh_pairs()
         repaired = self._repair_components()
-        groups = [
-            group for _, extracted in self._components.values()
-            for group in extracted
-        ]
-        assigned = {rid for group in groups for rid in group}
-        groups.extend((rid,) for rid in self.relation.ids() if rid not in assigned)
-        # Each group is sorted and the groups are disjoint, so sorting
-        # the tuples orders them by minimum id: the canonical form.
-        partition = Partition(groups=tuple(sorted(groups)))
+        partition = Partition._trusted(tuple(self._groups), dict(self._group_of))
         if self._pair_filter is not None:
             # The unconditional zero-violation split — identical to the
             # batch postprocess stage, so checksum parity holds.
@@ -910,6 +1029,7 @@ class IncrementalDeduplicator:
     def _begin_op(self) -> None:
         self._op_memo = {}
         self._op_pairs = 0
+        self._op_rows = 0
         self._op_marked = set()
         self._op_miss_base = self.distance.misses
 
@@ -922,6 +1042,7 @@ class IncrementalDeduplicator:
             distance_calls=self._op_pairs,
             cache_misses=self.distance.misses - self._op_miss_base,
             rebuilt=rebuilt,
+            rows=self._op_rows,
             dirty=len(self._op_marked),
             seconds=time.perf_counter() - start,
         )

@@ -22,18 +22,35 @@ class Partition:
     """An immutable partition of record ids into groups."""
 
     groups: tuple[tuple[int, ...], ...]
-    _owner: dict[int, int] = field(
+    #: rid -> the group holding it.
+    _owner: dict[int, tuple[int, ...]] = field(
         default_factory=dict, repr=False, compare=False, hash=False
     )
 
     def __post_init__(self) -> None:
-        seen: dict[int, int] = {}
-        for index, group in enumerate(self.groups):
+        seen: dict[int, tuple[int, ...]] = {}
+        for group in self.groups:
             for rid in group:
                 if rid in seen:
                     raise ValueError(f"record {rid} appears in two groups")
-                seen[rid] = index
+                seen[rid] = group
         self._owner.update(seen)
+
+    @classmethod
+    def _trusted(
+        cls,
+        groups: tuple[tuple[int, ...], ...],
+        owner: dict[int, tuple[int, ...]],
+    ) -> "Partition":
+        """A partition taken as given, without validation: ``groups``
+        must already be canonical and disjoint, and ``owner`` map each
+        of their records to its group.  For a caller that maintains
+        both (the incremental layer), so building one reads no record
+        in Python."""
+        partition = object.__new__(cls)
+        object.__setattr__(partition, "groups", groups)
+        object.__setattr__(partition, "_owner", owner)
+        return partition
 
     @classmethod
     def from_groups(cls, groups: Iterable[Iterable[int]]) -> "Partition":
@@ -55,7 +72,7 @@ class Partition:
 
     def group_of(self, rid: int) -> tuple[int, ...]:
         """Return the group containing ``rid``."""
-        return self.groups[self._owner[rid]]
+        return self._owner[rid]
 
     def checksum(self) -> str:
         """A deterministic digest of the canonical groups.
@@ -91,7 +108,8 @@ class Partition:
 
     def same_group(self, a: int, b: int) -> bool:
         """Return whether two ids share a group."""
-        return self._owner.get(a) is not None and self._owner.get(a) == self._owner.get(b)
+        group = self._owner.get(a)
+        return group is not None and group == self._owner.get(b)
 
     # ------------------------------------------------------------------
     # Relations between partitions

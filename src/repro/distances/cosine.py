@@ -90,13 +90,19 @@ class CosineDistance(CorpusDistance):
 
 
 class _Posting:
-    """One token's ``(slot, weight)`` entries, in growable arrays."""
+    """One token's ``(slot, weight)`` entries, in growable arrays.
 
-    __slots__ = ("slots", "weights", "n")
+    ``index`` holds, per entry, the token's position in its slot's
+    vector: a swap-remove that moves an entry updates that slot's
+    record of where the entry sits.
+    """
+
+    __slots__ = ("slots", "weights", "index", "n")
 
     def __init__(self) -> None:
         self.slots = np.empty(4, dtype=np.int64)
         self.weights = np.empty(4, dtype=np.float64)
+        self.index = np.empty(4, dtype=np.int64)
         self.n = 0
 
 
@@ -109,7 +115,9 @@ class LiveCosineRows:
     exactly what :meth:`Corpus.vector` returned for it and its norm,
     and each of its distinct tokens — keyed by token string, so tokens
     outside the frozen vocabulary post too — holds one ``(slot,
-    weight)`` entry.  A row walks the query's tokens in ascending order
+    weight)`` entry; each slot keeps the position of its entry in every
+    one of its tokens' postings, so a removal swaps its entries out in
+    O(tokens).  A row walks the query's tokens in ascending order
     and scatter-adds ``w_q * w_b`` into a per-slot array: per slot, the
     scalar merge-join's additions in its order.  Products of
     two weights or two norms commute exactly, and a zero dot (an empty
@@ -126,6 +134,9 @@ class LiveCosineRows:
         self.rids = np.full(16, -1, dtype=np.int64)
         self.norms = np.zeros(16, dtype=np.float64)
         self._vectors: list[tuple | None] = [None] * 16
+        #: slot -> its entry's position in each of its tokens' postings,
+        #: aligned with its vector's tokens.
+        self._at: list[list[int] | None] = [None] * 16
         self._free: list[int] = list(range(15, -1, -1))
         self._postings: dict[str, _Posting] = {}
 
@@ -136,6 +147,7 @@ class LiveCosineRows:
             self.rids = np.concatenate([self.rids, np.full(size, -1, np.int64)])
             self.norms = np.concatenate([self.norms, np.zeros(size)])
             self._vectors.extend([None] * size)
+            self._at.extend([None] * size)
             self._free = list(range(2 * size - 1, size - 1, -1))
         slot = self._free.pop()
         vector = self.corpus.vector(record)
@@ -144,7 +156,8 @@ class LiveCosineRows:
         self.norms[slot] = vector[2]
         self._vectors[slot] = vector
         postings = self._postings
-        for token, weight in zip(vector[0], vector[1]):
+        at = self._at[slot] = []
+        for index, (token, weight) in enumerate(zip(vector[0], vector[1])):
             posting = postings.get(token)
             if posting is None:
                 posting = postings[token] = _Posting()
@@ -152,27 +165,36 @@ class LiveCosineRows:
             if n == len(posting.slots):
                 posting.slots = np.concatenate([posting.slots, posting.slots])
                 posting.weights = np.concatenate([posting.weights, posting.weights])
+                posting.index = np.concatenate([posting.index, posting.index])
             posting.slots[n] = slot
             posting.weights[n] = weight
+            posting.index[n] = index
             posting.n = n + 1
+            at.append(n)
 
     def remove(self, rid: int) -> None:
-        """Take ``rid``'s entries out of its postings and free its slot."""
+        """Take ``rid``'s entries out of its postings and free its slot:
+        each posting's last entry moves into the freed position."""
         slot = self.slot_of.pop(rid)
         postings = self._postings
-        for token in self._vectors[slot][0]:
+        for token, at in zip(self._vectors[slot][0], self._at[slot]):
             posting = postings[token]
             last = posting.n - 1
             if last == 0:
                 del postings[token]
                 continue
-            at = int(np.flatnonzero(posting.slots[: last + 1] == slot)[0])
-            posting.slots[at] = posting.slots[last]
-            posting.weights[at] = posting.weights[last]
+            if at != last:
+                moved = int(posting.slots[last])
+                index = int(posting.index[last])
+                posting.slots[at] = moved
+                posting.weights[at] = posting.weights[last]
+                posting.index[at] = index
+                self._at[moved][index] = at
             posting.n = last
         self.rids[slot] = -1
         self.norms[slot] = 0.0
         self._vectors[slot] = None
+        self._at[slot] = None
         self._free.append(slot)
 
     def row(self, rid: int, others=None):

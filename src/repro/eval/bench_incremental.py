@@ -37,7 +37,7 @@ from repro.run.config import RunConfig
 from repro.run.registry import DISTANCES
 from repro.verify.incremental import FrozenDistance
 
-__all__ = ["SUITE", "run_incremental_bench", "incremental_table"]
+__all__ = ["SUITE", "incremental_table", "latency_summary", "run_incremental_bench"]
 
 #: Timed batch reruns per checkpoint; the fastest is the denominator
 #: of the per-op/batch ratio (host noise only ever adds time).
@@ -51,7 +51,11 @@ RATIO_GROWTH_TOLERANCE = 1.5
 PERCENTILES = (50, 95, 99)
 
 
-def _latency(samples: Sequence[float]) -> dict:
+def _mean(samples: Sequence[float]) -> float:
+    return statistics.fmean(samples) if samples else 0.0
+
+
+def latency_summary(samples: Sequence[float]) -> dict:
     """Nearest-rank percentiles of one op type's trailing samples: the
     ``ceil(q / 100 * m)``-th smallest of the ``m`` samples."""
     ranked = sorted(samples)
@@ -145,6 +149,8 @@ def run_incremental_bench(
     op_seconds: list[float] = []  # serving cost: mutation + partition
     insert_seconds: list[float] = []
     remove_seconds: list[float] = []
+    insert_rows: list[int] = []
+    remove_rows: list[int] = []
     n_removes = 0
     oldest_live = 0
 
@@ -154,7 +160,7 @@ def run_incremental_bench(
         batch, batch_checksums = _batch_rerun(dedup, inner, params, kernel)
         batch_seconds = batch["seconds"]
         repair = dedup.last_repair
-        mean_op = statistics.fmean(recent) if recent else 0.0
+        mean_op = _mean(recent)
         checkpoint_rows.append(
             {
                 "n": n,
@@ -176,8 +182,11 @@ def run_incremental_bench(
                 "components_reused": (
                     repair.components_reused if repair is not None else 0
                 ),
-                "insert_latency": _latency(insert_seconds[-window:]),
-                "remove_latency": _latency(remove_seconds[-window:]),
+                "insert_latency": latency_summary(insert_seconds[-window:]),
+                "remove_latency": latency_summary(remove_seconds[-window:]),
+                # Full distance rows per op (``OpStats.rows``).
+                "rows_per_insert": _mean(insert_rows[-window:]),
+                "rows_per_remove": _mean(remove_rows[-window:]),
                 # ru_maxrss is in KiB on Linux.
                 "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
                 / 1024.0,
@@ -191,6 +200,7 @@ def run_incremental_bench(
         elapsed = time.perf_counter() - started
         op_seconds.append(elapsed)
         insert_seconds.append(elapsed)
+        insert_rows.append(dedup.last_op.rows)
         if remove_every > 0 and arrival % remove_every == 0:
             while oldest_live not in dedup.relation:
                 oldest_live += 1
@@ -200,6 +210,7 @@ def run_incremental_bench(
             elapsed = time.perf_counter() - started
             op_seconds.append(elapsed)
             remove_seconds.append(elapsed)
+            remove_rows.append(dedup.last_op.rows)
             n_removes += 1
         while pending and len(dedup) >= pending[0]:
             serve_checkpoint()
@@ -211,12 +222,8 @@ def run_incremental_bench(
         "n_removes": n_removes,
         "total_insert_seconds": sum(insert_seconds),
         "total_remove_seconds": sum(remove_seconds),
-        "mean_insert_seconds": (
-            statistics.fmean(insert_seconds) if insert_seconds else 0.0
-        ),
-        "mean_remove_seconds": (
-            statistics.fmean(remove_seconds) if remove_seconds else 0.0
-        ),
+        "mean_insert_seconds": _mean(insert_seconds),
+        "mean_remove_seconds": _mean(remove_seconds),
         "checkpoints": checkpoint_rows,
     }
 
@@ -316,6 +323,7 @@ def incremental_table(payload: Mapping) -> str:
             f"{row['components_reused']}/{row['components']}",
             _latency_cell(row["insert_latency"]),
             _latency_cell(row["remove_latency"]),
+            f"{row['rows_per_insert']:.2f}/{row['rows_per_remove']:.2f}",
             f"{row['peak_rss_mb']:.0f}MB",
         )
         for row in results["checkpoints"]
@@ -324,7 +332,8 @@ def incremental_table(payload: Mapping) -> str:
         (
             "n", "ops", "mean op", "median op", "batch rerun",
             "op/batch", "checksum", "reused",
-            "insert p50/p95/p99", "remove p50/p95/p99", "peak RSS",
+            "insert p50/p95/p99", "remove p50/p95/p99",
+            "rows/insert/remove", "peak RSS",
         ),
         rows,
     )

@@ -579,6 +579,34 @@ class TestServe:
         assert code == 0
         assert "FAIL" not in out.getvalue()
 
+    def test_serve_stats_reports_latency_percentiles_and_rows(self, org_csv):
+        path, _ = org_csv
+        out = io.StringIO()
+        code = main(
+            [
+                "serve", str(path), "--from-csv",
+                "--distance", "cosine",
+                "--remove-every", "3",
+                "--quiet", "--stats",
+            ],
+            out=out,
+        )
+        assert code == 0
+        lines = out.getvalue().splitlines()
+        for name in ("insert", "remove"):
+            line = next(
+                line for line in lines
+                if line.startswith(f"{name} latency p50/p95/p99: ")
+            )
+            quantiles = line.split(": ")[1].split(" ms")[0].split("/")
+            p50, p95, p99 = map(float, quantiles)
+            assert 0.0 <= p50 <= p95 <= p99
+            assert line.endswith(f"full rows per {name}")
+            # An insert reads at least its own row; a removal reads at
+            # most its own row plus one per referrer.
+            per_op = float(line.split("; ")[1].split()[0])
+            assert per_op >= (1.0 if name == "insert" else 0.0)
+
 
 class TestBenchIncremental:
     def test_small_run_writes_artifact_and_passes_checksums(self, tmp_path):

@@ -13,7 +13,11 @@ from repro.data.schema import Relation
 from repro.distances.base import CachedDistance, DistanceFunction
 from repro.distances.edit import EditDistance
 from repro.run.config import RunConfig
-from repro.verify.incremental import FrozenDistance, batch_reference
+from repro.verify.incremental import (
+    FrozenDistance,
+    batch_reference,
+    verify_incremental,
+)
 
 from tests.helpers import absdiff_distance, numbers_relation
 
@@ -403,8 +407,9 @@ class TestBoundedCacheMemo:
 
 class TestNoRescanAccounting:
     """Regression: ``_compute_ng`` rescanned the full relation per
-    affected record.  The maintained exact-NN head makes inserts O(n)
-    total and keeps no-reference removals free of distance calls."""
+    affected record.  The maintained exact NN makes inserts O(n) total
+    and keeps no-reference removals free of distance calls; the ranking
+    heads repair a removal's referrers without reading their rows."""
 
     def test_insert_evaluates_each_other_record_exactly_once(self):
         inc = IncrementalDeduplicator(
@@ -424,6 +429,7 @@ class TestNoRescanAccounting:
             inc.add((str(value),))
         inc.remove(3)
         assert inc.last_op.rebuilt == 0
+        assert inc.last_op.rows == 0
         assert inc.last_op.distance_calls == 0
 
     def test_removing_a_referenced_record_rebuilds_only_referencers(self):
@@ -431,8 +437,145 @@ class TestNoRescanAccounting:
         inc = IncrementalDeduplicator(absdiff_distance(), params)
         for value in (0, 1, 2, 500):
             inc.add((str(value),))
-        inc.remove(1)  # referenced by 0 and 2, not by the outlier
-        assert inc.last_op.rebuilt == 2
+        assert inc._refs[1] == {0, 2}  # not the outlier
+        inc.remove(1)
+        # Its referrers 0 and 2 take it out of their heads, and each
+        # other's head covers its new radius: no referrer reads a row.
+        # The one row is the removed record's own (the outlier's NG
+        # counted it), so it costs its 3 distances.
+        op = inc.last_op
+        assert (op.rebuilt, op.rows, op.distance_calls) == (0, 1, 3)
+        assert inc._heads[0] == [(0.002, 2)]
+        assert inc._heads[2] == [(0.002, 0)]
+        assert verify_incremental(inc).ok
+
+
+def head_of(inc, rid):
+    """``rid``'s ranking head and whether it is truncated."""
+    return inc._heads[rid], bool(inc._past[inc._slot_of[rid]])
+
+
+class TestRankingHeads:
+    """Each record keeps the first 2K entries of its ``(distance,
+    rid)`` ranking; a removal takes itself out of its referrers' heads,
+    and only a truncated head drained below K (a refill) or a new
+    radius past the head (a recount) reads the referrer's own row."""
+
+    def served(self, params, values):
+        inc = IncrementalDeduplicator(absdiff_distance(), params)
+        for value in values:
+            inc.add((str(value),))
+        return inc
+
+    @pytest.mark.parametrize(
+        "params, tail",
+        [(DEParams.size(2, c=4.0), [(0.9, 7)]),
+         (DEParams.combined(2, 0.5, c=4.0), [])],
+        ids=["size", "comb"],
+    )
+    def test_a_drained_truncated_head_refills_from_its_row(self, params, tail):
+        # Record 0's ranking inside θ holds six or seven records, its
+        # head the first four; 900 lies outside θ under the combined cut.
+        inc = self.served(params, (0, 1, 100, 101, 102, 103, 104, 900))
+        assert head_of(inc, 0) == (
+            [(0.001, 1), (0.1, 2), (0.101, 3), (0.102, 4)], True
+        )
+        inc.remove(2)
+        inc.remove(3)
+        # Still K entries: no refill, and the cut list is (1, 4).
+        assert head_of(inc, 0) == ([(0.001, 1), (0.102, 4)], True)
+        assert verify_incremental(inc).ok
+        inc.remove(4)
+        assert head_of(inc, 0) == (
+            [(0.001, 1), (0.103, 5), (0.104, 6), *tail], False
+        )
+        op = inc.last_op
+        assert op.rebuilt >= 1
+        assert op.rows >= op.rebuilt
+        assert verify_incremental(inc).ok
+
+    @pytest.mark.parametrize(
+        "params, values, head, ng",
+        [
+            # Truncated size-cut head: radius 0.08 passes its last 0.06.
+            (
+                DEParams.size(2, c=4.0), (0, 10, 40, 50, 60, 70),
+                [(0.04, 2), (0.05, 3), (0.06, 4), (0.07, 5)], 5,
+            ),
+            # Whole θ-lists: radius 0.3 passes θ = 0.2.
+            (
+                DEParams.combined(2, 0.2, c=4.0), (0, 10, 150, 900),
+                [(0.15, 2)], 2,
+            ),
+            (DEParams.diameter(0.2, c=4.0), (0, 10, 150, 900), [(0.15, 2)], 2),
+        ],
+        ids=["size", "comb", "diam"],
+    )
+    def test_a_radius_past_the_head_recounts_from_the_row(
+        self, params, values, head, ng
+    ):
+        inc = self.served(params, values)
+        assert inc._nn_rid[inc._slot_of[0]] == 1
+        inc.remove(1)
+        op = inc.last_op
+        assert op.rebuilt >= 1
+        assert op.rows >= op.rebuilt
+        assert inc._heads[0] == head
+        assert inc.nn_relation().get(0).ng == ng
+        assert verify_incremental(inc).ok
+
+    @pytest.mark.parametrize(
+        "params",
+        [DEParams.combined(2, 0.05, c=4.0), DEParams.diameter(0.05, c=4.0)],
+        ids=["comb", "diam"],
+    )
+    def test_an_exact_nn_outside_theta_is_found_by_a_row(self, params):
+        inc = self.served(params, (0, 10, 900))
+        assert inc._heads[0] == [(0.01, 1)]
+        inc.remove(1)
+        # Nothing is left inside θ: the exact NN is no head's entry.
+        assert inc._heads[0] == []
+        assert inc._nn_rid[inc._slot_of[0]] == 2
+        assert inc.last_op.rebuilt >= 1
+        assert verify_incremental(inc).ok
+
+    def test_a_radius_inside_the_head_is_counted_by_bisection(self):
+        inc = self.served(DEParams.size(2, c=4.0), (0, 10, 12, 14, 30, 40))
+        assert head_of(inc, 0) == (
+            [(0.01, 1), (0.012, 2), (0.014, 3), (0.03, 4)], True
+        )
+        inc.remove(1)
+        # Radius 0.024 stays inside the head (last 0.03): 2 and 3.
+        assert inc.nn_relation().get(0).ng == 3
+        assert inc._nn_rid[inc._slot_of[0]] == 2
+        assert verify_incremental(inc).ok
+
+    def test_an_arrival_past_a_full_head_truncates_it(self):
+        inc = self.served(DEParams.size(2, c=4.0), (0, 10, 20, 30, 40))
+        assert head_of(inc, 0) == (
+            [(0.01, 1), (0.02, 2), (0.03, 3), (0.04, 4)], False
+        )
+        inc.add(("40",))  # ties the last entry and ranks after it
+        assert head_of(inc, 0) == (
+            [(0.01, 1), (0.02, 2), (0.03, 3), (0.04, 4)], True
+        )
+        inc.add(("5",))  # enters first and pushes the last one out
+        assert head_of(inc, 0) == (
+            [(0.005, 6), (0.01, 1), (0.02, 2), (0.03, 3)], True
+        )
+        assert verify_incremental(inc).ok
+
+    def test_a_head_nothing_ranks_past_admits_again(self):
+        inc = self.served(DEParams.size(2, c=4.0), (0, 10, 20, 30, 40, 50))
+        inc.remove(1)
+        assert head_of(inc, 0) == ([(0.02, 2), (0.03, 3), (0.04, 4)], True)
+        inc.remove(5)  # the one record past the head, which never held it
+        assert head_of(inc, 0) == ([(0.02, 2), (0.03, 3), (0.04, 4)], False)
+        inc.add(("45",))  # past the last entry, but the head is whole
+        assert head_of(inc, 0) == (
+            [(0.02, 2), (0.03, 3), (0.04, 4), (0.045, 6)], False
+        )
+        assert verify_incremental(inc).ok
 
 
 class TestRemoval:

@@ -27,7 +27,7 @@ from repro.data.loaders import load_dataset
 from repro.data.schema import Record, Relation
 from repro.distances.base import FrozenDistance
 from repro.distances.corpus import Corpus
-from repro.distances.cosine import CosineDistance
+from repro.distances.cosine import CosineDistance, LiveCosineRows
 from repro.distances.jaccard import TokenJaccardDistance
 from repro.distances.tokens import tokenize
 from repro.run.config import RunConfig
@@ -217,6 +217,33 @@ class TestLivePostingsRows:
                 expected = distance.distance(relation.get(a), relation.get(b))
                 assert value.hex() == expected.hex(), (record.rid, rid)
 
+    @staticmethod
+    def assert_postings_match_a_rebuild(live, relation):
+        """Every posting holds the ``(rid, weight)`` entries a fresh
+        index over the live records builds, and every live slot knows
+        where its entries sit."""
+
+        def entries(index):
+            return {
+                token: sorted(zip(
+                    index.rids[posting.slots[: posting.n]].tolist(),
+                    posting.weights[: posting.n].tolist(),
+                ))
+                for token, posting in index._postings.items()
+            }
+
+        fresh = LiveCosineRows(live.corpus)
+        for record in relation:
+            fresh.add(record)
+        assert entries(live) == entries(fresh)
+        for slot in live.slot_of.values():
+            tokens = live._vectors[slot][0]
+            for index, (token, at) in enumerate(zip(tokens, live._at[slot])):
+                posting = live._postings[token]
+                assert at < posting.n
+                assert posting.slots[at] == slot
+                assert posting.index[at] == index
+
     def test_rows_through_arrivals_removals_and_refit(self):
         relation = Relation.from_strings("live", self.BASE)
         distance = CosineDistance()
@@ -257,12 +284,31 @@ class TestLivePostingsRows:
             arrive(rid, text)
         assert {live.slot_of[rid] for rid in range(200, 204)} == freed
         self.assert_rows_exact(distance, live, relation)
+        self.assert_postings_match_a_rebuild(live, relation)
 
         # A refit: new statistics over the live relation, a new index.
         distance.prepare(relation)
         live = distance.live_rows()
         for record in relation:
             live.add(record)
+        self.assert_rows_exact(distance, live, relation)
+
+    def test_postings_equal_a_fresh_rebuild_after_interleaved_ops(self):
+        # Org records share many tokens, so each removal swaps entries
+        # of other records within long postings.
+        org = load_dataset("org", n_entities=30, duplicate_fraction=0.5, seed=3)
+        relation = Relation(name="live", schema=org.relation.schema)
+        distance = CosineDistance()
+        distance.prepare(org.relation)
+        live = distance.live_rows()
+        for step, record in enumerate(org.relation):
+            relation.add(record)
+            live.add(record)
+            if step % 3 == 2:
+                rid = relation.ids()[(7 * step) % len(relation)]
+                relation.remove(rid)
+                live.remove(rid)
+                self.assert_postings_match_a_rebuild(live, relation)
         self.assert_rows_exact(distance, live, relation)
 
     @settings(max_examples=40, deadline=None)
@@ -297,6 +343,7 @@ class TestLivePostingsRows:
                 distance.corpus.remove(rid)
                 live.remove(rid)
         self.assert_rows_exact(distance, live, relation)
+        self.assert_postings_match_a_rebuild(live, relation)
 
     def test_serving_rows_skip_the_pair_cache(self):
         relation = load_dataset("org", n_entities=30, seed=0).relation

@@ -4,20 +4,21 @@ A hypothesis state machine drives a cosine
 :class:`~repro.core.incremental.IncrementalDeduplicator` over org
 records with insert, remove and refit rules (some arrivals carry a
 token outside the frozen vocabulary), on bounded and unbounded pair
-caches under the size and the combined cut, each SN aggregation and
-two thresholds ``c`` that the org NGs straddle (so NG changes both
-keep and cross their verdict class).  After every step the
+caches under the size, the diameter and the combined cut, each SN
+aggregation and two thresholds ``c`` that the org NGs straddle (so NG
+changes both keep and cross their verdict class).  After every step the
 maintained solution must pass :func:`~repro.verify.incremental
 .verify_incremental` (NN lists, CSPairs rows and partition checksum
 equal a from-scratch batch run), no removed record may linger in the
 corpus's live-vector cache or in the pair cache, the live-row index
 must hold exactly the live records, the reverse reference map must
-equal one recomputed from the maintained cut lists and exact nearest
-neighbors (and so name each record at most once per entry of its cut
-list plus once for its NN), and every maintained NG must equal a
-brute-force count of the live records inside its radius.  With numpy the
-session's cosine rows come from the live postings, without it from the
-pair cache: one machine checks both row sources.
+equal one recomputed from the maintained ranking heads and exact
+nearest neighbors (and so name each record at most once per entry of
+its head plus once for its NN), every head must be a prefix of the
+record's brute-force ranking with the right truncation bit and
+admission bound, and every maintained NG must equal a brute-force count
+of the live records inside its radius.  The session's cosine rows come
+from the live postings.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ ORG = load_dataset("org", n_entities=20, duplicate_fraction=0.5, seed=7).relatio
 CUTS = {
     "size": DEParams.size(3, c=4.0),
     "combined": DEParams.combined(3, 0.4, c=4.0),
+    "diameter": DEParams.diameter(0.4, c=4.0),
 }
 #: The paper's three SN aggregations.
 AGGS = ("max", "max2", "avg")
@@ -64,6 +66,30 @@ class ServeMachine(RuleBasedStateMachine):
         super().__init__()
         self.dedup: IncrementalDeduplicator | None = None
         self.removed: set[int] = set()
+        self._rankings = (None, {})
+
+    def rankings(self) -> dict:
+        """Each live record's brute-force ``(distance, rid)`` ranking
+        over the other live records, computed once per operation."""
+        op, rankings = self._rankings
+        if op is not self.dedup.last_op or op is None:
+            inner = self.dedup.distance.inner
+            records = list(self.dedup.relation)
+            rankings = {
+                record.rid: sorted(
+                    (
+                        inner.distance(
+                            *sorted((record, other), key=lambda r: r.rid)
+                        ),
+                        other.rid,
+                    )
+                    for other in records
+                    if other.rid != record.rid
+                )
+                for record in records
+            }
+            self._rankings = (self.dedup.last_op, rankings)
+        return rankings
 
     @initialize(
         cut=st.sampled_from(sorted(CUTS)),
@@ -140,13 +166,13 @@ class ServeMachine(RuleBasedStateMachine):
 
     @invariant()
     def reverse_map_matches_the_entries(self):
-        # The map holds cut-list and exact-NN referrers, nothing else.
+        # The map holds head and exact-NN referrers, nothing else.
         if self.dedup is None:
             return
         dedup = self.dedup
         expected = {rid: set() for rid in dedup.relation.ids()}
-        for rid, cut in dedup._neighbors.items():
-            held = {nb.rid for nb in cut}
+        for rid, head in dedup._heads.items():
+            held = {orid for _, orid in head}
             nn = int(dedup._nn_rid[dedup._slot_of[rid]])
             if nn >= 0:
                 held.add(nn)
@@ -155,33 +181,56 @@ class ServeMachine(RuleBasedStateMachine):
         assert dedup._refs == expected
 
     @invariant()
-    def references_are_one_cut_list_plus_one_nn(self):
+    def references_are_one_head_plus_one_nn(self):
         if self.dedup is None:
             return
         dedup = self.dedup
         named = Counter(rid for held in dedup._refs.values() for rid in held)
         for rid, count in named.items():
-            assert count <= len(dedup._neighbors[rid]) + 1, rid
+            assert count <= len(dedup._heads[rid]) + 1, rid
+
+    @invariant()
+    def heads_are_ranking_prefixes(self):
+        # Each head is the first len(head) entries of the record's
+        # (distance, rid) ranking inside θ, its count of the records
+        # past it is exact (so it is truncated exactly when the ranking
+        # runs past it), it is never drained below K while truncated,
+        # and its admission bound is its last distance once full or
+        # truncated, else θ.
+        if self.dedup is None:
+            return
+        dedup = self.dedup
+        k, theta = dedup.params.bounds
+        bound = math.inf if theta is None else theta
+        depth = None if k is None else 2 * k
+        for rid, ranking in self.rankings().items():
+            ranking = [entry for entry in ranking if entry[0] < bound]
+            head = dedup._heads[rid]
+            slot = dedup._slot_of[rid]
+            past = int(dedup._past[slot])
+            truncated = past > 0
+            assert head == ranking[: len(head)], rid
+            assert past == len(ranking) - len(head), rid
+            if depth is not None:
+                assert len(head) <= depth, rid
+                assert not truncated or len(head) >= k, rid
+            else:
+                assert not truncated, rid
+            full = truncated or len(head) == depth
+            assert dedup._kth[slot] == (head[-1][0] if full else bound), rid
 
     @invariant()
     def ng_matches_a_brute_force_count(self):
         if self.dedup is None:
             return
-        dedup = self.dedup
-        inner, p = dedup.distance.inner, dedup.params.p
-        records = list(dedup.relation)
-        maintained = dedup.nn_relation()
-        for record in records:
-            row = [
-                inner.distance(*sorted((record, other), key=lambda r: r.rid))
-                for other in records
-                if other.rid != record.rid
-            ]
-            nn = min(row, default=math.inf)
+        p = self.dedup.params.p
+        maintained = self.dedup.nn_relation()
+        for rid, ranking in self.rankings().items():
+            nn = ranking[0][0] if ranking else math.inf
             # ``d < radius``; for ``nn = 0`` that is ``d == 0``.
             radius = p * nn if nn > 0.0 else math.nextafter(0.0, 1.0)
-            expected = 1 + sum(d < radius for d in row)
-            assert maintained.get(record.rid).ng == expected, record.rid
+            expected = 1 + sum(d < radius for d, _ in ranking)
+            assert maintained.get(rid).ng == expected, rid
 
 TestServeMachine = ServeMachine.TestCase
 TestServeMachine.settings = settings(
