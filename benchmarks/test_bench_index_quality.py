@@ -13,7 +13,6 @@ from repro.distances.base import CachedDistance
 from repro.distances.edit import EditDistance
 from repro.eval.metrics import pairwise_scores
 from repro.eval.report import format_table
-from repro.index.bktree import BKTreeIndex
 from repro.index.bruteforce import BruteForceIndex
 from repro.index.inverted import QgramInvertedIndex
 from repro.index.minhash import MinHashIndex
@@ -58,7 +57,6 @@ def run_index_quality():
     ]
     agreements = {}
     for index in (
-        BKTreeIndex(),
         QgramInvertedIndex(),
         MinHashIndex(use_qgrams=True, q=3),
     ):
@@ -100,9 +98,6 @@ def test_index_quality(benchmark):
         ),
     )
 
-    # BK-tree is exact: full agreement with brute force.
-    assert agreements["bktree"][0] >= 0.999
-    assert agreements["bktree"][1] >= 0.999
     # The probabilistic indexes justify the paper's as-if-exact usage:
     # high kNN recall, and end-to-end quality on par with the exact
     # pipeline.  (MinHash restricts range queries to LSH candidates,

@@ -45,7 +45,7 @@ from repro.distances import (
     JaroWinklerDistance,
     TokenJaccardDistance,
 )
-from repro.index import BKTreeIndex, BruteForceIndex, MinHashIndex, QgramInvertedIndex
+from repro.index import BruteForceIndex, MinHashIndex, QgramInvertedIndex
 from repro.parallel import ParallelNNEngine
 from repro.run import RunConfig, RunContext, RunStats
 
@@ -71,7 +71,6 @@ __all__ = [
     "TokenJaccardDistance",
     "JaroWinklerDistance",
     "BruteForceIndex",
-    "BKTreeIndex",
     "QgramInvertedIndex",
     "MinHashIndex",
     "ParallelNNEngine",

@@ -134,8 +134,6 @@ class OpStats:
     #: bounded cache or not); on the live-postings path every row entry
     #: counts, so a pair read from both ends counts twice.
     pinned_pairs: int
-    #: Distance calls forwarded past the per-operation memo.
-    distance_calls: int
     #: Inner (uncached) distance computations during the operation; 0
     #: on the live-postings path, which never reads the pair cache.
     cache_misses: int
@@ -1039,7 +1037,6 @@ class IncrementalDeduplicator:
             rid=rid,
             n=len(self.relation),
             pinned_pairs=self._op_pairs,
-            distance_calls=self._op_pairs,
             cache_misses=self.distance.misses - self._op_miss_base,
             rebuilt=rebuilt,
             rows=self._op_rows,

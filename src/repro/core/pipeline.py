@@ -85,10 +85,10 @@ class DuplicateEliminator:
         ``cache_distance=False``).
     index:
         NN index instance; defaults to :class:`BruteForceIndex`.  The
-        index is (re)built per :meth:`run` call.  Approximate indexes
-        (MinHash, q-gram, BK-tree) trade distance evaluations
-        for recall — see ``docs/performance.md`` ("Choosing an index");
-        the result's ``stats.phase1`` records the candidate counts and
+        index is (re)built per :meth:`run` call.  The approximate
+        indexes (MinHash, q-gram) trade distance evaluations for recall
+        — see ``docs/performance.md`` ("Choosing an index"); the
+        result's ``stats.phase1`` records the candidate counts and
         pruning each run actually achieved.
     engine:
         Optional storage engine.  When given (or ``use_engine=True``),

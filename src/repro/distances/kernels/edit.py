@@ -10,7 +10,7 @@ The scalar form packs the pattern's match positions into one python int
 per distinct character; the DP column then lives in two bit vectors,
 and each text character costs a fixed handful of int operations instead
 of a DP row.  Python ints are arbitrary-precision, so no pattern is too
-long.  The BK-tree, the q-gram verify and small batches use it.
+long.  The q-gram verify and small batches use it.
 
 :class:`EditKernel` runs the same recurrence across a whole batch of
 pairs at once: each pair is one *lane*, its bit vectors are columns of

@@ -40,7 +40,6 @@ from repro.eval.bench import (
 )
 from repro.eval.report import format_table
 from repro.index.base import NNIndex
-from repro.index.bktree import BKTreeIndex
 from repro.index.bruteforce import BruteForceIndex
 from repro.index.inverted import QgramInvertedIndex
 from repro.index.minhash import MinHashIndex
@@ -67,7 +66,6 @@ __all__ = [
 #: quadratic on text with common grams; see docs/performance.md.
 INDEX_FACTORIES: dict[str, Callable[[], NNIndex]] = {
     "brute": BruteForceIndex,
-    "bktree": BKTreeIndex,
     "qgram": lambda: QgramInvertedIndex(max_df=64, within_budget=128),
     "minhash": MinHashIndex,
 }
@@ -252,9 +250,9 @@ def run_index_matrix(
 
     Runs the batched Phase 1 once per requested index (brute force is
     always included as the exact baseline) and reports, per row: cost
-    (distance evaluations during queries and during index construction),
-    pruning effectiveness (candidates surfaced vs. pairs never
-    examined), throughput, and sampled NN recall against brute force
+    (distance evaluations), pruning effectiveness (candidates surfaced
+    vs. pairs never examined), throughput, and sampled NN recall
+    against brute force
     (:func:`repro.verify.parity.sampled_nn_recall`).
 
     The default workload is the paper's combined cut — the ``k``
@@ -265,10 +263,6 @@ def run_index_matrix(
     recall there, because every query must then return ``k`` rows even
     when nothing similar exists (see docs/performance.md, "When brute
     force wins").
-
-    An index incompatible with the distance (e.g. the BK-tree without
-    edit distance) produces a ``skipped`` row instead of failing the
-    whole matrix, so one matrix can sweep every index per distance.
     """
     # Imported lazily: repro.verify sits above the eval layer.
     from repro.verify.parity import sampled_nn_recall
@@ -292,29 +286,21 @@ def run_index_matrix(
     rows: list[dict] = []
     brute_total: int | None = None
     for name in names:
-        try:
-            index = INDEX_FACTORIES[name]()
-            index.enable_kernel(kernel)
-            index.build(relation, distance_cls())
-        except (TypeError, ValueError) as exc:
-            rows.append({"index": name, "skipped": str(exc)})
-            continue
+        index = INDEX_FACTORIES[name]()
+        index.enable_kernel(kernel)
+        index.build(relation, distance_cls())
         stats = Phase1Stats()
         engine = ParallelNNEngine(n_workers=n_workers, pool=pool)
         nn = engine.run(relation, index, params, order="sequential", stats=stats)
         # Kernel-evaluated pairs are distance work all the same: keep
         # the vs-brute ratio meaningful under every backend.
-        total = (
-            stats.evaluations + stats.kernel_evaluations
-            + index.build_evaluations
-        )
+        total = stats.evaluations + stats.kernel_evaluations
         if name == "brute":
             brute_total = total
         rows.append({
             "index": name,
             "index_name": index.name,
             **_cost_row(stats, index, nn),
-            "build_evaluations": index.build_evaluations,
             "total_evaluations": total,
             "candidates_generated": stats.candidates_generated,
             "evaluations_pruned": stats.evaluations_pruned,
@@ -581,10 +567,6 @@ def index_matrix_table(matrix: Mapping) -> str:
     """Render one :func:`run_index_matrix` result as a text table."""
     rows = []
     for row in matrix["rows"]:
-        if "skipped" in row:
-            rows.append((row["index"], "skipped: " + row["skipped"],
-                         "", "", "", "", ""))
-            continue
         ratio = row["evaluations_ratio_vs_brute"]
         rows.append(
             (
@@ -683,8 +665,7 @@ def _gates(settings: Mapping) -> list[Gate]:
                 f"({row['recall']['mean_recall']:.3f})"
                 for matrix in results["index_matrix"] or ()
                 for row in matrix["rows"]
-                if "skipped" not in row
-                and row["recall"]["mean_recall"] < min_recall
+                if row["recall"]["mean_recall"] < min_recall
             ],
         ))
     min_speedup = settings.get("min_speedup")

@@ -1,13 +1,12 @@
 """Nearest-neighbor indexes for Phase 1 of the DE algorithm.
 
-:class:`BruteForceIndex` is the exact reference; :class:`BKTreeIndex`
-is exact for (normalized) Levenshtein; :class:`QgramInvertedIndex` and
+:class:`BruteForceIndex` is the one exact index, the nested-loop scan
+the paper falls back to; :class:`QgramInvertedIndex` and
 :class:`MinHashIndex` are the approximate, inverted-index-style
 structures the paper cites and "treats as exact".
 """
 
 from repro.index.base import Neighbor, NNIndex
-from repro.index.bktree import BKTreeIndex
 from repro.index.bruteforce import BruteForceIndex
 from repro.index.cache import PagedPostingStore
 from repro.index.inverted import QgramInvertedIndex
@@ -18,7 +17,6 @@ __all__ = [
     "Neighbor",
     "NNIndex",
     "BruteForceIndex",
-    "BKTreeIndex",
     "QgramInvertedIndex",
     "MinHashIndex",
     "PagedPostingStore",

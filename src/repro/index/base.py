@@ -254,11 +254,6 @@ class NNIndex(abc.ABC):
     def __init__(self) -> None:
         self.relation: Relation | None = None
         self.distance: DistanceFunction | None = None
-        #: Distance computations spent constructing the index itself
-        #: (BK-tree inserts); zero for structure-free
-        #: indexes.  Reported separately so the bench matrix can charge
-        #: each index its honest total cost.
-        self.build_evaluations = 0
         #: The index's running work totals: every closed top-level
         #: ledger folds in here, and work done with no ledger open (a
         #: bare ``knn``/``within`` call) is charged here directly.  Like
@@ -521,8 +516,7 @@ class NNIndex(abc.ABC):
         cache (outside it only consults), so a pair probed from both
         endpoints — or probed again by the NG range count — is evaluated
         once per batch.  Scopes nest and may be entered concurrently by
-        thread-pool chunk workers; batch-scoped scratch state is
-        released when the outermost scope exits.
+        thread-pool chunk workers.
         """
         with self._batch_lock:
             self._batch_depth += 1
@@ -531,11 +525,6 @@ class NNIndex(abc.ABC):
         finally:
             with self._batch_lock:
                 self._batch_depth -= 1
-                if self._batch_depth == 0:
-                    self._on_batch_exit()
-
-    def _on_batch_exit(self) -> None:
-        """Hook: drop per-batch scratch state (see ``BKTreeIndex``)."""
 
     def _pair_distance(
         self, record: Record, other: Record, work: BatchCounts

@@ -28,6 +28,7 @@ from repro.core.constraints import (
     constraint_from_dict,
     constraints_to_dicts,
 )
+from repro.run.registry import DISTANCES, INDEXES
 
 __all__ = [
     "ConfigError",
@@ -95,7 +96,8 @@ class RunConfig:
     Parameters
     ----------
     distance, index:
-        Registry names (see :mod:`repro.run.registry`).  A
+        Registry names (see :mod:`repro.run.registry`); an unregistered
+        name is a :class:`ConfigError`.  A
         :class:`~repro.run.context.RunContext` built with explicit
         instances keeps these as labels only.
     order, order_seed:
@@ -183,6 +185,16 @@ class RunConfig:
                     f"dicts; got {entry!r}"
                 )
         object.__setattr__(self, "constraints", tuple(normalized))
+        if self.distance not in DISTANCES:
+            raise ConfigError(
+                f"unknown distance {self.distance!r}; "
+                f"expected one of {sorted(DISTANCES)}"
+            )
+        if self.index not in INDEXES:
+            raise ConfigError(
+                f"unknown index {self.index!r}; "
+                f"expected one of {sorted(INDEXES)}"
+            )
         if self.order not in _ORDERS:
             raise ConfigError(
                 f"unknown lookup order {self.order!r}; expected one of {_ORDERS}"

@@ -17,7 +17,6 @@ from repro.distances.edit import EditDistance
 from repro.distances.fms import FuzzyMatchDistance
 from repro.distances.jaccard import TokenJaccardDistance
 from repro.index.base import NNIndex
-from repro.index.bktree import BKTreeIndex
 from repro.index.bruteforce import BruteForceIndex
 from repro.index.inverted import QgramInvertedIndex
 from repro.index.minhash import MinHashIndex
@@ -33,7 +32,6 @@ DISTANCES: dict[str, type[DistanceFunction]] = {
 
 INDEXES: dict[str, Callable[[], NNIndex]] = {
     "brute": BruteForceIndex,
-    "bktree": BKTreeIndex,
     "qgram": QgramInvertedIndex,
     "minhash": MinHashIndex,
 }

@@ -388,8 +388,7 @@ class TestBoundedCacheMemo:
         values = [0, 3, 7, 200, 204, 500, 801]
         for i, value in enumerate(values):
             inc.add((str(value),))
-            assert inc.last_op.distance_calls == i  # one per existing record
-            assert inc.last_op.pinned_pairs == i
+            assert inc.last_op.pinned_pairs == i  # one per existing record
         assert inc.partition() == batch_partition(values, params)
 
     def test_op_hit_rate_is_perfect_within_an_operation(self):
@@ -402,7 +401,7 @@ class TestBoundedCacheMemo:
         for value in (1, 2, 3, 4):
             inc.add((str(value),))
         op = inc.last_op
-        assert op.cache_misses == op.pinned_pairs == op.distance_calls == 3
+        assert op.cache_misses == op.pinned_pairs == 3
 
 
 class TestNoRescanAccounting:
@@ -417,7 +416,7 @@ class TestNoRescanAccounting:
         )
         for i, value in enumerate([0, 1, 2, 3, 100, 101, 102, 500]):
             inc.add((str(value),))
-            assert inc.last_op.distance_calls == i
+            assert inc.last_op.pinned_pairs == i
 
     def test_removing_an_unreferenced_record_costs_no_distance_calls(self):
         # theta = 0.01 (absdiff scale 1000 -> radius 10): the outlier at
@@ -430,7 +429,7 @@ class TestNoRescanAccounting:
         inc.remove(3)
         assert inc.last_op.rebuilt == 0
         assert inc.last_op.rows == 0
-        assert inc.last_op.distance_calls == 0
+        assert inc.last_op.pinned_pairs == 0
 
     def test_removing_a_referenced_record_rebuilds_only_referencers(self):
         params = DEParams.diameter(0.01, c=4.0)
@@ -444,7 +443,7 @@ class TestNoRescanAccounting:
         # The one row is the removed record's own (the outlier's NG
         # counted it), so it costs its 3 distances.
         op = inc.last_op
-        assert (op.rebuilt, op.rows, op.distance_calls) == (0, 1, 3)
+        assert (op.rebuilt, op.rows, op.pinned_pairs) == (0, 1, 3)
         assert inc._heads[0] == [(0.002, 2)]
         assert inc._heads[2] == [(0.002, 0)]
         assert verify_incremental(inc).ok

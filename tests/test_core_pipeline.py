@@ -8,7 +8,6 @@ from repro.core.pipeline import DuplicateEliminator
 from repro.core.result import Partition
 from repro.data.embedded import table1_duplicate_groups
 from repro.distances.edit import EditDistance
-from repro.index.bktree import BKTreeIndex
 from repro.index.bruteforce import BruteForceIndex
 from repro.storage.engine import Engine
 
@@ -98,16 +97,6 @@ class TestEngineParity:
 
 
 class TestIndexChoices:
-    def test_bktree_matches_bruteforce(self, table1):
-        params = DEParams.size(4, c=4.0)
-        brute = DuplicateEliminator(EditDistance(), index=BruteForceIndex()).run(
-            table1, params
-        )
-        bk = DuplicateEliminator(
-            EditDistance(), index=BKTreeIndex(), cache_distance=False
-        ).run(table1, params)
-        assert brute.partition == bk.partition
-
     def test_lookup_orders_agree(self, table1):
         params = DEParams.size(4, c=4.0)
         results = {

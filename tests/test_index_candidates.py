@@ -1,7 +1,6 @@
 """Batched candidate generation across the approximate indexes.
 
-The contracts under test, per index (MinHash LSH, q-gram inverted,
-BK-tree):
+The contracts under test, per index (MinHash LSH, q-gram inverted):
 
 - ``phase1_batch`` is result-identical to per-query calls on a fresh
   index;
@@ -25,7 +24,6 @@ from repro.data.loaders import load_dataset
 from repro.data.schema import Record
 from repro.distances.edit import EditDistance
 from repro.eval.bench import nn_checksum
-from repro.index.bktree import BKTreeIndex
 from repro.index.bruteforce import BruteForceIndex
 from repro.index.inverted import QgramInvertedIndex
 from repro.index.minhash import MinHashIndex, band_keys
@@ -34,7 +32,6 @@ from repro.parallel.engine import ParallelNNEngine
 APPROX_FACTORIES = [
     ("minhash", MinHashIndex),
     ("qgram", QgramInvertedIndex),
-    ("bktree", BKTreeIndex),
 ]
 
 K = 3
@@ -44,8 +41,7 @@ PARAMS = DEParams.size(K, c=4.0)
 
 @pytest.fixture(scope="module")
 def relation():
-    # Seed-fixed tiny org dataset; edit distance suits all four indexes
-    # (the BK-tree accepts nothing else).
+    # Seed-fixed tiny org dataset; edit distance suits every index.
     return load_dataset(
         "org", n_entities=30, duplicate_fraction=0.4, seed=7
     ).relation
@@ -92,7 +88,6 @@ class TestBatchPerQueryParity:
             # DPs per cutoff instead of caching full distances, so the
             # once-per-pair bound only holds on the _pair_distance route.
             ("qgram", lambda: QgramInvertedIndex(enable_fast_path=False)),
-            ("bktree", BKTreeIndex),
         ],
     )
     def test_batch_reuses_pairs(self, name, factory, relation):
@@ -100,7 +95,7 @@ class TestBatchPerQueryParity:
         index = build(factory, relation)
         index.phase1_batch(relation.records, k=K, theta=THETA)
         n = len(relation)
-        assert index.totals.evaluations <= n * (n - 1) // 2 + index.build_evaluations
+        assert index.totals.evaluations <= n * (n - 1) // 2
 
 
 class TestEngineParity:
@@ -150,9 +145,8 @@ class TestPruningAccounting:
             order="sequential",
             stats=brute_stats,
         )
-        index, stats = self.run_stats(factory, relation)
-        total = stats.evaluations + index.build_evaluations
-        assert total < brute_stats.evaluations
+        _, stats = self.run_stats(factory, relation)
+        assert stats.evaluations < brute_stats.evaluations
 
     @pytest.mark.parametrize("name,factory", APPROX_FACTORIES)
     def test_counters_filled_and_credited(self, name, factory, relation):

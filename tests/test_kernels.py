@@ -138,6 +138,11 @@ class TestBatchParity:
             st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)
         ),
     )
+    # Duplicate texts, k = 0 and a singleton relation, which the
+    # strategy never draws.
+    @example(words=["same", "same", "other"], k=2, radius=0.0)
+    @example(words=["a", "b"], k=0, radius=0.5)
+    @example(words=["only"], k=3, radius=1.0)
     def test_per_query_knn_and_within(self, distance_name, words, k, radius):
         """Per-record queries are kernelized on both indexes: strict and
         inclusive radii, bit-identical to the scalar path."""
@@ -154,6 +159,56 @@ class TestBatchParity:
                 assert kernel.neighborhood_growth(
                     record
                 ) == scalar.neighborhood_growth(record)
+
+
+#: Near-miss pairs ("jade palace" / "jade place") and one duplicate text.
+EDGE_WORDS = [
+    "golden dragon",
+    "golden dragon express",
+    "jade palace",
+    "jade place",
+    "little bistro",
+    "litle bistro",
+    "royal kitchen",
+    "royal kitchen",
+    "blue table",
+    "red table",
+]
+
+
+class TestEditEdgeCases:
+    """Exact answers on edge inputs, on both brute-force backends
+    (``auto`` is the edit kernel, ``python`` the scalar DP).  k = 0 and
+    the singleton relation are examples of the parity test above, whose
+    scalar answers ``test_index_bruteforce`` pins."""
+
+    @staticmethod
+    def index(words, backend):
+        relation, scalar, kernel = build_pair(words, "edit")
+        return relation, kernel if backend == "auto" else scalar
+
+    @pytest.mark.parametrize("backend", ["auto", "python"])
+    def test_duplicate_texts_come_first_at_zero(self, backend):
+        relation, index = self.index(EDGE_WORDS, backend)
+        hits = index.knn(relation.get(6), 3)
+        assert (hits[0].rid, hits[0].distance) == (7, 0.0)
+        assert hits[1].distance > 0.0
+        mirror = index.knn(relation.get(7), 1)[0]
+        assert (mirror.rid, mirror.distance) == (6, 0.0)
+
+    @pytest.mark.parametrize("backend", ["auto", "python"])
+    def test_within_inclusive_at_the_nn_radius(self, backend):
+        relation, index = self.index(EDGE_WORDS, backend)
+        record = relation.get(2)  # "jade palace"
+        nearest = index.knn(record, 1)[0]
+        assert nearest.rid == 3 and nearest.distance == 1 / 11
+        strict = {n.rid for n in index.within(record, nearest.distance)}
+        inclusive = {
+            n.rid
+            for n in index.within(record, nearest.distance, inclusive=True)
+        }
+        assert strict == set()
+        assert inclusive == {3}
 
 
 class TestWorkerParity:

@@ -47,6 +47,19 @@ class TestValidation:
         # in-flight == shards is the boundary case and is legal.
         assert RunConfig(shards=3, shards_in_flight=3).shards_in_flight == 3
 
+    # "bktree" names an index that was registered once and then
+    # deleted: a saved config naming it fails when it is built.
+    @pytest.mark.parametrize(
+        "changes", [{"index": "bktree"}, {"index": "nope"}, {"distance": "nada"}]
+    )
+    def test_unregistered_names_rejected(self, changes):
+        with pytest.raises(ConfigError, match="unknown (index|distance)"):
+            RunConfig(**changes)
+
+    def test_from_dict_rejects_unregistered_index(self):
+        with pytest.raises(ConfigError, match="unknown index 'bktree'"):
+            RunConfig.from_dict({"distance": "edit", "index": "bktree"})
+
     def test_config_error_is_value_error(self):
         with pytest.raises(ValueError):
             RunConfig(verify="loud")
@@ -74,7 +87,7 @@ class TestRoundTrip:
     def test_dict_round_trip(self):
         config = RunConfig(
             distance="edit",
-            index="bktree",
+            index="qgram",
             n_workers=3,
             use_engine=True,
             spill=True,
@@ -147,7 +160,7 @@ class TestCLIExitCodes:
 
 class TestContext:
     def test_create_resolves_registry_names(self):
-        context = RunContext.create(RunConfig(distance="edit", index="bktree"))
+        context = RunContext.create(RunConfig(distance="edit", index="qgram"))
         assert context.distance.name.startswith("cached(")
         assert context.index is not None
         assert context.engine is None
